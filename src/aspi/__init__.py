@@ -19,9 +19,12 @@ from .errors import (
 )
 from .imaging_model import (
     GeometryConfig,
+    GeometryMasks,
     PatternSpec,
     ZGrid,
     axial_range,
+    base_camera_pattern,
+    camera_shape,
     is_axially_ambiguous,
     magnify,
     make_slit_pattern,
@@ -31,21 +34,12 @@ from .imaging_model import (
     threshold_mask,
     validate_frame,
 )
-from .calibration import (
-    AffineMap,
-    MaskModel,
-    estimate_translation,
-    fit_mask_model,
-    predict_mask,
-    warp_frame,
-)
+from .calibration import MaskModel, estimate_translation, fit_mask_model, predict_mask
 from .forward_sim import (
     AcquisitionSet,
     NoiseSpec,
     Scene,
     acquire_stack,
-    base_camera_pattern,
-    camera_shape,
     make_tilted_plane_scene,
     render_frame,
     tilted_plane_sections,
@@ -53,7 +47,6 @@ from .forward_sim import (
 from .reconstructor import (
     SENTINEL,
     CoverageReport,
-    GeometryMasks,
     ModelMasks,
     PrecomputedMasks,
     VolumeStack,
@@ -82,8 +75,7 @@ __all__ = [
     "validate_frame", "sample_row", "shift_image", "magnify",
     "make_slit_pattern", "axial_range", "is_axially_ambiguous",
     "synthesize_mask", "threshold_mask",
-    "AffineMap", "MaskModel", "estimate_translation", "fit_mask_model",
-    "predict_mask", "warp_frame",
+    "MaskModel", "estimate_translation", "fit_mask_model", "predict_mask",
     "NoiseSpec", "Scene", "AcquisitionSet", "camera_shape",
     "base_camera_pattern", "render_frame", "acquire_stack",
     "make_tilted_plane_scene", "tilted_plane_sections",

@@ -4,10 +4,11 @@ The lateral scan and the depth shear both move the projected pattern by a
 fixed translation per step, so the full bank of virtual confocal masks can
 be regenerated from a single base mask plus two displacement estimates: one
 from a pair of masks at different scan positions, one from a pair at
-different depths. The estimates are obtained by normalized cross-correlation
-with parabolic sub-pixel refinement.
+different depths. The estimates are obtained by normalized cross-correlation,
+computed through the FFT, with parabolic sub-pixel refinement.
 
-The affine maps are fitted as pure translations. Two frames of a periodic
+The model is two per-step translations, (lateral_dx, lateral_dy) per scan
+step and (axial_dx, axial_dy) per depth section. Two frames of a periodic
 pattern expose no other observable degrees of freedom, and the translation
 is itself only determined modulo the slit period: anchor pairs MUST be
 displaced by less than half a period (in camera pixels) or the estimate
@@ -20,23 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateInputError
 from .imaging_model import shift_image
 
 __all__ = [
-    "AffineMap",
     "MaskModel",
     "estimate_translation",
     "fit_mask_model",
     "predict_mask",
-    "warp_frame",
 ]
-
-# Largest frame side still correlated by direct spatial summation; bigger
-# frames go through the FFT. Both paths agree to well under 1e-6.
-SPATIAL_LIMIT = 256
 
 # Anchor displacements smaller than this are indistinguishable from "no
 # displacement" and rejected as degenerate.
@@ -44,95 +38,29 @@ _MIN_ANCHOR_DISP = 1e-9
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """Six-coefficient plane map (x, y) -> (a*x + b*y + c, d*x + e*y + f).
-
-    The fitting code only ever produces pure translations, but the type
-    keeps the full generality so richer fits can slot in later.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def __post_init__(self):
-        if abs(self.det) < 1e-12:
-            raise ValueError(f"affine map is singular (det = {self.det})")
-
-    @property
-    def det(self) -> float:
-        return self.a * self.e - self.b * self.d
-
-    @property
-    def is_translation(self) -> bool:
-        return (self.a, self.b, self.d, self.e) == (1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-
-    @classmethod
-    def translation(cls, dx: float, dy: float) -> "AffineMap":
-        return cls(1.0, 0.0, float(dx), 0.0, 1.0, float(dy))
-
-    def apply(self, x, y):
-        """Map point coordinates; accepts scalars or arrays."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        return self.a * x + self.b * y + self.c, self.d * x + self.e * y + self.f
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """Map applying `other` first, then self."""
-        return AffineMap(
-            self.a * other.a + self.b * other.d,
-            self.a * other.b + self.b * other.e,
-            self.a * other.c + self.b * other.f + self.c,
-            self.d * other.a + self.e * other.d,
-            self.d * other.b + self.e * other.e,
-            self.d * other.c + self.e * other.f + self.f,
-        )
-
-    def inverse(self) -> "AffineMap":
-        det = self.det
-        ia, ib = self.e / det, -self.b / det
-        id_, ie = -self.d / det, self.a / det
-        return AffineMap(
-            ia, ib, -(ia * self.c + ib * self.f),
-            id_, ie, -(id_ * self.c + ie * self.f),
-        )
-
-
-@dataclass(frozen=True)
 class MaskModel:
     """Base mask plus per-step translations recovered from three references.
 
-    lateral_map moves the mask by one scan step, axial_map by one depth
-    section. The residuals are the RMS mismatch between each anchor frame
-    and the base warped by the full fitted displacement.
+    (lateral_dx, lateral_dy) moves the mask by one scan step, (axial_dx,
+    axial_dy) by one depth section, in camera pixels. The residuals are the
+    RMS mismatch between each anchor frame and the base shifted by the full
+    fitted displacement.
     """
 
     base_mask: np.ndarray
-    lateral_map: AffineMap
-    axial_map: AffineMap
+    lateral_dx: float
+    lateral_dy: float
+    axial_dx: float
+    axial_dy: float
     anchors: tuple[int, int]
     lateral_residual_rms: float
     axial_residual_rms: float
 
 
-def _ncc_surface_fft(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+def _ncc_surface(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Circular cross-correlation of two zero-mean frames, at every shift."""
     cross_power = np.conj(np.fft.fft2(na)) * np.fft.fft2(nb)
     return np.fft.ifft2(cross_power).real
-
-
-def _ncc_surface_spatial(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    h, w = na.shape
-    tiled = np.tile(nb, (2, 2))
-    sy, sx = tiled.strides
-    view = as_strided(tiled, shape=(h, w, h, w), strides=(sy, sx, sy, sx))
-    return np.einsum("vuyx,yx->vu", view, na)
 
 
 def _parabolic_offset(cm: float, c0: float, cp: float) -> float:
@@ -149,7 +77,7 @@ def _wrap_signed(value: float, n: int) -> float:
     return ((value + half) % n) - half
 
 
-def estimate_translation(frame_a, frame_b, method: str = "auto") -> tuple[float, float]:
+def estimate_translation(frame_a, frame_b) -> tuple[float, float]:
     """Sub-pixel displacement (dx, dy) such that frame_b ~ frame_a shifted by it.
 
     The displacement maximizes the circular normalized cross-correlation of
@@ -157,9 +85,6 @@ def estimate_translation(frame_a, frame_b, method: str = "auto") -> tuple[float,
     over its immediate neighbors. Results are wrapped into
     [-size/2, size/2) per axis, so displacements at or beyond half the frame
     (or half the pattern period, for periodic content) alias.
-
-    method: 'auto' picks direct spatial summation for frames up to
-    256x256 and the FFT beyond; 'spatial' / 'fft' force a path.
     """
     a = np.asarray(frame_a, dtype=np.float64)
     b = np.asarray(frame_b, dtype=np.float64)
@@ -175,14 +100,7 @@ def estimate_translation(frame_a, frame_b, method: str = "auto") -> tuple[float,
         raise DegenerateInputError("constant frame carries no displacement signal")
 
     h, w = a.shape
-    if method == "auto":
-        method = "spatial" if (h <= SPATIAL_LIMIT and w <= SPATIAL_LIMIT) else "fft"
-    if method == "spatial":
-        surf = _ncc_surface_spatial(na, nb)
-    elif method == "fft":
-        surf = _ncc_surface_fft(na, nb)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    surf = _ncc_surface(na, nb)
     surf /= h * w * sa * sb
 
     iy, ix = np.unravel_index(int(np.argmax(surf)), surf.shape)
@@ -223,8 +141,10 @@ def fit_mask_model(ref_x1z1, ref_xNz1, ref_x1zK, anchors: tuple[int, int]) -> Ma
     )
     return MaskModel(
         base_mask=base.copy(),
-        lateral_map=AffineMap.translation(dx_lat / (n_anchor - 1), dy_lat / (n_anchor - 1)),
-        axial_map=AffineMap.translation(dx_ax / (k_anchor - 1), dy_ax / (k_anchor - 1)),
+        lateral_dx=float(dx_lat / (n_anchor - 1)),
+        lateral_dy=float(dy_lat / (n_anchor - 1)),
+        axial_dx=float(dx_ax / (k_anchor - 1)),
+        axial_dy=float(dy_ax / (k_anchor - 1)),
         anchors=(n_anchor, k_anchor),
         lateral_residual_rms=lat_res,
         axial_residual_rms=ax_res,
@@ -238,43 +158,8 @@ def predict_mask(model: MaskModel, x_index: int, z_index: int) -> np.ndarray:
     single displacement and applied once, so repeated prediction does not
     stack interpolation blur. (0, 0) returns the base mask unchanged.
     """
-    dx = x_index * model.lateral_map.c + z_index * model.axial_map.c
-    dy = x_index * model.lateral_map.f + z_index * model.axial_map.f
+    dx = x_index * model.lateral_dx + z_index * model.axial_dx
+    dy = x_index * model.lateral_dy + z_index * model.axial_dy
     if dx == 0.0 and dy == 0.0:
         return model.base_mask.copy()
     return shift_image(model.base_mask, dx, dy)
-
-
-def warp_frame(frame, amap: AffineMap) -> np.ndarray:
-    """Apply an affine map to an image by inverse-mapped bilinear sampling.
-
-    Pure translations delegate to shift_image so the two code paths cannot
-    drift apart; general maps sample frame at amap^-1(x, y) with zero
-    outside the input.
-    """
-    a = np.asarray(frame, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2D image, got shape {a.shape}")
-    if amap.is_translation:
-        return shift_image(a, amap.c, amap.f)
-    h, w = a.shape
-    inv = amap.inverse()
-    xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    sx, sy = inv.apply(xx, yy)
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
-    out = np.zeros_like(a)
-    for dy_c, dx_c, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (0, 1, fx * (1 - fy)),
-        (1, 0, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        yc = y0 + dy_c
-        xc = x0 + dx_c
-        ok = (yc >= 0) & (yc < h) & (xc >= 0) & (xc < w)
-        vals = a[np.clip(yc, 0, h - 1), np.clip(xc, 0, w - 1)]
-        out += np.where(ok, wgt * vals, 0.0)
-    return out

@@ -9,12 +9,13 @@ single machine-parsable ``key=value`` summary line to stdout on success.
 Exit codes: 0 success, 1 runtime failure (bad data, violated invariants,
 I/O problems; a diagnostic goes to stderr), 2 usage errors (argparse).
 The worker thread count falls back to the ASPI_THREADS environment
-variable when --threads is not given.
+variable when --threads is not given; either one must be an integer.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -23,35 +24,38 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_reconstruction
-from .calibration import AffineMap, MaskModel, fit_mask_model
-from .forward_sim import (
-    NoiseSpec,
-    Scene,
-    acquire_stack,
+from .calibration import MaskModel, fit_mask_model
+from .forward_sim import NoiseSpec, Scene, acquire_stack, make_tilted_plane_scene, render_frame
+from .imaging_model import (
+    GeometryConfig,
+    GeometryMasks,
+    PatternSpec,
+    ZGrid,
     base_camera_pattern,
     camera_shape,
-    make_tilted_plane_scene,
-    render_frame,
+    threshold_mask,
 )
-from .imaging_model import GeometryConfig, PatternSpec, ZGrid, threshold_mask
-from .reconstructor import (
-    SENTINEL,
-    GeometryMasks,
-    ModelMasks,
-    VolumeStack,
-    reconstruct_volume,
-)
+from .reconstructor import SENTINEL, ModelMasks, VolumeStack, reconstruct_volume
 from .stack_io import read_stack, write_pgm, write_stack
 from .volume_analysis import axial_psf, extract_depth_map, fwhm
 
 __all__ = ["run_cli", "main"]
 
 
-def _default_threads() -> int:
+@contextlib.contextmanager
+def _sidecar_keys(path):
+    """Report a key missing from path's sidecar as a ValueError naming the key."""
     try:
-        return max(1, int(os.environ.get("ASPI_THREADS", "1")))
-    except ValueError:
-        return 1
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: sidecar metadata missing key {exc.args[0]!r}") from exc
+
+
+def _add_threads_arg(p: argparse.ArgumentParser):
+    # a string default goes through type=int like a command-line value, so a
+    # bad ASPI_THREADS is the same usage error as a bad --threads
+    p.add_argument("--threads", type=int, default=os.environ.get("ASPI_THREADS", "1"),
+                   help="worker threads (default: $ASPI_THREADS, else 1)")
 
 
 def _add_rig_args(p: argparse.ArgumentParser):
@@ -113,26 +117,26 @@ def _rig_metadata(spec: PatternSpec, geom: GeometryConfig, grid: ZGrid) -> dict:
 
 
 def _rig_from_metadata(meta: dict) -> tuple[PatternSpec, GeometryConfig, ZGrid]:
-    try:
-        spec = PatternSpec(
-            proj_width=int(meta["proj_width"]),
-            proj_height=int(meta["proj_height"]),
-            period_d=int(meta["period_d"]),
-            linewidth_w=int(meta["linewidth_w"]),
-            shift_step=int(meta["shift_step"]),
-            num_shifts_n=int(meta["num_shifts_n"]),
-        )
-        geom = GeometryConfig(
-            tilt_theta=float(meta["theta_rad"]),
-            z_step=float(meta["z_step"]),
-            camera_pixel_pitch=float(meta["pixel_pitch"]),
-            magnification=float(meta["magnification"]),
-            shift_sign=int(meta["shift_sign"]),
-        )
-        grid = ZGrid(z0=float(meta["z0"]), z_step=float(meta["z_step"]), count=int(meta["sections"]))
-    except KeyError as exc:
-        raise ValueError(f"sidecar metadata missing key {exc.args[0]!r}") from exc
-    return spec, geom, grid
+    spec = PatternSpec(
+        proj_width=int(meta["proj_width"]),
+        proj_height=int(meta["proj_height"]),
+        period_d=int(meta["period_d"]),
+        linewidth_w=int(meta["linewidth_w"]),
+        shift_step=int(meta["shift_step"]),
+        num_shifts_n=int(meta["num_shifts_n"]),
+    )
+    geom = GeometryConfig(
+        tilt_theta=float(meta["theta_rad"]),
+        z_step=float(meta["z_step"]),
+        camera_pixel_pitch=float(meta["pixel_pitch"]),
+        magnification=float(meta["magnification"]),
+        shift_sign=int(meta["shift_sign"]),
+    )
+    return spec, geom, _grid_from_metadata(meta)
+
+
+def _grid_from_metadata(meta: dict) -> ZGrid:
+    return ZGrid(z0=float(meta["z0"]), z_step=float(meta["z_step"]), count=int(meta["sections"]))
 
 
 def _parse_layer_list(text: str) -> list[int]:
@@ -204,10 +208,10 @@ def cmd_calibrate(args) -> int:
     model = fit_mask_model(refs[0], refs[1], refs[2], (args.anchor_x, args.anchor_z))
     meta = {
         "kind": "mask-model",
-        "lateral_dx": model.lateral_map.c,
-        "lateral_dy": model.lateral_map.f,
-        "axial_dx": model.axial_map.c,
-        "axial_dy": model.axial_map.f,
+        "lateral_dx": model.lateral_dx,
+        "lateral_dy": model.lateral_dy,
+        "axial_dx": model.axial_dx,
+        "axial_dy": model.axial_dy,
         "anchor_x": model.anchors[0],
         "anchor_z": model.anchors[1],
         "lateral_residual_rms": model.lateral_residual_rms,
@@ -215,8 +219,8 @@ def cmd_calibrate(args) -> int:
     }
     write_stack(model.base_mask, meta, args.out)
     _print_summary(kind="mask-model",
-                   lateral_dx=f"{model.lateral_map.c:.6f}", lateral_dy=f"{model.lateral_map.f:.6f}",
-                   axial_dx=f"{model.axial_map.c:.6f}", axial_dy=f"{model.axial_map.f:.6f}",
+                   lateral_dx=f"{model.lateral_dx:.6f}", lateral_dy=f"{model.lateral_dy:.6f}",
+                   axial_dx=f"{model.axial_dx:.6f}", axial_dy=f"{model.axial_dy:.6f}",
                    path=args.out)
     return 0
 
@@ -225,19 +229,23 @@ def _load_model(path) -> MaskModel:
     planes, meta = read_stack(path)
     if meta.get("kind") != "mask-model":
         raise ValueError(f"{path} is not a mask-model file")
-    return MaskModel(
-        base_mask=planes[0].astype(np.float64),
-        lateral_map=AffineMap.translation(float(meta["lateral_dx"]), float(meta["lateral_dy"])),
-        axial_map=AffineMap.translation(float(meta["axial_dx"]), float(meta["axial_dy"])),
-        anchors=(int(meta["anchor_x"]), int(meta["anchor_z"])),
-        lateral_residual_rms=float(meta["lateral_residual_rms"]),
-        axial_residual_rms=float(meta["axial_residual_rms"]),
-    )
+    with _sidecar_keys(path):
+        return MaskModel(
+            base_mask=planes[0].astype(np.float64),
+            lateral_dx=float(meta["lateral_dx"]),
+            lateral_dy=float(meta["lateral_dy"]),
+            axial_dx=float(meta["axial_dx"]),
+            axial_dy=float(meta["axial_dy"]),
+            anchors=(int(meta["anchor_x"]), int(meta["anchor_z"])),
+            lateral_residual_rms=float(meta["lateral_residual_rms"]),
+            axial_residual_rms=float(meta["axial_residual_rms"]),
+        )
 
 
 def cmd_reconstruct(args) -> int:
     frames, meta = read_stack(args.input)
-    spec, geom, grid = _rig_from_metadata(meta)
+    with _sidecar_keys(args.input):
+        spec, geom, grid = _rig_from_metadata(meta)
     if frames.shape[0] != spec.num_shifts_n:
         raise ValueError(
             f"acquisition has {frames.shape[0]} frames but metadata declares "
@@ -248,13 +256,12 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(
             f"acquisition planes are {frames.shape[1:]} but the rig implies {expected_shape}"
         )
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.model:
         provider = ModelMasks(_load_model(args.model), grid, spec.num_shifts_n)
     else:
         provider = GeometryMasks(spec, geom, grid, threshold=args.threshold)
     volume = reconstruct_volume(frames.astype(np.float64), provider, grid,
-                                floor=args.floor, threads=threads)
+                                floor=args.floor, threads=args.threads)
     out_meta = _rig_metadata(spec, geom, grid)
     out_meta.update(
         kind="volume",
@@ -277,7 +284,8 @@ def cmd_depthmap(args) -> int:
     planes, meta = read_stack(args.input)
     if meta.get("kind") != "volume":
         raise ValueError(f"{args.input} is not a volume file")
-    grid = ZGrid(z0=float(meta["z0"]), z_step=float(meta["z_step"]), count=int(meta["sections"]))
+    with _sidecar_keys(args.input):
+        grid = _grid_from_metadata(meta)
     if planes.shape[0] != grid.count:
         raise ValueError(f"volume has {planes.shape[0]} planes, metadata declares {grid.count}")
     volume = VolumeStack(
@@ -328,10 +336,9 @@ def cmd_psf(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     report = bench_reconstruction(
         width=args.width, height=args.height, n=args.shifts,
-        sections=args.sections, threads=threads, seed=args.seed,
+        sections=args.sections, threads=args.threads, seed=args.seed,
     )
     print(report.summary())
     return 0
@@ -373,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", action="store_true",
                    help="reduce the geometric mask to 1-pixel slits first")
     p.add_argument("--floor", type=float, default=None, help="coverage floor (default: derived)")
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads_arg(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("depthmap", help="extract a depth map from a volume")
@@ -400,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=2048)
     p.add_argument("--shifts", type=int, default=30)
     p.add_argument("--sections", type=int, default=100)
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads_arg(p)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_bench)
     return parser

@@ -16,6 +16,10 @@ can contain small negative excursions (clipping would bias the zero-mean
 statistics the reconstruction tests rely on). Frame i draws from a fresh
 generator seeded with seed + i, so stacks are reproducible and frames can
 be rendered in any order.
+
+Masks come from the shared GeometryMasks bank, one section_masks(z) call
+per layer: the same row-compressed (scan, depth) masks the reconstructor
+multiplies with, so the simulator cannot drift from the reconstruction model.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ import numpy as np
 
 from .imaging_model import (
     GeometryConfig,
+    GeometryMasks,
     PatternSpec,
     ZGrid,
-    magnify,
-    make_slit_pattern,
-    synthesize_mask,
+    camera_shape,
     validate_frame,
 )
 
@@ -38,8 +41,6 @@ __all__ = [
     "NoiseSpec",
     "Scene",
     "AcquisitionSet",
-    "camera_shape",
-    "base_camera_pattern",
     "render_frame",
     "acquire_stack",
     "make_tilted_plane_scene",
@@ -134,23 +135,6 @@ class AcquisitionSet:
         return self.frames.shape[1:]
 
 
-def camera_shape(spec: PatternSpec, geom: GeometryConfig) -> tuple[int, int]:
-    """Camera-plane (height, width) for a projector spec under a geometry."""
-    return (
-        max(1, int(round(spec.proj_height * geom.magnification))),
-        max(1, int(round(spec.proj_width * geom.magnification))),
-    )
-
-
-def base_camera_pattern(spec: PatternSpec, geom: GeometryConfig) -> np.ndarray:
-    """Unshifted slit pattern resampled once onto the camera plane."""
-    return magnify(make_slit_pattern(spec, 0), geom.magnification)
-
-
-def _scan_step_px(spec: PatternSpec, geom: GeometryConfig) -> float:
-    return spec.shift_step * geom.magnification
-
-
 def _check_scene(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid):
     shape = camera_shape(spec, geom)
     if scene.shape != shape:
@@ -158,52 +142,6 @@ def _check_scene(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZG
     for z_index, _ in scene.layers:
         if not (0 <= z_index < grid.count):
             raise ValueError(f"layer z_index {z_index} outside grid [0, {grid.count})")
-
-
-class _MaskCache:
-    """Memoizes synthesized masks by their exact total shift.
-
-    Many (scan, layer) pairs share one total displacement (always, when the
-    shear is an integer multiple of the scan step), so scenes with many
-    layers would otherwise resynthesize identical masks thousands of times.
-    Bounded: once full it passes requests through, which only costs speed.
-    """
-
-    def __init__(self, base_cam, step_px, geom, grid, limit: int = 512):
-        self._base = base_cam
-        self._step = step_px
-        self._geom = geom
-        self._grid = grid
-        self._limit = limit
-        self._store = {}
-
-    def mask(self, shift_index: int, z_index: int) -> np.ndarray:
-        key = shift_index * self._step + z_index * self._geom.signed_shear
-        hit = self._store.get(key)
-        if hit is None:
-            hit = synthesize_mask(self._base, shift_index * self._step, z_index,
-                                  self._geom, self._grid)
-            if len(self._store) < self._limit:
-                self._store[key] = hit
-        return hit
-
-
-def _modulated(scene, shift_index, masks: _MaskCache):
-    acc = np.zeros(scene.shape, dtype=np.float64)
-    for z_index, refl in scene.layers:
-        acc += refl * masks.mask(shift_index, z_index)
-    return acc
-
-
-def _haze_background(scene, masks: _MaskCache, n: int):
-    """Per-pixel mean of the modulated term over all layers and scan steps."""
-    bg = np.zeros(scene.shape, dtype=np.float64)
-    for z_index, refl in scene.layers:
-        cov = np.zeros(scene.shape, dtype=np.float64)
-        for i in range(n):
-            cov += masks.mask(i, z_index)
-        bg += refl * cov
-    return bg / (len(scene.layers) * n)
 
 
 def _apply_noise(frame: np.ndarray, noise: NoiseSpec, shift_index: int) -> np.ndarray:
@@ -218,20 +156,35 @@ def _apply_noise(frame: np.ndarray, noise: NoiseSpec, shift_index: int) -> np.nd
     return out
 
 
-def _render(scene, shift_index, masks, background):
-    frame = _modulated(scene, shift_index, masks)
+def _render(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
+            shift_indices) -> np.ndarray:
+    """Frames at the given scan steps; each is the same whichever others are asked for.
+
+    Every pixel accumulates its layers in scene order. The haze background
+    is the per-pixel mean of the modulated term over all layers and all
+    scan steps, so it needs every layer's full mask bank.
+    """
+    _check_scene(scene, spec, geom, grid)
+    masks = GeometryMasks(spec, geom, grid)
+    n = spec.num_shifts_n
     h = scene.haze_fraction
-    if h > 0.0:
-        frame = (1.0 - h) * frame + h * background
-    return _apply_noise(frame, scene.noise, shift_index)
-
-
-def _make_cache(scene, spec, geom, grid) -> tuple[_MaskCache, np.ndarray | None]:
-    masks = _MaskCache(base_camera_pattern(spec, geom), _scan_step_px(spec, geom), geom, grid)
-    background = None
-    if scene.haze_fraction > 0.0:
-        background = _haze_background(scene, masks, spec.num_shifts_n)
-    return masks, background
+    frames = np.zeros((len(shift_indices),) + scene.shape, dtype=np.float64)
+    background = np.zeros(scene.shape, dtype=np.float64)
+    for z_index, refl in scene.layers:
+        bank = masks.section_masks(z_index)
+        for frame, i in zip(frames, shift_indices):
+            frame += refl * bank[i]
+        if h > 0.0:
+            cov = np.zeros(bank.shape[1:], dtype=np.float64)
+            for i in range(n):
+                cov += bank[i]
+            background += refl * cov
+    background /= len(scene.layers) * n
+    for k, i in enumerate(shift_indices):
+        if h > 0.0:
+            frames[k] = (1.0 - h) * frames[k] + h * background
+        frames[k] = _apply_noise(frames[k], scene.noise, i)
+    return frames
 
 
 def render_frame(
@@ -246,9 +199,7 @@ def render_frame(
         raise ValueError(
             f"shift_index {shift_index} out of range [0, {spec.num_shifts_n})"
         )
-    _check_scene(scene, spec, geom, grid)
-    masks, background = _make_cache(scene, spec, geom, grid)
-    return _render(scene, shift_index, masks, background)
+    return _render(scene, spec, geom, grid, [shift_index])[0]
 
 
 def acquire_stack(
@@ -258,11 +209,7 @@ def acquire_stack(
     grid: ZGrid,
 ) -> AcquisitionSet:
     """Render the full lateral scan. Bit-identical to per-frame render_frame calls."""
-    _check_scene(scene, spec, geom, grid)
-    masks, background = _make_cache(scene, spec, geom, grid)
-    frames = np.empty((spec.num_shifts_n,) + scene.shape, dtype=np.float64)
-    for i in range(spec.num_shifts_n):
-        frames[i] = _render(scene, i, masks, background)
+    frames = _render(scene, spec, geom, grid, range(spec.num_shifts_n))
     return AcquisitionSet(frames=frames, spec=spec, geom=geom, grid=grid)
 
 

@@ -6,7 +6,8 @@ function of depth. Everything downstream (simulation, calibration, and the
 confocal reconstruction) is built on the two primitives in this module:
 generating the pattern at a given lateral scan position, and translating a
 mask image by the sub-pixel amount that corresponds to a given (scan, depth)
-pair.
+pair. GeometryMasks combines the two into the one bank of (scan, depth)
+masks that both the simulator and the reconstructor read.
 
 Conventions
 -----------
@@ -39,6 +40,9 @@ __all__ = [
     "synthesize_mask",
     "threshold_mask",
     "is_axially_ambiguous",
+    "camera_shape",
+    "base_camera_pattern",
+    "GeometryMasks",
 ]
 
 
@@ -323,3 +327,60 @@ def threshold_mask(mask, background_frac: float = 0.1) -> np.ndarray:
         best = run_start + int(np.argmax(profile[run_start:c]))
         out[:, best] = 1.0
     return out
+
+
+def camera_shape(spec: PatternSpec, geom: GeometryConfig) -> tuple[int, int]:
+    """Camera-plane (height, width) for a projector spec under a geometry."""
+    return (
+        max(1, int(round(spec.proj_height * geom.magnification))),
+        max(1, int(round(spec.proj_width * geom.magnification))),
+    )
+
+
+def base_camera_pattern(spec: PatternSpec, geom: GeometryConfig) -> np.ndarray:
+    """Unshifted slit pattern resampled once onto the camera plane."""
+    return magnify(make_slit_pattern(spec, 0), geom.magnification)
+
+
+class GeometryMasks:
+    """Bank of geometric masks, shared by the simulator and the reconstructor.
+
+    The base camera-plane pattern is resampled once; the mask at scan step i
+    and section z is the base translated along x by i * step + z * shear
+    (synthesize_mask). Row-constant bases are compressed to a single row:
+    shift_image moves each row on its own, so the (n, 1, W) bank broadcasts
+    to exactly the values of the full (n, H, W) one. Set threshold=True to
+    reduce the base to 1-pixel slits first.
+    """
+
+    def __init__(self, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
+                 base=None, threshold: bool = False):
+        self.spec = spec
+        self.geom = geom
+        self.grid = grid
+        base = base_camera_pattern(spec, geom) if base is None else np.asarray(base, dtype=np.float64)
+        if threshold:
+            base = threshold_mask(base)
+        self.base = base
+        if base.shape[0] > 1 and np.array_equal(base, np.broadcast_to(base[:1], base.shape)):
+            self._rows = base[:1].copy()
+        else:
+            self._rows = base
+        self._step_px = spec.shift_step * geom.magnification
+        self.shift_count = spec.num_shifts_n
+        self._thresholded = threshold
+
+    @property
+    def ambiguous(self) -> bool:
+        return is_axially_ambiguous(self.spec, self.geom, self.grid)
+
+    def section_masks(self, z_index: int) -> np.ndarray:
+        """(n, 1, W) or (n, H, W) bank of every scan step's mask at section z_index."""
+        out = np.empty((self.shift_count,) + self._rows.shape, dtype=np.float64)
+        for i in range(self.shift_count):
+            out[i] = synthesize_mask(self._rows, i * self._step_px, z_index, self.geom, self.grid)
+        return out
+
+    def describe(self) -> str:
+        kind = "thresholded" if self._thresholded else "grayscale"
+        return f"geometry({kind})"

@@ -28,15 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import MaskModel, predict_mask
-from .forward_sim import base_camera_pattern
-from .imaging_model import (
-    GeometryConfig,
-    PatternSpec,
-    ZGrid,
-    is_axially_ambiguous,
-    synthesize_mask,
-    threshold_mask,
-)
+from .imaging_model import GeometryMasks, ZGrid
 
 __all__ = [
     "SENTINEL",
@@ -96,47 +88,6 @@ class CoverageReport:
             f"min_coverage={self.min_coverage:.6g} mean_coverage={self.mean_coverage:.6g} "
             f"sentinel_fraction={self.sentinel_fraction:.6g} ambiguous={amb}"
         )
-
-
-class GeometryMasks:
-    """Mask provider that synthesizes each section's bank from geometry.
-
-    The base camera-plane pattern is resampled once; per-(step, section)
-    masks are pure x translations of it. Row-constant bases are compressed
-    to a single row, which broadcasts to identical values. Set
-    threshold=True to reduce the base to 1-pixel slits first.
-    """
-
-    def __init__(self, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
-                 base=None, threshold: bool = False):
-        self.spec = spec
-        self.geom = geom
-        self.grid = grid
-        base = base_camera_pattern(spec, geom) if base is None else np.asarray(base, dtype=np.float64)
-        if threshold:
-            base = threshold_mask(base)
-        self.base = base
-        if base.shape[0] > 1 and np.array_equal(base, np.broadcast_to(base[:1], base.shape)):
-            self._rows = base[:1].copy()
-        else:
-            self._rows = base
-        self._step_px = spec.shift_step * geom.magnification
-        self.shift_count = spec.num_shifts_n
-        self._thresholded = threshold
-
-    @property
-    def ambiguous(self) -> bool:
-        return is_axially_ambiguous(self.spec, self.geom, self.grid)
-
-    def section_masks(self, z_index: int) -> np.ndarray:
-        out = np.empty((self.shift_count,) + self._rows.shape, dtype=np.float64)
-        for i in range(self.shift_count):
-            out[i] = synthesize_mask(self._rows, i * self._step_px, z_index, self.geom, self.grid)
-        return out
-
-    def describe(self) -> str:
-        kind = "thresholded" if self._thresholded else "grayscale"
-        return f"geometry({kind})"
 
 
 class ModelMasks:

@@ -170,7 +170,7 @@ def test_criterion_4_affine_prediction_fidelity():
         synthesize_mask(base, 0.0, 99, geom, grid),
         anchors=(30, 100),
     )
-    shear_error = abs(model.axial_map.c - geom.signed_shear)
+    shear_error = abs(model.axial_dx - geom.signed_shear)
     assert shear_error < 0.02, f"shear error {shear_error:.4f} px/section"
 
     shape = camera_shape(spec, geom)

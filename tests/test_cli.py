@@ -14,6 +14,7 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
+from aspi.cli import build_parser
 from conftest import geometry_with_shear
 
 
@@ -172,6 +173,66 @@ class TestExitCodes:
         assert "volume" in err
 
 
+def small_acquisition(capsys, path):
+    code, *_ = run(
+        capsys, "simulate", "--scene", "uniform", "--layer-z", "1",
+        "--proj-width", "64", "--proj-height", "8", "--period", "16",
+        "--linewidth", "2", "--shifts", "16", "--sections", "4",
+        "--pixel-pitch", SHEAR1_PITCH, "--out", str(path),
+    )
+    assert code == 0
+
+
+def drop_sidecar_key(path, key):
+    planes, meta = read_stack(path)
+    del meta[key]
+    write_stack(planes, meta, path)
+
+
+class TestMissingSidecarKey:
+    """A sidecar without a required key is one error line and exit 1."""
+
+    def test_reconstruct_acquisition(self, tmp_path, capsys):
+        acq = tmp_path / "acq.aspi"
+        small_acquisition(capsys, acq)
+        drop_sidecar_key(acq, "z0")
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq),
+                             "--out", str(tmp_path / "v.aspi"))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "missing key 'z0'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_reconstruct_model(self, tmp_path, capsys):
+        acq = tmp_path / "acq.aspi"
+        small_acquisition(capsys, acq)
+        base = make_slit_pattern(PatternSpec(64, 8, period_d=16, linewidth_w=2), 0)
+        refs = tmp_path / "refs.aspi"
+        write_stack(np.stack([base, np.roll(base, 1, axis=1), np.roll(base, 3, axis=1)]),
+                    {"kind": "references"}, refs)
+        model = tmp_path / "model.aspi"
+        code, *_ = run(capsys, "calibrate", "--refs", str(refs), "--anchor-x", "2",
+                       "--anchor-z", "4", "--out", str(model))
+        assert code == 0
+        drop_sidecar_key(model, "axial_dy")
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                             "--out", str(tmp_path / "v.aspi"))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "missing key 'axial_dy'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_depthmap_volume(self, tmp_path, capsys):
+        acq = tmp_path / "acq.aspi"
+        vol = tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        drop_sidecar_key(vol, "sections")
+        code, out, err = run(capsys, "depthmap", "--input", str(vol),
+                             "--out", str(tmp_path / "d.aspi"))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "missing key 'sections'" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestPsfCli:
     def test_default_layer_sits_mid_grid(self, capsys):
         # the probed layer defaults away from the grid edge so both
@@ -237,3 +298,16 @@ def test_env_thread_fallback(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "reconstruct", "--input", str(acq),
                        "--out", str(tmp_path / "v.aspi"))
     assert code == 0
+
+
+def test_bad_env_threads_is_usage_error(capsys, monkeypatch):
+    # only the argument parse runs: it fails before any command starts
+    monkeypatch.setenv("ASPI_THREADS", "abc")
+    code, out, err = run(capsys, "reconstruct", "--input", "in.aspi", "--out", "out.aspi")
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "aspi reconstruct: error: argument --threads: invalid int value: 'abc'"
+    ]
+    assert build_parser().parse_args(["bench", "--threads", "3"]).threads == 3
+    monkeypatch.setenv("ASPI_THREADS", "4")
+    assert build_parser().parse_args(["bench"]).threads == 4

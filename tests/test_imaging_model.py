@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspi import (
     EmptyMaskError,
@@ -191,6 +193,19 @@ class TestSynthesizeMask:
         out = shift_image(base, 2.5)
         assert np.array_equal(out[:, :2], np.zeros((2, 2)))
         assert out[0, 2] == pytest.approx(0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        height=st.integers(1, 8),
+        dx=st.floats(-1e6, 1e6),
+    )
+    def test_row_constant_shift_equals_one_row_shift(self, row, height, dx):
+        # the equivalence that lets a one-row mask bank stand for full frames
+        frame = np.tile(np.asarray(row), (height, 1))
+        full = shift_image(frame, dx)
+        one_row = shift_image(frame[:1], dx)
+        assert full.tobytes() == np.broadcast_to(one_row, frame.shape).tobytes()
 
     def test_z_index_out_of_range(self):
         base = make_slit_pattern(spec30(), 0)

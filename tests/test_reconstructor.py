@@ -236,3 +236,10 @@ class TestCoverageReport:
 def test_default_floor_value():
     base = 2.0 * np.ones((4, 4))
     assert default_floor(base, 30) == pytest.approx(1e-3 * 2.0 * 30)
+
+
+def test_simulator_and_reconstructor_share_one_mask_bank():
+    from aspi import forward_sim, imaging_model, reconstructor
+
+    assert forward_sim.GeometryMasks is imaging_model.GeometryMasks
+    assert reconstructor.GeometryMasks is imaging_model.GeometryMasks
