@@ -260,8 +260,7 @@ def cmd_reconstruct(args) -> int:
         provider = ModelMasks(_load_model(args.model), grid, spec.num_shifts_n)
     else:
         provider = GeometryMasks(spec, geom, grid, threshold=args.threshold)
-    volume = reconstruct_volume(frames.astype(np.float64), provider, grid,
-                                floor=args.floor, threads=args.threads)
+    volume = reconstruct_volume(frames, provider, grid, floor=args.floor, threads=args.threads)
     out_meta = _rig_metadata(spec, geom, grid)
     out_meta.update(
         kind="volume",

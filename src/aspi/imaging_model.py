@@ -346,11 +346,11 @@ class GeometryMasks:
     """Bank of geometric masks, shared by the simulator and the reconstructor.
 
     The base camera-plane pattern is resampled once; the mask at scan step i
-    and section z is the base translated along x by i * step + z * shear
-    (synthesize_mask). Row-constant bases are compressed to a single row:
-    shift_image moves each row on its own, so the (n, 1, W) bank broadcasts
-    to exactly the values of the full (n, H, W) one. Set threshold=True to
-    reduce the base to 1-pixel slits first.
+    and section z is the base translated along x by i * step + z * shear,
+    with the arithmetic of synthesize_mask. Row-constant bases are
+    compressed to a single row: each row moves on its own, so the (n, 1, W)
+    bank broadcasts to exactly the values of the full (n, H, W) one. Set
+    threshold=True to reduce the base to 1-pixel slits first.
     """
 
     def __init__(self, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
@@ -374,12 +374,28 @@ class GeometryMasks:
     def ambiguous(self) -> bool:
         return is_axially_ambiguous(self.spec, self.geom, self.grid)
 
+    def _shifted(self, z_indices) -> np.ndarray:
+        """Base rows of every scan step at each section: (R, n, len(z), W).
+
+        One sample_row call; the displacement of step i at section z is
+        float(i * step) + z * shear, as synthesize_mask computes it.
+        """
+        steps = np.arange(self.shift_count, dtype=np.float64) * self._step_px
+        shifts = steps[:, None] + np.asarray(z_indices, dtype=np.float64) * self.geom.signed_shear
+        positions = np.arange(self._rows.shape[1], dtype=np.float64) - shifts[..., None]
+        return sample_row(self._rows, positions)
+
     def section_masks(self, z_index: int) -> np.ndarray:
         """(n, 1, W) or (n, H, W) bank of every scan step's mask at section z_index."""
-        out = np.empty((self.shift_count,) + self._rows.shape, dtype=np.float64)
-        for i in range(self.shift_count):
-            out[i] = synthesize_mask(self._rows, i * self._step_px, z_index, self.geom, self.grid)
-        return out
+        if not (0 <= z_index < self.grid.count):
+            raise ValueError(f"z_index {z_index} out of range [0, {self.grid.count})")
+        return np.ascontiguousarray(self._shifted([z_index])[:, :, 0].transpose(1, 0, 2))
+
+    def row_bank(self) -> np.ndarray | None:
+        """(n, K, W) masks of every scan step and section; None unless row-constant."""
+        if self._rows.shape[0] != 1:
+            return None
+        return self._shifted(np.arange(self.grid.count))[0]
 
     def describe(self) -> str:
         kind = "thresholded" if self._thresholded else "grayscale"

@@ -11,13 +11,26 @@ Pixels whose denominator falls below a floor were never usefully
 illuminated at that depth; they carry the sentinel value -1.0 and are
 excluded from downstream statistics. (With noisy inputs the quotient itself
 can dip slightly below zero; the sentinel remains the exact value -1.0.)
+Frames with a NaN or an infinity are rejected.
 
-Accumulation runs in float64 in fixed order i = 0..n-1 per pixel, so
-results are bit-identical no matter how sections or row bands are
-scheduled. Masks may be supplied per section as materialized arrays or
-regenerated on the fly from geometry or from a calibrated model; the two
-paths produce identical output. Masks that are constant along y may be
-passed in compressed (n, 1, W) form, which broadcasts to the same values.
+Two kernels compute the volume, both in float64 whatever the frame dtype:
+
+* The reference kernel, reconstruct_section, accumulates in fixed order
+  i = 0..n-1 per pixel. It takes any bank, full (n, H, W) or row-compressed
+  (n, 1, W), and reconstruct_volume uses it for banks that vary along y
+  (calibrated models, bases that are not row-constant).
+* The GEMM kernel serves banks that are constant along y: providers whose
+  row_bank() returns the whole (n, K, W) bank. For every column x the
+  numerator of all sections is one matrix product, (rows x n) . (n x K),
+  computed in row bands of _GEMM_ROWS rows by a batched matmul. Its
+  summation order is the BLAS one, so it agrees with the reference kernel
+  to within 2*n*eps of sum_i |O_i| * M_iz / sum_i M_iz per voxel rather
+  than bit for bit. The coverage, the floor test and the sentinel pixels
+  are computed in the reference order and are identical.
+
+Within each kernel the output is bit-identical for any thread count:
+threads take whole sections (reference) or whole fixed row bands (GEMM),
+and no sum is ever split between them.
 """
 
 from __future__ import annotations
@@ -48,6 +61,10 @@ SENTINEL = -1.0
 # Row-band height for the blocked inner loop; keeps the float64 accumulator
 # resident in cache without changing per-pixel accumulation order.
 _BLOCK_ROWS = 64
+
+# Row-band height of the GEMM kernel. Fixed, so the bands and each band's
+# products are the same for every thread count.
+_GEMM_ROWS = 16
 
 
 def default_floor(base_mask, n: int) -> float:
@@ -125,6 +142,12 @@ class PrecomputedMasks:
     def section_masks(self, z_index: int) -> np.ndarray:
         return self.banks[z_index]
 
+    def row_bank(self) -> np.ndarray | None:
+        """(n, K, W) masks of every scan step and section; None unless all banks are (n, 1, W)."""
+        if any(b.ndim != 3 or b.shape[1] != 1 for b in self.banks):
+            return None
+        return np.stack([b[:, 0] for b in self.banks], axis=1)
+
     def describe(self) -> str:
         return "precomputed"
 
@@ -193,35 +216,88 @@ def _resolve_provider(acq, masks, grid: ZGrid):
     return PrecomputedMasks(masks, grid)
 
 
+def _check_finite(frames: np.ndarray) -> None:
+    bad = frames.size - int(np.count_nonzero(np.isfinite(frames)))
+    if bad:
+        raise ValueError(f"acquisition has {bad} non-finite frame pixels (NaN or Inf)")
+
+
+def _gemm_volume(frames: np.ndarray, bank: np.ndarray, floor: float, threads: int) -> np.ndarray:
+    """Sections from a y-constant (n, K, W) bank: one batched matmul per row band."""
+    n, h, w = frames.shape
+    if bank.ndim != 3 or bank.shape[0] != n or bank.shape[2] != w:
+        raise ValueError(f"mask bank shape {bank.shape} incompatible with frames {frames.shape}")
+    k = bank.shape[1]
+    den = np.zeros((k, w), dtype=np.float64)
+    for i in range(n):
+        den += bank[i]
+    uncovered = den < floor
+    den_x = np.ascontiguousarray(den.T)[:, None, :]            # (W, 1, K)
+    covered_x = np.ascontiguousarray(~uncovered.T)[:, None, :]
+    masks_x = np.ascontiguousarray(bank.transpose(2, 0, 1))    # (W, n, K)
+    sections = np.empty((k, h, w), dtype=np.float64)
+
+    def band(r0: int):
+        r1 = min(r0 + _GEMM_ROWS, h)
+        obs = np.empty((w, r1 - r0, n), dtype=np.float64)
+        # cast first: a contiguous float64 band transposes twice as fast
+        obs[...] = frames[:, r0:r1].astype(np.float64).transpose(2, 1, 0)
+        num = np.matmul(obs, masks_x)                           # (W, rows, K)
+        np.divide(num, den_x, out=num, where=covered_x)
+        out = sections[:, r0:r1]
+        out[...] = num.transpose(2, 1, 0)
+        np.copyto(out, SENTINEL, where=uncovered[:, None, :])
+
+    _run(band, range(0, h, _GEMM_ROWS), threads)
+    return sections
+
+
+def _run(work, items, threads: int) -> None:
+    items = list(items)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, items))
+    else:
+        for item in items:
+            work(item)
+
+
 def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
                        floor: float | None = None, threads: int = 1) -> VolumeStack:
     """Recover every section of the grid from one acquisition.
 
     masks may be a MaskModel, a mask provider (GeometryMasks / ModelMasks /
-    PrecomputedMasks), or a sequence of per-section banks. Sections are
-    independent; with threads > 1 they are computed concurrently with
-    bit-identical results to the serial order.
+    PrecomputedMasks), or a sequence of per-section banks. A provider whose
+    row_bank() returns an (n, K, W) bank takes the GEMM kernel; any other
+    takes reconstruct_section once per section. Frames of any float dtype
+    are read as float64; a NaN or an infinity in them raises ValueError.
+    With threads > 1 the work is split into whole sections or whole row
+    bands, and the result is bit-identical to the serial one.
     """
     if grid is None:
         grid = getattr(masks, "grid", None) or acq.grid
     provider = _resolve_provider(acq, masks, grid)
     if floor is None:
         floor = default_floor(provider.base, provider.shift_count)
+    if not (floor > 0):
+        raise ValueError(f"floor must be > 0, got {floor}")
     frames = _as_frames(acq)
-    k = grid.count
-    h, w = frames.shape[1:]
-    sections = np.empty((k, h, w), dtype=np.float64)
-
-    def work(j: int):
-        section, _ = reconstruct_section(frames, provider.section_masks(j), floor)
-        sections[j] = section
-
-    if threads > 1 and k > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(k)))
+    _check_finite(frames)
+    row_bank = getattr(provider, "row_bank", None)
+    bank = row_bank() if row_bank is not None else None
+    if bank is not None:
+        if bank.shape[1] < grid.count:
+            raise ValueError(f"mask bank has {bank.shape[1]} sections for a {grid.count}-section grid")
+        sections = _gemm_volume(frames, bank[:, :grid.count], floor, threads)
     else:
-        for j in range(k):
-            work(j)
+        # one exact upcast here, not one in each of the K * n multiplies
+        frames = frames.astype(np.float64, copy=False)
+        sections = np.empty((grid.count,) + frames.shape[1:], dtype=np.float64)
+
+        def work(j: int):
+            sections[j], _ = reconstruct_section(frames, provider.section_masks(j), floor)
+
+        _run(work, range(grid.count), threads)
     return VolumeStack(
         sections=sections,
         grid=grid,

@@ -20,6 +20,7 @@ provenance travels in a sidecar text file at <path>.meta with one
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -47,7 +48,7 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta")
 
 
-def _write_sidecar(path, metadata: dict):
+def _sidecar_text(metadata: dict) -> str:
     lines = []
     for key, value in metadata.items():
         key = str(key)
@@ -57,7 +58,7 @@ def _write_sidecar(path, metadata: dict):
         if "\n" in value:
             raise ValueError(f"metadata value for {key!r} contains a newline")
         lines.append(f"{key}={value}\n")
-    sidecar_path(path).write_text("".join(lines))
+    return "".join(lines)
 
 
 def _read_sidecar(path) -> dict:
@@ -79,20 +80,36 @@ def write_stack(planes, metadata: dict, path) -> None:
     """Write planes as a stack file plus its sidecar.
 
     planes is a (K, H, W) array (a single 2D plane is accepted and treated
-    as K=1); values are stored as little-endian float32.
+    as K=1); values are stored as little-endian float32. Bad metadata is
+    rejected before anything is written. Both files are written to
+    temporary siblings first; the old sidecar is removed before the new
+    files are moved into place, so an interrupted write leaves a stack
+    without a sidecar rather than a new payload with a stale one.
     """
     a = np.asarray(planes)
     if a.ndim == 2:
         a = a[None]
     if a.ndim != 3:
         raise ValueError(f"planes must be (K, H, W), got shape {a.shape}")
+    text = _sidecar_text(metadata)
     k, h, w = a.shape
     payload = np.ascontiguousarray(a, dtype="<f4")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, k, w, h, _DTYPE_F32)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-    _write_sidecar(path, metadata)
+    path = Path(path)
+    meta = sidecar_path(path)
+    tmp_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp_meta = meta.with_name(f"{meta.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(header)
+            fh.write(payload.data)
+        tmp_meta.write_text(text)
+        meta.unlink(missing_ok=True)
+        os.replace(tmp_path, path)
+        os.replace(tmp_meta, meta)
+    finally:
+        tmp_path.unlink(missing_ok=True)
+        tmp_meta.unlink(missing_ok=True)
 
 
 def read_stack(path) -> tuple[np.ndarray, dict]:

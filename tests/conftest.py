@@ -3,8 +3,13 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from aspi import GeometryConfig
+
+# Example run times vary with host load; a slow example is not a failure.
+settings.register_profile("aspi", deadline=None)
+settings.load_profile("aspi")
 
 
 def geometry_with_shear(shear, z_step=1.0, theta_deg=25.0, magnification=1.0, shift_sign=1):

@@ -233,6 +233,40 @@ class TestMissingSidecarKey:
         assert len(err.strip().splitlines()) == 1
 
 
+def small_model(capsys, tmp_path):
+    base = make_slit_pattern(PatternSpec(64, 8, period_d=16, linewidth_w=2), 0)
+    refs = tmp_path / "refs.aspi"
+    write_stack(np.stack([base, np.roll(base, 1, axis=1), np.roll(base, 3, axis=1)]),
+                {"kind": "references"}, refs)
+    model = tmp_path / "model.aspi"
+    code, *_ = run(capsys, "calibrate", "--refs", str(refs), "--anchor-x", "2",
+                   "--anchor-z", "4", "--out", str(model))
+    assert code == 0
+    return model
+
+
+class TestNonFiniteFrames:
+    """A NaN or Inf acquisition pixel is one error line and exit 1, not a NaN voxel."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("masks", ["geometry", "model"])
+    def test_reconstruct_rejects(self, tmp_path, capsys, value, masks):
+        acq = tmp_path / "acq.aspi"
+        small_acquisition(capsys, acq)
+        model = ["--model", str(small_model(capsys, tmp_path))] if masks == "model" else []
+        planes, meta = read_stack(acq)
+        planes[3, 2, 40] = value
+        planes[7, 5, 10] = -value
+        write_stack(planes, meta, acq)
+        vol = tmp_path / "v.aspi"
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq), *model,
+                             "--out", str(vol))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "2 non-finite frame pixels" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not vol.exists()
+
+
 class TestPsfCli:
     def test_default_layer_sits_mid_grid(self, capsys):
         # the probed layer defaults away from the grid edge so both

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from aspi import (
     EmptyMaskError,
@@ -206,6 +207,15 @@ class TestSynthesizeMask:
         full = shift_image(frame, dx)
         one_row = shift_image(frame[:1], dx)
         assert full.tobytes() == np.broadcast_to(one_row, frame.shape).tobytes()
+
+    @settings(max_examples=200)
+    @given(
+        frame=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+                     elements=st.floats(-1e6, 1e6)),
+        dx=st.integers(-10, 10),
+    )
+    def test_integer_shift_equals_zero_filled_roll(self, frame, dx):
+        assert np.array_equal(shift_image(frame, dx), roll_zero_fill(frame, dx))
 
     def test_z_index_out_of_range(self):
         base = make_slit_pattern(spec30(), 0)

@@ -10,6 +10,7 @@ from aspi import (
     Scene,
     ZGrid,
     acquire_stack,
+    base_camera_pattern,
     camera_shape,
     coverage_report,
     default_floor,
@@ -18,6 +19,7 @@ from aspi import (
     reconstruct_volume,
     synthesize_mask,
 )
+from aspi import reconstructor
 from conftest import geometry_with_shear
 
 
@@ -243,3 +245,131 @@ def test_simulator_and_reconstructor_share_one_mask_bank():
 
     assert forward_sim.GeometryMasks is imaging_model.GeometryMasks
     assert reconstructor.GeometryMasks is imaging_model.GeometryMasks
+
+
+def noisy_frames(n, shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.random((n,) + shape) + rng.normal(0.0, 0.05, (n,) + shape)
+
+
+def reference_volume(frames, provider, floor):
+    return np.stack([reconstruct_section(frames, provider.section_masks(j), floor)[0]
+                     for j in range(provider.grid.count)])
+
+
+def no_reference_kernel(*args, **kwargs):
+    raise AssertionError("row-constant banks must not take the reference kernel")
+
+
+class TestGemmKernel:
+    """Row-constant banks: the GEMM kernel against the reference kernel."""
+
+    # 40 rows are three row bands; a non-dyadic shear makes inexact masks
+    SHEAR = 0.2332
+
+    def rig(self, threshold=False, shift_sign=1, sections=24):
+        spec = PatternSpec(150, 40, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+        geom = geometry_with_shear(self.SHEAR, shift_sign=shift_sign)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=sections)
+        return spec, GeometryMasks(spec, geom, grid, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [False, True])
+    def test_within_rounding_bound_of_reference(self, monkeypatch, threshold):
+        spec, provider = self.rig(threshold)
+        frames = noisy_frames(30, camera_shape(spec, provider.geom))
+        floor = default_floor(provider.base, 30)
+        ref = reference_volume(frames, provider, floor)
+        monkeypatch.setattr(reconstructor, "reconstruct_section", no_reference_kernel)
+        gemm = reconstruct_volume(frames, provider, floor=floor).sections
+
+        bank = provider.row_bank()                        # (n, K, W)
+        den = np.broadcast_to(bank.sum(axis=0)[:, None, :], ref.shape)
+        magnitude = np.einsum("iyx,ijx->jyx", np.abs(frames), bank)
+        eps = np.finfo(float).eps
+        covered = ref != SENTINEL
+        assert np.array_equal(gemm != SENTINEL, covered)
+        assert covered.mean() > 0.5
+        bound = 2 * 30 * eps * magnitude[covered] / den[covered]
+        assert np.all(np.abs(gemm - ref)[covered] <= bound)
+
+    def test_bit_identical_for_any_thread_count(self):
+        spec, provider = self.rig()
+        frames = noisy_frames(30, camera_shape(spec, provider.geom), seed=1)
+        one = reconstruct_volume(frames, provider, threads=1).sections
+        three = reconstruct_volume(frames, provider, threads=3).sections
+        assert one.tobytes() == three.tobytes()
+
+    @pytest.mark.parametrize("threshold,shift_sign", [(False, 1), (True, 1), (False, -1)])
+    def test_row_bank_is_every_section_mask_bank(self, threshold, shift_sign):
+        _, provider = self.rig(threshold, shift_sign)
+        bank = provider.row_bank()
+        assert bank.shape == (30, 24, 150)
+        row = provider.base[:1]
+        for z in range(24):
+            masks = provider.section_masks(z)
+            assert masks.shape == (30, 1, 150)
+            assert masks.tobytes() == np.ascontiguousarray(bank[:, z, None]).tobytes()
+            for i in (0, 7, 29):
+                one = synthesize_mask(row, float(i), z, provider.geom, provider.grid)
+                assert masks[i].tobytes() == one.tobytes()
+
+    def test_precomputed_row_banks_take_gemm_kernel(self, monkeypatch):
+        spec, provider = self.rig()
+        frames = noisy_frames(30, camera_shape(spec, provider.geom), seed=2)
+        banks = [provider.section_masks(j) for j in range(24)]
+        monkeypatch.setattr(reconstructor, "reconstruct_section", no_reference_kernel)
+        geometry = reconstruct_volume(frames, provider).sections
+        precomputed = reconstruct_volume(frames, PrecomputedMasks(banks, provider.grid)).sections
+        assert geometry.tobytes() == precomputed.tobytes()
+
+    def test_float32_frames_equal_float64_on_both_kernels(self):
+        spec, provider = self.rig()
+        f32 = noisy_frames(30, camera_shape(spec, provider.geom), seed=3).astype(np.float32)
+        f64 = f32.astype(np.float64)
+        full = [np.broadcast_to(provider.section_masks(j), f64.shape) for j in range(24)]
+        for masks in (provider, PrecomputedMasks(full, provider.grid)):
+            a = reconstruct_volume(f32, masks).sections
+            b = reconstruct_volume(f64, masks).sections
+            assert a.tobytes() == b.tobytes()
+
+    def test_magnified_slit_pattern_stays_row_constant(self):
+        # resampling keeps the slit pattern's rows identical, so a magnified
+        # rig still takes the GEMM kernel
+        spec = PatternSpec(80, 12, period_d=16, linewidth_w=2, shift_step=1, num_shifts_n=16)
+        geom = geometry_with_shear(self.SHEAR, magnification=1.5)
+        provider = GeometryMasks(spec, geom, ZGrid(z0=0.0, z_step=1.0, count=8))
+        assert provider.row_bank().shape == (16, 8, 120)
+
+    def test_2d_base_keeps_full_bank_and_reference_kernel(self):
+        # a magnified rig whose base falls off along y: masks vary by row
+        spec = PatternSpec(80, 12, period_d=16, linewidth_w=2, shift_step=1, num_shifts_n=16)
+        geom = geometry_with_shear(self.SHEAR, magnification=1.5)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=8)
+        shape = camera_shape(spec, geom)
+        falloff = np.linspace(1.0, 0.6, shape[0])[:, None]
+        provider = GeometryMasks(spec, geom, grid, base=falloff * base_camera_pattern(spec, geom))
+        assert provider.row_bank() is None
+        assert provider.section_masks(0).shape == (16,) + shape
+        frames = noisy_frames(16, shape, seed=4)
+        volume = reconstruct_volume(frames, provider, threads=2)
+        ref = reference_volume(frames, provider, volume.coverage_floor_used)
+        assert volume.sections.tobytes() == ref.tobytes()
+
+
+class TestNonFiniteFrames:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_geometry_and_model_paths_reject(self, value):
+        spec, geom, grid = rig(shear=0.5, sections=6)
+        acq = uniform_acquisition(spec, geom, grid, z_index=2)
+        frames = acq.frames.copy()
+        frames[4, 3, 50] = value
+        provider = GeometryMasks(spec, geom, grid)
+        model = fit_mask_model(
+            provider.base,
+            synthesize_mask(provider.base, 5.0, 0, geom, grid),
+            synthesize_mask(provider.base, 0.0, 5, geom, grid),
+            anchors=(6, 6),
+        )
+        for masks in (provider, ModelMasks(model, grid, spec.num_shifts_n)):
+            with pytest.raises(ValueError, match="1 non-finite frame pixels"):
+                reconstruct_volume(frames, masks, grid)

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from aspi import StackFormatError, read_stack, write_stack, write_pgm
 from aspi.stack_io import sidecar_path
@@ -54,6 +57,20 @@ class TestRoundTrip:
         value = 0.46630765815499863
         (_, back), _ = roundtrip(tmp_path, np.zeros((1, 1, 1)), {"theta": value})
         assert float(back["theta"]) == value
+
+    # bit patterns of -1.0, +inf, -inf, a quiet NaN, a NaN with a payload
+    # and a signalling NaN, mixed with arbitrary words
+    SPECIAL_BITS = [0xBF800000, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC12345, 0x7F800001]
+
+    # each example overwrites the same file, which write_stack must allow
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bits=arrays(np.uint32, array_shapes(min_dims=3, max_dims=3, max_side=5),
+                       elements=st.one_of(st.sampled_from(SPECIAL_BITS),
+                                          st.integers(0, 2**32 - 1))))
+    def test_any_bit_pattern_roundtrips(self, tmp_path, bits):
+        (planes, _), _ = roundtrip(tmp_path, bits.view(np.float32))
+        assert planes.shape == bits.shape
+        assert planes.view(np.uint32).tobytes() == bits.tobytes()
 
     def test_missing_sidecar_gives_empty_metadata(self, tmp_path):
         _, path = roundtrip(tmp_path, np.zeros((1, 1, 1)))
@@ -127,6 +144,24 @@ class TestSidecarValidation:
     def test_newline_value_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_stack(np.zeros((1, 1, 1)), {"k": "a\nb"}, tmp_path / "s.aspi")
+
+    @pytest.mark.parametrize("metadata", [{"bad key": 1}, {"k": "a\nb"}])
+    def test_rejected_metadata_leaves_previous_files(self, tmp_path, metadata):
+        path = tmp_path / "s.aspi"
+        write_stack(np.arange(6.0).reshape(1, 2, 3), {"kind": "volume"}, path)
+        before = path.read_bytes(), sidecar_path(path).read_bytes()
+        with pytest.raises(ValueError):
+            write_stack(np.ones((4, 5, 6)), metadata, path)
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.aspi", "s.aspi.meta"]
+
+    def test_overwrite_replaces_both_files(self, tmp_path):
+        path = tmp_path / "s.aspi"
+        write_stack(np.zeros((1, 2, 2)), {"kind": "volume", "old": 1}, path)
+        write_stack(np.ones((3, 1, 1)), {"kind": "depthmap"}, path)
+        planes, meta = read_stack(path)
+        assert planes.shape == (3, 1, 1) and meta == {"kind": "depthmap"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.aspi", "s.aspi.meta"]
 
     def test_malformed_sidecar_line(self, tmp_path):
         path = tmp_path / "s.aspi"
