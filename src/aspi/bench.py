@@ -1,13 +1,13 @@
 """Reconstruction throughput benchmark.
 
-Synthesizes an acquisition in memory (no file I/O inside the timed region)
-and measures how fast the mask-multiply reconstruction produces output
-sections. Throughput is reported as output megapixels per second:
-width * height * sections / wall time. Sections are streamed, checksummed in
-section order with CRC32, and discarded, so the benchmark runs at constant
-memory regardless of the section count; the checksum makes thread-count
-determinism checkable. The timed region includes per-section mask synthesis
-and checksumming, both part of producing verified output.
+Synthesizes float32 frames in memory (no file I/O inside the timed region)
+and measures how fast the GEMM kernel that `aspi reconstruct` runs for
+geometry masks produces output sections. Throughput is reported as output
+megapixels per second: width * height * sections / wall time. Row chunks of
+every section are streamed, checksummed in row order with CRC32, and
+discarded, so besides frames and masks memory holds one chunk; the checksum
+makes thread-count determinism checkable. The timed region includes mask
+synthesis and checksumming, both part of producing verified output.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .imaging_model import GeometryConfig, PatternSpec, ZGrid
-from .reconstructor import GeometryMasks, default_floor, reconstruct_section
+from .reconstructor import _GEMM_ROWS, GeometryMasks, _gemm_volume, default_floor
 
 __all__ = ["BenchReport", "bench_reconstruction"]
 
@@ -30,6 +28,10 @@ __all__ = ["BenchReport", "bench_reconstruction"]
 # slit period, quarter-pixel shear per section.
 _BENCH_SHEAR = 0.25
 _BENCH_THETA = math.radians(25.0)
+
+# Rows of every section computed and checksummed at a time; whole GEMM row
+# bands, so the chunks hold the same bits as a full reconstruction.
+_CHUNK_ROWS = 2 * _GEMM_ROWS
 
 
 @dataclass(frozen=True)
@@ -69,20 +71,10 @@ def bench_reconstruction(
     threads = max(1, int(threads))
 
     period = max(16, n)  # scan of n unit steps must fit one period
-    spec = PatternSpec(
-        proj_width=width,
-        proj_height=height,
-        period_d=period,
-        linewidth_w=max(1, period // 8),
-        shift_step=1,
-        num_shifts_n=n,
-    )
-    geom = GeometryConfig(
-        tilt_theta=_BENCH_THETA,
-        z_step=_BENCH_SHEAR / math.tan(_BENCH_THETA),
-        camera_pixel_pitch=1.0,
-        magnification=1.0,
-    )
+    spec = PatternSpec(proj_width=width, proj_height=height, period_d=period,
+                       linewidth_w=max(1, period // 8), shift_step=1, num_shifts_n=n)
+    geom = GeometryConfig(tilt_theta=_BENCH_THETA, z_step=_BENCH_SHEAR / math.tan(_BENCH_THETA),
+                          camera_pixel_pitch=1.0, magnification=1.0)
     grid = ZGrid(z0=0.0, z_step=geom.z_step, count=sections)
 
     rng = np.random.default_rng(seed)
@@ -90,25 +82,10 @@ def bench_reconstruction(
     provider = GeometryMasks(spec, geom, grid)
     floor = default_floor(provider.base, n)
 
-    def work(j: int) -> np.ndarray:
-        section, _ = reconstruct_section(frames, provider.section_masks(j), floor)
-        return section
-
     crc = 0
     start = time.perf_counter()
-    if threads == 1:
-        for j in range(sections):
-            crc = zlib.crc32(work(j), crc)
-    else:
-        # keep only a few sections in flight; checksum consumes them in order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for j in range(sections):
-                pending.append(pool.submit(work, j))
-                if len(pending) > threads + 2:
-                    crc = zlib.crc32(pending.popleft().result(), crc)
-            while pending:
-                crc = zlib.crc32(pending.popleft().result(), crc)
+    for chunk in _gemm_volume(frames, provider.row_bank(), floor, threads, _CHUNK_ROWS):
+        crc = zlib.crc32(chunk, crc)
     wall = time.perf_counter() - start
 
     out_mp = width * height * sections / 1e6

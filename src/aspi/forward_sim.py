@@ -34,6 +34,7 @@ from .imaging_model import (
     PatternSpec,
     ZGrid,
     camera_shape,
+    mask_coverage,
     validate_frame,
 )
 
@@ -175,10 +176,7 @@ def _render(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
         for frame, i in zip(frames, shift_indices):
             frame += refl * bank[i]
         if h > 0.0:
-            cov = np.zeros(bank.shape[1:], dtype=np.float64)
-            for i in range(n):
-                cov += bank[i]
-            background += refl * cov
+            background += refl * mask_coverage(bank)
     background /= len(scene.layers) * n
     for k, i in enumerate(shift_indices):
         if h > 0.0:

@@ -6,8 +6,9 @@ function of depth. Everything downstream (simulation, calibration, and the
 confocal reconstruction) is built on the two primitives in this module:
 generating the pattern at a given lateral scan position, and translating a
 mask image by the sub-pixel amount that corresponds to a given (scan, depth)
-pair. GeometryMasks combines the two into the one bank of (scan, depth)
-masks that both the simulator and the reconstructor read.
+pair. TranslationMasks combines the two into the one bank of (scan, depth)
+masks; GeometryMasks, which the simulator and the reconstructor read, and
+calibrated models are that bank with rig-derived or fitted steps.
 
 Conventions
 -----------
@@ -42,6 +43,8 @@ __all__ = [
     "is_axially_ambiguous",
     "camera_shape",
     "base_camera_pattern",
+    "mask_coverage",
+    "TranslationMasks",
     "GeometryMasks",
 ]
 
@@ -342,60 +345,83 @@ def base_camera_pattern(spec: PatternSpec, geom: GeometryConfig) -> np.ndarray:
     return magnify(make_slit_pattern(spec, 0), geom.magnification)
 
 
-class GeometryMasks:
+def mask_coverage(bank) -> np.ndarray:
+    """Sum of an (n, ...) mask bank over its scan axis, in scan order i = 0..n-1."""
+    den = np.zeros(np.shape(bank)[1:], dtype=np.float64)
+    for mask in bank:
+        den += mask
+    return den
+
+
+class TranslationMasks:
+    """Bank of masks: at scan step i and section z, the base moved by i * step + z * shear.
+
+    step and shear are (dx, dy) in camera pixels, applied with shift_image's
+    arithmetic. A row-constant base moved only along x is kept as one row,
+    whose (n, 1, W) masks broadcast to exactly the full (n, H, W) ones.
+    """
+
+    ambiguous = None
+
+    def __init__(self, base, step, shear, shift_count: int, grid: ZGrid):
+        self.base = b = np.asarray(base, dtype=np.float64)
+        self.grid = grid
+        self.shift_count = shift_count
+        i = np.arange(shift_count, dtype=np.float64)
+        self._steps = (i * step[0], i * step[1])
+        self._shear = shear
+        row_constant = np.array_equal(b, np.broadcast_to(b[:1], b.shape))
+        self._row = b[0].copy() if step[1] == shear[1] == 0.0 and row_constant else None
+
+    def section_masks(self, z_index: int) -> np.ndarray:
+        """(n, 1, W) or (n, H, W) bank of every scan step's mask at section z_index."""
+        if not (0 <= z_index < self.grid.count):
+            raise ValueError(f"z_index {z_index} out of range [0, {self.grid.count})")
+        dx = self._steps[0] + z_index * self._shear[0]
+        if self._row is not None:
+            positions = np.arange(self._row.size, dtype=np.float64) - dx[:, None]
+            return sample_row(self._row, positions)[:, None, :]
+        dy = self._steps[1] + z_index * self._shear[1]
+        out = np.empty((self.shift_count,) + self.base.shape, dtype=np.float64)
+        for i in range(self.shift_count):
+            out[i] = shift_image(self.base, dx[i], dy[i])
+        return out
+
+    def row_bank(self) -> np.ndarray | None:
+        """(n, K, W) masks of every step and section; None unless kept as one row.
+
+        A view of (W, n, K) storage, the GEMM kernel's layout.
+        """
+        if self._row is None:
+            return None
+        store = np.empty((self._row.size, self.shift_count, self.grid.count), dtype=np.float64)
+        for z in range(self.grid.count):
+            store[:, :, z] = self.section_masks(z)[:, 0].T
+        return store.transpose(1, 2, 0)
+
+
+class GeometryMasks(TranslationMasks):
     """Bank of geometric masks, shared by the simulator and the reconstructor.
 
-    The base camera-plane pattern is resampled once; the mask at scan step i
-    and section z is the base translated along x by i * step + z * shear,
-    with the arithmetic of synthesize_mask. Row-constant bases are
-    compressed to a single row: each row moves on its own, so the (n, 1, W)
-    bank broadcasts to exactly the values of the full (n, H, W) one. Set
-    threshold=True to reduce the base to 1-pixel slits first.
+    The camera-plane pattern moves along x by step * magnification per scan
+    step and by the signed shear per section, as synthesize_mask computes.
+    Set threshold=True to reduce the base to 1-pixel slits first.
     """
 
     def __init__(self, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
                  base=None, threshold: bool = False):
         self.spec = spec
         self.geom = geom
-        self.grid = grid
-        base = base_camera_pattern(spec, geom) if base is None else np.asarray(base, dtype=np.float64)
+        base = base_camera_pattern(spec, geom) if base is None else base
         if threshold:
             base = threshold_mask(base)
-        self.base = base
-        if base.shape[0] > 1 and np.array_equal(base, np.broadcast_to(base[:1], base.shape)):
-            self._rows = base[:1].copy()
-        else:
-            self._rows = base
-        self._step_px = spec.shift_step * geom.magnification
-        self.shift_count = spec.num_shifts_n
+        super().__init__(base, (spec.shift_step * geom.magnification, 0.0),
+                         (geom.signed_shear, 0.0), spec.num_shifts_n, grid)
         self._thresholded = threshold
 
     @property
     def ambiguous(self) -> bool:
         return is_axially_ambiguous(self.spec, self.geom, self.grid)
-
-    def _shifted(self, z_indices) -> np.ndarray:
-        """Base rows of every scan step at each section: (R, n, len(z), W).
-
-        One sample_row call; the displacement of step i at section z is
-        float(i * step) + z * shear, as synthesize_mask computes it.
-        """
-        steps = np.arange(self.shift_count, dtype=np.float64) * self._step_px
-        shifts = steps[:, None] + np.asarray(z_indices, dtype=np.float64) * self.geom.signed_shear
-        positions = np.arange(self._rows.shape[1], dtype=np.float64) - shifts[..., None]
-        return sample_row(self._rows, positions)
-
-    def section_masks(self, z_index: int) -> np.ndarray:
-        """(n, 1, W) or (n, H, W) bank of every scan step's mask at section z_index."""
-        if not (0 <= z_index < self.grid.count):
-            raise ValueError(f"z_index {z_index} out of range [0, {self.grid.count})")
-        return np.ascontiguousarray(self._shifted([z_index])[:, :, 0].transpose(1, 0, 2))
-
-    def row_bank(self) -> np.ndarray | None:
-        """(n, K, W) masks of every scan step and section; None unless row-constant."""
-        if self._rows.shape[0] != 1:
-            return None
-        return self._shifted(np.arange(self.grid.count))[0]
 
     def describe(self) -> str:
         kind = "thresholded" if self._thresholded else "grayscale"

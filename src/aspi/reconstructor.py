@@ -17,16 +17,15 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
 
 * The reference kernel, reconstruct_section, accumulates in fixed order
   i = 0..n-1 per pixel. It takes any bank, full (n, H, W) or row-compressed
-  (n, 1, W), and reconstruct_volume uses it for banks that vary along y
-  (calibrated models, bases that are not row-constant).
+  (n, 1, W), and reconstruct_volume uses it for banks that vary along y.
 * The GEMM kernel serves banks that are constant along y: providers whose
-  row_bank() returns the whole (n, K, W) bank. For every column x the
-  numerator of all sections is one matrix product, (rows x n) . (n x K),
-  computed in row bands of _GEMM_ROWS rows by a batched matmul. Its
-  summation order is the BLAS one, so it agrees with the reference kernel
-  to within 2*n*eps of sum_i |O_i| * M_iz / sum_i M_iz per voxel rather
-  than bit for bit. The coverage, the floor test and the sentinel pixels
-  are computed in the reference order and are identical.
+  row_bank() returns the whole (n, K, W) bank, geometric or calibrated.
+  For every column x the numerator of all sections is one matrix product,
+  (rows x n) . (n x K), computed in row bands of _GEMM_ROWS rows by a
+  batched matmul; `aspi bench` streams it in row chunks. Its summation
+  order is the BLAS one, so it agrees with the reference kernel to within
+  2*n*eps of sum_i |O_i| * M_iz / sum_i M_iz per voxel rather than bit for
+  bit. Coverage, the floor test and sentinel pixels are identical.
 
 Within each kernel the output is bit-identical for any thread count:
 threads take whole sections (reference) or whole fixed row bands (GEMM),
@@ -40,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import MaskModel, predict_mask
-from .imaging_model import GeometryMasks, ZGrid
+from .calibration import MaskModel
+from .imaging_model import GeometryMasks, TranslationMasks, ZGrid, mask_coverage
 
 __all__ = [
     "SENTINEL",
@@ -107,21 +106,13 @@ class CoverageReport:
         )
 
 
-class ModelMasks:
+class ModelMasks(TranslationMasks):
     """Mask provider backed by a calibrated mask model."""
 
     def __init__(self, model: MaskModel, grid: ZGrid, shift_count: int):
+        super().__init__(model.base_mask, (model.lateral_dx, model.lateral_dy),
+                         (model.axial_dx, model.axial_dy), shift_count, grid)
         self.model = model
-        self.grid = grid
-        self.shift_count = shift_count
-        self.base = model.base_mask
-        self.ambiguous = None
-
-    def section_masks(self, z_index: int) -> np.ndarray:
-        out = np.empty((self.shift_count,) + self.base.shape, dtype=np.float64)
-        for i in range(self.shift_count):
-            out[i] = predict_mask(self.model, i, z_index)
-        return out
 
     def describe(self) -> str:
         return "calibrated-model"
@@ -187,7 +178,6 @@ def reconstruct_section(acq, masks, floor: float) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"floor must be > 0, got {floor}")
 
     num = np.zeros((h, w), dtype=np.float64)
-    den = np.zeros(m.shape[1:], dtype=np.float64)
     row_masks = m.shape[1] == 1
     prod = np.empty((min(_BLOCK_ROWS, h), w), dtype=np.float64)
     for r0 in range(0, h, _BLOCK_ROWS):
@@ -198,10 +188,8 @@ def reconstruct_section(acq, masks, floor: float) -> tuple[np.ndarray, np.ndarra
             mi = m[i] if row_masks else m[i, r0:r1]
             np.multiply(frames[i, r0:r1], mi, out=pb)
             nb += pb
-    for i in range(n):
-        den += m[i]
 
-    coverage = np.ascontiguousarray(np.broadcast_to(den, (h, w)))
+    coverage = np.ascontiguousarray(np.broadcast_to(mask_coverage(m), (h, w)))
     covered = coverage >= floor
     section = np.full((h, w), SENTINEL, dtype=np.float64)
     np.divide(num, coverage, out=section, where=covered)
@@ -222,34 +210,42 @@ def _check_finite(frames: np.ndarray) -> None:
         raise ValueError(f"acquisition has {bad} non-finite frame pixels (NaN or Inf)")
 
 
-def _gemm_volume(frames: np.ndarray, bank: np.ndarray, floor: float, threads: int) -> np.ndarray:
-    """Sections from a y-constant (n, K, W) bank: one batched matmul per row band."""
+def _gemm_volume(frames: np.ndarray, bank: np.ndarray, floor: float, threads: int,
+                 chunk_rows: int | None = None):
+    """Sections from a y-constant (n, K, W) bank, as (K, rows, W) chunks top to bottom.
+
+    One batched matmul per _GEMM_ROWS row band. A chunk has chunk_rows rows
+    (default all; else a multiple of _GEMM_ROWS, which keeps the bits of the
+    whole volume) and overwrites the one before: consume it first.
+    """
     n, h, w = frames.shape
     if bank.ndim != 3 or bank.shape[0] != n or bank.shape[2] != w:
         raise ValueError(f"mask bank shape {bank.shape} incompatible with frames {frames.shape}")
+    chunk_rows = chunk_rows or h
     k = bank.shape[1]
-    den = np.zeros((k, w), dtype=np.float64)
-    for i in range(n):
-        den += bank[i]
-    uncovered = den < floor
-    den_x = np.ascontiguousarray(den.T)[:, None, :]            # (W, 1, K)
-    covered_x = np.ascontiguousarray(~uncovered.T)[:, None, :]
     masks_x = np.ascontiguousarray(bank.transpose(2, 0, 1))    # (W, n, K)
-    sections = np.empty((k, h, w), dtype=np.float64)
+    den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]  # (W, 1, K)
+    covered_x = den_x >= floor
+    uncovered = ~covered_x.transpose(2, 1, 0)                  # (K, 1, W)
 
-    def band(r0: int):
-        r1 = min(r0 + _GEMM_ROWS, h)
-        obs = np.empty((w, r1 - r0, n), dtype=np.float64)
-        # cast first: a contiguous float64 band transposes twice as fast
-        obs[...] = frames[:, r0:r1].astype(np.float64).transpose(2, 1, 0)
-        num = np.matmul(obs, masks_x)                           # (W, rows, K)
-        np.divide(num, den_x, out=num, where=covered_x)
-        out = sections[:, r0:r1]
-        out[...] = num.transpose(2, 1, 0)
-        np.copyto(out, SENTINEL, where=uncovered[:, None, :])
+    buffer = np.empty(k * min(chunk_rows, h) * w, dtype=np.float64)
+    for c0 in range(0, h, chunk_rows):
+        c1 = min(c0 + chunk_rows, h)
+        sections = buffer[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
 
-    _run(band, range(0, h, _GEMM_ROWS), threads)
-    return sections
+        def band(r0: int):
+            r1 = min(r0 + _GEMM_ROWS, c1)
+            obs = np.empty((w, r1 - r0, n), dtype=np.float64)
+            # cast first: a contiguous float64 band transposes twice as fast
+            obs[...] = frames[:, r0:r1].astype(np.float64).transpose(2, 1, 0)
+            num = np.matmul(obs, masks_x)                       # (W, rows, K)
+            np.divide(num, den_x, out=num, where=covered_x)
+            out = sections[:, r0 - c0:r1 - c0]
+            out[...] = num.transpose(2, 1, 0)
+            np.copyto(out, SENTINEL, where=uncovered)
+
+        _run(band, range(c0, c1, _GEMM_ROWS), threads)
+        yield sections
 
 
 def _run(work, items, threads: int) -> None:
@@ -288,7 +284,7 @@ def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
     if bank is not None:
         if bank.shape[1] < grid.count:
             raise ValueError(f"mask bank has {bank.shape[1]} sections for a {grid.count}-section grid")
-        sections = _gemm_volume(frames, bank[:, :grid.count], floor, threads)
+        (sections,) = _gemm_volume(frames, bank[:, :grid.count], floor, threads)
     else:
         # one exact upcast here, not one in each of the K * n multiplies
         frames = frames.astype(np.float64, copy=False)
@@ -326,16 +322,9 @@ def coverage_report(masks, floor: float | None = None, grid: ZGrid | None = None
     if floor is None:
         floor = default_floor(provider.base, provider.shift_count)
 
-    per_section = []
-    for j in range(grid.count):
-        bank = provider.section_masks(j)
-        den = np.zeros(bank.shape[1:], dtype=np.float64)
-        for i in range(bank.shape[0]):
-            den += bank[i]
-        per_section.append(den)
     # row-compressed providers yield (1, W) planes; the statistics are
     # identical to the broadcast (H, W) form
-    coverage = np.stack(per_section)
+    coverage = np.stack([mask_coverage(provider.section_masks(j)) for j in range(grid.count)])
     return CoverageReport(
         coverage=coverage,
         floor=float(floor),

@@ -14,6 +14,7 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
+from aspi import bench, reconstructor
 from aspi.cli import build_parser
 from conftest import geometry_with_shear
 
@@ -300,7 +301,14 @@ class TestBench:
         assert float(summary["megapixels_per_second"]) > 0
         assert summary["sections"] == "6"
 
-    def test_thread_counts_give_identical_checksums(self):
+    def test_thread_counts_give_identical_checksums(self, monkeypatch):
+        # the bench runs the GEMM kernel that `reconstruct` runs, never the
+        # per-section reference kernel
+        def no_reference_kernel(*args, **kwargs):
+            raise AssertionError("the bench must not take the reference kernel")
+
+        monkeypatch.setattr(reconstructor, "reconstruct_section", no_reference_kernel)
+        monkeypatch.setattr(bench, "reconstruct_section", no_reference_kernel, raising=False)
         a = bench_reconstruction(96, 64, 8, 10, threads=1, seed=3)
         b = bench_reconstruction(96, 64, 8, 10, threads=2, seed=3)
         assert a.checksum == b.checksum

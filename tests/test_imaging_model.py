@@ -20,6 +20,7 @@ from aspi import (
     threshold_mask,
     validate_frame,
 )
+from aspi.imaging_model import mask_coverage
 from conftest import geometry_with_shear, roll_zero_fill, slit_coverage_constant
 
 
@@ -300,3 +301,12 @@ def test_axial_ambiguity_flag():
     geom = geometry_with_shear(1.0)
     assert is_axially_ambiguous(spec, geom, ZGrid(0.0, 1.0, 31))
     assert not is_axially_ambiguous(spec, geom, ZGrid(0.0, 1.0, 30))
+
+
+def test_mask_coverage_sums_in_scan_order():
+    # scan axis innermost in memory: a numpy reduction would sum it pairwise
+    bank = np.random.default_rng(0).random((64, 6, 30)).transpose(2, 1, 0)
+    expected = np.zeros(bank.shape[1:])
+    for i in range(bank.shape[0]):
+        expected = expected + bank[i]
+    assert mask_coverage(bank).tobytes() == expected.tobytes()

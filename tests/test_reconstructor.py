@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from aspi import (
     coverage_report,
     default_floor,
     fit_mask_model,
+    predict_mask,
     reconstruct_section,
     reconstruct_volume,
     synthesize_mask,
@@ -261,6 +264,19 @@ def no_reference_kernel(*args, **kwargs):
     raise AssertionError("row-constant banks must not take the reference kernel")
 
 
+def assert_within_gemm_bound(gemm, ref, frames, bank):
+    """GEMM sections vs reference ones: same sentinels, 2*n*eps*sum|O_i|M_i/den apart."""
+    n = frames.shape[0]
+    den = np.broadcast_to(bank.sum(axis=0)[:, None, :], ref.shape)
+    magnitude = np.einsum("iyx,ijx->jyx", np.abs(frames), bank)
+    eps = np.finfo(float).eps
+    covered = ref != SENTINEL
+    assert np.array_equal(gemm != SENTINEL, covered)
+    assert covered.mean() > 0.5
+    bound = 2 * n * eps * magnitude[covered] / den[covered]
+    assert np.all(np.abs(gemm - ref)[covered] <= bound)
+
+
 class TestGemmKernel:
     """Row-constant banks: the GEMM kernel against the reference kernel."""
 
@@ -281,16 +297,7 @@ class TestGemmKernel:
         ref = reference_volume(frames, provider, floor)
         monkeypatch.setattr(reconstructor, "reconstruct_section", no_reference_kernel)
         gemm = reconstruct_volume(frames, provider, floor=floor).sections
-
-        bank = provider.row_bank()                        # (n, K, W)
-        den = np.broadcast_to(bank.sum(axis=0)[:, None, :], ref.shape)
-        magnitude = np.einsum("iyx,ijx->jyx", np.abs(frames), bank)
-        eps = np.finfo(float).eps
-        covered = ref != SENTINEL
-        assert np.array_equal(gemm != SENTINEL, covered)
-        assert covered.mean() > 0.5
-        bound = 2 * 30 * eps * magnitude[covered] / den[covered]
-        assert np.all(np.abs(gemm - ref)[covered] <= bound)
+        assert_within_gemm_bound(gemm, ref, frames, provider.row_bank())
 
     def test_bit_identical_for_any_thread_count(self):
         spec, provider = self.rig()
@@ -354,6 +361,67 @@ class TestGemmKernel:
         volume = reconstruct_volume(frames, provider, threads=2)
         ref = reference_volume(frames, provider, volume.coverage_floor_used)
         assert volume.sections.tobytes() == ref.tobytes()
+
+
+class TestModelMasks:
+    """Calibrated models: the bank against predict_mask, the volume against the reference."""
+
+    SHEAR = 0.2332
+
+    def fitted(self, noise_sigma):
+        # three references of a 96 x 64 rig; noise makes the base vary along
+        # y and the fitted dy nonzero
+        spec = PatternSpec(96, 64, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+        geom = geometry_with_shear(self.SHEAR)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=12)
+        base = base_camera_pattern(spec, geom)
+        refs = np.stack([base, synthesize_mask(base, 9.0, 0, geom, grid),
+                         synthesize_mask(base, 0.0, 11, geom, grid)])
+        refs += np.random.default_rng(0).normal(0.0, noise_sigma, refs.shape)
+        model = fit_mask_model(*refs, anchors=(10, 12))
+        return model, ModelMasks(model, grid, spec.num_shifts_n)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    def test_section_masks_are_predict_mask(self, noise_sigma):
+        model, provider = self.fitted(noise_sigma)
+        moves_y = model.lateral_dy != 0.0 or model.axial_dy != 0.0
+        assert moves_y == (noise_sigma > 0)
+        assert (provider.row_bank() is None) == moves_y
+        for z in (0, 5, 11):
+            masks = provider.section_masks(z)
+            for i in range(30):
+                full = np.broadcast_to(masks[i], model.base_mask.shape)
+                assert full.tobytes() == predict_mask(model, i, z).tobytes()
+
+    def test_row_constant_model_takes_gemm_kernel(self, monkeypatch):
+        model, provider = self.fitted(0.0)
+        frames = noisy_frames(30, model.base_mask.shape, seed=5)
+        floor = default_floor(provider.base, 30)
+        ref = reference_volume(frames, provider, floor)
+        monkeypatch.setattr(reconstructor, "reconstruct_section", no_reference_kernel)
+        gemm = reconstruct_volume(frames, provider, floor=floor, threads=2).sections
+        assert_within_gemm_bound(gemm, ref, frames, provider.row_bank())
+
+    def test_model_moving_along_y_keeps_reference_kernel(self):
+        model, provider = self.fitted(0.05)
+        frames = noisy_frames(30, model.base_mask.shape, seed=6)
+        volume = reconstruct_volume(frames, provider, threads=2)
+        ref = reference_volume(frames, provider, volume.coverage_floor_used)
+        assert volume.sections.tobytes() == ref.tobytes()
+        assert volume.masks_source == "calibrated-model"
+
+
+def test_row_bank_holds_no_transient_copies():
+    spec = PatternSpec(512, 4, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+    provider = GeometryMasks(spec, geometry_with_shear(0.2332), ZGrid(0.0, 1.0, 60))
+    tracemalloc.start()
+    try:
+        bank = provider.row_bank()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bank.shape == (30, 60, 512)
+    assert peak <= 1.5 * bank.nbytes
 
 
 class TestNonFiniteFrames:
