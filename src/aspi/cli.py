@@ -288,7 +288,7 @@ def cmd_depthmap(args) -> int:
     if planes.shape[0] != grid.count:
         raise ValueError(f"volume has {planes.shape[0]} planes, metadata declares {grid.count}")
     volume = VolumeStack(
-        sections=planes.astype(np.float64),
+        sections=planes,
         grid=grid,
         coverage_floor_used=float(meta.get("floor", "0") or 0),
     )

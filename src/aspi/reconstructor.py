@@ -75,7 +75,9 @@ def default_floor(base_mask, n: int) -> float:
 class VolumeStack:
     """Reconstructed confocal sections bound to their depth grid."""
 
-    sections: np.ndarray  # (K, H, W) float64; SENTINEL where coverage failed
+    # (K, H, W) float64 as reconstructed, or float32 as read from a stack
+    # file (extract_depth_map takes either); SENTINEL where coverage failed
+    sections: np.ndarray
     grid: ZGrid
     coverage_floor_used: float
     masks_source: str = ""
@@ -227,6 +229,8 @@ def _gemm_volume(frames: np.ndarray, bank: np.ndarray, floor: float, threads: in
     den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]  # (W, 1, K)
     covered_x = den_x >= floor
     uncovered = ~covered_x.transpose(2, 1, 0)                  # (K, 1, W)
+    # 1.0 where uncovered: a plain divide, whose result there the sentinel replaces
+    den_x[~covered_x] = 1.0
 
     buffer = np.empty(k * min(chunk_rows, h) * w, dtype=np.float64)
     for c0 in range(0, h, chunk_rows):
@@ -239,7 +243,7 @@ def _gemm_volume(frames: np.ndarray, bank: np.ndarray, floor: float, threads: in
             # cast first: a contiguous float64 band transposes twice as fast
             obs[...] = frames[:, r0:r1].astype(np.float64).transpose(2, 1, 0)
             num = np.matmul(obs, masks_x)                       # (W, rows, K)
-            np.divide(num, den_x, out=num, where=covered_x)
+            num /= den_x
             out = sections[:, r0 - c0:r1 - c0]
             out[...] = num.transpose(2, 1, 0)
             np.copyto(out, SENTINEL, where=uncovered)

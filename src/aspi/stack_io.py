@@ -93,7 +93,6 @@ def write_stack(planes, metadata: dict, path) -> None:
         raise ValueError(f"planes must be (K, H, W), got shape {a.shape}")
     text = _sidecar_text(metadata)
     k, h, w = a.shape
-    payload = np.ascontiguousarray(a, dtype="<f4")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, k, w, h, _DTYPE_F32)
     path = Path(path)
     meta = sidecar_path(path)
@@ -102,7 +101,8 @@ def write_stack(planes, metadata: dict, path) -> None:
     try:
         with open(tmp_path, "wb") as fh:
             fh.write(header)
-            fh.write(payload.data)
+            for plane in a:  # one float32 plane at a time, not a whole copy
+                fh.write(np.ascontiguousarray(plane, dtype="<f4").data)
         tmp_meta.write_text(text)
         meta.unlink(missing_ok=True)
         os.replace(tmp_path, path)
@@ -119,27 +119,32 @@ def read_stack(path) -> tuple[np.ndarray, dict]:
     dict. Malformed files raise StackFormatError naming the offending byte
     ranges.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise StackFormatError(
-            f"truncated header: need {_HEADER.size} bytes, file has {len(raw)}"
-        )
-    magic, version, count, width, height, dtype_code = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise StackFormatError(f"bad magic at byte 0: expected {MAGIC!r}, got {magic!r}")
-    if version != FORMAT_VERSION:
-        raise StackFormatError(f"unsupported format version {version} at byte 4")
-    if dtype_code != _DTYPE_F32:
-        raise StackFormatError(f"unsupported dtype code {dtype_code} at byte 18")
-    expected = count * width * height * 4
-    actual = len(raw) - _HEADER.size
-    if expected != actual:
-        raise StackFormatError(
-            f"payload length mismatch: header declares {count}x{height}x{width} "
-            f"({expected} bytes after the {_HEADER.size}-byte header), got {actual} bytes"
-        )
-    planes = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(count, height, width)
-    return planes.copy(), _read_sidecar(path)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise StackFormatError(
+                f"truncated header: need {_HEADER.size} bytes, file has {len(head)}"
+            )
+        magic, version, count, width, height, dtype_code = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise StackFormatError(f"bad magic at byte 0: expected {MAGIC!r}, got {magic!r}")
+        if version != FORMAT_VERSION:
+            raise StackFormatError(f"unsupported format version {version} at byte 4")
+        if dtype_code != _DTYPE_F32:
+            raise StackFormatError(f"unsupported dtype code {dtype_code} at byte 18")
+        expected = count * width * height * 4
+        actual = size - _HEADER.size
+        if expected == actual:
+            # the payload goes straight into the array: one copy, writable
+            planes = np.empty((count, height, width), dtype="<f4")
+            actual = fh.readinto(planes.reshape(-1).view(np.uint8))
+        if expected != actual:
+            raise StackFormatError(
+                f"payload length mismatch: header declares {count}x{height}x{width} "
+                f"({expected} bytes after the {_HEADER.size}-byte header), got {actual} bytes"
+            )
+    return planes, _read_sidecar(path)
 
 
 def write_pgm(image, path, invalid_value: float = 0.0) -> None:

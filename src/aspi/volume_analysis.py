@@ -14,10 +14,17 @@ Depth maps take the per-pixel argmax of the reconstructed sections (ties to
 the lower section) with an optional 3-point parabolic refinement between
 sections. The depth sentinel is NaN: depth values in z units may
 legitimately be negative, so the volume's -1.0 sentinel cannot double here.
+
+Volumes are read in their stored dtype, float32 (as read from a stack file)
+or float64 (as reconstructed in-process), and never copied whole to
+float64. Every value that enters arithmetic is widened to float64 first,
+which is exact, so both dtypes of the same volume give the same depth map
+bit for bit. A volume with a NaN or an infinity is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,13 +170,62 @@ def fwhm(curve: AxialCurve) -> float:
     return float(z_right - z_left)
 
 
+def _order_statistics(vals: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
+    """The values of ranks lo <= hi in sorted(vals), as floats; reorders vals.
+
+    A sorted strided sample of about 4096 values gives a value bracket around
+    the ranks. If the values below it and in it show that it holds both
+    ranks, only the bracket is partitioned; otherwise all of vals is.
+    """
+    n = vals.size
+    sample = np.sort(vals[::max(1, n // 4096)])
+    r = lo * sample.size // n
+    lo_v, hi_v = sample[max(r - 64, 0)], sample[min(r + 64, sample.size - 1)]
+    below = int(np.count_nonzero(vals < lo_v))
+    inside = vals >= lo_v
+    inside &= vals <= hi_v
+    bracket = vals[inside]
+    if below <= lo and hi < below + bracket.size:
+        vals, lo, hi = bracket, lo - below, hi - below
+    vals.partition((lo, hi))
+    return float(vals[lo]), float(vals[hi])
+
+
 def estimate_background(sections: np.ndarray) -> float:
-    """Mean of the lowest-decile non-sentinel intensities of a volume."""
-    vals = sections[sections != SENTINEL]
-    if vals.size == 0:
+    """Mean of the lowest-decile non-sentinel intensities of a volume.
+
+    The decile is np.percentile's linear one and the mean is taken over the
+    low values in C order as float64, so the result has the bits of the
+    float64 computation whatever the stored dtype. Values must be finite
+    (extract_depth_map checks). Extra memory peaks at one copy of the
+    non-sentinel values in the stored dtype plus two bytes per value, or at
+    the low values held both as stored and as float64 if that is more.
+    """
+    vals = np.empty(sections.size, dtype=sections.dtype)
+    n = 0
+    for plane in sections:
+        v = plane[plane != SENTINEL]
+        vals[n:n + v.size] = v
+        n += v.size
+    if n == 0:
         return 0.0
-    q10 = np.percentile(vals, 10.0)
-    low = vals[vals <= q10]
+    vals = vals[:n]
+    # np.percentile(vals, 10.0): lerp between the order statistics that
+    # bracket the virtual index (n - 1) * 0.1, in float64
+    index = (n - 1) * 0.1
+    lo = math.floor(index)
+    hi = min(lo + 1, n - 1)
+    a, b = _order_statistics(vals, lo, hi)
+    g = index - lo
+    q10 = b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+    # the largest stored value <= q10: a stored-dtype value is <= it exactly
+    # when it is <= q10 in float64
+    cut = sections.dtype.type(q10)
+    if float(cut) > q10:
+        cut = np.nextafter(cut, sections.dtype.type(-np.inf))
+    del vals
+    low = np.concatenate([plane[(plane <= cut) & (plane != SENTINEL)] for plane in sections],
+                         dtype=np.float64)
     return float(low.mean()) if low.size else 0.0
 
 
@@ -184,16 +240,29 @@ def extract_depth_map(
     Pixels whose peak falls under min_confidence (default: 5x the estimated
     background level) get a NaN depth but keep their measured peak as
     confidence. With refine=True, interior peaks with valid neighbors are
-    sharpened by a 3-point parabolic fit across adjacent sections.
+    sharpened by a 3-point parabolic fit across adjacent sections. The
+    argmax runs section by section over the volume as stored; a NaN or an
+    infinity in it raises ValueError naming the count.
     """
     data = volume.sections
     grid = volume.grid
     k = data.shape[0]
-    valid = data != SENTINEL
-    ranked = np.where(valid, data, -np.inf)
-    jbest = np.argmax(ranked, axis=0)
-    peak = np.take_along_axis(ranked, jbest[None], axis=0)[0]
-    any_valid = valid.any(axis=0)
+    best = np.full(data.shape[1:], -np.inf, dtype=data.dtype)
+    jbest = np.zeros(data.shape[1:], dtype=np.intp)
+    better = np.empty(data.shape[1:], dtype=bool)
+    scratch = np.empty_like(better)
+    nonfinite = 0
+    for j, plane in enumerate(data):
+        nonfinite += plane.size - np.count_nonzero(np.isfinite(plane, out=scratch))
+        # strict: a tie keeps the lower section
+        np.greater(plane, best, out=better)
+        better &= np.not_equal(plane, SENTINEL, out=scratch)
+        np.copyto(best, plane, where=better)
+        np.copyto(jbest, j, where=better)
+    if nonfinite:
+        raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
+    any_valid = best > -np.inf
+    peak = best.astype(np.float64)
 
     if min_confidence is None:
         min_confidence = 5.0 * estimate_background(data)
@@ -203,12 +272,10 @@ def extract_depth_map(
     if refine and k >= 3:
         jm = np.clip(jbest - 1, 0, k - 1)
         jp = np.clip(jbest + 1, 0, k - 1)
-        rm = np.take_along_axis(data, jm[None], axis=0)[0]
-        rp = np.take_along_axis(data, jp[None], axis=0)[0]
-        vm = np.take_along_axis(valid, jm[None], axis=0)[0]
-        vp = np.take_along_axis(valid, jp[None], axis=0)[0]
-        r0 = np.take_along_axis(data, jbest[None], axis=0)[0]
-        interior = (jbest > 0) & (jbest < k - 1) & vm & vp
+        # widen before any arithmetic: float32 planes would keep it float32
+        rm, r0, rp = (np.take_along_axis(data, j[None], axis=0)[0].astype(np.float64)
+                      for j in (jm, jbest, jp))
+        interior = (jbest > 0) & (jbest < k - 1) & (rm != SENTINEL) & (rp != SENTINEL)
         denom = rm - 2.0 * r0 + rp
         concave = denom < 0
         safe = np.where(concave, denom, -1.0)

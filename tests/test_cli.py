@@ -267,6 +267,21 @@ class TestNonFiniteFrames:
         assert len(err.strip().splitlines()) == 1
         assert not vol.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_depthmap_rejects(self, tmp_path, capsys, value):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        planes, meta = read_stack(vol)
+        planes[1, 3, 30] = value
+        write_stack(planes, meta, vol)
+        dep = tmp_path / "d.aspi"
+        code, out, err = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "1 non-finite voxels" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not dep.exists()
+
 
 class TestPsfCli:
     def test_default_layer_sits_mid_grid(self, capsys):

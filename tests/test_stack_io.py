@@ -44,6 +44,15 @@ class TestRoundTrip:
         (planes, _), _ = roundtrip(tmp_path, depths)
         assert planes.tobytes() == depths[None].tobytes()
 
+    def test_planes_are_writable_float32(self, tmp_path):
+        path = tmp_path / "s.aspi"
+        write_stack(np.arange(24, dtype=np.float64).reshape(2, 3, 4), {}, path)
+        planes, _ = read_stack(path)
+        assert planes.dtype == np.float32 and planes.flags.writeable
+        assert planes.flags.c_contiguous and planes.shape == (2, 3, 4)
+        planes[1, 2, 3] = -5.0
+        assert planes[0, 0, 1] == 1.0
+
     def test_2d_plane_promoted(self, tmp_path):
         (planes, _), _ = roundtrip(tmp_path, np.ones((3, 4)))
         assert planes.shape == (1, 3, 4)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aspi import (
     SENTINEL,
@@ -15,6 +19,7 @@ from aspi import (
     axial_psf,
     base_camera_pattern,
     camera_shape,
+    estimate_background,
     extract_depth_map,
     fwhm,
     predicted_fwhm_sections,
@@ -234,3 +239,180 @@ def test_predicted_fwhm_validation():
         predicted_fwhm_sections(0, 1.0)
     with pytest.raises(ValueError):
         predicted_fwhm_sections(2, 0.0)
+
+
+def reference_background(sections):
+    """The float64 np.percentile background, the oracle of estimate_background."""
+    sections = np.asarray(sections, dtype=np.float64)
+    vals = sections[sections != SENTINEL]
+    if vals.size == 0:
+        return 0.0
+    q10 = np.percentile(vals, 10.0)
+    low = vals[vals <= q10]
+    return float(low.mean()) if low.size else 0.0
+
+
+def reference_depth_map(volume, min_confidence=None, refine=False):
+    """Whole-volume float64 argmax, the oracle of extract_depth_map."""
+    data = np.asarray(volume.sections, dtype=np.float64)
+    grid = volume.grid
+    k = data.shape[0]
+    valid = data != SENTINEL
+    ranked = np.where(valid, data, -np.inf)
+    jbest = np.argmax(ranked, axis=0)
+    peak = np.take_along_axis(ranked, jbest[None], axis=0)[0]
+    any_valid = valid.any(axis=0)
+
+    if min_confidence is None:
+        min_confidence = 5.0 * reference_background(data)
+    keep = any_valid & (peak >= min_confidence)
+
+    depth_sections = jbest.astype(np.float64)
+    if refine and k >= 3:
+        jm = np.clip(jbest - 1, 0, k - 1)
+        jp = np.clip(jbest + 1, 0, k - 1)
+        rm = np.take_along_axis(data, jm[None], axis=0)[0]
+        rp = np.take_along_axis(data, jp[None], axis=0)[0]
+        vm = np.take_along_axis(valid, jm[None], axis=0)[0]
+        vp = np.take_along_axis(valid, jp[None], axis=0)[0]
+        r0 = np.take_along_axis(data, jbest[None], axis=0)[0]
+        interior = (jbest > 0) & (jbest < k - 1) & vm & vp
+        denom = rm - 2.0 * r0 + rp
+        concave = denom < 0
+        safe = np.where(concave, denom, -1.0)
+        delta = np.where(interior & concave, 0.5 * (rm - rp) / safe, 0.0)
+        depth_sections = depth_sections + np.clip(delta, -0.5, 0.5)
+
+    depth = np.where(keep, grid.z0 + depth_sections * grid.z_step, np.nan)
+    confidence = np.where(any_valid, peak, 0.0)
+    return depth, confidence
+
+
+def stored_volume(data, z0=-3.25, z_step=0.7, dtype=np.float32):
+    data = np.asarray(data, dtype=dtype)
+    return VolumeStack(sections=data, grid=ZGrid(z0=z0, z_step=z_step, count=data.shape[0]),
+                       coverage_floor_used=1e-3)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def awkward_volume(seed, k=9, h=13, w=11):
+    """Noisy float32 sections with sentinels, exact ties, all-sentinel pixels."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(1.0, 0.4, (k, h, w)).astype(np.float32)
+    data[rng.random((k, h, w)) < 0.15] = SENTINEL
+    data[:, 0, :] = np.round(data[:, 0, :], 1)           # ties in every pixel of a row
+    data[3, 1, :] = data[5, 1, :] = data[:, 1, :].max() + 1.0  # exact tie at the peak
+    data[:, 2, 2] = SENTINEL                             # no valid section
+    data[:, 3, 3] = [SENTINEL] + [0.5] * (k - 1)         # flat: tie over all valid
+    return data
+
+
+class TestFloat32DepthMap:
+    """The float32 path gives the float64 oracle's depth map bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("min_confidence", [None, 0.0, 0.9, 1.3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_float64_oracle(self, seed, min_confidence, refine, dtype):
+        volume = stored_volume(awkward_volume(seed), dtype=dtype)
+        dm = extract_depth_map(volume, min_confidence=min_confidence, refine=refine)
+        depth, confidence = reference_depth_map(volume, min_confidence, refine)
+        assert_same_bits(dm.depth, depth)
+        assert_same_bits(dm.confidence, confidence)
+        assert np.isnan(dm.depth[2, 2]) and dm.confidence[2, 2] == 0.0
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_reconstructed_volume_as_stored(self, refine):
+        spec, geom, grid = rig(shear=0.5, sections=16)
+        acq = layer_acquisition(spec, geom, grid, 7)
+        stored = reconstruct_volume(acq, GeometryMasks(spec, geom, grid)).sections
+        volume = VolumeStack(sections=stored.astype(np.float32), grid=grid,
+                             coverage_floor_used=1e-3)
+        assert np.any(volume.sections == SENTINEL)
+        dm = extract_depth_map(volume, refine=refine)
+        depth, confidence = reference_depth_map(volume, refine=refine)
+        assert_same_bits(dm.depth, depth)
+        assert_same_bits(dm.confidence, confidence)
+
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_small_integer_volumes_match(self, k, h, w, seed, refine):
+        # small integers: ties everywhere, sentinels among them
+        rng = np.random.default_rng(seed)
+        data = rng.integers(-1, 3, (k, h, w)).astype(np.float32)
+        volume = stored_volume(data)
+        dm = extract_depth_map(volume, refine=refine)
+        depth, confidence = reference_depth_map(volume, refine=refine)
+        assert_same_bits(dm.depth, depth)
+        assert_same_bits(dm.confidence, confidence)
+
+    def test_peak_memory_within_twice_the_volume(self):
+        rng = np.random.default_rng(5)
+        data = rng.random((48, 96, 96), dtype=np.float32)
+        data[:, :, :4] = SENTINEL
+        volume = stored_volume(data)
+        tracemalloc.start()
+        try:
+            extract_depth_map(volume, refine=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * data.nbytes
+
+
+class TestNonFiniteVolume:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_raises_naming_the_count(self, value):
+        data = awkward_volume(0)
+        data[1, 4, 4] = value
+        data[6, 7, 2] = value
+        data[6, 8, 2] = np.nan
+        with pytest.raises(ValueError, match="3 non-finite voxels"):
+            extract_depth_map(stored_volume(data), min_confidence=0.0)
+
+
+class TestEstimateBackground:
+    """estimate_background has the float64 np.percentile result's bits."""
+
+    @given(n=st.integers(1, 3000), levels=st.one_of(st.integers(1, 50), st.none()),
+           sentinels=st.integers(0, 100), scale=st.floats(1e-3, 1e5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_percentile_oracle(self, n, levels, sentinels, scale, seed):
+        # levels: values rounded to that many steps per scale (many ties); None: continuous
+        rng = np.random.default_rng(seed)
+        data = rng.normal(0.2, 1.0, n) * scale
+        if levels is not None:
+            data = np.round(data / scale * levels) * (scale / levels)
+        data = np.concatenate([data, np.full(sentinels, SENTINEL)])
+        rng.shuffle(data)
+        stored = data.astype(np.float32).reshape(1, 1, -1)
+        got = estimate_background(stored)
+        assert np.float64(got).tobytes() == np.float64(reference_background(stored)).tobytes()
+        got64 = estimate_background(data.reshape(1, 1, -1))
+        assert np.float64(got64).tobytes() == np.float64(reference_background(data)).tobytes()
+
+    def test_sentinel_only_volume(self):
+        assert estimate_background(np.full((3, 2, 2), SENTINEL, dtype=np.float32)) == 0.0
+
+    def test_decile_between_adjacent_float32_values(self):
+        # 17 values: the decile lies 0.6 of the way from a to its float32
+        # neighbor b, so rounding it to float32 would wrongly admit the b's
+        a = np.float32(0.3)
+        b = np.nextafter(a, np.float32(1))
+        data = np.array([a, a] + [b] * 5 + [2.0] * 10, dtype=np.float32).reshape(1, 1, 17)
+        assert estimate_background(data) == reference_background(data) == float(a)
+
+    def test_unbracketed_sample_falls_back_to_whole_partition(self):
+        # the strided sample (every 4th value) sees only large values, so
+        # its bracket misses the decile and the whole array is partitioned
+        rng = np.random.default_rng(9)
+        data = rng.random(2**14).astype(np.float32)
+        data[::4] = 1000.0 + np.arange(2**12)
+        stored = data.reshape(4, 64, 64)
+        assert estimate_background(stored) == reference_background(stored)
+        big = rng.random(2**16).astype(np.float32).reshape(16, 64, 64)
+        assert estimate_background(big) == reference_background(big)
