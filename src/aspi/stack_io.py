@@ -21,6 +21,7 @@ provenance travels in a sidecar text file at <path>.meta with one
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -93,6 +94,7 @@ def write_stack(planes, metadata: dict, path) -> None:
         raise ValueError(f"planes must be (K, H, W), got shape {a.shape}")
     text = _sidecar_text(metadata)
     k, h, w = a.shape
+    payload = np.ascontiguousarray(a, dtype="<f4")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, k, w, h, _DTYPE_F32)
     path = Path(path)
     meta = sidecar_path(path)
@@ -101,8 +103,7 @@ def write_stack(planes, metadata: dict, path) -> None:
     try:
         with open(tmp_path, "wb") as fh:
             fh.write(header)
-            for plane in a:  # one float32 plane at a time, not a whole copy
-                fh.write(np.ascontiguousarray(plane, dtype="<f4").data)
+            fh.write(payload.data)
         tmp_meta.write_text(text)
         meta.unlink(missing_ok=True)
         os.replace(tmp_path, path)
@@ -120,7 +121,6 @@ def read_stack(path) -> tuple[np.ndarray, dict]:
     ranges.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise StackFormatError(
@@ -134,11 +134,19 @@ def read_stack(path) -> tuple[np.ndarray, dict]:
         if dtype_code != _DTYPE_F32:
             raise StackFormatError(f"unsupported dtype code {dtype_code} at byte 18")
         expected = count * width * height * 4
-        actual = size - _HEADER.size
-        if expected == actual:
-            # the payload goes straight into the array: one copy, writable
-            planes = np.empty((count, height, width), dtype="<f4")
-            actual = fh.readinto(planes.reshape(-1).view(np.uint8))
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            actual = st.st_size - _HEADER.size
+            if expected == actual:
+                # the payload goes straight into the array: one copy, writable
+                planes = np.empty((count, height, width), dtype="<f4")
+                actual = fh.readinto(planes.reshape(-1).view(np.uint8))
+        else:
+            # a pipe reports no size, so its payload is read whole first
+            raw = fh.read()
+            actual = len(raw)
+            if expected == actual:
+                planes = np.frombuffer(raw, dtype="<f4").reshape(count, height, width).copy()
         if expected != actual:
             raise StackFormatError(
                 f"payload length mismatch: header declares {count}x{height}x{width} "

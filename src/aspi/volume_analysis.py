@@ -170,27 +170,6 @@ def fwhm(curve: AxialCurve) -> float:
     return float(z_right - z_left)
 
 
-def _order_statistics(vals: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
-    """The values of ranks lo <= hi in sorted(vals), as floats; reorders vals.
-
-    A sorted strided sample of about 4096 values gives a value bracket around
-    the ranks. If the values below it and in it show that it holds both
-    ranks, only the bracket is partitioned; otherwise all of vals is.
-    """
-    n = vals.size
-    sample = np.sort(vals[::max(1, n // 4096)])
-    r = lo * sample.size // n
-    lo_v, hi_v = sample[max(r - 64, 0)], sample[min(r + 64, sample.size - 1)]
-    below = int(np.count_nonzero(vals < lo_v))
-    inside = vals >= lo_v
-    inside &= vals <= hi_v
-    bracket = vals[inside]
-    if below <= lo and hi < below + bracket.size:
-        vals, lo, hi = bracket, lo - below, hi - below
-    vals.partition((lo, hi))
-    return float(vals[lo]), float(vals[hi])
-
-
 def estimate_background(sections: np.ndarray) -> float:
     """Mean of the lowest-decile non-sentinel intensities of a volume.
 
@@ -198,24 +177,20 @@ def estimate_background(sections: np.ndarray) -> float:
     low values in C order as float64, so the result has the bits of the
     float64 computation whatever the stored dtype. Values must be finite
     (extract_depth_map checks). Extra memory peaks at one copy of the
-    non-sentinel values in the stored dtype plus two bytes per value, or at
-    the low values held both as stored and as float64 if that is more.
+    non-sentinel values in the stored dtype plus a bool mask of the volume.
     """
-    vals = np.empty(sections.size, dtype=sections.dtype)
-    n = 0
-    for plane in sections:
-        v = plane[plane != SENTINEL]
-        vals[n:n + v.size] = v
-        n += v.size
+    vals = sections[sections != SENTINEL]
+    n = vals.size
     if n == 0:
         return 0.0
-    vals = vals[:n]
     # np.percentile(vals, 10.0): lerp between the order statistics that
     # bracket the virtual index (n - 1) * 0.1, in float64
     index = (n - 1) * 0.1
     lo = math.floor(index)
     hi = min(lo + 1, n - 1)
-    a, b = _order_statistics(vals, lo, hi)
+    vals.partition((lo, hi))
+    a, b = float(vals[lo]), float(vals[hi])
+    del vals
     g = index - lo
     q10 = b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
     # the largest stored value <= q10: a stored-dtype value is <= it exactly
@@ -223,9 +198,7 @@ def estimate_background(sections: np.ndarray) -> float:
     cut = sections.dtype.type(q10)
     if float(cut) > q10:
         cut = np.nextafter(cut, sections.dtype.type(-np.inf))
-    del vals
-    low = np.concatenate([plane[(plane <= cut) & (plane != SENTINEL)] for plane in sections],
-                         dtype=np.float64)
+    low = sections[(sections <= cut) & (sections != SENTINEL)].astype(np.float64)
     return float(low.mean()) if low.size else 0.0
 
 

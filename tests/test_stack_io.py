@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -143,6 +145,39 @@ class TestFormatErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(StackFormatError, match="mismatch"):
             read_stack(path)
+
+
+def read_through_fifo(tmp_path, raw):
+    """read_stack on a FIFO fed raw by a writer thread (a file with no size)."""
+    fifo = tmp_path / "pipe.aspi"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    try:
+        return read_stack(fifo)
+    finally:
+        writer.join(timeout=10)
+
+
+class TestNonRegularFile:
+    def test_fifo_roundtrip_bit_exact(self, tmp_path):
+        stack = np.random.default_rng(3).random((3, 5, 7)).astype(np.float32)
+        path = tmp_path / "stack.aspi"
+        write_stack(stack, {}, path)
+        planes, meta = read_through_fifo(tmp_path, path.read_bytes())
+        assert planes.tobytes() == stack.tobytes() and meta == {}
+        assert planes.flags.writeable and planes.shape == (3, 5, 7)
+
+    @pytest.mark.parametrize("extra", [-5, 8])
+    def test_fifo_payload_mismatch_names_byte_counts(self, tmp_path, extra):
+        path = tmp_path / "stack.aspi"
+        write_stack(np.zeros((2, 3, 4), dtype=np.float32), {}, path)
+        raw = path.read_bytes()
+        raw = raw[:extra] if extra < 0 else raw + bytes(extra)
+        with pytest.raises(StackFormatError, match="mismatch") as err:
+            read_through_fifo(tmp_path, raw)
+        assert f"({2 * 3 * 4 * 4} bytes" in str(err.value)
+        assert f"got {2 * 3 * 4 * 4 + extra} bytes" in str(err.value)
 
 
 class TestSidecarValidation:
