@@ -50,6 +50,7 @@ from .reconstructor import (
     ModelMasks,
     PrecomputedMasks,
     VolumeStack,
+    VolumeStream,
     coverage_report,
     default_floor,
     reconstruct_section,
@@ -64,7 +65,7 @@ from .volume_analysis import (
     fwhm,
     predicted_fwhm_sections,
 )
-from .stack_io import read_stack, write_pgm, write_stack
+from .stack_io import StackWriter, read_stack, write_pgm, write_stack
 from .bench import BenchReport, bench_reconstruction
 from .cli import run_cli
 
@@ -81,10 +82,10 @@ __all__ = [
     "make_tilted_plane_scene", "tilted_plane_sections",
     "SENTINEL", "VolumeStack", "CoverageReport", "GeometryMasks",
     "ModelMasks", "PrecomputedMasks", "default_floor",
-    "reconstruct_section", "reconstruct_volume", "coverage_report",
+    "reconstruct_section", "reconstruct_volume", "VolumeStream", "coverage_report",
     "AxialCurve", "DepthMap", "axial_psf", "fwhm", "predicted_fwhm_sections",
     "estimate_background", "extract_depth_map",
-    "read_stack", "write_stack", "write_pgm",
+    "read_stack", "write_stack", "StackWriter", "write_pgm",
     "BenchReport", "bench_reconstruction",
     "run_cli",
 ]

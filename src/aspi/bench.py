@@ -1,13 +1,14 @@
 """Reconstruction throughput benchmark.
 
 Synthesizes float32 frames in memory (no file I/O inside the timed region)
-and measures how fast the GEMM kernel that `aspi reconstruct` runs for
-geometry masks produces output sections. Throughput is reported as output
-megapixels per second: width * height * sections / wall time. Row chunks of
-every section are streamed, checksummed in row order with CRC32, and
-discarded, so besides frames and masks memory holds one chunk; the checksum
-makes thread-count determinism checkable. The timed region includes mask
-synthesis and checksumming, both part of producing verified output.
+and measures how fast the VolumeStream that `aspi reconstruct` runs for
+geometry masks (frame check, GEMM kernel) produces output sections.
+Throughput is reported as output megapixels per second: width * height *
+sections / wall time. Row chunks of every section are streamed,
+checksummed in row order with CRC32, and discarded, so besides frames and
+masks memory holds one chunk; the checksum makes thread-count determinism
+checkable. The timed region includes the frame check, mask synthesis and
+checksumming, all part of producing verified output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imaging_model import GeometryConfig, PatternSpec, ZGrid
-from .reconstructor import _GEMM_ROWS, GeometryMasks, _gemm_volume, default_floor
+from .reconstructor import STREAM_ROWS, GeometryMasks, VolumeStream, default_floor
 
 __all__ = ["BenchReport", "bench_reconstruction"]
 
@@ -28,10 +29,6 @@ __all__ = ["BenchReport", "bench_reconstruction"]
 # slit period, quarter-pixel shear per section.
 _BENCH_SHEAR = 0.25
 _BENCH_THETA = math.radians(25.0)
-
-# Rows of every section computed and checksummed at a time; whole GEMM row
-# bands, so the chunks hold the same bits as a full reconstruction.
-_CHUNK_ROWS = 2 * _GEMM_ROWS
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,8 @@ def bench_reconstruction(
 
     crc = 0
     start = time.perf_counter()
-    for chunk in _gemm_volume(frames, provider.row_bank(), floor, threads, _CHUNK_ROWS):
+    stream = VolumeStream(frames, provider, grid, floor, threads)
+    for _, _, chunk in stream.blocks(STREAM_ROWS):
         crc = zlib.crc32(chunk, crc)
     wall = time.perf_counter() - start
 

@@ -35,8 +35,8 @@ from .imaging_model import (
     camera_shape,
     threshold_mask,
 )
-from .reconstructor import SENTINEL, ModelMasks, VolumeStack, reconstruct_volume
-from .stack_io import read_stack, write_pgm, write_stack
+from .reconstructor import SENTINEL, STREAM_ROWS, ModelMasks, VolumeStack, VolumeStream
+from .stack_io import StackWriter, read_stack, write_pgm, write_stack
 from .volume_analysis import axial_psf, extract_depth_map, fwhm
 
 __all__ = ["run_cli", "main"]
@@ -260,22 +260,27 @@ def cmd_reconstruct(args) -> int:
         provider = ModelMasks(_load_model(args.model), grid, spec.num_shifts_n)
     else:
         provider = GeometryMasks(spec, geom, grid, threshold=args.threshold)
-    volume = reconstruct_volume(frames, provider, grid, floor=args.floor, threads=args.threads)
+    stream = VolumeStream(frames, provider, grid, floor=args.floor, threads=args.threads)
     out_meta = _rig_metadata(spec, geom, grid)
     out_meta.update(
         kind="volume",
-        floor=volume.coverage_floor_used,
+        floor=stream.floor,
         sentinel=SENTINEL,
-        masks_source=volume.masks_source,
+        masks_source=stream.masks_source,
     )
-    write_stack(volume.sections, out_meta, args.out)
-    sentinel_fraction = float(np.mean(volume.sections == SENTINEL))
+    # the volume goes to the file chunk by chunk and is never held whole
+    sentinels = 0
+    with StackWriter(args.out, stream.shape, out_meta) as out:
+        for k0, r0, block in stream.blocks(STREAM_ROWS):
+            out.write(k0, r0, block)
+            sentinels += int(np.count_nonzero(block == SENTINEL))
+    sentinel_fraction = sentinels / math.prod(stream.shape)
     ambiguous = getattr(provider, "ambiguous", None)
     _print_summary(kind="volume", sections=grid.count,
-                   floor=f"{volume.coverage_floor_used:.6g}",
+                   floor=f"{stream.floor:.6g}",
                    sentinel_fraction=f"{sentinel_fraction:.6g}",
                    ambiguous="n/a" if ambiguous is None else str(bool(ambiguous)).lower(),
-                   masks_source=volume.masks_source, path=args.out)
+                   masks_source=stream.masks_source, path=args.out)
     return 0
 
 

@@ -22,18 +22,29 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
   row_bank() returns the whole (n, K, W) bank, geometric or calibrated.
   For every column x the numerator of all sections is one matrix product,
   (rows x n) . (n x K), computed in row bands of _GEMM_ROWS rows by a
-  batched matmul; `aspi bench` streams it in row chunks. Its summation
-  order is the BLAS one, so it agrees with the reference kernel to within
-  2*n*eps of sum_i |O_i| * M_iz / sum_i M_iz per voxel rather than bit for
-  bit. Coverage, the floor test and sentinel pixels are identical.
+  batched matmul. Its summation order is the BLAS one, so it agrees with
+  the reference kernel to within 2*n*eps of sum_i |O_i| * M_iz / sum_i M_iz
+  per voxel rather than bit for bit. Coverage, the floor test and sentinel
+  pixels are identical.
 
 Within each kernel the output is bit-identical for any thread count:
 threads take whole sections (reference) or whole fixed row bands (GEMM),
 and no sum is ever split between them.
+
+Both kernels run behind one stream, VolumeStream, which yields the volume
+in float64 blocks: (K, rows, W) row chunks from the GEMM kernel, (1, H, W)
+sections from the reference kernel, at most `threads` of them computed
+ahead. reconstruct_volume writes the blocks into one (K, H, W) array;
+`aspi reconstruct` writes STREAM_ROWS-row chunks to the stack file as they
+come, and `aspi bench` checksums them, so besides the frames and the
+(n, K, W) bank these hold one chunk of K * STREAM_ROWS * W float64 values
+(the reference kernel: a float64 copy of float32 frames and a few
+sections), never the volume.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,6 +63,8 @@ __all__ = [
     "default_floor",
     "reconstruct_section",
     "reconstruct_volume",
+    "VolumeStream",
+    "STREAM_ROWS",
     "coverage_report",
 ]
 
@@ -64,6 +77,10 @@ _BLOCK_ROWS = 64
 # Row-band height of the GEMM kernel. Fixed, so the bands and each band's
 # products are the same for every thread count.
 _GEMM_ROWS = 16
+
+# Rows per chunk when a volume is streamed (`aspi reconstruct`, `aspi
+# bench`): whole GEMM bands, so the chunks hold the bits of a whole pass.
+STREAM_ROWS = 2 * _GEMM_ROWS
 
 
 def default_floor(base_mask, n: int) -> float:
@@ -207,59 +224,144 @@ def _resolve_provider(acq, masks, grid: ZGrid):
 
 
 def _check_finite(frames: np.ndarray) -> None:
-    bad = frames.size - int(np.count_nonzero(np.isfinite(frames)))
+    # frame by frame: the flags of one frame at a time, not of the stack
+    bad = frames.size - sum(int(np.count_nonzero(np.isfinite(f))) for f in frames)
     if bad:
         raise ValueError(f"acquisition has {bad} non-finite frame pixels (NaN or Inf)")
 
 
-def _gemm_volume(frames: np.ndarray, bank: np.ndarray, floor: float, threads: int,
-                 chunk_rows: int | None = None):
-    """Sections from a y-constant (n, K, W) bank, as (K, rows, W) chunks top to bottom.
+class VolumeStream:
+    """A checked reconstruction whose sections are computed as they are read.
 
-    One batched matmul per _GEMM_ROWS row band. A chunk has chunk_rows rows
-    (default all; else a multiple of _GEMM_ROWS, which keeps the bits of the
-    whole volume) and overwrites the one before: consume it first.
+    The constructor takes reconstruct_volume's arguments and makes all of
+    its checks (frames, NaN or Inf pixels, floor, mask bank), so a caller
+    can reject bad input before it opens an output; `blocks` then computes
+    the volume piece by piece. `shape` is the volume's (K, H, W).
     """
-    n, h, w = frames.shape
-    if bank.ndim != 3 or bank.shape[0] != n or bank.shape[2] != w:
-        raise ValueError(f"mask bank shape {bank.shape} incompatible with frames {frames.shape}")
-    chunk_rows = chunk_rows or h
-    k = bank.shape[1]
-    masks_x = np.ascontiguousarray(bank.transpose(2, 0, 1))    # (W, n, K)
-    den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]  # (W, 1, K)
-    covered_x = den_x >= floor
-    uncovered = ~covered_x.transpose(2, 1, 0)                  # (K, 1, W)
-    # 1.0 where uncovered: a plain divide, whose result there the sentinel replaces
-    den_x[~covered_x] = 1.0
 
-    buffer = np.empty(k * min(chunk_rows, h) * w, dtype=np.float64)
-    for c0 in range(0, h, chunk_rows):
-        c1 = min(c0 + chunk_rows, h)
-        sections = buffer[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
+    def __init__(self, acq, masks, grid: ZGrid | None = None,
+                 floor: float | None = None, threads: int = 1):
+        if grid is None:
+            grid = getattr(masks, "grid", None) or acq.grid
+        provider = _resolve_provider(acq, masks, grid)
+        if floor is None:
+            floor = default_floor(provider.base, provider.shift_count)
+        if not (floor > 0):
+            raise ValueError(f"floor must be > 0, got {floor}")
+        frames = _as_frames(acq)
+        _check_finite(frames)
+        row_bank = getattr(provider, "row_bank", None)
+        bank = row_bank() if row_bank is not None else None
+        if bank is not None:
+            n, _, w = frames.shape
+            if bank.ndim != 3 or bank.shape[0] != n or bank.shape[2] != w:
+                raise ValueError(f"mask bank shape {bank.shape} incompatible with frames {frames.shape}")
+            if bank.shape[1] < grid.count:
+                raise ValueError(f"mask bank has {bank.shape[1]} sections for a {grid.count}-section grid")
+            bank = bank[:, :grid.count]
+        self.grid = grid
+        self.floor = float(floor)
+        self.masks_source = provider.describe()
+        self.shape = (grid.count,) + frames.shape[1:]
+        self._frames = frames
+        self._provider = provider
+        self._bank = bank
+        self._threads = threads
 
-        def band(r0: int):
-            r1 = min(r0 + _GEMM_ROWS, c1)
-            obs = np.empty((w, r1 - r0, n), dtype=np.float64)
-            # cast first: a contiguous float64 band transposes twice as fast
-            obs[...] = frames[:, r0:r1].astype(np.float64).transpose(2, 1, 0)
-            num = np.matmul(obs, masks_x)                       # (W, rows, K)
-            num /= den_x
-            out = sections[:, r0 - c0:r1 - c0]
-            out[...] = num.transpose(2, 1, 0)
-            np.copyto(out, SENTINEL, where=uncovered)
+    def blocks(self, chunk_rows: int | None = None, out: np.ndarray | None = None):
+        """Yield (k0, r0, block): float64 (k, rows, W) pieces of the volume at section k0, row r0.
 
-        _run(band, range(c0, c1, _GEMM_ROWS), threads)
-        yield sections
+        The GEMM kernel yields (K, rows, W) chunks top to bottom; a chunk
+        has chunk_rows rows (default all; else a multiple of _GEMM_ROWS,
+        which keeps the bits of the whole volume). The reference kernel
+        yields (1, H, W) sections in order, computing at most `threads`
+        ahead. Without `out` the next block may overwrite this one, so
+        consume it first; with `out`, a (K, H, W) float64 array, blocks are
+        views of it and it holds the volume at the end. One executor serves
+        the whole stream and is shut down when the stream ends, is closed or
+        raises.
+        """
+        pool = ThreadPoolExecutor(max_workers=self._threads) if self._threads > 1 else None
+        try:
+            if self._bank is not None:
+                yield from self._gemm_blocks(pool, chunk_rows, out)
+            else:
+                yield from self._section_blocks(pool, out)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+    def _gemm_blocks(self, pool, chunk_rows, out):
+        # one batched matmul per _GEMM_ROWS row band of every chunk
+        frames, bank, floor = self._frames, self._bank, self.floor
+        n, h, w = frames.shape
+        chunk_rows = chunk_rows or h
+        k = bank.shape[1]
+        masks_x = np.ascontiguousarray(bank.transpose(2, 0, 1))    # (W, n, K)
+        den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]  # (W, 1, K)
+        covered_x = den_x >= floor
+        uncovered = ~covered_x.transpose(2, 1, 0)                  # (K, 1, W)
+        # 1.0 where uncovered: a plain divide, whose result there the sentinel replaces
+        den_x[~covered_x] = 1.0
+
+        if out is None:
+            buffer = np.empty(k * min(chunk_rows, h) * w, dtype=np.float64)
+        for c0 in range(0, h, chunk_rows):
+            c1 = min(c0 + chunk_rows, h)
+            if out is None:
+                sections = buffer[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
+            else:
+                sections = out[:, c0:c1]
+
+            def band(r0: int):
+                r1 = min(r0 + _GEMM_ROWS, c1)
+                obs = np.empty((w, r1 - r0, n), dtype=np.float64)
+                # cast first: a contiguous float64 band transposes twice as fast
+                obs[...] = frames[:, r0:r1].astype(np.float64).transpose(2, 1, 0)
+                num = np.matmul(obs, masks_x)                       # (W, rows, K)
+                num /= den_x
+                block = sections[:, r0 - c0:r1 - c0]
+                block[...] = num.transpose(2, 1, 0)
+                np.copyto(block, SENTINEL, where=uncovered)
+
+            _run(pool, band, range(c0, c1, _GEMM_ROWS))
+            yield 0, c0, sections
+
+    def _section_blocks(self, pool, out):
+        # one exact upcast here, not one in each of the K * n multiplies
+        frames = self._frames.astype(np.float64, copy=False)
+        provider, floor = self._provider, self.floor
+
+        def section(j: int) -> np.ndarray:
+            return reconstruct_section(frames, provider.section_masks(j), floor)[0]
+
+        js = range(self.shape[0])
+        results = map(section, js) if pool is None else _window(pool, section, js, self._threads)
+        for j, plane in enumerate(results):
+            if out is not None:
+                out[j] = plane
+                plane = out[j]
+            yield j, 0, plane[None]
 
 
-def _run(work, items, threads: int) -> None:
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, items))
-    else:
+def _run(pool, work, items) -> None:
+    if pool is None or len(items) < 2:
         for item in items:
             work(item)
+    else:
+        # reading every result re-raises a worker's exception here
+        list(pool.map(work, items))
+
+
+def _window(pool, work, items, ahead: int):
+    """work(item) for each item, in order, with at most `ahead` submitted beyond the one read."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(work, item))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
@@ -272,37 +374,18 @@ def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
     takes reconstruct_section once per section. Frames of any float dtype
     are read as float64; a NaN or an infinity in them raises ValueError.
     With threads > 1 the work is split into whole sections or whole row
-    bands, and the result is bit-identical to the serial one.
+    bands, and the result is bit-identical to the serial one. The volume
+    is VolumeStream's blocks, written in place.
     """
-    if grid is None:
-        grid = getattr(masks, "grid", None) or acq.grid
-    provider = _resolve_provider(acq, masks, grid)
-    if floor is None:
-        floor = default_floor(provider.base, provider.shift_count)
-    if not (floor > 0):
-        raise ValueError(f"floor must be > 0, got {floor}")
-    frames = _as_frames(acq)
-    _check_finite(frames)
-    row_bank = getattr(provider, "row_bank", None)
-    bank = row_bank() if row_bank is not None else None
-    if bank is not None:
-        if bank.shape[1] < grid.count:
-            raise ValueError(f"mask bank has {bank.shape[1]} sections for a {grid.count}-section grid")
-        (sections,) = _gemm_volume(frames, bank[:, :grid.count], floor, threads)
-    else:
-        # one exact upcast here, not one in each of the K * n multiplies
-        frames = frames.astype(np.float64, copy=False)
-        sections = np.empty((grid.count,) + frames.shape[1:], dtype=np.float64)
-
-        def work(j: int):
-            sections[j], _ = reconstruct_section(frames, provider.section_masks(j), floor)
-
-        _run(work, range(grid.count), threads)
+    stream = VolumeStream(acq, masks, grid, floor, threads)
+    sections = np.empty(stream.shape, dtype=np.float64)
+    for _ in stream.blocks(out=sections):
+        pass
     return VolumeStack(
         sections=sections,
-        grid=grid,
-        coverage_floor_used=float(floor),
-        masks_source=provider.describe(),
+        grid=stream.grid,
+        coverage_floor_used=stream.floor,
+        masks_source=stream.masks_source,
     )
 
 

@@ -16,6 +16,14 @@ Scalars round-trip bit-exactly (the payload is the raw IEEE bytes), which
 includes the -1.0 coverage sentinel and NaN depth sentinels. Human-readable
 provenance travels in a sidecar text file at <path>.meta with one
 ``key=value`` pair per line; the binary header stays minimal on purpose.
+
+StackWriter writes a stack block by block: each block goes to its place in
+the file as it comes, so a writer holds one block's float32 copy, never the
+stack; `aspi reconstruct` streams its volume this way. write_stack writes a
+whole array through it as one contiguous payload, holding the array's
+float32 copy (none when it is float32 already). Either commits the file
+and its sidecar only when the whole payload was written exactly once.
+read_stack reads a payload into one float32 array.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import StackFormatError
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "StackWriter",
     "write_stack",
     "read_stack",
     "sidecar_path",
@@ -77,40 +86,114 @@ def _read_sidecar(path) -> dict:
     return meta
 
 
+class StackWriter:
+    """Write a (K, H, W) stack file block by block, then commit it with its sidecar.
+
+    The metadata is checked and the shape fixed when the writer is made;
+    nothing is written before. Blocks go with os.pwrite to their place in a
+    temporary sibling of path, as little-endian float32, in any order.
+    commit() refuses a payload not written exactly once, row for row;
+    otherwise it writes the sidecar to a temporary sibling too, removes the
+    old sidecar and moves both files into place, so an interrupted write
+    leaves a stack without a sidecar rather than a new payload with a stale
+    one. Used as a context manager it commits when the block ends without
+    an exception and removes its temporary files in any case.
+    """
+
+    def __init__(self, path, shape, metadata: dict):
+        k, h, w = (int(d) for d in shape)
+        self._text = _sidecar_text(metadata)
+        self._header = _HEADER.pack(MAGIC, FORMAT_VERSION, k, w, h, _DTYPE_F32)
+        self.shape = (k, h, w)
+        self.path = Path(path)
+        self._meta = sidecar_path(self.path)
+        self._tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        self._tmp_meta = self._meta.with_name(f"{self._meta.name}.{os.getpid()}.tmp")
+        # how often each (section, row) of the payload has been written
+        self._written = np.zeros((k, h), dtype=np.uint8)
+        self._fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            self._pwrite(self._header, 0)
+        except BaseException:
+            self.close()
+            raise
+
+    def _pwrite(self, data, offset: int) -> None:
+        view = memoryview(data).cast("B")
+        done = 0
+        while done < len(view):
+            count = os.pwrite(self._fd, view[done:], offset + done)
+            if count <= 0:
+                raise OSError(f"{self.path}: wrote {done} of {len(view)} bytes at offset {offset}")
+            done += count
+
+    def write(self, k0: int, r0: int, block) -> None:
+        """Store a (k, rows, W) block as planes k0.. from row r0 on."""
+        b = np.asarray(block)
+        k, h, w = self.shape
+        if b.ndim != 3 or b.shape[2] != w or not (0 <= k0 and k0 + b.shape[0] <= k
+                                                  and 0 <= r0 and r0 + b.shape[1] <= h):
+            raise ValueError(f"block of shape {b.shape} at section {k0}, row {r0} "
+                             f"outside a {k}x{h}x{w} stack")
+        rows = self._written[k0:k0 + b.shape[0], r0:r0 + b.shape[1]]
+        if rows.any():
+            raise ValueError(f"block at section {k0}, row {r0} overlaps rows already written")
+        data = np.ascontiguousarray(b, dtype="<f4")
+        offset = _HEADER.size + (k0 * h + r0) * w * 4
+        if b.shape[1] == h:
+            # whole planes lie back to back in the file
+            self._pwrite(data, offset)
+        else:
+            for j, plane in enumerate(data):
+                self._pwrite(plane, offset + j * h * w * 4)
+        rows += 1
+
+    def commit(self) -> None:
+        """Close the payload and move it and its sidecar into place."""
+        missing = int(np.count_nonzero(self._written == 0))
+        if missing:
+            raise ValueError(f"{self.path}: {missing} of {self._written.size} plane rows "
+                             "were never written; not committed")
+        fd, self._fd = self._fd, None
+        os.close(fd)
+        self._tmp_meta.write_text(self._text)
+        self._meta.unlink(missing_ok=True)
+        os.replace(self._tmp, self.path)
+        os.replace(self._tmp_meta, self._meta)
+
+    def close(self) -> None:
+        """Drop the temporary files; a committed stack stays."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        self._tmp.unlink(missing_ok=True)
+        self._tmp_meta.unlink(missing_ok=True)
+
+    def __enter__(self) -> "StackWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self.commit()
+        finally:
+            self.close()
+
+
 def write_stack(planes, metadata: dict, path) -> None:
-    """Write planes as a stack file plus its sidecar.
+    """Write planes as a stack file plus its sidecar, through StackWriter.
 
     planes is a (K, H, W) array (a single 2D plane is accepted and treated
-    as K=1); values are stored as little-endian float32. Bad metadata is
-    rejected before anything is written. Both files are written to
-    temporary siblings first; the old sidecar is removed before the new
-    files are moved into place, so an interrupted write leaves a stack
-    without a sidecar rather than a new payload with a stale one.
+    as K=1); values are stored as little-endian float32, in one contiguous
+    write. Bad metadata is rejected before anything is written.
     """
     a = np.asarray(planes)
     if a.ndim == 2:
         a = a[None]
     if a.ndim != 3:
         raise ValueError(f"planes must be (K, H, W), got shape {a.shape}")
-    text = _sidecar_text(metadata)
-    k, h, w = a.shape
-    payload = np.ascontiguousarray(a, dtype="<f4")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, k, w, h, _DTYPE_F32)
-    path = Path(path)
-    meta = sidecar_path(path)
-    tmp_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp_meta = meta.with_name(f"{meta.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp_path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload.data)
-        tmp_meta.write_text(text)
-        meta.unlink(missing_ok=True)
-        os.replace(tmp_path, path)
-        os.replace(tmp_meta, meta)
-    finally:
-        tmp_path.unlink(missing_ok=True)
-        tmp_meta.unlink(missing_ok=True)
+    with StackWriter(path, a.shape, metadata) as out:
+        out.write(0, 0, a)
 
 
 def read_stack(path) -> tuple[np.ndarray, dict]:

@@ -74,6 +74,14 @@ class DepthMap:
     grid: ZGrid
 
 
+# Bins of the background histogram: the top 16 bits of a value's key.
+_KEY_BINS = 1 << 16
+
+# Voxels per run of sections in the background passes: bounded memory, and
+# few 65536-bin histograms when sections are small.
+_BACKGROUND_RUN = 1 << 16
+
+
 def predicted_fwhm_sections(linewidth_px: float, shear_px_per_section: float) -> float:
     """Rectangle-autocorrelation FWHM, in sections: linewidth / shear."""
     if linewidth_px <= 0 or shear_px_per_section <= 0:
@@ -176,11 +184,43 @@ def estimate_background(sections: np.ndarray) -> float:
     The decile is np.percentile's linear one and the mean is taken over the
     low values in C order as float64, so the result has the bits of the
     float64 computation whatever the stored dtype. Values must be finite
-    (extract_depth_map checks). Extra memory peaks at one copy of the
-    non-sentinel values in the stored dtype plus a bool mask of the volume.
+    (extract_depth_map checks).
+
+    The decile is selected exactly, by bucket selection (as in Alabi et
+    al., "Fast k-selection algorithms for graphics processing units", ACM
+    JEA 17, 2012), in passes over runs of sections; the volume is never
+    copied whole. A histogram of the top 16 bits of order-preserving
+    integer keys finds the bins that hold the two order statistics; the
+    second pass gathers the values of those bins and counts the values
+    below them, so a partition of the gathered values yields the order
+    statistics; the third pass gathers the low values, widened to float64,
+    for the mean. Extra memory is the gathered bins, the low values as
+    float64 and one run's keys.
     """
-    vals = sections[sections != SENTINEL]
-    n = vals.size
+    dtype = sections.dtype
+    k = sections.shape[0]
+    step = max(1, _BACKGROUND_RUN // max(1, math.prod(sections.shape[1:])))
+
+    def runs():
+        for j in range(0, k, step):
+            yield sections[j:j + step].reshape(-1)
+
+    # a float's bits as an unsigned integer ascend with positive values and
+    # descend with negative ones; the histogram is reordered to match
+    udtype = np.dtype(dtype.str.replace("f", "u"))
+    shift = 8 * dtype.itemsize - 16
+    counts = np.zeros(_KEY_BINS, dtype=np.int64)
+    sentinels = 0
+    for run in runs():
+        counts += np.bincount((run.view(udtype) >> shift).astype(np.intp, copy=False),
+                              minlength=_KEY_BINS)
+        sentinels += int(np.count_nonzero(run == SENTINEL))
+    counts[int(np.asarray(SENTINEL, dtype=dtype).view(udtype)) >> shift] -= sentinels
+    half = _KEY_BINS // 2
+    cumulative = np.concatenate([counts[:half - 1:-1], counts[:half]])
+    del counts
+    np.cumsum(cumulative, out=cumulative)
+    n = int(cumulative[-1])
     if n == 0:
         return 0.0
     # np.percentile(vals, 10.0): lerp between the order statistics that
@@ -188,18 +228,47 @@ def estimate_background(sections: np.ndarray) -> float:
     index = (n - 1) * 0.1
     lo = math.floor(index)
     hi = min(lo + 1, n - 1)
-    vals.partition((lo, hi))
-    a, b = float(vals[lo]), float(vals[hi])
-    del vals
+
+    def bin_edge(rank: int, largest: bool):
+        # the smallest or largest value of the bin that holds rank
+        b = int(np.searchsorted(cumulative, rank, side="right"))
+        ones = (1 << shift) - 1
+        if b >= half:
+            bits = ((b - half) << shift) | (ones if largest else 0)
+        else:
+            bits = ((_KEY_BINS - 1 - b) << shift) | (0 if largest else ones)
+        return np.asarray(bits, dtype=udtype).view(dtype)[()]
+
+    lower, upper = bin_edge(lo, False), bin_edge(hi, True)
+    # every value below `lower` ranks below lo, every value above `upper`
+    # above hi, so lo and hi index the gathered values after the `below` ones
+    below = -sentinels if SENTINEL < lower else 0
+    pieces = []
+    for run in runs():
+        under = run < lower
+        below += int(np.count_nonzero(under))
+        pieces.append(np.compress(~under & (run <= upper) & (run != SENTINEL), run))
+    edge = np.concatenate(pieces)
+    del pieces
+    edge.partition((lo - below, hi - below))
+    a, b = float(edge[lo - below]), float(edge[hi - below])
     g = index - lo
     q10 = b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
     # the largest stored value <= q10: a stored-dtype value is <= it exactly
     # when it is <= q10 in float64
-    cut = sections.dtype.type(q10)
+    cut = dtype.type(q10)
     if float(cut) > q10:
-        cut = np.nextafter(cut, sections.dtype.type(-np.inf))
-    low = sections[(sections <= cut) & (sections != SENTINEL)].astype(np.float64)
-    return float(low.mean()) if low.size else 0.0
+        cut = np.nextafter(cut, dtype.type(-np.inf))
+    # cut >= a >= lower: the low values are the `below` ones and the gathered
+    # ones up to cut, a among them
+    low = np.empty(below + int(np.count_nonzero(edge <= cut)), dtype=np.float64)
+    del edge
+    filled = 0
+    for run in runs():
+        piece = np.compress((run <= cut) & (run != SENTINEL), run)
+        low[filled:filled + piece.size] = piece
+        filled += piece.size
+    return float(low.mean())
 
 
 def extract_depth_map(

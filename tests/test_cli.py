@@ -1,10 +1,12 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aspi import (
+    GeometryMasks,
     PatternSpec,
     ZGrid,
     bench_reconstruction,
@@ -14,8 +16,8 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
-from aspi import bench, reconstructor
-from aspi.cli import build_parser
+from aspi import bench, cli, reconstructor
+from aspi.cli import _rig_from_metadata, build_parser
 from conftest import geometry_with_shear
 
 
@@ -368,3 +370,112 @@ def test_bad_env_threads_is_usage_error(capsys, monkeypatch):
     assert build_parser().parse_args(["bench", "--threads", "3"]).threads == 3
     monkeypatch.setenv("ASPI_THREADS", "4")
     assert build_parser().parse_args(["bench"]).threads == 4
+
+
+class TestStreamedReconstruct:
+    """`reconstruct` writes the volume chunk by chunk and commits it whole or not at all."""
+
+    def inputs(self, capsys, tmp_path):
+        # 80 rows: three 32-row chunks of every section
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "1",
+                       "--proj-width", "64", "--proj-height", "80", "--period", "16",
+                       "--linewidth", "2", "--shifts", "16", "--sections", "4",
+                       "--pixel-pitch", SHEAR1_PITCH, "--out", str(acq))
+        assert code == 0
+        write_stack(np.full((2, 3, 4), 7.0), {"kind": "volume", "old": 1}, vol)
+        return acq, vol, (vol.read_bytes(), vol.with_name("vol.aspi.meta").read_bytes())
+
+    def assert_untouched(self, tmp_path, vol, before):
+        assert (vol.read_bytes(), vol.with_name("vol.aspi.meta").read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "acq.aspi", "acq.aspi.meta", "vol.aspi", "vol.aspi.meta"]
+
+    def test_volume_and_summary_equal_the_whole_volume(self, capsys, tmp_path):
+        acq, vol, _ = self.inputs(capsys, tmp_path)
+        code, out, _ = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
+        assert code == 0
+        planes, frames_meta = read_stack(acq)
+        whole = reconstructor.reconstruct_volume(
+            planes, GeometryMasks(*_rig_from_metadata(frames_meta)))
+        streamed, meta = read_stack(vol)
+        assert streamed.tobytes() == whole.sections.astype("<f4").tobytes()
+        summary = parse_summary(out)
+        assert summary["sentinel_fraction"] == f"{np.mean(whole.sections == -1.0):.6g}"
+        assert meta["floor"] == str(whole.coverage_floor_used)
+
+    def test_kernel_failure_after_first_block_commits_nothing(self, capsys, tmp_path, monkeypatch):
+        acq, vol, before = self.inputs(capsys, tmp_path)
+        bands = []
+        matmul = np.matmul
+
+        def failing_matmul(*args, **kwargs):
+            bands.append(1)
+            if len(bands) > 2:  # the first chunk has two row bands
+                raise ValueError("kernel failure")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", failing_matmul)
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol),
+                             "--threads", "1")
+        assert (code, out, err) == (1, "", "error: kernel failure\n")
+        assert len(bands) == 3
+        self.assert_untouched(tmp_path, vol, before)
+
+    def test_nan_frames_rejected_before_the_file_is_opened(self, capsys, tmp_path, monkeypatch):
+        acq, vol, before = self.inputs(capsys, tmp_path)
+        planes, meta = read_stack(acq)
+        planes[5, 40, 3] = np.nan
+        write_stack(planes, meta, acq)
+
+        def no_writer(*args, **kwargs):
+            raise AssertionError("the output was opened")
+
+        monkeypatch.setattr(cli, "StackWriter", no_writer)
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
+        assert code == 1 and "1 non-finite frame pixels" in err
+        self.assert_untouched(tmp_path, vol, before)
+
+    def test_bad_metadata_commits_nothing(self, capsys, tmp_path, monkeypatch):
+        acq, vol, before = self.inputs(capsys, tmp_path)
+        rig_metadata = cli._rig_metadata
+        monkeypatch.setattr(cli, "_rig_metadata",
+                            lambda *args: {**rig_metadata(*args), "bad key": 1})
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
+        assert (code, out, err) == (1, "", "error: invalid metadata key 'bad key'\n")
+        self.assert_untouched(tmp_path, vol, before)
+
+    def test_short_stream_commits_nothing(self, capsys, tmp_path, monkeypatch):
+        acq, vol, before = self.inputs(capsys, tmp_path)
+        blocks = reconstructor.VolumeStream.blocks
+
+        def all_but_the_last_rows(self, *args, **kwargs):
+            for k0, r0, block in blocks(self, *args, **kwargs):
+                yield k0, r0, block if r0 + block.shape[1] < self.shape[1] else block[:, :-1]
+
+        monkeypatch.setattr(reconstructor.VolumeStream, "blocks", all_but_the_last_rows)
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
+        assert code == 1 and out == ""
+        assert "4 of 320 plane rows were never written; not committed" in err
+        self.assert_untouched(tmp_path, vol, before)
+
+    def test_memory_grows_by_less_than_the_extra_sections(self, capsys, tmp_path):
+        # 512 rows, 16 chunk heights; the float32 volume of the 72 extra
+        # sections is 4.7 MB, the float64 volume the parent held 9.4 MB
+        peaks = {}
+        for sections in (24, 96):
+            acq = tmp_path / f"acq{sections}.aspi"
+            code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "3",
+                           "--proj-width", "32", "--proj-height", "512",
+                           "--sections", str(sections), "--pixel-pitch", "2.0",
+                           "--out", str(acq))
+            assert code == 0
+            tracemalloc.start()
+            try:
+                code, *_ = run(capsys, "reconstruct", "--input", str(acq),
+                               "--out", str(tmp_path / f"vol{sections}.aspi"), "--threads", "2")
+                _, peaks[sections] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[96] - peaks[24] < 72 * 512 * 32 * 4

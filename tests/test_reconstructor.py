@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -441,3 +442,98 @@ class TestNonFiniteFrames:
         for masks in (provider, ModelMasks(model, grid, spec.num_shifts_n)):
             with pytest.raises(ValueError, match="1 non-finite frame pixels"):
                 reconstruct_volume(frames, masks, grid)
+
+
+class TestVolumeStream:
+    """VolumeStream.blocks: the volume of reconstruct_volume, piece by piece."""
+
+    def gemm_rig(self, height=70, sections=12):
+        # 70 rows: two full 32-row chunks and a short one
+        spec = PatternSpec(90, height, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+        geom = geometry_with_shear(0.2332)
+        provider = GeometryMasks(spec, geom, ZGrid(z0=0.0, z_step=1.0, count=sections))
+        return provider, noisy_frames(30, camera_shape(spec, geom), seed=7).astype(np.float32)
+
+    def model_rig(self):
+        provider = TestModelMasks().fitted(0.05)[1]
+        return provider, noisy_frames(30, provider.base.shape, seed=8)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gemm_chunks_assemble_the_volume(self, threads):
+        provider, frames = self.gemm_rig()
+        whole = reconstruct_volume(frames, provider, threads=threads).sections
+        stream = reconstructor.VolumeStream(frames, provider, threads=threads)
+        assert stream.shape == whole.shape
+        offsets = []
+        for k0, r0, block in stream.blocks(reconstructor.STREAM_ROWS):
+            offsets.append((k0, r0, block.shape))
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert block.tobytes() == np.ascontiguousarray(whole[:, r0:r0 + block.shape[1]]).tobytes()
+        assert offsets == [(0, 0, (12, 32, 90)), (0, 32, (12, 32, 90)), (0, 64, (12, 6, 90))]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_reference_kernel_yields_sections_in_order(self, threads):
+        provider, frames = self.model_rig()
+        whole = reconstruct_volume(frames, provider, threads=threads).sections
+        stream = reconstructor.VolumeStream(frames, provider, threads=threads)
+        blocks = [(k0, r0, block.copy()) for k0, r0, block in stream.blocks()]
+        assert [(k0, r0) for k0, r0, _ in blocks] == [(j, 0) for j in range(whole.shape[0])]
+        assert np.concatenate([b for *_, b in blocks]).tobytes() == whole.tobytes()
+
+    def test_reference_kernel_computes_a_bounded_window(self, monkeypatch):
+        provider, frames = self.model_rig()
+        submitted = []
+
+        class CountingExecutor(reconstructor.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(1)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", CountingExecutor)
+        blocks = reconstructor.VolumeStream(frames, provider, threads=2).blocks()
+        for count, _ in enumerate(blocks, start=1):
+            # the sections read plus at most `threads` submitted beyond them
+            assert len(submitted) <= min(count + 2, 12)
+        assert len(submitted) == 12
+
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_one_executor_shut_down_on_close_and_error(self, monkeypatch, rig):
+        provider, frames = getattr(self, rig)()
+        baseline = threading.active_count()
+        built = []
+        executor = reconstructor.ThreadPoolExecutor
+
+        def counting_executor(*args, **kwargs):
+            built.append(1)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", counting_executor)
+        stream = reconstructor.VolumeStream(frames, provider, threads=2)
+        for _ in stream.blocks(reconstructor.STREAM_ROWS):
+            pass
+        assert built == [1]
+        assert threading.active_count() == baseline
+
+        blocks = stream.blocks(reconstructor.STREAM_ROWS)
+        next(blocks)
+        assert threading.active_count() > baseline
+        blocks.close()
+        assert threading.active_count() == baseline
+
+        def failing(*args, **kwargs):
+            raise ValueError("kernel failure")
+
+        monkeypatch.setattr(reconstructor, "reconstruct_section", failing)
+        monkeypatch.setattr(reconstructor.np, "matmul", failing)
+        with pytest.raises(ValueError, match="kernel failure"):
+            for _ in stream.blocks(reconstructor.STREAM_ROWS):
+                pass
+        assert threading.active_count() == baseline
+
+    def test_bad_input_rejected_before_any_block(self):
+        provider, frames = self.gemm_rig()
+        frames[2, 5, 7] = np.nan
+        with pytest.raises(ValueError, match="1 non-finite frame pixels"):
+            reconstructor.VolumeStream(frames, provider)
+        with pytest.raises(ValueError, match="floor must be > 0"):
+            reconstructor.VolumeStream(frames, provider, floor=0.0)

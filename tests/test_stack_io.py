@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from aspi import StackFormatError, read_stack, write_stack, write_pgm
+from aspi import StackFormatError, StackWriter, read_stack, write_pgm, write_stack
 from aspi.stack_io import sidecar_path
 
 
@@ -237,3 +237,94 @@ class TestPgmExport:
         write_pgm(np.full((2, 2), 3.0), path)
         payload = np.frombuffer(path.read_bytes().split(b"\n", 3)[3], dtype=">u2")
         assert np.all(payload == 0)
+
+
+def stack_files(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+class TestStackWriter:
+    """Blocks written in place give write_stack's file; anything less commits nothing."""
+
+    def volume(self):
+        return np.random.default_rng(3).normal(size=(5, 9, 4)).astype(np.float64)
+
+    def test_blocks_in_any_order_give_write_stack_bytes(self, tmp_path):
+        planes = self.volume()
+        write_stack(planes, {"kind": "volume"}, tmp_path / "whole.aspi")
+        with StackWriter(tmp_path / "blocks.aspi", planes.shape, {"kind": "volume"}) as out:
+            out.write(0, 4, planes[:, 4:])          # row chunks of every section
+            out.write(2, 0, planes[2:4, :4])
+            out.write(4, 0, planes[4:, :4])         # one section at a time
+            out.write(0, 0, planes[:2, :4])
+        for name in ("whole.aspi", "whole.aspi.meta"):
+            blocks = name.replace("whole", "blocks")
+            assert (tmp_path / name).read_bytes() == (tmp_path / blocks).read_bytes()
+        assert stack_files(tmp_path) == ["blocks.aspi", "blocks.aspi.meta",
+                                         "whole.aspi", "whole.aspi.meta"]
+
+    def previous(self, tmp_path):
+        path = tmp_path / "s.aspi"
+        write_stack(np.arange(6.0).reshape(1, 2, 3), {"kind": "volume"}, path)
+        return path, (path.read_bytes(), sidecar_path(path).read_bytes())
+
+    def test_unwritten_rows_are_not_committed(self, tmp_path):
+        path, before = self.previous(tmp_path)
+        planes = self.volume()
+        with pytest.raises(ValueError, match="2 of 45 plane rows were never written"):
+            with StackWriter(path, planes.shape, {"kind": "volume"}) as out:
+                out.write(0, 0, planes[:, :8])
+                out.write(0, 8, planes[:3, 8:])
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+        assert stack_files(tmp_path) == ["s.aspi", "s.aspi.meta"]
+
+    def test_rows_written_twice_rejected(self, tmp_path):
+        path, before = self.previous(tmp_path)
+        planes = self.volume()
+        with pytest.raises(ValueError, match="overlaps rows already written"):
+            with StackWriter(path, planes.shape, {"kind": "volume"}) as out:
+                out.write(0, 0, planes[:, :5])
+                out.write(1, 4, planes[1:2, 4:])
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+        assert stack_files(tmp_path) == ["s.aspi", "s.aspi.meta"]
+
+    @pytest.mark.parametrize("k0,r0,shape", [(4, 0, (2, 9, 4)), (0, 3, (1, 7, 4)),
+                                              (0, 0, (1, 9, 3)), (-1, 0, (1, 9, 4))])
+    def test_block_outside_the_stack_rejected(self, tmp_path, k0, r0, shape):
+        with StackWriter(tmp_path / "s.aspi", (5, 9, 4), {}) as out:
+            with pytest.raises(ValueError, match="outside a 5x9x4 stack"):
+                out.write(k0, r0, np.zeros(shape))
+            out.write(0, 0, self.volume())
+
+    @pytest.mark.parametrize("metadata", [{"bad key": 1}, {"k": "a\nb"}])
+    def test_bad_metadata_rejected_before_anything_is_written(self, tmp_path, metadata):
+        path, before = self.previous(tmp_path)
+        with pytest.raises(ValueError):
+            StackWriter(path, (5, 9, 4), metadata)
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+        assert stack_files(tmp_path) == ["s.aspi", "s.aspi.meta"]
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        planes = self.volume()
+        write_stack(planes, {}, tmp_path / "whole.aspi")
+        pwrite = os.pwrite
+        calls = []
+
+        def at_most_7_bytes(fd, data, offset):
+            calls.append(offset)
+            return pwrite(fd, bytes(data[:7]), offset)
+
+        monkeypatch.setattr(os, "pwrite", at_most_7_bytes)
+        write_stack(planes, {}, tmp_path / "short.aspi")
+        assert len(calls) == -(-32 // 7) + -(-planes.size * 4 // 7)
+        assert (tmp_path / "short.aspi").read_bytes() == (tmp_path / "whole.aspi").read_bytes()
+
+    def test_failed_write_commits_nothing(self, tmp_path, monkeypatch):
+        path, before = self.previous(tmp_path)
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset:
+                            pwrite(fd, data, offset) if offset == 0 else 0)
+        with pytest.raises(OSError, match="wrote 0 of 720 bytes at offset 32"):
+            write_stack(self.volume(), {}, path)
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+        assert stack_files(tmp_path) == ["s.aspi", "s.aspi.meta"]

@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aspi import (
@@ -25,6 +26,7 @@ from aspi import (
     predicted_fwhm_sections,
     reconstruct_volume,
 )
+from aspi import volume_analysis
 from conftest import geometry_with_shear
 
 
@@ -395,6 +397,52 @@ class TestEstimateBackground:
         got64 = estimate_background(data.reshape(1, 1, -1))
         assert np.float64(got64).tobytes() == np.float64(reference_background(data)).tobytes()
 
+    @staticmethod
+    def specials(dtype):
+        """Zeros of both signs, subnormals, and real values in the sentinel's bin."""
+        info = np.finfo(dtype)
+        one = dtype(SENTINEL)
+        tiny = info.smallest_subnormal
+        return np.array([0.0, -0.0, tiny, -tiny, info.tiny - tiny, -(info.tiny - tiny), info.tiny,
+                         np.nextafter(one, dtype(-np.inf)), np.nextafter(one, dtype(np.inf)),
+                         info.max, info.min], dtype=dtype)
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           picks=st.lists(st.integers(0, 10), max_size=12),
+           packed=st.integers(0, 400), spread=st.integers(0, 400), sentinels=st.integers(0, 60),
+           base=st.floats(-1e3, 1e3), sections=st.integers(1, 4), run=st.integers(1, 70),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dtype=np.float32, picks=[7], packed=0, spread=0, sentinels=0, base=0.0,
+             sections=1, run=1, seed=0)                      # n = 1, just below -1.0
+    @example(dtype=np.float64, picks=[], packed=0, spread=0, sentinels=9, base=0.0,
+             sections=3, run=2, seed=0)                      # sentinels only
+    def test_histogram_selection_matches_oracle(self, dtype, picks, packed, spread, sentinels,
+                                                base, sections, run, seed):
+        # packed: within a few hundred ulps of base, one or two bins; spread:
+        # random bit patterns, so all bins, subnormals and huge magnitudes
+        rng = np.random.default_rng(seed)
+        utype = np.uint32 if dtype is np.float32 else np.uint64
+        start = max(int(np.array(base, dtype=dtype).view(utype)) - 300, 0)
+        near = utype(start) + rng.integers(0, 600, packed).astype(utype)
+        bits = rng.integers(0, np.iinfo(utype).max, spread, dtype=utype, endpoint=True)
+        values = np.concatenate([
+            self.specials(dtype)[picks],
+            near.view(dtype),
+            bits.view(dtype),
+            np.full(sentinels, SENTINEL, dtype=dtype),
+        ])
+        values = values[np.isfinite(values)]
+        rng.shuffle(values)
+        pad = -values.size % sections
+        values = np.concatenate([values, np.full(pad, SENTINEL, dtype=dtype)])
+        volume = values.reshape(sections, 1, -1)
+        # short runs of sections: several histogram and gather passes; huge
+        # float64 values may sum to an infinity, in both
+        with mock.patch.object(volume_analysis, "_BACKGROUND_RUN", run), np.errstate(over="ignore"):
+            got = estimate_background(volume)
+            want = reference_background(volume)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_sentinel_only_volume(self):
         assert estimate_background(np.full((3, 2, 2), SENTINEL, dtype=np.float32)) == 0.0
 
@@ -405,3 +453,24 @@ class TestEstimateBackground:
         b = np.nextafter(a, np.float32(1))
         data = np.array([a, a] + [b] * 5 + [2.0] * 10, dtype=np.float32).reshape(1, 1, 17)
         assert estimate_background(data) == reference_background(data) == float(a)
+
+
+def test_depth_map_of_a_reconstructed_volume_within_three_quarters_of_it():
+    # two hazy layers, as an acquisition through turbid media; the low
+    # decile's float64 copy grows with the values tied at the decile, which a
+    # haze-free scene of exact zeros would have in most voxels
+    spec = PatternSpec(192, 160, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+    geom = geometry_with_shear(0.25)
+    grid = ZGrid(z0=0.0, z_step=1.0, count=48)
+    refl = np.random.default_rng(1).uniform(0.2, 1.0, camera_shape(spec, geom))
+    scene = Scene(layers=[(12, 0.5 * refl), (30, refl)], haze_fraction=0.3)
+    acq = acquire_stack(scene, spec, geom, grid)
+    stored = reconstruct_volume(acq, GeometryMasks(spec, geom, grid)).sections.astype(np.float32)
+    volume = VolumeStack(sections=stored, grid=grid, coverage_floor_used=1e-3)
+    tracemalloc.start()
+    try:
+        extract_depth_map(volume, refine=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * stored.nbytes
