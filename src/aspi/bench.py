@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imaging_model import GeometryConfig, PatternSpec, ZGrid
-from .reconstructor import STREAM_ROWS, GeometryMasks, VolumeStream, default_floor
+from .reconstructor import GeometryMasks, VolumeStream, default_floor
 
 __all__ = ["BenchReport", "bench_reconstruction"]
 
@@ -82,7 +82,7 @@ def bench_reconstruction(
     crc = 0
     start = time.perf_counter()
     stream = VolumeStream(frames, provider, grid, floor, threads)
-    for _, _, chunk in stream.blocks(STREAM_ROWS):
+    for _, _, chunk in stream.blocks():
         crc = zlib.crc32(chunk, crc)
     wall = time.perf_counter() - start
 

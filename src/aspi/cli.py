@@ -35,7 +35,7 @@ from .imaging_model import (
     camera_shape,
     threshold_mask,
 )
-from .reconstructor import SENTINEL, STREAM_ROWS, ModelMasks, VolumeStack, VolumeStream
+from .reconstructor import SENTINEL, ModelMasks, VolumeStack, VolumeStream
 from .stack_io import StackWriter, read_stack, write_pgm, write_stack
 from .volume_analysis import axial_psf, extract_depth_map, fwhm
 
@@ -191,7 +191,10 @@ def cmd_simulate(args) -> int:
         poisson_scale=args.poisson_scale,
         seed=args.seed,
     )
-    write_stack(acq.frames, meta, args.out)
+    # frame by frame: one frame's float32 copy at a time, not the stack's
+    with StackWriter(args.out, acq.frames.shape, meta) as out:
+        for i, frame in enumerate(acq.frames):
+            out.write(i, 0, frame[None])
     h, w = acq.frame_shape
     _print_summary(kind="acquisition", frames=spec.num_shifts_n, width=w, height=h,
                    sections=grid.count, path=args.out)
@@ -271,7 +274,7 @@ def cmd_reconstruct(args) -> int:
     # the volume goes to the file chunk by chunk and is never held whole
     sentinels = 0
     with StackWriter(args.out, stream.shape, out_meta) as out:
-        for k0, r0, block in stream.blocks(STREAM_ROWS):
+        for k0, r0, block in stream.blocks():
             out.write(k0, r0, block)
             sentinels += int(np.count_nonzero(block == SENTINEL))
     sentinel_fraction = sentinels / math.prod(stream.shape)

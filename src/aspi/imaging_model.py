@@ -151,51 +151,62 @@ class ZGrid:
     def z_values(self) -> np.ndarray:
         return self.z0 + self.z_step * np.arange(self.count, dtype=np.float64)
 
-    def z_of(self, index: int) -> float:
-        return self.z0 + self.z_step * index
+
+def _lerp(positions, n: int):
+    """Clipped source indices i0, i1 and weights w0, w1 of n samples at real positions.
+
+    A weight is 0 where its index falls outside [0, n): zero outside.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    i0 = np.floor(pos).astype(np.int64)
+    frac = pos - i0
+    i1 = i0 + 1
+    w0 = np.where((i0 >= 0) & (i0 < n), 1.0 - frac, 0.0)
+    w1 = np.where((i1 >= 0) & (i1 < n), frac, 0.0)
+    return np.clip(i0, 0, n - 1), np.clip(i1, 0, n - 1), w0, w1
+
+
+def _interpolate(a, i0, i1, w0, w1, axis: int, out=None) -> np.ndarray:
+    """w0 * a[i0] + w1 * a[i1] along axis, into out if given: the one interpolation kernel."""
+    out = np.take(a, i0, axis=axis, out=out, mode="clip")
+    out *= w0
+    v1 = np.take(a, i1, axis=axis, mode="clip")
+    v1 *= w1
+    out += v1
+    return out
 
 
 def sample_row(row: np.ndarray, positions) -> np.ndarray:
     """Linearly interpolate a 1D signal at real-valued positions, zero outside.
 
-    This is the single interpolation kernel used everywhere a frame is
-    translated or probed, so that shifted masks and point probes of the same
-    mask agree bit-for-bit at integer positions and to rounding at
-    fractional ones.
+    Shifted masks (shift_image, TranslationMasks) and point probes of the
+    same mask all go through _interpolate, so they agree bit for bit at
+    integer positions and to rounding at fractional ones.
     """
     row = np.asarray(row, dtype=np.float64)
-    pos = np.asarray(positions, dtype=np.float64)
-    n = row.shape[-1]
-    i0 = np.floor(pos).astype(np.int64)
-    frac = pos - i0
-    i1 = i0 + 1
-    ok0 = (i0 >= 0) & (i0 < n)
-    ok1 = (i1 >= 0) & (i1 < n)
-    v0 = np.where(ok0, row[..., np.clip(i0, 0, n - 1)], 0.0)
-    v1 = np.where(ok1, row[..., np.clip(i1, 0, n - 1)], 0.0)
-    return (1.0 - frac) * v0 + frac * v1
+    return _interpolate(row, *_lerp(positions, row.shape[-1]), axis=-1)
 
 
-def _shift_along_axis(a: np.ndarray, shift: float, axis: int) -> np.ndarray:
-    """Translate a 2D array by `shift` along one axis with linear interpolation."""
-    if shift == 0.0:
-        return a.copy()
-    n = a.shape[axis]
-    pos = np.arange(n, dtype=np.float64) - shift
-    i0 = np.floor(pos).astype(np.int64)
-    frac = pos - i0
-    i1 = i0 + 1
-    ok0 = (i0 >= 0) & (i0 < n)
-    ok1 = (i1 >= 0) & (i1 < n)
-    v0 = np.take(a, np.clip(i0, 0, n - 1), axis=axis)
-    v1 = np.take(a, np.clip(i1, 0, n - 1), axis=axis)
-    if axis == 1:
-        w0 = np.where(ok0, 1.0 - frac, 0.0)[None, :]
-        w1 = np.where(ok1, frac, 0.0)[None, :]
-    else:
-        w0 = np.where(ok0, 1.0 - frac, 0.0)[:, None]
-        w1 = np.where(ok1, frac, 0.0)[:, None]
-    return w0 * v0 + w1 * v1
+def _translate_rows(a: np.ndarray, dx, dy, rows: tuple[int, int]) -> np.ndarray:
+    """Rows r0:r1 of `a` moved by (dx[i], dy[i]) for each i: an (len(dx), r1 - r0, W) array.
+
+    Each copy moves along x, then along y; a zero shift copies instead of
+    interpolating. Only the source rows the window reads move along x.
+    """
+    h, w = a.shape
+    r0, r1 = rows
+    x0, x1, xw0, xw1 = _lerp(np.arange(w, dtype=np.float64) - dx[:, None], w)
+    y0, y1, yw0, yw1 = _lerp(np.arange(r0, r1, dtype=np.float64) - dy[:, None], h)
+    out = np.empty((len(dx), r1 - r0, w), dtype=np.float64)
+    for i in range(len(dx)):
+        # clipped indices do not decrease, so a window moved along y reads rows lo:hi
+        lo, hi = (r0, r1) if dy[i] == 0.0 else (y0[i, 0], y1[i, -1] + 1)
+        src = a[lo:hi] if dx[i] == 0.0 else _interpolate(a[lo:hi], x0[i], x1[i], xw0[i], xw1[i], 1)
+        if dy[i] == 0.0:
+            out[i] = src
+        else:
+            _interpolate(src, y0[i] - lo, y1[i] - lo, yw0[i, :, None], yw1[i, :, None], 0, out[i])
+    return out
 
 
 def shift_image(frame, dx: float, dy: float = 0.0) -> np.ndarray:
@@ -208,10 +219,8 @@ def shift_image(frame, dx: float, dy: float = 0.0) -> np.ndarray:
     a = np.asarray(frame, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2D image, got shape {a.shape}")
-    out = _shift_along_axis(a, float(dx), axis=1)
-    if dy != 0.0:
-        out = _shift_along_axis(out, float(dy), axis=0)
-    return out
+    return _translate_rows(a, np.array([dx], dtype=np.float64),
+                           np.array([dy], dtype=np.float64), (0, a.shape[0]))[0]
 
 
 def magnify(frame, factor: float) -> np.ndarray:
@@ -373,8 +382,12 @@ class TranslationMasks:
         row_constant = np.array_equal(b, np.broadcast_to(b[:1], b.shape))
         self._row = b[0].copy() if step[1] == shear[1] == 0.0 and row_constant else None
 
-    def section_masks(self, z_index: int) -> np.ndarray:
-        """(n, 1, W) or (n, H, W) bank of every scan step's mask at section z_index."""
+    def section_masks(self, z_index: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+        """(n, 1, W) or (n, H, W) bank of every scan step's mask at section z_index.
+
+        rows=(r0, r1) builds only those rows of an (n, H, W) bank, bit for bit;
+        an (n, 1, W) bank, which broadcasts to any rows, comes whole.
+        """
         if not (0 <= z_index < self.grid.count):
             raise ValueError(f"z_index {z_index} out of range [0, {self.grid.count})")
         dx = self._steps[0] + z_index * self._shear[0]
@@ -382,10 +395,7 @@ class TranslationMasks:
             positions = np.arange(self._row.size, dtype=np.float64) - dx[:, None]
             return sample_row(self._row, positions)[:, None, :]
         dy = self._steps[1] + z_index * self._shear[1]
-        out = np.empty((self.shift_count,) + self.base.shape, dtype=np.float64)
-        for i in range(self.shift_count):
-            out[i] = shift_image(self.base, dx[i], dy[i])
-        return out
+        return _translate_rows(self.base, dx, dy, rows or (0, self.base.shape[0]))
 
     def row_bank(self) -> np.ndarray | None:
         """(n, K, W) masks of every step and section; None unless kept as one row.

@@ -27,24 +27,22 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
   per voxel rather than bit for bit. Coverage, the floor test and sentinel
   pixels are identical.
 
-Within each kernel the output is bit-identical for any thread count:
-threads take whole sections (reference) or whole fixed row bands (GEMM),
-and no sum is ever split between them.
-
-Both kernels run behind one stream, VolumeStream, which yields the volume
-in float64 blocks: (K, rows, W) row chunks from the GEMM kernel, (1, H, W)
-sections from the reference kernel, at most `threads` of them computed
-ahead. reconstruct_volume writes the blocks into one (K, H, W) array;
-`aspi reconstruct` writes STREAM_ROWS-row chunks to the stack file as they
-come, and `aspi bench` checksums them, so besides the frames and the
-(n, K, W) bank these hold one chunk of K * STREAM_ROWS * W float64 values
-(the reference kernel: a float64 copy of float32 frames and a few
-sections), never the volume.
+Both kernels run behind one stream, VolumeStream, which computes every
+block it yields the same way: threads take row bands of it, and no sum is
+ever split between them, so each kernel's output is bit-identical for any
+thread count. GEMM blocks are (K, STREAM_ROWS, W) chunks in fixed
+_GEMM_ROWS bands; reference blocks are (1, H, W) sections in `threads`
+near-equal bands, each building only its own rows of the section's masks.
+reconstruct_volume copies the blocks into one (K, H, W) array; `aspi
+reconstruct` writes them to the stack file and `aspi bench` checksums
+them, so besides the frames and the (n, K, W) bank these hold one chunk of
+K * STREAM_ROWS * W float64 values (the reference kernel: a float64 copy
+of float32 frames, one section and one (n, H, W) mask bank split across
+the bands), never the volume.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -117,13 +115,6 @@ class CoverageReport:
     sentinel_fraction: float
     ambiguous: bool | None = None
 
-    def summary(self) -> str:
-        amb = "n/a" if self.ambiguous is None else str(self.ambiguous).lower()
-        return (
-            f"min_coverage={self.min_coverage:.6g} mean_coverage={self.mean_coverage:.6g} "
-            f"sentinel_fraction={self.sentinel_fraction:.6g} ambiguous={amb}"
-        )
-
 
 class ModelMasks(TranslationMasks):
     """Mask provider backed by a calibrated mask model."""
@@ -149,8 +140,9 @@ class PrecomputedMasks:
         self.base = self.banks[0][0]
         self.ambiguous = None
 
-    def section_masks(self, z_index: int) -> np.ndarray:
-        return self.banks[z_index]
+    def section_masks(self, z_index: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+        bank = self.banks[z_index]
+        return bank if rows is None or bank.shape[1] == 1 else bank[:, rows[0]:rows[1]]
 
     def row_bank(self) -> np.ndarray | None:
         """(n, K, W) masks of every scan step and section; None unless all banks are (n, 1, W)."""
@@ -236,7 +228,8 @@ class VolumeStream:
     The constructor takes reconstruct_volume's arguments and makes all of
     its checks (frames, NaN or Inf pixels, floor, mask bank), so a caller
     can reject bad input before it opens an output; `blocks` then computes
-    the volume piece by piece. `shape` is the volume's (K, H, W).
+    the volume piece by piece, each piece in row bands shared among
+    `threads` workers. `shape` is the volume's (K, H, W).
     """
 
     def __init__(self, acq, masks, grid: ZGrid | None = None,
@@ -268,34 +261,30 @@ class VolumeStream:
         self._bank = bank
         self._threads = threads
 
-    def blocks(self, chunk_rows: int | None = None, out: np.ndarray | None = None):
+    def blocks(self):
         """Yield (k0, r0, block): float64 (k, rows, W) pieces of the volume at section k0, row r0.
 
-        The GEMM kernel yields (K, rows, W) chunks top to bottom; a chunk
-        has chunk_rows rows (default all; else a multiple of _GEMM_ROWS,
-        which keeps the bits of the whole volume). The reference kernel
-        yields (1, H, W) sections in order, computing at most `threads`
-        ahead. Without `out` the next block may overwrite this one, so
-        consume it first; with `out`, a (K, H, W) float64 array, blocks are
-        views of it and it holds the volume at the end. One executor serves
-        the whole stream and is shut down when the stream ends, is closed or
-        raises.
+        The GEMM kernel yields (K, STREAM_ROWS, W) row chunks top to bottom
+        (the last one shorter); the reference kernel yields (1, H, W)
+        sections in order, each computed only after the one before it was
+        taken. The next block may overwrite this one, so consume it first.
+        One executor serves the whole stream and is shut down when the
+        stream ends, is closed or raises.
         """
         pool = ThreadPoolExecutor(max_workers=self._threads) if self._threads > 1 else None
         try:
             if self._bank is not None:
-                yield from self._gemm_blocks(pool, chunk_rows, out)
+                yield from self._gemm_blocks(pool)
             else:
-                yield from self._section_blocks(pool, out)
+                yield from self._section_blocks(pool)
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    def _gemm_blocks(self, pool, chunk_rows, out):
+    def _gemm_blocks(self, pool):
         # one batched matmul per _GEMM_ROWS row band of every chunk
         frames, bank, floor = self._frames, self._bank, self.floor
         n, h, w = frames.shape
-        chunk_rows = chunk_rows or h
         k = bank.shape[1]
         masks_x = np.ascontiguousarray(bank.transpose(2, 0, 1))    # (W, n, K)
         den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]  # (W, 1, K)
@@ -304,14 +293,10 @@ class VolumeStream:
         # 1.0 where uncovered: a plain divide, whose result there the sentinel replaces
         den_x[~covered_x] = 1.0
 
-        if out is None:
-            buffer = np.empty(k * min(chunk_rows, h) * w, dtype=np.float64)
-        for c0 in range(0, h, chunk_rows):
-            c1 = min(c0 + chunk_rows, h)
-            if out is None:
-                sections = buffer[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
-            else:
-                sections = out[:, c0:c1]
+        buffer = np.empty(k * min(STREAM_ROWS, h) * w, dtype=np.float64)
+        for c0 in range(0, h, STREAM_ROWS):
+            c1 = min(c0 + STREAM_ROWS, h)
+            sections = buffer[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
 
             def band(r0: int):
                 r1 = min(r0 + _GEMM_ROWS, c1)
@@ -327,21 +312,22 @@ class VolumeStream:
             _run(pool, band, range(c0, c1, _GEMM_ROWS))
             yield 0, c0, sections
 
-    def _section_blocks(self, pool, out):
+    def _section_blocks(self, pool):
         # one exact upcast here, not one in each of the K * n multiplies
         frames = self._frames.astype(np.float64, copy=False)
         provider, floor = self._provider, self.floor
+        edges = [frames.shape[1] * b // self._threads for b in range(self._threads + 1)]
+        row_bands = [(r0, r1) for r0, r1 in zip(edges, edges[1:]) if r1 > r0]
+        section = np.empty((1,) + frames.shape[1:], dtype=np.float64)
+        for z in range(self.shape[0]):
 
-        def section(j: int) -> np.ndarray:
-            return reconstruct_section(frames, provider.section_masks(j), floor)[0]
+            def band(rows: tuple[int, int]):
+                r0, r1 = rows
+                masks = provider.section_masks(z, rows)
+                section[0, r0:r1] = reconstruct_section(frames[:, r0:r1], masks, floor)[0]
 
-        js = range(self.shape[0])
-        results = map(section, js) if pool is None else _window(pool, section, js, self._threads)
-        for j, plane in enumerate(results):
-            if out is not None:
-                out[j] = plane
-                plane = out[j]
-            yield j, 0, plane[None]
+            _run(pool, band, row_bands)
+            yield z, 0, section
 
 
 def _run(pool, work, items) -> None:
@@ -353,17 +339,6 @@ def _run(pool, work, items) -> None:
         list(pool.map(work, items))
 
 
-def _window(pool, work, items, ahead: int):
-    """work(item) for each item, in order, with at most `ahead` submitted beyond the one read."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(work, item))
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
                        floor: float | None = None, threads: int = 1) -> VolumeStack:
     """Recover every section of the grid from one acquisition.
@@ -373,14 +348,14 @@ def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
     row_bank() returns an (n, K, W) bank takes the GEMM kernel; any other
     takes reconstruct_section once per section. Frames of any float dtype
     are read as float64; a NaN or an infinity in them raises ValueError.
-    With threads > 1 the work is split into whole sections or whole row
-    bands, and the result is bit-identical to the serial one. The volume
-    is VolumeStream's blocks, written in place.
+    With threads > 1 the work is split into row bands, and the result is
+    bit-identical to the serial one. The volume is VolumeStream's blocks,
+    copied into one array.
     """
     stream = VolumeStream(acq, masks, grid, floor, threads)
     sections = np.empty(stream.shape, dtype=np.float64)
-    for _ in stream.blocks(out=sections):
-        pass
+    for k0, r0, block in stream.blocks():
+        sections[k0:k0 + block.shape[0], r0:r0 + block.shape[1]] = block
     return VolumeStack(
         sections=sections,
         grid=stream.grid,

@@ -19,11 +19,12 @@ provenance travels in a sidecar text file at <path>.meta with one
 
 StackWriter writes a stack block by block: each block goes to its place in
 the file as it comes, so a writer holds one block's float32 copy, never the
-stack; `aspi reconstruct` streams its volume this way. write_stack writes a
-whole array through it as one contiguous payload, holding the array's
-float32 copy (none when it is float32 already). Either commits the file
-and its sidecar only when the whole payload was written exactly once.
-read_stack reads a payload into one float32 array.
+stack; `aspi reconstruct` streams its volume this way, `aspi simulate`
+its frames. write_stack writes a whole array through it as one contiguous
+payload, holding the array's float32 copy (none when it is float32
+already). Either commits the file and its sidecar only when the whole
+payload was written exactly once. read_stack reads a payload into one
+float32 array.
 """
 
 from __future__ import annotations

@@ -479,3 +479,84 @@ class TestStreamedReconstruct:
                 tracemalloc.stop()
             assert code == 0
         assert peaks[96] - peaks[24] < 72 * 512 * 32 * 4
+
+
+def assert_one_error_line(result, needle, out_path):
+    code, out, err = result
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and needle in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not out_path.exists()
+
+
+class TestRejectedInputs:
+    """Bad input to each command is one error line, exit 1 and no output file."""
+
+    @pytest.mark.parametrize("layers,needle", [
+        ("1,x", "--layer-z expects comma-separated integers, got '1,x'"),
+        (",", "--layer-z must name at least one section"),
+    ])
+    def test_simulate_bad_layer_list(self, tmp_path, capsys, layers, needle):
+        acq = tmp_path / "acq.aspi"
+        result = run(capsys, "simulate", "--scene", "bands", "--layer-z", layers,
+                     "--proj-width", "64", "--proj-height", "8", "--shifts", "16",
+                     "--period", "16", "--sections", "4", "--out", str(acq))
+        assert_one_error_line(result, needle, acq)
+
+    def test_reconstruct_planes_not_the_camera_shape(self, tmp_path, capsys):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        planes, meta = read_stack(acq)
+        write_stack(planes[:, :, :60], meta, acq)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
+        assert_one_error_line(result, "acquisition planes are (8, 60) but the rig implies (8, 64)",
+                              vol)
+
+    def test_reconstruct_model_of_another_kind(self, tmp_path, capsys):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(acq),
+                     "--out", str(vol))
+        assert_one_error_line(result, f"{acq} is not a mask-model file", vol)
+
+    def test_depthmap_plane_count_not_the_sections(self, tmp_path, capsys):
+        acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        planes, meta = read_stack(vol)
+        write_stack(planes[:3], meta, vol)
+        result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
+        assert_one_error_line(result, "volume has 3 planes, metadata declares 4", dep)
+
+
+def test_calibrate_normalize_summary(tmp_path, capsys):
+    # references at 5x the pattern's intensity fit to a peak-1 base
+    spec = PatternSpec(96, 12, period_d=16, linewidth_w=2, shift_step=1, num_shifts_n=16)
+    geom = geometry_with_shear(0.5)
+    grid = ZGrid(z0=0.0, z_step=1.0, count=12)
+    base = make_slit_pattern(spec, 0).astype(np.float64)
+    refs = 5.0 * np.stack([base, synthesize_mask(base, 4.0, 0, geom, grid),
+                           synthesize_mask(base, 0.0, 11, geom, grid)])
+    refs_path, model = tmp_path / "refs.aspi", tmp_path / "model.aspi"
+    write_stack(refs, {"kind": "references"}, refs_path)
+    code, out, _ = run(capsys, "calibrate", "--refs", str(refs_path), "--anchor-x", "5",
+                       "--anchor-z", "12", "--normalize", "--out", str(model))
+    assert code == 0
+    summary = parse_summary(out)
+    assert summary["kind"] == "mask-model" and summary["path"] == str(model)
+    assert float(summary["lateral_dx"]) == pytest.approx(1.0, abs=1e-3)
+    assert float(summary["axial_dx"]) == pytest.approx(0.5, abs=0.01)
+    assert float(summary["lateral_dy"]) == float(summary["axial_dy"]) == 0.0
+    assert read_stack(model)[0].max() == 1.0
+
+
+def test_psf_threshold_summary(capsys):
+    code, out, _ = run(capsys, "psf", "--proj-width", "128", "--proj-height", "8",
+                       "--period", "16", "--linewidth", "2", "--shifts", "16",
+                       "--sections", "12", "--layer-z", "4", "--threshold",
+                       "--pixel-pitch", SHEAR1_PITCH)
+    assert code == 0
+    summary = parse_summary(out)
+    assert summary["kind"] == "psf" and summary["path"] == "-"
+    assert float(summary["fwhm_sections"]) == pytest.approx(2.0, abs=0.05)
+    assert (int(summary["probe_x"]), int(summary["probe_y"])) == (96, 4)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -21,9 +22,11 @@ from aspi import (
     predict_mask,
     reconstruct_section,
     reconstruct_volume,
+    shift_image,
     synthesize_mask,
 )
 from aspi import reconstructor
+from aspi.imaging_model import TranslationMasks
 from conftest import geometry_with_shear
 
 
@@ -349,19 +352,11 @@ class TestGemmKernel:
         assert provider.row_bank().shape == (16, 8, 120)
 
     def test_2d_base_keeps_full_bank_and_reference_kernel(self):
-        # a magnified rig whose base falls off along y: masks vary by row
-        spec = PatternSpec(80, 12, period_d=16, linewidth_w=2, shift_step=1, num_shifts_n=16)
-        geom = geometry_with_shear(self.SHEAR, magnification=1.5)
-        grid = ZGrid(z0=0.0, z_step=1.0, count=8)
-        shape = camera_shape(spec, geom)
-        falloff = np.linspace(1.0, 0.6, shape[0])[:, None]
-        provider = GeometryMasks(spec, geom, grid, base=falloff * base_camera_pattern(spec, geom))
+        # a magnified rig whose base falls off along y: masks vary by row;
+        # test_reference_kernel_bands_equal_the_full_frame_oracle checks its volume
+        provider, frames = y_varying_provider("geometry_2d")
         assert provider.row_bank() is None
-        assert provider.section_masks(0).shape == (16,) + shape
-        frames = noisy_frames(16, shape, seed=4)
-        volume = reconstruct_volume(frames, provider, threads=2)
-        ref = reference_volume(frames, provider, volume.coverage_floor_used)
-        assert volume.sections.tobytes() == ref.tobytes()
+        assert provider.section_masks(0).shape == (16, 18, 120) == frames.shape
 
 
 class TestModelMasks:
@@ -404,12 +399,66 @@ class TestModelMasks:
         assert_within_gemm_bound(gemm, ref, frames, provider.row_bank())
 
     def test_model_moving_along_y_keeps_reference_kernel(self):
+        # test_reference_kernel_bands_equal_the_full_frame_oracle checks its volume
         model, provider = self.fitted(0.05)
+        assert provider.row_bank() is None
         frames = noisy_frames(30, model.base_mask.shape, seed=6)
-        volume = reconstruct_volume(frames, provider, threads=2)
-        ref = reference_volume(frames, provider, volume.coverage_floor_used)
-        assert volume.sections.tobytes() == ref.tobytes()
-        assert volume.masks_source == "calibrated-model"
+        assert reconstruct_volume(frames, provider, threads=2).masks_source == "calibrated-model"
+
+
+def y_varying_provider(kind):
+    """A provider that takes the reference kernel, and frames for it."""
+    if kind == "model":
+        provider = TestModelMasks().fitted(0.05)[1]
+    else:
+        spec = PatternSpec(80, 12, period_d=16, linewidth_w=2, shift_step=1, num_shifts_n=16)
+        geom = geometry_with_shear(0.2332, magnification=1.5)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=8)
+        base = base_camera_pattern(spec, geom)
+        falloff = np.linspace(1.0, 0.6, base.shape[0])[:, None]
+        provider = GeometryMasks(spec, geom, grid, base=falloff * base)
+        if kind == "precomputed":
+            shape = (provider.shift_count,) + base.shape
+            provider = PrecomputedMasks([np.broadcast_to(provider.section_masks(j), shape)
+                                         for j in range(grid.count)], grid)
+    assert provider.row_bank() is None
+    return provider, noisy_frames(provider.shift_count, provider.base.shape, seed=9)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["model", "geometry_2d", "precomputed"])
+def test_reference_kernel_bands_equal_the_full_frame_oracle(kind, threads):
+    # band workers write disjoint rows of one section; switch threads often
+    provider, frames = y_varying_provider(kind)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        volume = reconstruct_volume(frames, provider, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    ref = reference_volume(frames, provider, volume.coverage_floor_used)
+    assert volume.sections.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("step,shear", [
+    ((0.7, -0.3), (0.4, 0.25)),    # both axes, fractional; step 0 at z = 0 moves nothing
+    ((0.0, 0.6), (0.0, -1.5)),     # y only
+    ((1.3, 0.0), (-0.45, 0.0)),    # x only, on a base that varies along y
+    ((2.0, 1.0), (1.0, -3.0)),     # integer shifts
+    ((9.0, 13.5), (-4.0, 21.0)),   # windows shifted past the frame edges
+])
+def test_section_mask_rows_are_rows_of_the_whole_bank(step, shear):
+    base = np.random.default_rng(3).normal(0.0, 1.0, (23, 31))  # negative values too
+    provider = TranslationMasks(base, step, shear, 6, ZGrid(0.0, 1.0, 4))
+    for z in range(4):
+        whole = provider.section_masks(z)
+        dx = np.arange(6.0) * step[0] + z * shear[0]
+        dy = np.arange(6.0) * step[1] + z * shear[1]
+        per_step = np.stack([shift_image(base, dx[i], dy[i]) for i in range(6)])
+        assert whole.tobytes() == per_step.tobytes()
+        for r0, r1 in ((0, 1), (0, 7), (5, 14), (11, 12), (16, 23), (22, 23), (0, 23)):
+            window = provider.section_masks(z, (r0, r1))
+            assert window.tobytes() == np.ascontiguousarray(whole[:, r0:r1]).tobytes()
 
 
 def test_row_bank_holds_no_transient_copies():
@@ -465,7 +514,7 @@ class TestVolumeStream:
         stream = reconstructor.VolumeStream(frames, provider, threads=threads)
         assert stream.shape == whole.shape
         offsets = []
-        for k0, r0, block in stream.blocks(reconstructor.STREAM_ROWS):
+        for k0, r0, block in stream.blocks():
             offsets.append((k0, r0, block.shape))
             assert block.dtype == np.float64 and block.flags.c_contiguous
             assert block.tobytes() == np.ascontiguousarray(whole[:, r0:r0 + block.shape[1]]).tobytes()
@@ -480,7 +529,7 @@ class TestVolumeStream:
         assert [(k0, r0) for k0, r0, _ in blocks] == [(j, 0) for j in range(whole.shape[0])]
         assert np.concatenate([b for *_, b in blocks]).tobytes() == whole.tobytes()
 
-    def test_reference_kernel_computes_a_bounded_window(self, monkeypatch):
+    def test_reference_kernel_submits_a_section_only_after_the_last_was_taken(self, monkeypatch):
         provider, frames = self.model_rig()
         submitted = []
 
@@ -490,11 +539,26 @@ class TestVolumeStream:
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", CountingExecutor)
-        blocks = reconstructor.VolumeStream(frames, provider, threads=2).blocks()
-        for count, _ in enumerate(blocks, start=1):
-            # the sections read plus at most `threads` submitted beyond them
-            assert len(submitted) <= min(count + 2, 12)
-        assert len(submitted) == 12
+        for k0, _, _ in reconstructor.VolumeStream(frames, provider, threads=2).blocks():
+            # the two row bands of every section up to this one, none beyond
+            assert len(submitted) == 2 * (k0 + 1)
+        assert len(submitted) == 2 * 12
+
+    def test_reference_kernel_holds_one_mask_bank(self):
+        # two workers that each build a whole section's (n, H, W) bank peak
+        # at about 2.45 banks on this rig; one bank split into two row bands
+        # stays a bank below that
+        provider, frames = self.model_rig()
+        bank = frames.nbytes
+        stream = reconstructor.VolumeStream(frames, provider, threads=2)
+        tracemalloc.start()
+        try:
+            for _ in stream.blocks():
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.45 * bank
 
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
     def test_one_executor_shut_down_on_close_and_error(self, monkeypatch, rig):
@@ -509,12 +573,12 @@ class TestVolumeStream:
 
         monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", counting_executor)
         stream = reconstructor.VolumeStream(frames, provider, threads=2)
-        for _ in stream.blocks(reconstructor.STREAM_ROWS):
+        for _ in stream.blocks():
             pass
         assert built == [1]
         assert threading.active_count() == baseline
 
-        blocks = stream.blocks(reconstructor.STREAM_ROWS)
+        blocks = stream.blocks()
         next(blocks)
         assert threading.active_count() > baseline
         blocks.close()
@@ -526,7 +590,7 @@ class TestVolumeStream:
         monkeypatch.setattr(reconstructor, "reconstruct_section", failing)
         monkeypatch.setattr(reconstructor.np, "matmul", failing)
         with pytest.raises(ValueError, match="kernel failure"):
-            for _ in stream.blocks(reconstructor.STREAM_ROWS):
+            for _ in stream.blocks():
                 pass
         assert threading.active_count() == baseline
 

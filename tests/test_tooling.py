@@ -29,3 +29,40 @@ def test_runtime_imports_are_stdlib_numpy_or_package_relative():
         if root not in allowed
     ]
     assert not offenders, offenders
+
+
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+
+
+def _exports(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def test_every_export_is_defined_at_module_top_level():
+    # a name deleted from a module but left in its __all__ breaks
+    # `from aspi.module import *` only when that import runs
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    stale = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        defined = set(_top_level_names(tree))
+        stale += [f"{path.name}: {name}" for name in _exports(tree) if name not in defined]
+    assert not stale, stale
+    assert _exports(ast.parse((SRC / "__init__.py").read_text()))
