@@ -42,6 +42,7 @@ from .forward_sim import (
     acquire_stack,
     make_tilted_plane_scene,
     render_frame,
+    render_frames,
     tilted_plane_sections,
 )
 from .reconstructor import (
@@ -78,7 +79,7 @@ __all__ = [
     "synthesize_mask", "threshold_mask",
     "MaskModel", "estimate_translation", "fit_mask_model", "predict_mask",
     "NoiseSpec", "Scene", "AcquisitionSet", "camera_shape",
-    "base_camera_pattern", "render_frame", "acquire_stack",
+    "base_camera_pattern", "render_frame", "render_frames", "acquire_stack",
     "make_tilted_plane_scene", "tilted_plane_sections",
     "SENTINEL", "VolumeStack", "CoverageReport", "GeometryMasks",
     "ModelMasks", "PrecomputedMasks", "default_floor",

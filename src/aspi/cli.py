@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bench import bench_reconstruction
 from .calibration import MaskModel, fit_mask_model
-from .forward_sim import NoiseSpec, Scene, acquire_stack, make_tilted_plane_scene, render_frame
+from .forward_sim import NoiseSpec, Scene, make_tilted_plane_scene, render_frame, render_frames
 from .imaging_model import (
     GeometryConfig,
     GeometryMasks,
@@ -181,7 +181,7 @@ def _print_summary(**kv):
 def cmd_simulate(args) -> int:
     spec, geom, grid = _rig_from_args(args)
     scene = _build_scene(args, spec, geom, grid)
-    acq = acquire_stack(scene, spec, geom, grid)
+    frames = render_frames(scene, spec, geom, grid)
     meta = _rig_metadata(spec, geom, grid)
     meta.update(
         kind="acquisition",
@@ -191,11 +191,11 @@ def cmd_simulate(args) -> int:
         poisson_scale=args.poisson_scale,
         seed=args.seed,
     )
-    # frame by frame: one frame's float32 copy at a time, not the stack's
-    with StackWriter(args.out, acq.frames.shape, meta) as out:
-        for i, frame in enumerate(acq.frames):
+    # each frame goes to the file as it is rendered; the stack is never held
+    with StackWriter(args.out, (spec.num_shifts_n,) + scene.shape, meta) as out:
+        for i, frame in enumerate(frames):
             out.write(i, 0, frame[None])
-    h, w = acq.frame_shape
+    h, w = scene.shape
     _print_summary(kind="acquisition", frames=spec.num_shifts_n, width=w, height=h,
                    sections=grid.count, path=args.out)
     return 0

@@ -1,15 +1,17 @@
 """Synthetic acquisition rig: scenes, tilted-pattern projection, camera stacks.
 
-Stands in for the physical projector/camera pair. A scene is a set of
-semi-transparent layers pinned to depth sections; each camera frame is the
-sum of every layer's reflectance multiplied by the slit mask as it appears
-at that layer's depth, mixed with an unmodulated haze term and optional
-noise. The haze term is the per-pixel mean of the modulated signal over all
-layers and scan positions, standing in for light scattered by turbid media:
-it carries no slit structure, which is exactly what the confocal
-multiplication rejects.
+Stands in for the physical projector/camera pair. A scene is a list of
+semi-transparent height fields: a reflectance image and the depth section
+of each of its pixels. A flat layer is a field at one section; a tilted
+plane is one field whose section grows along x. Each camera frame is the
+sum of every field's reflectance multiplied by the slit mask as it appears
+at each pixel's section, mixed with an unmodulated haze term and optional
+noise. The haze term is the per-pixel mean of the modulated signal over
+every section of every field and all scan positions, standing in for light
+scattered by turbid media: it carries no slit structure, which is exactly
+what the confocal multiplication rejects.
 
-Layers combine additively with no occlusion or attenuation between them.
+Fields combine additively with no occlusion or attenuation between them.
 Noise is an optional Poisson resampling (photon statistics) followed by
 additive Gaussian; Gaussian draws are NOT clipped at zero, so noisy frames
 can contain small negative excursions (clipping would bias the zero-mean
@@ -17,14 +19,16 @@ statistics the reconstruction tests rely on). Frame i draws from a fresh
 generator seeded with seed + i, so stacks are reproducible and frames can
 be rendered in any order.
 
-Masks come from the shared GeometryMasks bank, one section_masks(z) call
-per layer: the same row-compressed (scan, depth) masks the reconstructor
-multiplies with, so the simulator cannot drift from the reconstruction model.
+Masks come from the shared GeometryMasks bank: the same row-compressed
+(scan, depth) masks the reconstructor multiplies with, so the simulator
+cannot drift from the reconstruction model. Each field gathers the masks of
+its pixels' sections once, so a frame costs one multiply-add per field
+whatever the number of sections; frames are rendered one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +47,7 @@ __all__ = [
     "Scene",
     "AcquisitionSet",
     "render_frame",
+    "render_frames",
     "acquire_stack",
     "make_tilted_plane_scene",
     "tilted_plane_sections",
@@ -71,47 +76,49 @@ class NoiseSpec:
         return self.gaussian_sigma > 0 or self.poisson_scale > 0
 
 
-@dataclass
 class Scene:
-    """Layered semi-transparent object.
+    """Semi-transparent object: a list of height fields.
 
-    layers: ordered (z_index, reflectance) pairs with strictly increasing
-    z_index and reflectance values in [0, 1]; all layers share one shape,
-    which must match the camera plane of the geometry they are rendered
-    under. haze_fraction in [0, 1) is the fraction of detected light that is
-    unmodulated background.
+    layers: (section_map, reflectance) pairs. reflectance is an image with
+    values in [0, 1]; section_map is an integer, or an integer array that
+    broadcasts to the image, naming the depth section of every pixel (a flat
+    layer is a field at one section). Each field's sections are all greater
+    than the previous field's. All fields share one shape, which must match
+    the camera plane of the geometry they are rendered under. haze_fraction
+    in [0, 1) is the fraction of detected light that is unmodulated
+    background.
     """
 
-    layers: list
-    haze_fraction: float = 0.0
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-
-    def __post_init__(self):
-        if not self.layers:
+    def __init__(self, layers, haze_fraction: float = 0.0, noise: NoiseSpec | None = None):
+        if not layers:
             raise ValueError("scene must contain at least one layer")
-        norm = []
-        prev = None
-        shape = None
-        for z_index, refl in self.layers:
-            z_index = int(z_index)
-            if prev is not None and z_index <= prev:
-                raise ValueError("layer z_indices must be strictly increasing")
-            prev = z_index
+        self.fields = []
+        for section_map, refl in layers:
+            m = np.asarray(section_map)
             r = validate_frame(refl, "reflectance")
+            if m.dtype.kind not in "iu" or np.broadcast_shapes(m.shape, r.shape) != r.shape:
+                raise ValueError(f"section map must be integers broadcasting to {r.shape}")
+            if self.fields and m.min() <= self.fields[-1][0].max():
+                raise ValueError("layer z_indices must be strictly increasing")
             if r.max() > 1.0:
                 raise ValueError("reflectance values must lie in [0, 1]")
-            if shape is None:
-                shape = r.shape
-            elif r.shape != shape:
-                raise ValueError(f"layer shapes differ: {r.shape} vs {shape}")
-            norm.append((z_index, r))
-        self.layers = norm
-        if not (0.0 <= self.haze_fraction < 1.0):
-            raise ValueError(f"haze_fraction must lie in [0, 1), got {self.haze_fraction}")
+            if self.fields and r.shape != self.shape:
+                raise ValueError(f"layer shapes differ: {r.shape} vs {self.shape}")
+            self.fields.append((m, r))
+        if not (0.0 <= haze_fraction < 1.0):
+            raise ValueError(f"haze_fraction must lie in [0, 1), got {haze_fraction}")
+        self.haze_fraction = haze_fraction
+        self.noise = noise if noise is not None else NoiseSpec()
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.layers[0][1].shape
+        return self.fields[0][1].shape
+
+    @property
+    def layers(self) -> list:
+        """(z_index, reflectance) pairs: each field's reflectance at each of its sections."""
+        return [(int(j), refl * (section_map == j))
+                for section_map, refl in self.fields for j in np.unique(section_map)]
 
 
 @dataclass(frozen=True)
@@ -131,21 +138,19 @@ class AcquisitionSet:
                 f"frame count {self.frames.shape[0]} != num_shifts_n {self.spec.num_shifts_n}"
             )
 
-    @property
-    def frame_shape(self) -> tuple[int, int]:
-        return self.frames.shape[1:]
-
 
 def _check_scene(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid):
     shape = camera_shape(spec, geom)
     if scene.shape != shape:
         raise ValueError(f"scene shape {scene.shape} != camera shape {shape}")
-    for z_index, _ in scene.layers:
-        if not (0 <= z_index < grid.count):
-            raise ValueError(f"layer z_index {z_index} outside grid [0, {grid.count})")
+    for section_map, _ in scene.fields:
+        if section_map.min() < 0 or section_map.max() >= grid.count:
+            raise ValueError(f"scene sections [{section_map.min()}, {section_map.max()}] "
+                             f"outside grid [0, {grid.count})")
 
 
 def _apply_noise(frame: np.ndarray, noise: NoiseSpec, shift_index: int) -> np.ndarray:
+    """The frame with noise; may add the read noise into `frame` itself."""
     if not noise.enabled:
         return frame
     rng = np.random.default_rng(noise.seed + shift_index)
@@ -153,36 +158,49 @@ def _apply_noise(frame: np.ndarray, noise: NoiseSpec, shift_index: int) -> np.nd
     if noise.poisson_scale > 0:
         out = rng.poisson(np.maximum(out, 0.0) * noise.poisson_scale) / noise.poisson_scale
     if noise.gaussian_sigma > 0:
-        out = out + rng.normal(0.0, noise.gaussian_sigma, size=out.shape)
+        out += rng.normal(0.0, noise.gaussian_sigma, size=out.shape)
     return out
 
 
-def _render(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
-            shift_indices) -> np.ndarray:
-    """Frames at the given scan steps; each is the same whichever others are asked for.
+def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
+                  shift_indices=None):
+    """Yield the frames at the given scan steps (default: all), in that order.
 
-    Every pixel accumulates its layers in scene order. The haze background
-    is the per-pixel mean of the modulated term over all layers and all
-    scan steps, so it needs every layer's full mask bank.
+    Each frame is the same whichever others are asked for. Every field
+    first gathers, at each pixel, the masks of that pixel's section: one
+    (n, 1, W) bank for a tilted plane of row-constant masks.
     """
     _check_scene(scene, spec, geom, grid)
+    n, h = spec.num_shifts_n, scene.haze_fraction
+    steps = range(n) if shift_indices is None else list(shift_indices)
+    for i in steps:
+        if not (0 <= i < n):
+            raise ValueError(f"shift_index {i} out of range [0, {n})")
     masks = GeometryMasks(spec, geom, grid)
-    n = spec.num_shifts_n
-    h = scene.haze_fraction
-    frames = np.zeros((len(shift_indices),) + scene.shape, dtype=np.float64)
-    background = np.zeros(scene.shape, dtype=np.float64)
-    for z_index, refl in scene.layers:
-        bank = masks.section_masks(z_index)
-        for frame, i in zip(frames, shift_indices):
+    fields, count = [], 0
+    for section_map, refl in scene.fields:
+        sections = np.unique(section_map)
+        bank = masks.section_masks(int(sections[0]))
+        if len(sections) > 1:
+            bank = np.broadcast_to(bank, np.broadcast_shapes(bank.shape, section_map.shape)).copy()
+            for j in sections[1:]:
+                np.copyto(bank, masks.section_masks(int(j)), where=section_map == j)
+        fields.append((refl, bank))
+        count += len(sections)
+    if h > 0.0:
+        haze = np.zeros(scene.shape, dtype=np.float64)
+        for refl, bank in fields:
+            haze += refl * mask_coverage(bank)
+        haze /= count * n
+        haze *= h
+    for i in steps:
+        frame = np.zeros(scene.shape, dtype=np.float64)
+        for refl, bank in fields:
             frame += refl * bank[i]
         if h > 0.0:
-            background += refl * mask_coverage(bank)
-    background /= len(scene.layers) * n
-    for k, i in enumerate(shift_indices):
-        if h > 0.0:
-            frames[k] = (1.0 - h) * frames[k] + h * background
-        frames[k] = _apply_noise(frames[k], scene.noise, i)
-    return frames
+            frame *= 1.0 - h
+            frame += haze
+        yield _apply_noise(frame, scene.noise, i)
 
 
 def render_frame(
@@ -193,11 +211,7 @@ def render_frame(
     grid: ZGrid,
 ) -> np.ndarray:
     """Camera image for one scan position of the pattern."""
-    if not (0 <= shift_index < spec.num_shifts_n):
-        raise ValueError(
-            f"shift_index {shift_index} out of range [0, {spec.num_shifts_n})"
-        )
-    return _render(scene, spec, geom, grid, [shift_index])[0]
+    return next(render_frames(scene, spec, geom, grid, [shift_index]))
 
 
 def acquire_stack(
@@ -207,7 +221,9 @@ def acquire_stack(
     grid: ZGrid,
 ) -> AcquisitionSet:
     """Render the full lateral scan. Bit-identical to per-frame render_frame calls."""
-    frames = _render(scene, spec, geom, grid, range(spec.num_shifts_n))
+    frames = np.empty((spec.num_shifts_n,) + scene.shape, dtype=np.float64)
+    for frame, rendered in zip(frames, render_frames(scene, spec, geom, grid)):
+        frame[...] = rendered
     return AcquisitionSet(frames=frames, spec=spec, geom=geom, grid=grid)
 
 
@@ -226,9 +242,9 @@ def make_tilted_plane_scene(
 ) -> Scene:
     """Scene whose depth varies linearly along x.
 
-    Column c sits at section z_start + floor(slope * c); the scene is built
-    as one layer per occupied section, each masking the reflectance to its
-    contiguous column band. Every column must land inside the grid.
+    Column c sits at section z_start + floor(slope * c): one height field of
+    the reflectance over tilted_plane_sections. Every column must land
+    inside the grid.
     """
     refl = validate_frame(reflectance, "reflectance")
     secs = tilted_plane_sections(refl.shape[1], slope, z_start)
@@ -237,12 +253,4 @@ def make_tilted_plane_scene(
             f"slope maps columns to sections [{secs.min()}, {secs.max()}] "
             f"outside grid [0, {grid.count})"
         )
-    layers = []
-    for j in np.unique(secs):
-        band = refl * (secs == j)[None, :]
-        layers.append((int(j), band))
-    return Scene(
-        layers=layers,
-        haze_fraction=haze_fraction,
-        noise=noise if noise is not None else NoiseSpec(),
-    )
+    return Scene([(secs[None, :], refl)], haze_fraction=haze_fraction, noise=noise)

@@ -31,14 +31,15 @@ Both kernels run behind one stream, VolumeStream, which computes every
 block it yields the same way: threads take row bands of it, and no sum is
 ever split between them, so each kernel's output is bit-identical for any
 thread count. GEMM blocks are (K, STREAM_ROWS, W) chunks in fixed
-_GEMM_ROWS bands; reference blocks are (1, H, W) sections in `threads`
-near-equal bands, each building only its own rows of the section's masks.
-reconstruct_volume copies the blocks into one (K, H, W) array; `aspi
-reconstruct` writes them to the stack file and `aspi bench` checksums
-them, so besides the frames and the (n, K, W) bank these hold one chunk of
-K * STREAM_ROWS * W float64 values (the reference kernel: a float64 copy
-of float32 frames, one section and one (n, H, W) mask bank split across
-the bands), never the volume.
+_GEMM_ROWS bands; reference blocks are (1, H, W) sections in near-equal
+bands of at most _BAND_PIXELS pixels, as many for every thread, each
+building only its own rows of the section's masks. reconstruct_volume
+copies the blocks into one (K, H, W) array; `aspi reconstruct` writes them
+to the stack file and `aspi bench` checksums them, so besides the frames
+and the (n, K, W) bank these hold one chunk of K * STREAM_ROWS * W float64
+values (the reference kernel: a float64 copy of float32 frames, one section
+and, per worker, the masks of its band, at most n * _BAND_PIXELS values),
+never the volume.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ SENTINEL = -1.0
 # Row-band height for the blocked inner loop; keeps the float64 accumulator
 # resident in cache without changing per-pixel accumulation order.
 _BLOCK_ROWS = 64
+
+# Pixels per row band of the reference kernel (128 rows at 512 wide): small
+# enough for a band's masks to stay near the cache, large enough that each
+# array operation outlasts the workers' hand-offs of the interpreter lock.
+_BAND_PIXELS = 128 * 512
 
 # Row-band height of the GEMM kernel. Fixed, so the bands and each band's
 # products are the same for every thread count.
@@ -316,7 +322,11 @@ class VolumeStream:
         # one exact upcast here, not one in each of the K * n multiplies
         frames = self._frames.astype(np.float64, copy=False)
         provider, floor = self._provider, self.floor
-        edges = [frames.shape[1] * b // self._threads for b in range(self._threads + 1)]
+        # bands of at most _BAND_PIXELS pixels, the same number for every worker
+        h, w = frames.shape[1:]
+        rows = max(1, _BAND_PIXELS // w)
+        count = self._threads * -(-h // (rows * self._threads))
+        edges = [h * b // count for b in range(count + 1)]
         row_bands = [(r0, r1) for r0, r1 in zip(edges, edges[1:]) if r1 > r0]
         section = np.empty((1,) + frames.shape[1:], dtype=np.float64)
         for z in range(self.shape[0]):

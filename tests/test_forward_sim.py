@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aspi import (
+    GeometryMasks,
     NoiseSpec,
     PatternSpec,
     Scene,
@@ -11,9 +14,12 @@ from aspi import (
     camera_shape,
     make_tilted_plane_scene,
     render_frame,
+    render_frames,
+    run_cli,
     synthesize_mask,
     tilted_plane_sections,
 )
+from aspi.imaging_model import mask_coverage
 from conftest import geometry_with_shear, slit_coverage_constant
 
 
@@ -84,6 +90,15 @@ class TestRenderFrame:
         scene = ones_scene(spec, geom, z_index=7)
         with pytest.raises(ValueError):
             render_frame(scene, 0, spec, geom, grid)
+
+    @pytest.mark.parametrize("step", [-1, 30])
+    def test_scan_step_outside_the_scan_rejected(self, step):
+        spec, geom, grid = rig()
+        scene = ones_scene(spec, geom)
+        with pytest.raises(ValueError, match="out of range"):
+            render_frame(scene, step, spec, geom, grid)
+        with pytest.raises(ValueError, match="out of range"):
+            next(render_frames(scene, spec, geom, grid, [0, step]))
 
     def test_scene_shape_must_match_camera(self):
         spec, geom, grid = rig()
@@ -205,3 +220,104 @@ class TestTiltedPlaneScene:
     def test_z_start_offset(self):
         scene = make_tilted_plane_scene(self.grid, 0.0, np.ones((4, 8)), z_start=5)
         assert scene.layers[0][0] == 5
+
+
+def layer_sum_frames(layers, haze, noise, spec, geom, grid):
+    """Oracle: every layer's full mask bank, summed layer by layer in scene order."""
+    masks = GeometryMasks(spec, geom, grid)
+    n = spec.num_shifts_n
+    frames = np.zeros((n,) + layers[0][1].shape)
+    background = np.zeros(layers[0][1].shape)
+    for z_index, refl in layers:
+        bank = masks.section_masks(z_index)
+        for frame, mask in zip(frames, bank):
+            frame += refl * mask
+        background += refl * mask_coverage(bank)
+    background /= len(layers) * n
+    for i in range(n):
+        if haze > 0.0:
+            frames[i] = (1.0 - haze) * frames[i] + haze * background
+        rng = np.random.default_rng(noise.seed + i)
+        if noise.poisson_scale > 0:
+            frames[i] = rng.poisson(np.maximum(frames[i], 0.0) * noise.poisson_scale) / noise.poisson_scale
+        if noise.gaussian_sigma > 0:
+            frames[i] = frames[i] + rng.normal(0.0, noise.gaussian_sigma, size=frames[i].shape)
+    return frames
+
+
+def assert_renders_the_oracle(scene, layers, spec, geom, grid):
+    frames = acquire_stack(scene, spec, geom, grid).frames
+    oracle = layer_sum_frames(layers, scene.haze_fraction, scene.noise, spec, geom, grid)
+    assert np.array_equal(frames, oracle)
+    for i, frame in zip((5, 0), render_frames(scene, spec, geom, grid, (5, 0))):
+        assert np.array_equal(frame, oracle[i])
+
+
+class TestLayerSumOracle:
+    """One gather per height field renders the layer sum bit for bit."""
+
+    NOISES = [NoiseSpec(), NoiseSpec(gaussian_sigma=0.02, seed=4),
+              NoiseSpec(gaussian_sigma=0.01, poisson_scale=80.0, seed=11)]
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("haze", [0.0, 0.3])
+    @pytest.mark.parametrize("slope,z_start,magnification", [
+        (0.0, 7, 1.0), (0.1171875, 0, 1.0), (0.3125, 2, 1.0), (0.45, 0, 1.0),
+        # a magnification whose masks vary along y: (n, H, W) field masks
+        (0.1, 3, 2.2748743718592968),
+    ])
+    def test_tilted_plane(self, slope, z_start, magnification, haze, noise):
+        spec = PatternSpec(60, 10, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=12)
+        geom = geometry_with_shear(0.37, magnification=magnification)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=70)
+        assert (GeometryMasks(spec, geom, grid).row_bank() is None) == (magnification != 1.0)
+        shape = camera_shape(spec, geom)
+        refl = np.random.default_rng(1).random(shape)
+        scene = make_tilted_plane_scene(grid, slope, refl, z_start=z_start,
+                                        haze_fraction=haze, noise=noise)
+        secs = tilted_plane_sections(shape[1], slope, z_start)
+        layers = [(j, refl * (secs == j)[None, :]) for j in np.unique(secs)]
+        assert_renders_the_oracle(scene, layers, spec, geom, grid)
+
+    @pytest.mark.parametrize("haze", [0.0, 0.3])
+    def test_cli_bands_scene(self, haze):
+        spec, geom, grid = rig(n=10, height=40)
+        shape = camera_shape(spec, geom)
+        bounds = np.linspace(0, shape[0], 4).astype(int)
+        layers = []
+        for z, r0, r1 in zip((2, 9, 15), bounds[:-1], bounds[1:]):
+            band = np.zeros(shape)
+            band[r0:r1] = 1.0
+            layers.append((z, band))
+        scene = Scene(layers=layers, haze_fraction=haze, noise=NoiseSpec(gaussian_sigma=0.01))
+        assert_renders_the_oracle(scene, layers, spec, geom, grid)
+
+    def test_overlapping_uniform_layers(self):
+        spec, geom, grid = rig(n=10, sections=40)
+        refl = np.random.default_rng(2).random(camera_shape(spec, geom))
+        layers = [(12, 0.5 * refl), (30, refl)]
+        scene = Scene(layers=layers, haze_fraction=0.3, noise=NoiseSpec(0.01, 50.0, 3))
+        assert_renders_the_oracle(scene, layers, spec, geom, grid)
+
+
+def traced_simulate_peak(tmp_path, sections):
+    argv = ["simulate", "--scene", "tilted", "--slope", repr(sections / 256),
+            "--sections", str(sections), "--proj-width", "256", "--proj-height", "128",
+            "--haze", "0.3", "--noise-sigma", "0.01", "--out", str(tmp_path / f"acq{sections}.aspi")]
+    assert run_cli(argv) == 0  # first-use imports are not the command's memory
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_sections(tmp_path, capsys):
+    # 30 frames of 128 x 256: a stack of them would be 30 frames, a scene of
+    # one layer per section 16 or 64 frames
+    frame = 128 * 256 * 8
+    bank = 30 * 256 * 8  # one section's (n, 1, W) masks, and the field's
+    peaks = {k: traced_simulate_peak(tmp_path, k) for k in (16, 64)}
+    assert peaks[16] < 10 * frame + 4 * bank, peaks
+    assert peaks[64] < peaks[16] + bank, peaks

@@ -8,6 +8,7 @@ import pytest
 from aspi import (
     SENTINEL,
     GeometryMasks,
+    MaskModel,
     ModelMasks,
     PatternSpec,
     PrecomputedMasks,
@@ -436,6 +437,20 @@ def test_reference_kernel_bands_equal_the_full_frame_oracle(kind, threads):
         volume = reconstruct_volume(frames, provider, threads=threads)
     finally:
         sys.setswitchinterval(interval)
+    ref = reference_volume(frames, provider, volume.coverage_floor_used)
+    assert volume.sections.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_reference_kernel_tall_frames_span_several_bands(threads):
+    # 150 x 1000: three row bands whatever the thread count, with masks
+    # moving along y across the band edges
+    base = np.random.default_rng(4).random((150, 1000))
+    model = MaskModel(base, 0.6, 0.35, 0.25, -0.8, (10, 5), 0.0, 0.0)
+    provider = ModelMasks(model, ZGrid(0.0, 1.0, 5), 10)
+    frames = noisy_frames(10, base.shape, seed=8)
+    assert base.size > 2 * reconstructor._BAND_PIXELS
+    volume = reconstruct_volume(frames, provider, threads=threads)
     ref = reference_volume(frames, provider, volume.coverage_floor_used)
     assert volume.sections.tobytes() == ref.tobytes()
 
