@@ -65,7 +65,6 @@ def bench_reconstruction(
     """Time the reconstruction of `sections` planes from an n-frame scan."""
     if min(width, height, n, sections) < 1:
         raise ValueError("width, height, n and sections must be >= 1")
-    threads = max(1, int(threads))
 
     period = max(16, n)  # scan of n unit steps must fit one period
     spec = PatternSpec(proj_width=width, proj_height=height, period_d=period,

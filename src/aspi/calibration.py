@@ -156,10 +156,8 @@ def predict_mask(model: MaskModel, x_index: int, z_index: int) -> np.ndarray:
 
     The lateral and axial per-step translations are accumulated into a
     single displacement and applied once, so repeated prediction does not
-    stack interpolation blur. (0, 0) returns the base mask unchanged.
+    stack interpolation blur. (0, 0) returns an exact copy of the base mask.
     """
     dx = x_index * model.lateral_dx + z_index * model.axial_dx
     dy = x_index * model.lateral_dy + z_index * model.axial_dy
-    if dx == 0.0 and dy == 0.0:
-        return model.base_mask.copy()
     return shift_image(model.base_mask, dx, dy)

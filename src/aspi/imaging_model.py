@@ -227,7 +227,8 @@ def magnify(frame, factor: float) -> np.ndarray:
     """Rescale an image by a scalar factor with bilinear sampling.
 
     Output shape is round(shape * factor); border samples clamp to the edge
-    pixel. factor == 1 returns an exact copy.
+    pixel. The samples go through _interpolate, along x, then along y.
+    factor == 1 returns an exact copy.
     """
     a = np.asarray(frame, dtype=np.float64)
     if a.ndim != 2:
@@ -236,19 +237,19 @@ def magnify(frame, factor: float) -> np.ndarray:
         raise ValueError("magnification factor must be > 0")
     if factor == 1.0:
         return a.copy()
-    h_out = max(1, int(round(a.shape[0] * factor)))
-    w_out = max(1, int(round(a.shape[1] * factor)))
-    ys = np.arange(h_out, dtype=np.float64) / factor
-    xs = np.arange(w_out, dtype=np.float64) / factor
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, a.shape[0] - 1)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, a.shape[1] - 1)
-    y1 = np.clip(y0 + 1, 0, a.shape[0] - 1)
-    x1 = np.clip(x0 + 1, 0, a.shape[1] - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    top = (1 - fx) * a[np.ix_(y0, x0)] + fx * a[np.ix_(y0, x1)]
-    bot = (1 - fx) * a[np.ix_(y1, x0)] + fx * a[np.ix_(y1, x1)]
-    return (1 - fy) * top + fy * bot
+
+    def clamped(n_in: int, n_out: int):
+        # edge-clamped indices and weights, unlike _lerp's zero outside
+        pos = np.arange(n_out, dtype=np.float64) / factor
+        i0 = np.clip(np.floor(pos).astype(np.int64), 0, n_in - 1)
+        frac = pos - i0
+        return i0, np.clip(i0 + 1, 0, n_in - 1), 1 - frac, frac
+
+    h, w = a.shape
+    x0, x1, xw0, xw1 = clamped(w, max(1, int(round(w * factor))))
+    y0, y1, yw0, yw1 = clamped(h, max(1, int(round(h * factor))))
+    rows = _interpolate(a, x0, x1, xw0, xw1, axis=1)
+    return _interpolate(rows, y0, y1, yw0[:, None], yw1[:, None], axis=0)
 
 
 def make_slit_pattern(spec: PatternSpec, shift_index: int) -> np.ndarray:

@@ -24,8 +24,8 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
   (rows x n) . (n x K), computed in row bands of _GEMM_ROWS rows by a
   batched matmul. Its summation order is the BLAS one, so it agrees with
   the reference kernel to within 2*n*eps of sum_i |O_i| * M_iz / sum_i M_iz
-  per voxel rather than bit for bit. Coverage, the floor test and sentinel
-  pixels are identical.
+  per voxel rather than bit for bit. Coverage (mask_coverage) and the floor
+  rule (_floor_rule) are shared, so coverage and sentinels are identical.
 
 Both kernels run behind one stream, VolumeStream, which computes every
 block it yields the same way: threads take row bands of it, and no sum is
@@ -39,7 +39,7 @@ to the stack file and `aspi bench` checksums them, so besides the frames
 and the (n, K, W) bank these hold one chunk of K * STREAM_ROWS * W float64
 values (the reference kernel: a float64 copy of float32 frames, one section
 and, per worker, the masks of its band, at most n * _BAND_PIXELS values),
-never the volume.
+never the volume. A thread count below 1 is a ValueError.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ __all__ = [
 ]
 
 SENTINEL = -1.0
-
-# Row-band height for the blocked inner loop; keeps the float64 accumulator
-# resident in cache without changing per-pixel accumulation order.
-_BLOCK_ROWS = 64
 
 # Pixels per row band of the reference kernel (128 rows at 512 wide): small
 # enough for a band's masks to stay near the cache, large enough that each
@@ -128,7 +124,6 @@ class ModelMasks(TranslationMasks):
     def __init__(self, model: MaskModel, grid: ZGrid, shift_count: int):
         super().__init__(model.base_mask, (model.lateral_dx, model.lateral_dy),
                          (model.axial_dx, model.axial_dy), shift_count, grid)
-        self.model = model
 
     def describe(self) -> str:
         return "calibrated-model"
@@ -195,22 +190,22 @@ def reconstruct_section(acq, masks, floor: float) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"floor must be > 0, got {floor}")
 
     num = np.zeros((h, w), dtype=np.float64)
-    row_masks = m.shape[1] == 1
-    prod = np.empty((min(_BLOCK_ROWS, h), w), dtype=np.float64)
-    for r0 in range(0, h, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, h)
-        pb = prod[: r1 - r0]
-        nb = num[r0:r1]
-        for i in range(n):
-            mi = m[i] if row_masks else m[i, r0:r1]
-            np.multiply(frames[i, r0:r1], mi, out=pb)
-            nb += pb
+    prod = np.empty((h, w), dtype=np.float64)
+    for i in range(n):
+        np.multiply(frames[i], m[i], out=prod)
+        num += prod
 
-    coverage = np.ascontiguousarray(np.broadcast_to(mask_coverage(m), (h, w)))
-    covered = coverage >= floor
-    section = np.full((h, w), SENTINEL, dtype=np.float64)
-    np.divide(num, coverage, out=section, where=covered)
-    return section, coverage
+    coverage = mask_coverage(m)
+    den, uncovered = _floor_rule(coverage, floor)
+    num /= den
+    np.copyto(num, SENTINEL, where=uncovered)
+    return num, np.ascontiguousarray(np.broadcast_to(coverage, (h, w)))
+
+
+def _floor_rule(den: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """den with 1.0 where it is below the floor or NaN, and that mask: where SENTINEL goes."""
+    uncovered = ~(den >= floor)
+    return np.where(uncovered, 1.0, den), uncovered
 
 
 def _resolve_provider(acq, masks, grid: ZGrid):
@@ -232,14 +227,16 @@ class VolumeStream:
     """A checked reconstruction whose sections are computed as they are read.
 
     The constructor takes reconstruct_volume's arguments and makes all of
-    its checks (frames, NaN or Inf pixels, floor, mask bank), so a caller
-    can reject bad input before it opens an output; `blocks` then computes
+    its checks (threads, frames, NaN or Inf pixels, floor, mask bank), so a
+    caller can reject bad input before it opens an output; `blocks` computes
     the volume piece by piece, each piece in row bands shared among
     `threads` workers. `shape` is the volume's (K, H, W).
     """
 
     def __init__(self, acq, masks, grid: ZGrid | None = None,
                  floor: float | None = None, threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
         if grid is None:
             grid = getattr(masks, "grid", None) or acq.grid
         provider = _resolve_provider(acq, masks, grid)
@@ -294,10 +291,8 @@ class VolumeStream:
         k = bank.shape[1]
         masks_x = np.ascontiguousarray(bank.transpose(2, 0, 1))    # (W, n, K)
         den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]  # (W, 1, K)
-        covered_x = den_x >= floor
-        uncovered = ~covered_x.transpose(2, 1, 0)                  # (K, 1, W)
-        # 1.0 where uncovered: a plain divide, whose result there the sentinel replaces
-        den_x[~covered_x] = 1.0
+        den_x, uncovered_x = _floor_rule(den_x, floor)
+        uncovered = uncovered_x.transpose(2, 1, 0)                  # (K, 1, W)
 
         buffer = np.empty(k * min(STREAM_ROWS, h) * w, dtype=np.float64)
         for c0 in range(0, h, STREAM_ROWS):

@@ -5,10 +5,11 @@ cross-correlation between the imaged pattern and the virtual mask as the
 mask slides with depth. For a slit of width w and a shear of s pixels per
 section, that is the autocorrelation of a rectangle: a triangle whose full
 width at half maximum spans w / s sections. `axial_psf` evaluates the sum
-directly (no FFT), with the same interpolation kernel and the same float64
-i-ascending accumulation as the reconstruction, so the curve matches a
-reconstructed single-layer response to rounding error after peak
-normalization.
+directly (no FFT): it samples the mask once at every (scan step, section)
+position with the reconstruction's interpolation kernel and sums over the
+scan with its coverage sum, `mask_coverage` (float64, i ascending), so the
+curve matches a reconstructed single-layer response to rounding error after
+peak normalization.
 
 Depth maps take the per-pixel argmax of the reconstructed sections (ties to
 the lower section) with an optional 3-point parabolic refinement between
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DegenerateInputError, FwhmRangeError
-from .imaging_model import GeometryConfig, PatternSpec, ZGrid, sample_row
+from .imaging_model import GeometryConfig, PatternSpec, ZGrid, mask_coverage, sample_row
 from .reconstructor import SENTINEL, VolumeStack, default_floor
 
 __all__ = [
@@ -124,19 +125,16 @@ def axial_psf(
     scan = np.arange(spec.num_shifts_n, dtype=np.float64) * step_px
 
     o_vals = sample_row(o_row, px - scan)
-    response = np.empty(grid.count, dtype=np.float64)
-    for j in range(grid.count):
-        m_vals = sample_row(m_row, px - scan - j * shear)
-        den = 0.0
-        acc = 0.0
-        for i in range(spec.num_shifts_n):
-            den += m_vals[i]
-            acc += o_vals[i] * m_vals[i]
-        if den < floor:
-            raise CoverageError(
-                f"probe {probe} below coverage floor at section {j} ({den:.3g} < {floor:.3g})"
-            )
-        response[j] = acc
+    # (n, K): scan step i, section j
+    m_vals = sample_row(m_row, px - scan[:, None] - np.arange(grid.count) * shear)
+    den = mask_coverage(m_vals)
+    low = np.flatnonzero(den < floor)
+    if low.size:
+        j = int(low[0])
+        raise CoverageError(
+            f"probe {probe} below coverage floor at section {j} ({den[j]:.3g} < {floor:.3g})"
+        )
+    response = mask_coverage(o_vals[:, None] * m_vals)
     peak = response.max()
     if peak <= 0:
         raise DegenerateInputError("probe response is identically zero")

@@ -560,3 +560,41 @@ def test_psf_threshold_summary(capsys):
     assert summary["kind"] == "psf" and summary["path"] == "-"
     assert float(summary["fwhm_sections"]) == pytest.approx(2.0, abs=0.05)
     assert (int(summary["probe_x"]), int(summary["probe_y"])) == (96, 4)
+
+
+def y_moving_model(tmp_path):
+    """A model file whose masks move along y: its volume takes the reference kernel."""
+    base = make_slit_pattern(PatternSpec(64, 8, period_d=16, linewidth_w=2), 0)
+    model = tmp_path / "model.aspi"
+    write_stack(base, {"kind": "mask-model", "lateral_dx": 1.0, "lateral_dy": 0.3,
+                       "axial_dx": 1.0, "axial_dy": -0.2, "anchor_x": 2, "anchor_z": 4,
+                       "lateral_residual_rms": 0.0, "axial_residual_rms": 0.0}, model)
+    return model
+
+
+class TestBadThreadCount:
+    """--threads below 1 is one error line and exit 1, before any thread starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_executor(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("no executor may be built")
+
+        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", fail)
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("masks", ["geometry", "y_moving_model"])
+    def test_reconstruct(self, tmp_path, capsys, threads, masks):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        model = ["--model", str(y_moving_model(tmp_path))] if masks == "y_moving_model" else []
+        result = run(capsys, "reconstruct", "--input", str(acq), *model,
+                     "--threads", threads, "--out", str(vol))
+        assert_one_error_line(result, f"threads must be >= 1, got {threads}", vol)
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_bench(self, capsys, threads):
+        code, out, err = run(capsys, "bench", "--width", "64", "--height", "48",
+                             "--shifts", "8", "--sections", "6", "--threads", threads)
+        assert code == 1 and out == ""
+        assert err == f"error: threads must be >= 1, got {threads}\n"

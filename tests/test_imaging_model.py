@@ -310,3 +310,34 @@ def test_mask_coverage_sums_in_scan_order():
     for i in range(bank.shape[0]):
         expected = expected + bank[i]
     assert mask_coverage(bank).tobytes() == expected.tobytes()
+
+
+def magnify_oracle(frame, factor):
+    """magnify's own bilinear formula before it sampled through _interpolate."""
+    a = np.asarray(frame, dtype=np.float64)
+    h_out = max(1, int(round(a.shape[0] * factor)))
+    w_out = max(1, int(round(a.shape[1] * factor)))
+    ys = np.arange(h_out, dtype=np.float64) / factor
+    xs = np.arange(w_out, dtype=np.float64) / factor
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, a.shape[0] - 1)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, a.shape[1] - 1)
+    y1 = np.clip(y0 + 1, 0, a.shape[0] - 1)
+    x1 = np.clip(x0 + 1, 0, a.shape[1] - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    top = (1 - fx) * a[np.ix_(y0, x0)] + fx * a[np.ix_(y0, x1)]
+    bot = (1 - fx) * a[np.ix_(y1, x0)] + fx * a[np.ix_(y1, x1)]
+    return (1 - fy) * top + fy * bot
+
+
+@pytest.mark.parametrize("factor", [0.3, 0.5, 1.5, 2.1236, 3.0])
+def test_magnify_equals_its_bilinear_oracle_bit_for_bit(factor):
+    rng = np.random.default_rng(int(factor * 1e4))
+    for _ in range(40):
+        shape = tuple(int(s) for s in rng.integers(1, 40, size=2))
+        a = rng.random(shape)
+        if rng.random() < 0.3:
+            a = np.broadcast_to(a[:1], shape)  # row-constant, as slit patterns are
+        got, want = magnify(a, factor), magnify_oracle(a, factor)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -616,3 +616,43 @@ class TestVolumeStream:
             reconstructor.VolumeStream(frames, provider)
         with pytest.raises(ValueError, match="floor must be > 0"):
             reconstructor.VolumeStream(frames, provider, floor=0.0)
+
+
+def test_coverage_equal_to_the_floor_is_covered_by_both_kernels():
+    # integer shear and steps: every coverage is an exact count of slit
+    # pixels, so a floor of 1.0 equals the coverage of the edge columns
+    spec, geom, grid = rig(n=20, sections=6)
+    provider = GeometryMasks(spec, geom, grid)
+    coverage = coverage_report(provider).coverage
+    at_floor = np.broadcast_to(coverage == 1.0, (grid.count,) + camera_shape(spec, geom))
+    assert at_floor.any() and (coverage < 1.0).any()
+    frames = noisy_frames(20, camera_shape(spec, geom), seed=3)
+    full = PrecomputedMasks([np.broadcast_to(provider.section_masks(j), frames.shape)
+                             for j in range(grid.count)], grid)
+    assert full.row_bank() is None
+    for masks in (provider, full):
+        sections = reconstruct_volume(frames, masks, floor=1.0).sections
+        assert np.array_equal(sections == SENTINEL,
+                              np.broadcast_to(coverage < 1.0, sections.shape))
+        assert np.all(sections[at_floor] != SENTINEL)
+
+
+class TestThreadCount:
+    """A thread count below 1 is a ValueError on both kernels, before any thread starts."""
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_rejected_before_any_executor(self, monkeypatch, rig, threads):
+        provider, frames = getattr(TestVolumeStream(), rig)()
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("no executor may be built")
+
+        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", no_executor)
+        baseline = threading.active_count()
+        message = f"threads must be >= 1, got {threads}"
+        with pytest.raises(ValueError, match=message):
+            reconstructor.VolumeStream(frames, provider, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            reconstruct_volume(frames, provider, threads=threads)
+        assert threading.active_count() == baseline

@@ -66,3 +66,24 @@ def test_every_export_is_defined_at_module_top_level():
         stale += [f"{path.name}: {name}" for name in _exports(tree) if name not in defined]
     assert not stale, stale
     assert _exports(ast.parse((SRC / "__init__.py").read_text()))
+
+
+def _loaded_names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_private_top_level_name_is_used_in_its_module():
+    # a private helper or constant that its own module no longer reads
+    # (say, a block size left behind when its loop went) is dead code
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            for name in _top_level_names(ast.Module(body=[stmt], type_ignores=[])):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(name in _loaded_names(other) for other in tree.body if other is not stmt):
+                    unused.append(f"{path.name}: {name}")
+    assert not unused, unused

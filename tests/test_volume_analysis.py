@@ -10,6 +10,7 @@ from aspi import (
     SENTINEL,
     AxialCurve,
     CoverageError,
+    DegenerateInputError,
     FwhmRangeError,
     GeometryMasks,
     PatternSpec,
@@ -20,11 +21,13 @@ from aspi import (
     axial_psf,
     base_camera_pattern,
     camera_shape,
+    default_floor,
     estimate_background,
     extract_depth_map,
     fwhm,
     predicted_fwhm_sections,
     reconstruct_volume,
+    sample_row,
 )
 from aspi import volume_analysis
 from conftest import geometry_with_shear
@@ -474,3 +477,70 @@ def test_depth_map_of_a_reconstructed_volume_within_three_quarters_of_it():
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * stored.nbytes
+
+
+def axial_psf_oracle(base_pattern, base_mask, spec, geom, grid, probe, floor=None):
+    """axial_psf's own double loop before it summed with mask_coverage."""
+    o = np.asarray(base_pattern, dtype=np.float64)
+    m = np.asarray(base_mask, dtype=np.float64)
+    px, py = probe
+    if floor is None:
+        floor = default_floor(m, spec.num_shifts_n)
+    o_row = o[py]
+    m_row = m[py % m.shape[0]]
+    step_px = spec.shift_step * geom.magnification
+    shear = geom.signed_shear
+    scan = np.arange(spec.num_shifts_n, dtype=np.float64) * step_px
+    o_vals = sample_row(o_row, px - scan)
+    response = np.empty(grid.count, dtype=np.float64)
+    for j in range(grid.count):
+        m_vals = sample_row(m_row, px - scan - j * shear)
+        den = 0.0
+        acc = 0.0
+        for i in range(spec.num_shifts_n):
+            den += m_vals[i]
+            acc += o_vals[i] * m_vals[i]
+        if den < floor:
+            raise CoverageError(
+                f"probe {probe} below coverage floor at section {j} ({den:.3g} < {floor:.3g})"
+            )
+        response[j] = acc
+    peak = response.max()
+    if peak <= 0:
+        raise DegenerateInputError("probe response is identically zero")
+    return AxialCurve(z=grid.z_values(), response=response / peak, normalized=True)
+
+
+def test_axial_psf_equals_its_double_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(77)
+    raised = 0
+    for case in range(160):
+        d = int(rng.integers(4, 40))
+        n = int(rng.integers(1, d + 1))
+        step = int(rng.integers(1, d // n + 1))
+        h, w = (int(s) for s in rng.integers(1, 30, size=2))
+        spec = PatternSpec(w, h, period_d=d, linewidth_w=1, shift_step=step, num_shifts_n=n)
+        geom = geometry_with_shear(float(rng.uniform(0.05, 2.0)),
+                                   magnification=float(rng.choice([1.0, 0.7, 2.1236])),
+                                   shift_sign=int(rng.choice([1, -1])))
+        grid = ZGrid(z0=float(rng.uniform(-5, 5)), z_step=0.5, count=int(rng.integers(1, 30)))
+        pattern = rng.random((h, w))
+        # sparse masks, so that probes near an edge fall below the floor
+        mask = np.where(rng.random((h, w)) < 0.6, rng.random((h, w)), 0.0)
+        if case % 2:
+            mask = np.broadcast_to(mask[:1], (h, w))  # row-constant
+        probe = (int(rng.integers(0, w)), int(rng.integers(0, h)))
+        floor = None if case % 3 else float(rng.uniform(0.01, 0.5)) * n
+        args = (pattern, mask, spec, geom, grid, probe, floor)
+        try:
+            want = axial_psf_oracle(*args)
+        except (CoverageError, DegenerateInputError) as exc:
+            raised += 1
+            with pytest.raises(type(exc)) as got:
+                axial_psf(*args)
+            assert str(got.value) == str(exc)
+            continue
+        got = axial_psf(*args)
+        assert got.response.tobytes() == want.response.tobytes()
+        assert got.z.tobytes() == want.z.tobytes()
+    assert 40 <= raised <= 120  # both outcomes well represented
