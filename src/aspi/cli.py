@@ -5,6 +5,8 @@ acquisition, `calibrate` fits a mask model from three reference frames,
 `reconstruct` recovers the confocal volume, `depthmap` and `psf` analyze it,
 and `bench` measures reconstruction throughput. Every subcommand prints a
 single machine-parsable ``key=value`` summary line to stdout on success.
+`reconstruct` and `depthmap` reject an input file of the wrong kind (an
+acquisition, a mask model, a volume), as its sidecar's ``kind`` names it.
 
 Exit codes: 0 success, 1 runtime failure (bad data, violated invariants,
 I/O problems; a diagnostic goes to stderr), 2 usage errors (argparse).
@@ -15,7 +17,6 @@ variable when --threads is not given; either one must be an integer.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -42,13 +43,24 @@ from .volume_analysis import axial_psf, extract_depth_map, fwhm
 __all__ = ["run_cli", "main"]
 
 
-@contextlib.contextmanager
-def _sidecar_keys(path):
-    """Report a key missing from path's sidecar as a ValueError naming the key."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{path}: sidecar metadata missing key {exc.args[0]!r}") from exc
+class _Sidecar(dict):
+    """Sidecar metadata of one file; a missing key is a ValueError naming it."""
+
+    def __init__(self, path, meta: dict):
+        super().__init__(meta)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: sidecar metadata missing key {key!r}")
+
+
+def _read(path, kind: str):
+    """Planes and sidecar of a stack file, which must be of the given kind."""
+    planes, meta = read_stack(path)
+    if meta.get("kind") != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ValueError(f"{path} is not {article} {kind} file")
+    return planes, _Sidecar(path, meta)
 
 
 def _add_threads_arg(p: argparse.ArgumentParser):
@@ -62,10 +74,14 @@ def _add_rig_args(p: argparse.ArgumentParser):
     g = p.add_argument_group("pattern")
     g.add_argument("--proj-width", type=int, default=256, help="projector width, pixels")
     g.add_argument("--proj-height", type=int, default=256, help="projector height, pixels")
-    g.add_argument("--period", type=int, default=30, help="slit period d, projector pixels")
-    g.add_argument("--linewidth", type=int, default=2, help="slit linewidth w, projector pixels")
+    # each rig flag stores its value under its sidecar key
+    g.add_argument("--period", dest="period_d", metavar="PERIOD", type=int, default=30,
+                   help="slit period d, projector pixels")
+    g.add_argument("--linewidth", dest="linewidth_w", metavar="LINEWIDTH", type=int, default=2,
+                   help="slit linewidth w, projector pixels")
     g.add_argument("--shift-step", type=int, default=1, help="scan step, projector pixels")
-    g.add_argument("--shifts", type=int, default=30, help="number of scan positions n")
+    g.add_argument("--shifts", dest="num_shifts_n", metavar="SHIFTS", type=int, default=30,
+                   help="number of scan positions n")
     g = p.add_argument_group("geometry")
     g.add_argument("--theta-deg", type=float, default=25.0, help="projection tilt, degrees")
     g.add_argument("--z-step", type=float, default=1.0, help="depth section spacing, length units")
@@ -76,26 +92,6 @@ def _add_rig_args(p: argparse.ArgumentParser):
     g = p.add_argument_group("depth grid")
     g.add_argument("--z0", type=float, default=0.0, help="depth of section 0")
     g.add_argument("--sections", type=int, default=100, help="number of depth sections K")
-
-
-def _rig_from_args(args) -> tuple[PatternSpec, GeometryConfig, ZGrid]:
-    spec = PatternSpec(
-        proj_width=args.proj_width,
-        proj_height=args.proj_height,
-        period_d=args.period,
-        linewidth_w=args.linewidth,
-        shift_step=args.shift_step,
-        num_shifts_n=args.shifts,
-    )
-    geom = GeometryConfig(
-        tilt_theta=math.radians(args.theta_deg),
-        z_step=args.z_step,
-        camera_pixel_pitch=args.pixel_pitch,
-        magnification=args.magnification,
-        shift_sign=args.shift_sign,
-    )
-    grid = ZGrid(z0=args.z0, z_step=args.z_step, count=args.sections)
-    return spec, geom, grid
 
 
 def _rig_metadata(spec: PatternSpec, geom: GeometryConfig, grid: ZGrid) -> dict:
@@ -117,6 +113,7 @@ def _rig_metadata(spec: PatternSpec, geom: GeometryConfig, grid: ZGrid) -> dict:
 
 
 def _rig_from_metadata(meta: dict) -> tuple[PatternSpec, GeometryConfig, ZGrid]:
+    """The rig of a sidecar, or of the rig flags (stored under the same keys)."""
     spec = PatternSpec(
         proj_width=int(meta["proj_width"]),
         proj_height=int(meta["proj_height"]),
@@ -179,7 +176,7 @@ def _print_summary(**kv):
 
 
 def cmd_simulate(args) -> int:
-    spec, geom, grid = _rig_from_args(args)
+    spec, geom, grid = _rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
     scene = _build_scene(args, spec, geom, grid)
     frames = render_frames(scene, spec, geom, grid)
     meta = _rig_metadata(spec, geom, grid)
@@ -229,26 +226,22 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_model(path) -> MaskModel:
-    planes, meta = read_stack(path)
-    if meta.get("kind") != "mask-model":
-        raise ValueError(f"{path} is not a mask-model file")
-    with _sidecar_keys(path):
-        return MaskModel(
-            base_mask=planes[0].astype(np.float64),
-            lateral_dx=float(meta["lateral_dx"]),
-            lateral_dy=float(meta["lateral_dy"]),
-            axial_dx=float(meta["axial_dx"]),
-            axial_dy=float(meta["axial_dy"]),
-            anchors=(int(meta["anchor_x"]), int(meta["anchor_z"])),
-            lateral_residual_rms=float(meta["lateral_residual_rms"]),
-            axial_residual_rms=float(meta["axial_residual_rms"]),
-        )
+    planes, meta = _read(path, "mask-model")
+    return MaskModel(
+        base_mask=planes[0].astype(np.float64),
+        lateral_dx=float(meta["lateral_dx"]),
+        lateral_dy=float(meta["lateral_dy"]),
+        axial_dx=float(meta["axial_dx"]),
+        axial_dy=float(meta["axial_dy"]),
+        anchors=(int(meta["anchor_x"]), int(meta["anchor_z"])),
+        lateral_residual_rms=float(meta["lateral_residual_rms"]),
+        axial_residual_rms=float(meta["axial_residual_rms"]),
+    )
 
 
 def cmd_reconstruct(args) -> int:
-    frames, meta = read_stack(args.input)
-    with _sidecar_keys(args.input):
-        spec, geom, grid = _rig_from_metadata(meta)
+    frames, meta = _read(args.input, "acquisition")
+    spec, geom, grid = _rig_from_metadata(meta)
     if frames.shape[0] != spec.num_shifts_n:
         raise ValueError(
             f"acquisition has {frames.shape[0]} frames but metadata declares "
@@ -265,12 +258,8 @@ def cmd_reconstruct(args) -> int:
         provider = GeometryMasks(spec, geom, grid, threshold=args.threshold)
     stream = VolumeStream(frames, provider, grid, floor=args.floor, threads=args.threads)
     out_meta = _rig_metadata(spec, geom, grid)
-    out_meta.update(
-        kind="volume",
-        floor=stream.floor,
-        sentinel=SENTINEL,
-        masks_source=stream.masks_source,
-    )
+    out_meta.update(kind="volume", floor=stream.floor, sentinel=SENTINEL,
+                    masks_source=stream.masks_source)
     # the volume goes to the file chunk by chunk and is never held whole
     sentinels = 0
     with StackWriter(args.out, stream.shape, out_meta) as out:
@@ -288,26 +277,15 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_depthmap(args) -> int:
-    planes, meta = read_stack(args.input)
-    if meta.get("kind") != "volume":
-        raise ValueError(f"{args.input} is not a volume file")
-    with _sidecar_keys(args.input):
-        grid = _grid_from_metadata(meta)
+    planes, meta = _read(args.input, "volume")
+    grid = _grid_from_metadata(meta)
     if planes.shape[0] != grid.count:
         raise ValueError(f"volume has {planes.shape[0]} planes, metadata declares {grid.count}")
-    volume = VolumeStack(
-        sections=planes,
-        grid=grid,
-        coverage_floor_used=float(meta.get("floor", "0") or 0),
-    )
+    volume = VolumeStack(sections=planes, grid=grid,
+                         coverage_floor_used=float(meta.get("floor", "0") or 0))
     dm = extract_depth_map(volume, min_confidence=args.min_confidence, refine=args.refine)
-    out_meta = {
-        "kind": "depthmap",
-        "z0": grid.z0,
-        "z_step": grid.z_step,
-        "sections": grid.count,
-        "refine": int(args.refine),
-    }
+    out_meta = {"kind": "depthmap", "z0": grid.z0, "z_step": grid.z_step,
+                "sections": grid.count, "refine": int(args.refine)}
     write_stack(dm.depth, out_meta, args.out)
     if args.confidence_out:
         write_stack(dm.confidence, {"kind": "confidence"}, args.confidence_out)
@@ -319,7 +297,7 @@ def cmd_depthmap(args) -> int:
 
 
 def cmd_psf(args) -> int:
-    spec, geom, grid = _rig_from_args(args)
+    spec, geom, grid = _rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
     shape = camera_shape(spec, geom)
     layer_z = args.layer_z if args.layer_z is not None else grid.count // 2
     scene = Scene(layers=[(layer_z, np.ones(shape))])

@@ -312,11 +312,15 @@ def synthesize_mask(
     return shift_image(a, total)
 
 
-def threshold_mask(mask, background_frac: float = 0.1) -> np.ndarray:
+# columns brighter than this fraction of the profile's peak belong to a slit
+_BACKGROUND_FRAC = 0.1
+
+
+def threshold_mask(mask) -> np.ndarray:
     """Reduce each slit of a mask to its single brightest column.
 
     Slits are located as connected runs of columns whose mean intensity
-    exceeds background_frac times the peak of the column profile; within
+    exceeds _BACKGROUND_FRAC times the peak of the column profile; within
     each run only the column of maximum mean intensity is kept (ties go to
     the lower column index), and that column is set to 1 over the full
     frame height. Idempotent on its own output.
@@ -326,7 +330,7 @@ def threshold_mask(mask, background_frac: float = 0.1) -> np.ndarray:
     peak = profile.max()
     if peak <= 0.0:
         raise EmptyMaskError("mask has no column with positive energy")
-    above = profile > background_frac * peak
+    above = profile > _BACKGROUND_FRAC * peak
     out = np.zeros_like(a)
     w = a.shape[1]
     c = 0
@@ -351,8 +355,13 @@ def camera_shape(spec: PatternSpec, geom: GeometryConfig) -> tuple[int, int]:
 
 
 def base_camera_pattern(spec: PatternSpec, geom: GeometryConfig) -> np.ndarray:
-    """Unshifted slit pattern resampled once onto the camera plane."""
-    return magnify(make_slit_pattern(spec, 0), geom.magnification)
+    """Unshifted slit pattern resampled once onto the camera plane.
+
+    Row 0 is resampled (y weights exactly 1 and 0) and copied to every row,
+    so the base is row-constant at any magnification.
+    """
+    row = magnify(make_slit_pattern(spec, 0)[:1], geom.magnification)[0]
+    return np.broadcast_to(row, camera_shape(spec, geom)).copy()
 
 
 def mask_coverage(bank) -> np.ndarray:

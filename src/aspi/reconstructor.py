@@ -223,6 +223,11 @@ def _check_finite(frames: np.ndarray) -> None:
         raise ValueError(f"acquisition has {bad} non-finite frame pixels (NaN or Inf)")
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 class VolumeStream:
     """A checked reconstruction whose sections are computed as they are read.
 
@@ -235,8 +240,7 @@ class VolumeStream:
 
     def __init__(self, acq, masks, grid: ZGrid | None = None,
                  floor: float | None = None, threads: int = 1):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
+        _check_threads(threads)
         if grid is None:
             grid = getattr(masks, "grid", None) or acq.grid
         provider = _resolve_provider(acq, masks, grid)
@@ -369,7 +373,7 @@ def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
     )
 
 
-def coverage_report(masks, floor: float | None = None, grid: ZGrid | None = None) -> CoverageReport:
+def coverage_report(masks, floor: float | None = None) -> CoverageReport:
     """Exact per-pixel illumination denominators for every section.
 
     masks is a provider or a sequence of per-section banks. The ambiguity
@@ -378,20 +382,18 @@ def coverage_report(masks, floor: float | None = None, grid: ZGrid | None = None
     """
     if hasattr(masks, "section_masks"):
         provider = masks
-        grid = provider.grid
     else:
         banks = list(masks)
         if not banks:
             raise ValueError("empty mask list")
-        if grid is None:
-            grid = ZGrid(z0=0.0, z_step=1.0, count=len(banks))
-        provider = PrecomputedMasks(banks, grid)
+        provider = PrecomputedMasks(banks, ZGrid(z0=0.0, z_step=1.0, count=len(banks)))
     if floor is None:
         floor = default_floor(provider.base, provider.shift_count)
 
     # row-compressed providers yield (1, W) planes; the statistics are
     # identical to the broadcast (H, W) form
-    coverage = np.stack([mask_coverage(provider.section_masks(j)) for j in range(grid.count)])
+    coverage = np.stack([mask_coverage(provider.section_masks(j))
+                         for j in range(provider.grid.count)])
     return CoverageReport(
         coverage=coverage,
         floor=float(floor),

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from aspi import (
+    GeometryConfig,
     GeometryMasks,
     PatternSpec,
     ZGrid,
@@ -90,6 +92,23 @@ class TestPipeline:
         )
         assert code == 0
         assert parse_summary(out)["kind"] == "acquisition"
+
+    def test_rig_flags_equal_the_rig_read_back_from_the_sidecar(self, tmp_path, capsys):
+        acq = tmp_path / "acq.aspi"
+        code, *_ = run(
+            capsys, "simulate", "--proj-width", "40", "--proj-height", "6", "--period", "12",
+            "--linewidth", "3", "--shift-step", "2", "--shifts", "6", "--theta-deg", "30",
+            "--z-step", "0.5", "--pixel-pitch", "0.8", "--magnification", "1.5",
+            "--shift-sign", "-1", "--z0", "-2.5", "--sections", "7", "--out", str(acq),
+        )
+        assert code == 0
+        spec = PatternSpec(40, 6, period_d=12, linewidth_w=3, shift_step=2, num_shifts_n=6)
+        geom = GeometryConfig(tilt_theta=math.radians(30.0), z_step=0.5, camera_pixel_pitch=0.8,
+                              magnification=1.5, shift_sign=-1)
+        grid = ZGrid(z0=-2.5, z_step=0.5, count=7)
+        planes, meta = read_stack(acq)
+        assert _rig_from_metadata(meta) == (spec, geom, grid)
+        assert planes.shape == (6, 9, 60)
 
 
 class TestCalibrateCli:
@@ -519,6 +538,29 @@ class TestRejectedInputs:
                      "--out", str(vol))
         assert_one_error_line(result, f"{acq} is not a mask-model file", vol)
 
+    @pytest.mark.parametrize("command,flag,wrong,needle", [
+        ("reconstruct", "--input", "vol", "is not an acquisition file"),
+        ("reconstruct", "--input", "depth", "is not an acquisition file"),
+        ("reconstruct", "--model", "depth", "is not a mask-model file"),
+        ("depthmap", "--input", "depth", "is not a volume file"),
+    ])
+    def test_input_of_another_kind(self, tmp_path, capsys, command, flag, wrong, needle):
+        # as many sections as scan steps: a volume has the frame count and
+        # plane shape of an acquisition, and only its kind tells them apart
+        files = {name: tmp_path / f"{name}.aspi" for name in ("acq", "vol", "depth", "out")}
+        code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "1",
+                       "--proj-width", "64", "--proj-height", "8", "--period", "16",
+                       "--shifts", "16", "--sections", "16", "--out", str(files["acq"]))
+        assert code == 0
+        assert run(capsys, "reconstruct", "--input", str(files["acq"]),
+                   "--out", str(files["vol"]))[0] == 0
+        assert run(capsys, "depthmap", "--input", str(files["vol"]),
+                   "--out", str(files["depth"]))[0] == 0
+        inputs = {"--input": str(files["acq"]), flag: str(files[wrong])}
+        result = run(capsys, command, *(arg for pair in inputs.items() for arg in pair),
+                     "--out", str(files["out"]))
+        assert_one_error_line(result, f"{files[wrong]} {needle}", files["out"])
+
     def test_depthmap_plane_count_not_the_sections(self, tmp_path, capsys):
         acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
         small_acquisition(capsys, acq)
@@ -591,6 +633,15 @@ class TestBadThreadCount:
         result = run(capsys, "reconstruct", "--input", str(acq), *model,
                      "--threads", threads, "--out", str(vol))
         assert_one_error_line(result, f"threads must be >= 1, got {threads}", vol)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bench_checks_before_drawing_frames(self, monkeypatch, threads):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("frames were drawn")
+
+        monkeypatch.setattr(bench.np.random, "default_rng", no_frames)
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            bench_reconstruction(64, 48, 8, 6, threads=threads)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_bench(self, capsys, threads):

@@ -346,11 +346,13 @@ class TestGemmKernel:
 
     def test_magnified_slit_pattern_stays_row_constant(self):
         # resampling keeps the slit pattern's rows identical, so a magnified
-        # rig still takes the GEMM kernel
+        # rig still takes the GEMM kernel; at 2.97, resampling every row
+        # rounds some rows apart
         spec = PatternSpec(80, 12, period_d=16, linewidth_w=2, shift_step=1, num_shifts_n=16)
-        geom = geometry_with_shear(self.SHEAR, magnification=1.5)
-        provider = GeometryMasks(spec, geom, ZGrid(z0=0.0, z_step=1.0, count=8))
-        assert provider.row_bank().shape == (16, 8, 120)
+        for magnification, width in ((1.5, 120), (2.14, 171), (2.97, 238)):
+            geom = geometry_with_shear(self.SHEAR, magnification=magnification)
+            provider = GeometryMasks(spec, geom, ZGrid(z0=0.0, z_step=1.0, count=8))
+            assert provider.row_bank().shape == (16, 8, width)
 
     def test_2d_base_keeps_full_bank_and_reference_kernel(self):
         # a magnified rig whose base falls off along y: masks vary by row;
