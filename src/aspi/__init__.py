@@ -66,7 +66,7 @@ from .volume_analysis import (
     fwhm,
     predicted_fwhm_sections,
 )
-from .stack_io import StackWriter, read_stack, write_pgm, write_stack
+from .stack_io import StackReader, StackWriter, read_stack, write_pgm, write_stack
 from .bench import BenchReport, bench_reconstruction
 from .cli import run_cli
 
@@ -86,7 +86,7 @@ __all__ = [
     "reconstruct_section", "reconstruct_volume", "VolumeStream", "coverage_report",
     "AxialCurve", "DepthMap", "axial_psf", "fwhm", "predicted_fwhm_sections",
     "estimate_background", "extract_depth_map",
-    "read_stack", "write_stack", "StackWriter", "write_pgm",
+    "read_stack", "write_stack", "StackReader", "StackWriter", "write_pgm",
     "BenchReport", "bench_reconstruction",
     "run_cli",
 ]

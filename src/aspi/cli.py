@@ -32,19 +32,21 @@ from .imaging_model import (
     GeometryMasks,
     PatternSpec,
     ZGrid,
+    axial_range,
     base_camera_pattern,
     camera_shape,
+    is_axially_ambiguous,
     threshold_mask,
 )
 from .reconstructor import SENTINEL, ModelMasks, VolumeStack, VolumeStream
-from .stack_io import StackWriter, read_stack, write_pgm, write_stack
+from .stack_io import StackReader, StackWriter, read_stack, sidecar_path, write_pgm, write_stack
 from .volume_analysis import axial_psf, extract_depth_map, fwhm
 
 __all__ = ["run_cli", "main"]
 
 
 class _Sidecar(dict):
-    """Sidecar metadata of one file; a missing key is a ValueError naming it."""
+    """Sidecar metadata of one file; a missing key or a bad value is a ValueError naming both."""
 
     def __init__(self, path, meta: dict):
         super().__init__(meta)
@@ -53,14 +55,24 @@ class _Sidecar(dict):
     def __missing__(self, key):
         raise ValueError(f"{self.path}: sidecar metadata missing key {key!r}")
 
+    def value(self, key: str, kind: type):
+        """self[key] as an int or a float."""
+        text = self[key]
+        try:
+            return kind(text)
+        except (TypeError, ValueError):
+            raise ValueError(f"{self.path}: sidecar value of {key!r} is not "
+                             f"{'an int' if kind is int else 'a float'}: {text!r}") from None
 
-def _read(path, kind: str):
-    """Planes and sidecar of a stack file, which must be of the given kind."""
-    planes, meta = read_stack(path)
-    if meta.get("kind") != kind:
+
+def _open(path, kind: str) -> tuple[StackReader, _Sidecar]:
+    """A reader of a stack file, which must be of the given kind, and its sidecar."""
+    reader = StackReader(path)
+    if reader.metadata.get("kind") != kind:
+        reader.close()
         article = "an" if kind[0] in "aeiou" else "a"
         raise ValueError(f"{path} is not {article} {kind} file")
-    return planes, _Sidecar(path, meta)
+    return reader, _Sidecar(sidecar_path(path), reader.metadata)
 
 
 def _add_threads_arg(p: argparse.ArgumentParser):
@@ -114,26 +126,18 @@ def _rig_metadata(spec: PatternSpec, geom: GeometryConfig, grid: ZGrid) -> dict:
 
 def _rig_from_metadata(meta: dict) -> tuple[PatternSpec, GeometryConfig, ZGrid]:
     """The rig of a sidecar, or of the rig flags (stored under the same keys)."""
-    spec = PatternSpec(
-        proj_width=int(meta["proj_width"]),
-        proj_height=int(meta["proj_height"]),
-        period_d=int(meta["period_d"]),
-        linewidth_w=int(meta["linewidth_w"]),
-        shift_step=int(meta["shift_step"]),
-        num_shifts_n=int(meta["num_shifts_n"]),
-    )
+    meta = meta if isinstance(meta, _Sidecar) else _Sidecar("rig", meta)
+    spec = PatternSpec(**{key: meta.value(key, int) for key in (
+        "proj_width", "proj_height", "period_d", "linewidth_w", "shift_step", "num_shifts_n")})
     geom = GeometryConfig(
-        tilt_theta=float(meta["theta_rad"]),
-        z_step=float(meta["z_step"]),
-        camera_pixel_pitch=float(meta["pixel_pitch"]),
-        magnification=float(meta["magnification"]),
-        shift_sign=int(meta["shift_sign"]),
+        tilt_theta=meta.value("theta_rad", float),
+        z_step=meta.value("z_step", float),
+        camera_pixel_pitch=meta.value("pixel_pitch", float),
+        magnification=meta.value("magnification", float),
+        shift_sign=meta.value("shift_sign", int),
     )
-    return spec, geom, _grid_from_metadata(meta)
-
-
-def _grid_from_metadata(meta: dict) -> ZGrid:
-    return ZGrid(z0=float(meta["z0"]), z_step=float(meta["z_step"]), count=int(meta["sections"]))
+    grid = ZGrid(z0=meta.value("z0", float), z_step=geom.z_step, count=meta.value("sections", int))
+    return spec, geom, grid
 
 
 def _parse_layer_list(text: str) -> list[int]:
@@ -226,46 +230,50 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_model(path) -> MaskModel:
-    planes, meta = _read(path, "mask-model")
+    reader, meta = _open(path, "mask-model")
+    with reader:
+        base = reader.read(0, 1)[0].astype(np.float64)
     return MaskModel(
-        base_mask=planes[0].astype(np.float64),
-        lateral_dx=float(meta["lateral_dx"]),
-        lateral_dy=float(meta["lateral_dy"]),
-        axial_dx=float(meta["axial_dx"]),
-        axial_dy=float(meta["axial_dy"]),
-        anchors=(int(meta["anchor_x"]), int(meta["anchor_z"])),
-        lateral_residual_rms=float(meta["lateral_residual_rms"]),
-        axial_residual_rms=float(meta["axial_residual_rms"]),
+        base_mask=base,
+        lateral_dx=meta.value("lateral_dx", float),
+        lateral_dy=meta.value("lateral_dy", float),
+        axial_dx=meta.value("axial_dx", float),
+        axial_dy=meta.value("axial_dy", float),
+        anchors=(meta.value("anchor_x", int), meta.value("anchor_z", int)),
+        lateral_residual_rms=meta.value("lateral_residual_rms", float),
+        axial_residual_rms=meta.value("axial_residual_rms", float),
     )
 
 
 def cmd_reconstruct(args) -> int:
-    frames, meta = _read(args.input, "acquisition")
-    spec, geom, grid = _rig_from_metadata(meta)
-    if frames.shape[0] != spec.num_shifts_n:
-        raise ValueError(
-            f"acquisition has {frames.shape[0]} frames but metadata declares "
-            f"{spec.num_shifts_n} scan positions"
-        )
-    expected_shape = camera_shape(spec, geom)
-    if frames.shape[1:] != expected_shape:
-        raise ValueError(
-            f"acquisition planes are {frames.shape[1:]} but the rig implies {expected_shape}"
-        )
-    if args.model:
-        provider = ModelMasks(_load_model(args.model), grid, spec.num_shifts_n)
-    else:
-        provider = GeometryMasks(spec, geom, grid, threshold=args.threshold)
-    stream = VolumeStream(frames, provider, grid, floor=args.floor, threads=args.threads)
-    out_meta = _rig_metadata(spec, geom, grid)
-    out_meta.update(kind="volume", floor=stream.floor, sentinel=SENTINEL,
-                    masks_source=stream.masks_source)
-    # the volume goes to the file chunk by chunk and is never held whole
-    sentinels = 0
-    with StackWriter(args.out, stream.shape, out_meta) as out:
-        for k0, r0, block in stream.blocks():
-            out.write(k0, r0, block)
-            sentinels += int(np.count_nonzero(block == SENTINEL))
+    frames, meta = _open(args.input, "acquisition")
+    with frames:
+        spec, geom, grid = _rig_from_metadata(meta)
+        if frames.shape[0] != spec.num_shifts_n:
+            raise ValueError(
+                f"acquisition has {frames.shape[0]} frames but metadata declares "
+                f"{spec.num_shifts_n} scan positions"
+            )
+        expected_shape = camera_shape(spec, geom)
+        if frames.shape[1:] != expected_shape:
+            raise ValueError(
+                f"acquisition planes are {frames.shape[1:]} but the rig implies {expected_shape}"
+            )
+        if args.model:
+            provider = ModelMasks(_load_model(args.model), grid, spec.num_shifts_n)
+        else:
+            provider = GeometryMasks(spec, geom, grid, threshold=args.threshold)
+        # the frames are checked in one pass over the file, then read chunk by chunk
+        stream = VolumeStream(frames, provider, grid, floor=args.floor, threads=args.threads)
+        out_meta = _rig_metadata(spec, geom, grid)
+        out_meta.update(kind="volume", floor=stream.floor, sentinel=SENTINEL,
+                        masks_source=stream.masks_source)
+        # the volume goes to the file chunk by chunk and is never held whole
+        sentinels = 0
+        with StackWriter(args.out, stream.shape, out_meta) as out:
+            for k0, r0, block in stream.blocks():
+                out.write(k0, r0, block)
+                sentinels += sum(int(np.count_nonzero(plane == SENTINEL)) for plane in block)
     sentinel_fraction = sentinels / math.prod(stream.shape)
     ambiguous = getattr(provider, "ambiguous", None)
     _print_summary(kind="volume", sections=grid.count,
@@ -277,22 +285,29 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_depthmap(args) -> int:
-    planes, meta = _read(args.input, "volume")
-    grid = _grid_from_metadata(meta)
-    if planes.shape[0] != grid.count:
-        raise ValueError(f"volume has {planes.shape[0]} planes, metadata declares {grid.count}")
-    volume = VolumeStack(sections=planes, grid=grid,
-                         coverage_floor_used=float(meta.get("floor", "0") or 0))
-    dm = extract_depth_map(volume, min_confidence=args.min_confidence, refine=args.refine)
+    # the volume is read in runs of planes, once per pass, never whole
+    planes, meta = _open(args.input, "volume")
+    with planes:
+        spec, geom, grid = _rig_from_metadata(meta)
+        if planes.shape[0] != grid.count:
+            raise ValueError(f"volume has {planes.shape[0]} planes, metadata declares {grid.count}")
+        floor = meta.value("floor", float) if meta.get("floor") else 0.0
+        volume = VolumeStack(sections=planes, grid=grid, coverage_floor_used=floor)
+        dm = extract_depth_map(volume, min_confidence=args.min_confidence, refine=args.refine)
+    # depths beyond one slit period of shear fold into [z0, z0 + that range)
+    ambiguous = str(is_axially_ambiguous(spec, geom, grid)).lower()
+    unambiguous = f"{axial_range(spec, geom) / grid.z_step:.6g}"
     out_meta = {"kind": "depthmap", "z0": grid.z0, "z_step": grid.z_step,
-                "sections": grid.count, "refine": int(args.refine)}
+                "sections": grid.count, "refine": int(args.refine),
+                "ambiguous": ambiguous, "unambiguous_sections": unambiguous}
     write_stack(dm.depth, out_meta, args.out)
     if args.confidence_out:
         write_stack(dm.confidence, {"kind": "confidence"}, args.confidence_out)
     if args.pgm:
         write_pgm(dm.depth, args.pgm, invalid_value=float(grid.z0))
     valid_fraction = float(np.mean(np.isfinite(dm.depth)))
-    _print_summary(kind="depthmap", valid_fraction=f"{valid_fraction:.6g}", path=args.out)
+    _print_summary(kind="depthmap", valid_fraction=f"{valid_fraction:.6g}",
+                   ambiguous=ambiguous, unambiguous_sections=unambiguous, path=args.out)
     return 0
 
 

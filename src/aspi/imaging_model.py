@@ -377,7 +377,8 @@ class TranslationMasks:
 
     step and shear are (dx, dy) in camera pixels, applied with shift_image's
     arithmetic. A row-constant base moved only along x is kept as one row,
-    whose (n, 1, W) masks broadcast to exactly the full (n, H, W) ones.
+    whose (n, 1, W) masks broadcast to exactly the full (n, H, W) ones;
+    `base` is then that row broadcast to the base's shape (read-only).
     """
 
     ambiguous = None
@@ -391,6 +392,8 @@ class TranslationMasks:
         self._shear = shear
         row_constant = np.array_equal(b, np.broadcast_to(b[:1], b.shape))
         self._row = b[0].copy() if step[1] == shear[1] == 0.0 and row_constant else None
+        if self._row is not None:
+            self.base = np.broadcast_to(self._row, b.shape)
 
     def section_masks(self, z_index: int, rows: tuple[int, int] | None = None) -> np.ndarray:
         """(n, 1, W) or (n, H, W) bank of every scan step's mask at section z_index.

@@ -27,23 +27,28 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
   per voxel rather than bit for bit. Coverage (mask_coverage) and the floor
   rule (_floor_rule) are shared, so coverage and sentinels are identical.
 
-Both kernels run behind one stream, VolumeStream, which computes every
-block it yields the same way: threads take row bands of it, and no sum is
-ever split between them, so each kernel's output is bit-identical for any
-thread count. GEMM blocks are (K, STREAM_ROWS, W) chunks in fixed
-_GEMM_ROWS bands; reference blocks are (1, H, W) sections in near-equal
-bands of at most _BAND_PIXELS pixels, as many for every thread, each
-building only its own rows of the section's masks. reconstruct_volume
-copies the blocks into one (K, H, W) array; `aspi reconstruct` writes them
-to the stack file and `aspi bench` checksums them, so besides the frames
-and the (n, K, W) bank these hold one chunk of K * STREAM_ROWS * W float64
-values (the reference kernel: a float64 copy of float32 frames, one section
-and, per worker, the masks of its band, at most n * _BAND_PIXELS values),
-never the volume. A thread count below 1 is a ValueError.
+Both kernels run behind one stream, VolumeStream, which computes the volume
+in (K, rows, W) row chunks of every section, top to bottom, and computes
+every chunk the same way: threads take pieces of it, and no sum is ever
+split between them, so each kernel's output is bit-identical for any thread
+count. The GEMM kernel's chunks are STREAM_ROWS rows, split into fixed
+_GEMM_ROWS bands; the reference kernel's chunks hold up to _BAND_PIXELS
+pixels of a section and are split into their sections, each built from
+only the chunk's rows of that section's masks. Each chunk needs only its
+own rows of the frames, which the stream takes from an array or reads from
+a StackReader as it goes. reconstruct_volume copies the chunks into one
+(K, H, W) array; `aspi reconstruct` writes them to the stack file and
+`aspi bench` checksums them. So besides the frames (none when they are read
+from a file) these hold one chunk of every section in float64 and the
+chunk's rows of the frames (float32 as read), never the volume; the GEMM
+kernel also holds the (n, K, W) bank, the reference kernel the chunk's
+frame rows in float64 and, per worker, the float64 masks of one section's
+chunk rows. A thread count below 1 is a ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +56,7 @@ import numpy as np
 
 from .calibration import MaskModel
 from .imaging_model import GeometryMasks, TranslationMasks, ZGrid, mask_coverage
+from .stack_io import StackReader
 
 __all__ = [
     "SENTINEL",
@@ -69,8 +75,8 @@ __all__ = [
 
 SENTINEL = -1.0
 
-# Pixels per row band of the reference kernel (128 rows at 512 wide): small
-# enough for a band's masks to stay near the cache, large enough that each
+# Pixels per row chunk of the reference kernel (128 rows at 512 wide): small
+# enough for a chunk's masks to stay near the cache, large enough that each
 # array operation outlasts the workers' hand-offs of the interpreter lock.
 _BAND_PIXELS = 128 * 512
 
@@ -78,8 +84,12 @@ _BAND_PIXELS = 128 * 512
 # products are the same for every thread count.
 _GEMM_ROWS = 16
 
-# Rows per chunk when a volume is streamed (`aspi reconstruct`, `aspi
-# bench`): whole GEMM bands, so the chunks hold the bits of a whole pass.
+# Columns per batched matmul of a GEMM band: each column is its own product,
+# so this bounds a worker's memory without changing any bit.
+_GEMM_COLS = 256
+
+# Rows per chunk of a streamed volume: whole GEMM bands, so the chunks hold
+# the bits of a whole pass.
 STREAM_ROWS = 2 * _GEMM_ROWS
 
 
@@ -92,15 +102,16 @@ def default_floor(base_mask, n: int) -> float:
 class VolumeStack:
     """Reconstructed confocal sections bound to their depth grid."""
 
-    # (K, H, W) float64 as reconstructed, or float32 as read from a stack
-    # file (extract_depth_map takes either); SENTINEL where coverage failed
-    sections: np.ndarray
+    # (K, H, W) float64 as reconstructed, float32 as read from a stack file,
+    # or a StackReader of one (extract_depth_map takes any); SENTINEL where
+    # coverage failed
+    sections: np.ndarray | StackReader
     grid: ZGrid
     coverage_floor_used: float
     masks_source: str = ""
 
     def __post_init__(self):
-        if self.sections.ndim != 3 or self.sections.shape[0] != self.grid.count:
+        if len(self.sections.shape) != 3 or self.sections.shape[0] != self.grid.count:
             raise ValueError(
                 f"sections shape {self.sections.shape} inconsistent with grid count {self.grid.count}"
             )
@@ -155,10 +166,11 @@ class PrecomputedMasks:
         return "precomputed"
 
 
-def _as_frames(acq) -> np.ndarray:
+def _as_frames(acq):
     frames = getattr(acq, "frames", acq)
-    frames = np.asarray(frames)
-    if frames.ndim != 3:
+    if not isinstance(frames, StackReader):
+        frames = np.asarray(frames)
+    if len(frames.shape) != 3:
         raise ValueError(f"expected (n, H, W) frames, got shape {frames.shape}")
     if frames.shape[0] == 0:
         raise ValueError("empty frame list")
@@ -216,9 +228,22 @@ def _resolve_provider(acq, masks, grid: ZGrid):
     return PrecomputedMasks(masks, grid)
 
 
-def _check_finite(frames: np.ndarray) -> None:
+def _frame_rows(frames, rows: tuple[int, int], buffer) -> np.ndarray:
+    """Rows r0:r1 of every frame: a view of an array, or read from a StackReader into buffer."""
+    if not isinstance(frames, StackReader):
+        return frames[:, rows[0]:rows[1]]
+    shape = (frames.shape[0], rows[1] - rows[0], frames.shape[2])
+    return frames.read(0, shape[0], rows, out=buffer[:math.prod(shape)].reshape(shape))
+
+
+def _check_finite(frames) -> None:
     # frame by frame: the flags of one frame at a time, not of the stack
-    bad = frames.size - sum(int(np.count_nonzero(np.isfinite(f))) for f in frames)
+    n, h, w = frames.shape
+    buffer = np.empty(h * w, dtype=np.float32) if isinstance(frames, StackReader) else None
+    bad = n * h * w
+    for i in range(n):
+        frame = frames[i] if buffer is None else frames.read(i, i + 1, out=buffer.reshape(1, h, w))
+        bad -= int(np.count_nonzero(np.isfinite(frame)))
     if bad:
         raise ValueError(f"acquisition has {bad} non-finite frame pixels (NaN or Inf)")
 
@@ -229,13 +254,14 @@ def _check_threads(threads: int) -> None:
 
 
 class VolumeStream:
-    """A checked reconstruction whose sections are computed as they are read.
+    """A checked reconstruction whose row chunks are computed as they are read.
 
     The constructor takes reconstruct_volume's arguments and makes all of
     its checks (threads, frames, NaN or Inf pixels, floor, mask bank), so a
-    caller can reject bad input before it opens an output; `blocks` computes
-    the volume piece by piece, each piece in row bands shared among
-    `threads` workers. `shape` is the volume's (K, H, W).
+    caller can reject bad input before it opens an output; frames read from
+    a StackReader are checked in one pass over the file, frame by frame.
+    `blocks` computes the volume chunk by chunk, each chunk in pieces shared
+    among `threads` workers. `shape` is the volume's (K, H, W).
     """
 
     def __init__(self, acq, masks, grid: ZGrid | None = None,
@@ -269,74 +295,87 @@ class VolumeStream:
         self._threads = threads
 
     def blocks(self):
-        """Yield (k0, r0, block): float64 (k, rows, W) pieces of the volume at section k0, row r0.
+        """Yield (0, r0, chunk): float64 (K, rows, W) row chunks of every section, from row r0.
 
-        The GEMM kernel yields (K, STREAM_ROWS, W) row chunks top to bottom
-        (the last one shorter); the reference kernel yields (1, H, W)
-        sections in order, each computed only after the one before it was
-        taken. The next block may overwrite this one, so consume it first.
-        One executor serves the whole stream and is shut down when the
-        stream ends, is closed or raises.
+        Chunks come top to bottom (the last one shorter), each computed only
+        after the one before it was taken, from only its rows of the frames:
+        STREAM_ROWS rows from the GEMM kernel, whole _GEMM_ROWS bands of at
+        most _BAND_PIXELS pixels from the reference kernel. The next chunk
+        may overwrite this one, so consume it first. One executor serves the
+        whole stream and is shut down when the stream ends, is closed or
+        raises.
         """
+        n, h, w = self._frames.shape
+        if self._bank is not None:
+            rows, kernel = STREAM_ROWS, self._gemm_kernel()
+        else:
+            rows, kernel = self._section_rows(), self._section_kernel()
+        rows = min(rows, h)
+        sections = np.empty(self.shape[0] * rows * w, dtype=np.float64)
+        frame_rows = (np.empty(n * rows * w, dtype=np.float32)
+                      if isinstance(self._frames, StackReader) else None)
         pool = ThreadPoolExecutor(max_workers=self._threads) if self._threads > 1 else None
         try:
-            if self._bank is not None:
-                yield from self._gemm_blocks(pool)
-            else:
-                yield from self._section_blocks(pool)
+            for c0 in range(0, h, rows):
+                c1 = min(c0 + rows, h)
+                chunk = sections[:self.shape[0] * (c1 - c0) * w].reshape(-1, c1 - c0, w)
+                kernel(pool, _frame_rows(self._frames, (c0, c1), frame_rows), c0, chunk)
+                yield 0, c0, chunk
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    def _gemm_blocks(self, pool):
+    def _gemm_kernel(self):
         # one batched matmul per _GEMM_ROWS row band of every chunk
-        frames, bank, floor = self._frames, self._bank, self.floor
-        n, h, w = frames.shape
-        k = bank.shape[1]
-        masks_x = np.ascontiguousarray(bank.transpose(2, 0, 1))    # (W, n, K)
-        den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]  # (W, 1, K)
-        den_x, uncovered_x = _floor_rule(den_x, floor)
-        uncovered = uncovered_x.transpose(2, 1, 0)                  # (K, 1, W)
+        masks_x = np.ascontiguousarray(self._bank.transpose(2, 0, 1))     # (W, n, K)
+        den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]     # (W, 1, K)
+        den_x, uncovered_x = _floor_rule(den_x, self.floor)
+        uncovered = uncovered_x.transpose(2, 1, 0)                         # (K, 1, W)
 
-        buffer = np.empty(k * min(STREAM_ROWS, h) * w, dtype=np.float64)
-        for c0 in range(0, h, STREAM_ROWS):
-            c1 = min(c0 + STREAM_ROWS, h)
-            sections = buffer[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
+        def chunk(pool, frames, c0: int, sections):
+            n, rows, w = frames.shape
 
-            def band(r0: int):
-                r1 = min(r0 + _GEMM_ROWS, c1)
-                obs = np.empty((w, r1 - r0, n), dtype=np.float64)
-                # cast first: a contiguous float64 band transposes twice as fast
-                obs[...] = frames[:, r0:r1].astype(np.float64).transpose(2, 1, 0)
-                num = np.matmul(obs, masks_x)                       # (W, rows, K)
-                num /= den_x
-                block = sections[:, r0 - c0:r1 - c0]
-                block[...] = num.transpose(2, 1, 0)
-                np.copyto(block, SENTINEL, where=uncovered)
+            def band(b0: int):
+                b1 = min(b0 + _GEMM_ROWS, rows)
+                # column by column the same products, _GEMM_COLS columns at a time
+                for x0 in range(0, w, _GEMM_COLS):
+                    x1 = min(x0 + _GEMM_COLS, w)
+                    obs = np.empty((x1 - x0, b1 - b0, n), dtype=np.float64)
+                    # cast first: a contiguous float64 band transposes twice as fast
+                    obs[...] = frames[:, b0:b1, x0:x1].astype(np.float64).transpose(2, 1, 0)
+                    num = np.matmul(obs, masks_x[x0:x1])                  # (cols, rows, K)
+                    num /= den_x[x0:x1]
+                    block = sections[:, b0:b1, x0:x1]
+                    block[...] = num.transpose(2, 1, 0)
+                    np.copyto(block, SENTINEL, where=uncovered[:, :, x0:x1])
 
-            _run(pool, band, range(c0, c1, _GEMM_ROWS))
-            yield 0, c0, sections
+            _run(pool, band, range(0, rows, _GEMM_ROWS))
 
-    def _section_blocks(self, pool):
-        # one exact upcast here, not one in each of the K * n multiplies
-        frames = self._frames.astype(np.float64, copy=False)
-        provider, floor = self._provider, self.floor
-        # bands of at most _BAND_PIXELS pixels, the same number for every worker
-        h, w = frames.shape[1:]
-        rows = max(1, _BAND_PIXELS // w)
-        count = self._threads * -(-h // (rows * self._threads))
-        edges = [h * b // count for b in range(count + 1)]
-        row_bands = [(r0, r1) for r0, r1 in zip(edges, edges[1:]) if r1 > r0]
-        section = np.empty((1,) + frames.shape[1:], dtype=np.float64)
-        for z in range(self.shape[0]):
+        return chunk
 
-            def band(rows: tuple[int, int]):
-                r0, r1 = rows
-                masks = provider.section_masks(z, rows)
-                section[0, r0:r1] = reconstruct_section(frames[:, r0:r1], masks, floor)[0]
+    def _section_rows(self) -> int:
+        # whole GEMM bands of at most _BAND_PIXELS pixels, and at least
+        # 2 * threads chunks down the frame, so that the workers' masks
+        # together stay within half a section's (n, H, W) bank
+        n, h, w = self._frames.shape
+        bands = min(_BAND_PIXELS // (_GEMM_ROWS * w), h // (2 * self._threads * _GEMM_ROWS))
+        return _GEMM_ROWS * max(1, bands)
 
-            _run(pool, band, row_bands)
-            yield z, 0, section
+    def _section_kernel(self):
+        provider, floor, k = self._provider, self.floor, self.shape[0]
+
+        def chunk(pool, frames, c0: int, sections):
+            # one exact upcast per chunk, not one in each of the K * n
+            # multiplies; each section's sums stay on one worker
+            frames = frames.astype(np.float64, copy=False)
+            rows = (c0, c0 + frames.shape[1])
+
+            def section(z: int):
+                sections[z] = reconstruct_section(frames, provider.section_masks(z, rows), floor)[0]
+
+            _run(pool, section, range(k))
+
+        return chunk
 
 
 def _run(pool, work, items) -> None:
@@ -355,16 +394,17 @@ def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
     masks may be a MaskModel, a mask provider (GeometryMasks / ModelMasks /
     PrecomputedMasks), or a sequence of per-section banks. A provider whose
     row_bank() returns an (n, K, W) bank takes the GEMM kernel; any other
-    takes reconstruct_section once per section. Frames of any float dtype
-    are read as float64; a NaN or an infinity in them raises ValueError.
-    With threads > 1 the work is split into row bands, and the result is
-    bit-identical to the serial one. The volume is VolumeStream's blocks,
-    copied into one array.
+    takes reconstruct_section once per section of every row chunk. Frames
+    (an array, an AcquisitionSet or a StackReader) of any float dtype are
+    read as float64; a NaN or an infinity in them raises ValueError. With
+    threads > 1 each chunk's work is split among workers, and the result is
+    bit-identical to the serial one. The volume is VolumeStream's row
+    chunks, copied into one array.
     """
     stream = VolumeStream(acq, masks, grid, floor, threads)
     sections = np.empty(stream.shape, dtype=np.float64)
-    for k0, r0, block in stream.blocks():
-        sections[k0:k0 + block.shape[0], r0:r0 + block.shape[1]] = block
+    for _, r0, chunk in stream.blocks():
+        sections[:, r0:r0 + chunk.shape[1]] = chunk
     return VolumeStack(
         sections=sections,
         grid=stream.grid,

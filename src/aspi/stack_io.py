@@ -18,17 +18,26 @@ provenance travels in a sidecar text file at <path>.meta with one
 ``key=value`` pair per line; the binary header stays minimal on purpose.
 
 StackWriter writes a stack block by block: each block goes to its place in
-the file as it comes, so a writer holds one block's float32 copy, never the
-stack; `aspi reconstruct` streams its volume this way, `aspi simulate`
-its frames. write_stack writes a whole array through it as one contiguous
-payload, holding the array's float32 copy (none when it is float32
-already). Either commits the file and its sidecar only when the whole
-payload was written exactly once. read_stack reads a payload into one
-float32 array.
+the file as it comes, so a writer holds the float32 copy of one block of
+whole planes, or of one plane's rows of a row block, never the stack; `aspi
+reconstruct` streams its volume this way, `aspi simulate` its frames.
+write_stack writes a whole array through it as one contiguous payload,
+holding the array's float32 copy (none when it is float32 already). Either
+commits the file and its sidecar only when the whole payload was written
+exactly once.
+
+StackReader is its read-side twin: it checks the header and the payload
+length once, then reads any row window of a run of planes into a float32
+buffer the caller may provide, so a reader holds one window, never the
+stack; `aspi reconstruct` reads one row chunk of every frame at a time,
+`aspi depthmap` runs of whole planes. read_stack reads the whole payload
+through it. A file with no size (a FIFO) is read whole first and served
+from that one payload.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -42,6 +51,7 @@ __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
     "StackWriter",
+    "StackReader",
     "write_stack",
     "read_stack",
     "sidecar_path",
@@ -139,14 +149,14 @@ class StackWriter:
         rows = self._written[k0:k0 + b.shape[0], r0:r0 + b.shape[1]]
         if rows.any():
             raise ValueError(f"block at section {k0}, row {r0} overlaps rows already written")
-        data = np.ascontiguousarray(b, dtype="<f4")
         offset = _HEADER.size + (k0 * h + r0) * w * 4
         if b.shape[1] == h:
             # whole planes lie back to back in the file
-            self._pwrite(data, offset)
+            self._pwrite(np.ascontiguousarray(b, dtype="<f4"), offset)
         else:
-            for j, plane in enumerate(data):
-                self._pwrite(plane, offset + j * h * w * 4)
+            # one plane's float32 rows at a time, not the block's
+            for j, plane in enumerate(b):
+                self._pwrite(np.ascontiguousarray(plane, dtype="<f4"), offset + j * h * w * 4)
         rows += 1
 
     def commit(self) -> None:
@@ -197,46 +207,123 @@ def write_stack(planes, metadata: dict, path) -> None:
         out.write(0, 0, a)
 
 
+def _check_header(head: bytes) -> tuple[int, int, int]:
+    """The (K, H, W) shape a stack header declares; StackFormatError if it is malformed."""
+    if len(head) < _HEADER.size:
+        raise StackFormatError(
+            f"truncated header: need {_HEADER.size} bytes, file has {len(head)}"
+        )
+    magic, version, count, width, height, dtype_code = _HEADER.unpack(head[:_HEADER.size])
+    if magic != MAGIC:
+        raise StackFormatError(f"bad magic at byte 0: expected {MAGIC!r}, got {magic!r}")
+    if version != FORMAT_VERSION:
+        raise StackFormatError(f"unsupported format version {version} at byte 4")
+    if dtype_code != _DTYPE_F32:
+        raise StackFormatError(f"unsupported dtype code {dtype_code} at byte 18")
+    return count, height, width
+
+
+class StackReader:
+    """Read a stack file piece by piece into float32 arrays.
+
+    The header is parsed and checked, the payload length compared with it
+    and the sidecar read (as `metadata`, values as strings, {} when there is
+    none) when the reader is made; a malformed file raises StackFormatError
+    naming the offending byte ranges. `shape` is the (K, H, W) of the
+    stack, `dtype` little-endian float32 and `size` its value count.
+    A regular file is read with os.preadv, straight into the array; a file
+    with no size (a FIFO) is read whole and kept as one payload. Used as a
+    context manager it closes the file when the block ends.
+    """
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        try:
+            st = os.fstat(self._file.fileno())
+            if stat.S_ISREG(st.st_mode):
+                self._payload = None
+                self.shape = _check_header(os.pread(self._file.fileno(), _HEADER.size, 0))
+                actual = st.st_size - _HEADER.size
+            else:
+                # a pipe reports no size, so its payload is read whole first
+                raw = self._file.read()
+                self.shape = _check_header(raw)
+                self._payload = memoryview(raw)[_HEADER.size:]
+                actual = len(self._payload)
+            expected = math.prod(self.shape) * 4
+            if expected != actual:
+                count, height, width = self.shape
+                raise StackFormatError(
+                    f"payload length mismatch: header declares {count}x{height}x{width} "
+                    f"({expected} bytes after the {_HEADER.size}-byte header), got {actual} bytes"
+                )
+            self.metadata = _read_sidecar(path)
+        except BaseException:
+            self.close()
+            raise
+        self.size = math.prod(self.shape)
+
+    def read(self, k0: int, k1: int, rows: tuple[int, int] | None = None, out=None) -> np.ndarray:
+        """Rows r0:r1 (default all) of planes k0:k1 as a (k1 - k0, r1 - r0, W) float32 array.
+
+        out, when given, is a C-contiguous float32 array of that shape, which
+        is filled and returned; otherwise a new array is.
+        """
+        k, h, w = self.shape
+        r0, r1 = (0, h) if rows is None else rows
+        if not (0 <= k0 <= k1 <= k and 0 <= r0 <= r1 <= h):
+            raise ValueError(f"planes {k0}:{k1}, rows {r0}:{r1} outside a {k}x{h}x{w} stack")
+        shape = (k1 - k0, r1 - r0, w)
+        if out is None:
+            out = np.empty(shape, dtype=self.dtype)
+        elif out.shape != shape or out.dtype != self.dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {shape} float32 array")
+        planes = out.reshape(shape[0], shape[1] * w).view(np.uint8)
+        offset = _HEADER.size + (k0 * h + r0) * w * 4
+        if r1 - r0 == h:
+            # whole planes lie back to back in the file
+            self._read_into(planes.reshape(-1), offset)
+        else:
+            for j, plane in enumerate(planes):
+                self._read_into(plane, offset + j * h * w * 4)
+        return out
+
+    def _read_into(self, buffer: np.ndarray, offset: int) -> None:
+        if self._payload is not None:
+            start = offset - _HEADER.size
+            buffer[...] = np.frombuffer(self._payload[start:start + buffer.size], dtype=np.uint8)
+            return
+        view = memoryview(buffer)
+        done = 0
+        while done < len(view):
+            count = os.preadv(self._file.fileno(), [view[done:]], offset + done)
+            if count <= 0:
+                raise StackFormatError(f"{self.path}: payload ends at byte {offset + done}, "
+                                       f"before the {len(view)} bytes at byte {offset}")
+            done += count
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "StackReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
 def read_stack(path) -> tuple[np.ndarray, dict]:
     """Read a stack file; returns ((K, H, W) float32 planes, metadata dict).
 
     Metadata values come back as strings; a missing sidecar yields an empty
     dict. Malformed files raise StackFormatError naming the offending byte
-    ranges.
+    ranges. The planes are one new, writable array, read through StackReader.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise StackFormatError(
-                f"truncated header: need {_HEADER.size} bytes, file has {len(head)}"
-            )
-        magic, version, count, width, height, dtype_code = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise StackFormatError(f"bad magic at byte 0: expected {MAGIC!r}, got {magic!r}")
-        if version != FORMAT_VERSION:
-            raise StackFormatError(f"unsupported format version {version} at byte 4")
-        if dtype_code != _DTYPE_F32:
-            raise StackFormatError(f"unsupported dtype code {dtype_code} at byte 18")
-        expected = count * width * height * 4
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            actual = st.st_size - _HEADER.size
-            if expected == actual:
-                # the payload goes straight into the array: one copy, writable
-                planes = np.empty((count, height, width), dtype="<f4")
-                actual = fh.readinto(planes.reshape(-1).view(np.uint8))
-        else:
-            # a pipe reports no size, so its payload is read whole first
-            raw = fh.read()
-            actual = len(raw)
-            if expected == actual:
-                planes = np.frombuffer(raw, dtype="<f4").reshape(count, height, width).copy()
-        if expected != actual:
-            raise StackFormatError(
-                f"payload length mismatch: header declares {count}x{height}x{width} "
-                f"({expected} bytes after the {_HEADER.size}-byte header), got {actual} bytes"
-            )
-    return planes, _read_sidecar(path)
+    with StackReader(path) as reader:
+        return reader.read(0, reader.shape[0]), reader.metadata
 
 
 def write_pgm(image, path, invalid_value: float = 0.0) -> None:

@@ -21,6 +21,15 @@ or float64 (as reconstructed in-process), and never copied whole to
 float64. Every value that enters arithmetic is widened to float64 first,
 which is exact, so both dtypes of the same volume give the same depth map
 bit for bit. A volume with a NaN or an infinity is rejected.
+
+The depth map walks the volume in passes over runs of sections, so a volume
+may also be a StackReader of a stack file (as `aspi depthmap` passes it),
+which is then read run by run and never held whole. The first pass is the
+running argmax, with the background's key histogram taken from the same
+runs; refinement gathers each pixel's neighbouring sections in one more
+pass, and the background's selection and sum take two. Besides one run
+they hold per-pixel planes: the best value and section, the neighbours,
+the depth and the confidence.
 """
 
 from __future__ import annotations
@@ -78,9 +87,14 @@ class DepthMap:
 # Bins of the background histogram: the top 16 bits of a value's key.
 _KEY_BINS = 1 << 16
 
-# Voxels per run of sections in the background passes: bounded memory, and
-# few 65536-bin histograms when sections are small.
+# Voxels per run of sections in the passes over a volume: bounded memory,
+# and few 65536-bin histograms when sections are small.
 _BACKGROUND_RUN = 1 << 16
+
+# Values per block of the background's streamed sum. numpy sums up to 128
+# values without splitting them, so any block of at least 128 has the bits
+# of numpy's own sum of those values.
+_SUM_BLOCK = 1 << 16
 
 
 def predicted_fwhm_sections(linewidth_px: float, shear_px_per_section: float) -> float:
@@ -176,47 +190,103 @@ def fwhm(curve: AxialCurve) -> float:
     return float(z_right - z_left)
 
 
-def estimate_background(sections: np.ndarray) -> float:
+def _runs(sections):
+    """Runs of whole sections of a (K, H, W) array or StackReader, in order.
+
+    Runs read from a file share one buffer: consume a run before the next.
+    """
+    k = sections.shape[0]
+    step = max(1, _BACKGROUND_RUN // max(1, math.prod(sections.shape[1:])))
+    if isinstance(sections, np.ndarray):
+        for j in range(0, k, step):
+            yield sections[j:j + step]
+        return
+    buffer = np.empty((min(step, k),) + sections.shape[1:], dtype=sections.dtype)
+    for j in range(0, k, step):
+        yield sections.read(j, min(j + step, k), out=buffer[:min(step, k - j)])
+
+
+def _key_bits(dtype) -> tuple[np.dtype, int]:
+    """The unsigned integer type of a float dtype's bits, and the shift to their top 16."""
+    return np.dtype(dtype.str.replace("f", "u")), 8 * dtype.itemsize - 16
+
+
+def _count_keys(run, counts: np.ndarray) -> int:
+    """Add the keys of a run's values to the histogram counts; returns its sentinel count."""
+    udtype, shift = _key_bits(run.dtype)
+    flat = run.reshape(-1)
+    counts += np.bincount((flat.view(udtype) >> shift).astype(np.intp, copy=False),
+                          minlength=_KEY_BINS)
+    return int(np.count_nonzero(flat == SENTINEL))
+
+
+class _Values:
+    """The values of an iterable of 1-D arrays, in order, taken count by count as float64."""
+
+    def __init__(self, pieces):
+        self._pieces = iter(pieces)
+        self._pending = np.empty(0)
+
+    def take(self, count: int) -> np.ndarray:
+        parts, size = [], 0
+        while size < count:
+            if not self._pending.size:
+                self._pending = next(self._pieces)
+            parts.append(self._pending[:count - size])
+            self._pending = self._pending[parts[-1].size:]
+            size += parts[-1].size
+        return np.concatenate(parts, dtype=np.float64)
+
+
+def _pairwise_sum(values: _Values, count: int):
+    """np.add.reduce over the next count float64 values, holding one block of them.
+
+    numpy sums a contiguous float64 array pairwise: more than 128 values
+    split at half their count, rounded down to a multiple of 8, and each
+    half is summed the same way. Splitting so down to blocks of at most
+    _SUM_BLOCK values, each summed by np.add.reduce, gives the same bits.
+    """
+    if count <= _SUM_BLOCK:
+        return np.add.reduce(values.take(count))
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values, half) + _pairwise_sum(values, count - half)
+
+
+def estimate_background(sections) -> float:
     """Mean of the lowest-decile non-sentinel intensities of a volume.
 
-    The decile is np.percentile's linear one and the mean is taken over the
-    low values in C order as float64, so the result has the bits of the
-    float64 computation whatever the stored dtype. Values must be finite
+    sections is a (K, H, W) array or a StackReader of one. The decile is
+    np.percentile's linear one and the mean is taken over the low values in
+    C order as float64, so the result has the bits of the float64
+    computation whatever the stored dtype. Values must be finite
     (extract_depth_map checks).
 
     The decile is selected exactly, by bucket selection (as in Alabi et
     al., "Fast k-selection algorithms for graphics processing units", ACM
-    JEA 17, 2012), in passes over runs of sections; the volume is never
-    copied whole. A histogram of the top 16 bits of order-preserving
-    integer keys finds the bins that hold the two order statistics; the
-    second pass gathers the values of those bins and counts the values
-    below them, so a partition of the gathered values yields the order
-    statistics; the third pass gathers the low values, widened to float64,
-    for the mean. Extra memory is the gathered bins, the low values as
-    float64 and one run's keys.
+    JEA 17, 2012), in three passes over runs of sections; the volume is
+    never held whole. The first pass histograms the top 16 bits of
+    order-preserving integer keys, which finds the bins that hold the two
+    order statistics; the second counts the values below those bins and
+    the values in them, value by value, which yields the order statistics;
+    the third sums the low values, widened to float64, the way np.mean
+    does. Extra memory is the histogram, the distinct values of the two
+    bins with their counts, and one run.
     """
+    counts = np.zeros(_KEY_BINS, dtype=np.int64)
+    sentinels = sum(_count_keys(run, counts) for run in _runs(sections))
+    return _background(sections, counts, sentinels)
+
+
+def _background(sections, counts: np.ndarray, sentinels: int) -> float:
+    """estimate_background's second and third passes, after its key histogram."""
     dtype = sections.dtype
-    k = sections.shape[0]
-    step = max(1, _BACKGROUND_RUN // max(1, math.prod(sections.shape[1:])))
-
-    def runs():
-        for j in range(0, k, step):
-            yield sections[j:j + step].reshape(-1)
-
+    udtype, shift = _key_bits(dtype)
     # a float's bits as an unsigned integer ascend with positive values and
     # descend with negative ones; the histogram is reordered to match
-    udtype = np.dtype(dtype.str.replace("f", "u"))
-    shift = 8 * dtype.itemsize - 16
-    counts = np.zeros(_KEY_BINS, dtype=np.int64)
-    sentinels = 0
-    for run in runs():
-        counts += np.bincount((run.view(udtype) >> shift).astype(np.intp, copy=False),
-                              minlength=_KEY_BINS)
-        sentinels += int(np.count_nonzero(run == SENTINEL))
     counts[int(np.asarray(SENTINEL, dtype=dtype).view(udtype)) >> shift] -= sentinels
     half = _KEY_BINS // 2
     cumulative = np.concatenate([counts[:half - 1:-1], counts[:half]])
-    del counts
     np.cumsum(cumulative, out=cumulative)
     n = int(cumulative[-1])
     if n == 0:
@@ -239,17 +309,12 @@ def estimate_background(sections: np.ndarray) -> float:
 
     lower, upper = bin_edge(lo, False), bin_edge(hi, True)
     # every value below `lower` ranks below lo, every value above `upper`
-    # above hi, so lo and hi index the gathered values after the `below` ones
-    below = -sentinels if SENTINEL < lower else 0
-    pieces = []
-    for run in runs():
-        under = run < lower
-        below += int(np.count_nonzero(under))
-        pieces.append(np.compress(~under & (run <= upper) & (run != SENTINEL), run))
-    edge = np.concatenate(pieces)
-    del pieces
-    edge.partition((lo - below, hi - below))
-    a, b = float(edge[lo - below]), float(edge[hi - below])
+    # above hi, so lo and hi rank among the values in between after the
+    # `below` ones; those are kept as distinct values and their counts
+    below, values, tally = _between(sections, lower, upper)
+    below -= sentinels if SENTINEL < lower else 0
+    rank = np.cumsum(tally)
+    a, b = (float(values[np.searchsorted(rank, r - below, side="right")]) for r in (lo, hi))
     g = index - lo
     q10 = b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
     # the largest stored value <= q10: a stored-dtype value is <= it exactly
@@ -257,16 +322,71 @@ def estimate_background(sections: np.ndarray) -> float:
     cut = dtype.type(q10)
     if float(cut) > q10:
         cut = np.nextafter(cut, dtype.type(-np.inf))
-    # cut >= a >= lower: the low values are the `below` ones and the gathered
-    # ones up to cut, a among them
-    low = np.empty(below + int(np.count_nonzero(edge <= cut)), dtype=np.float64)
-    del edge
-    filled = 0
-    for run in runs():
-        piece = np.compress((run <= cut) & (run != SENTINEL), run)
-        low[filled:filled + piece.size] = piece
-        filled += piece.size
-    return float(low.mean())
+    # cut >= a >= lower: the low values are the `below` ones and the
+    # in-between ones up to cut, a among them
+    low = below + int(tally[values <= cut].sum())
+
+    def low_values():
+        for run in _runs(sections):
+            flat = run.reshape(-1)
+            yield np.compress((flat <= cut) & (flat != SENTINEL), flat)
+
+    return float(_pairwise_sum(_Values(low_values()), low)) / low
+
+
+def _between(sections, lower, upper) -> tuple[int, np.ndarray, np.ndarray]:
+    """The count of values below lower, and the distinct non-sentinel values
+    from lower to upper, ascending, with their counts (as float64).
+
+    The values are gathered run by run and folded into the distinct ones
+    whenever they outnumber a run, so ties take no more than a run's memory.
+    """
+    below = 0
+    values, tally = np.empty(0, dtype=sections.dtype), np.empty(0)
+    gathered, size = [], 0
+    for run in _runs(sections):
+        flat = run.reshape(-1)
+        under = flat < lower
+        below += int(np.count_nonzero(under))
+        gathered.append(np.compress(~under & (flat <= upper) & (flat != SENTINEL), flat))
+        size += gathered[-1].size
+        if size >= _BACKGROUND_RUN:
+            values, tally = _fold(values, tally, gathered)
+            gathered, size = [], 0
+    if gathered:
+        values, tally = _fold(values, tally, gathered)
+    return below, values, tally
+
+
+def _fold(values, tally, gathered) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values and their counts, with the gathered values added."""
+    distinct, count = np.unique(np.concatenate(gathered), return_counts=True)
+    values, inverse = np.unique(np.concatenate([values, distinct]), return_inverse=True)
+    return values, np.bincount(inverse, weights=np.concatenate([tally, count]))
+
+
+def _neighbours(sections, jbest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's values in the sections before and after jbest, in one pass.
+
+    The pixels are grouped by jbest once; section j then gives its values
+    to the pixels whose best section is j + 1 and j - 1. A pixel whose best
+    section is the first or the last has no neighbour there, and gets 0.
+    """
+    k = sections.shape[0]
+    flat = jbest.reshape(-1)
+    # a stable sort of 16-bit keys is a radix sort
+    order = np.argsort(flat.astype(np.uint16) if k <= 1 << 16 else flat, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=k))])
+    group = [order[starts[j]:starts[j + 1]] for j in range(k)]
+    rm = np.zeros(flat.size, dtype=sections.dtype)
+    rp = np.zeros_like(rm)
+    for j, plane in enumerate(p for run in _runs(sections) for p in run):
+        values = plane.reshape(-1)
+        if j + 1 < k:
+            rm[group[j + 1]] = values[group[j + 1]]
+        if j > 0:
+            rp[group[j - 1]] = values[group[j - 1]]
+    return rm.reshape(jbest.shape), rp.reshape(jbest.shape)
 
 
 def extract_depth_map(
@@ -287,41 +407,65 @@ def extract_depth_map(
     data = volume.sections
     grid = volume.grid
     k = data.shape[0]
+    refine = refine and k >= 3
     best = np.full(data.shape[1:], -np.inf, dtype=data.dtype)
     jbest = np.zeros(data.shape[1:], dtype=np.intp)
     better = np.empty(data.shape[1:], dtype=bool)
     scratch = np.empty_like(better)
+    # the background's key histogram, of the same runs
+    counts = np.zeros(_KEY_BINS, dtype=np.int64) if min_confidence is None else None
+    sentinels = 0
     nonfinite = 0
-    for j, plane in enumerate(data):
-        nonfinite += plane.size - np.count_nonzero(np.isfinite(plane, out=scratch))
-        # strict: a tie keeps the lower section
-        np.greater(plane, best, out=better)
-        better &= np.not_equal(plane, SENTINEL, out=scratch)
-        np.copyto(best, plane, where=better)
-        np.copyto(jbest, j, where=better)
+    j = 0
+    for run in _runs(data):
+        if counts is not None:
+            sentinels += _count_keys(run, counts)
+        for plane in run:
+            nonfinite += plane.size - np.count_nonzero(np.isfinite(plane, out=scratch))
+            # strict: a tie keeps the lower section
+            np.greater(plane, best, out=better)
+            better &= np.not_equal(plane, SENTINEL, out=scratch)
+            np.copyto(best, plane, where=better)
+            np.copyto(jbest, j, where=better)
+            j += 1
     if nonfinite:
         raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
     any_valid = best > -np.inf
     peak = best.astype(np.float64)
+    del best
 
     if min_confidence is None:
-        min_confidence = 5.0 * estimate_background(data)
+        min_confidence = 5.0 * _background(data, counts, sentinels)
     keep = any_valid & (peak >= min_confidence)
 
     depth_sections = jbest.astype(np.float64)
-    if refine and k >= 3:
-        jm = np.clip(jbest - 1, 0, k - 1)
-        jp = np.clip(jbest + 1, 0, k - 1)
-        # widen before any arithmetic: float32 planes would keep it float32
-        rm, r0, rp = (np.take_along_axis(data, j[None], axis=0)[0].astype(np.float64)
-                      for j in (jm, jbest, jp))
+    if refine:
+        rm, rp = _neighbours(data, jbest)
         interior = (jbest > 0) & (jbest < k - 1) & (rm != SENTINEL) & (rp != SENTINEL)
-        denom = rm - 2.0 * r0 + rp
-        concave = denom < 0
-        safe = np.where(concave, denom, -1.0)
-        delta = np.where(interior & concave, 0.5 * (rm - rp) / safe, 0.0)
-        depth_sections = depth_sections + np.clip(delta, -0.5, 0.5)
+        # widen before any arithmetic: float32 planes would keep it float32;
+        # the peak is the best section's value wherever it is interior
+        rm, rp = rm.astype(np.float64), rp.astype(np.float64)
+        # in place, in the order of rm - 2.0 * peak + rp, then of
+        # where(interior & concave, 0.5 * (rm - rp) / safe, 0.0)
+        safe = np.multiply(peak, 2.0)
+        np.subtract(rm, safe, out=safe)
+        safe += rp
+        concave = safe < 0
+        np.copyto(safe, -1.0, where=~concave)
+        delta = np.subtract(rm, rp, out=rm)
+        del rp
+        delta *= 0.5
+        delta /= safe
+        del safe
+        np.copyto(delta, 0.0, where=~(interior & concave))
+        depth_sections += np.clip(delta, -0.5, 0.5, out=delta)
+        del delta
 
-    depth = np.where(keep, grid.z0 + depth_sections * grid.z_step, np.nan)
-    confidence = np.where(any_valid, peak, 0.0)
+    # z0 + depth_sections * z_step where kept, NaN elsewhere
+    depth = depth_sections
+    depth *= grid.z_step
+    depth += grid.z0
+    np.copyto(depth, np.nan, where=~keep)
+    confidence = peak
+    np.copyto(confidence, 0.0, where=~any_valid)
     return DepthMap(depth=depth, confidence=confidence, grid=grid)

@@ -649,3 +649,115 @@ class TestBadThreadCount:
                              "--shifts", "8", "--sections", "6", "--threads", threads)
         assert code == 1 and out == ""
         assert err == f"error: threads must be >= 1, got {threads}\n"
+
+
+def set_sidecar_value(path, key, value):
+    planes, meta = read_stack(path)
+    meta[key] = value
+    write_stack(planes, meta, path)
+
+
+class TestBadSidecarValue:
+    """A malformed sidecar value is one error line naming the sidecar and the key."""
+
+    @pytest.mark.parametrize("key,value", [("proj_width", "3x2"), ("z0", "zero"),
+                                           ("shift_sign", "1.0"), ("theta_rad", "")])
+    def test_reconstruct_acquisition(self, tmp_path, capsys, key, value):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        set_sidecar_value(acq, key, value)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
+        assert_one_error_line(result, f"{acq}.meta: sidecar value of {key!r} is not", vol)
+        assert repr(value) in result[2]
+
+    @pytest.mark.parametrize("key", ["axial_dx", "anchor_z"])
+    def test_reconstruct_model(self, tmp_path, capsys, key):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        model = small_model(capsys, tmp_path)
+        set_sidecar_value(model, key, "1,5")
+        result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                     "--out", str(vol))
+        assert_one_error_line(result, f"{model}.meta: sidecar value of {key!r} is not", vol)
+
+    @pytest.mark.parametrize("key", ["floor", "sections", "period_d"])
+    def test_depthmap_volume(self, tmp_path, capsys, key):
+        acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        set_sidecar_value(vol, key, "4.5x")
+        result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
+        assert_one_error_line(result, f"{vol}.meta: sidecar value of {key!r} is not", dep)
+
+
+class TestDepthmapAmbiguity:
+    """depthmap reports whether its rig folds depths, and over how many sections."""
+
+    @pytest.mark.parametrize("period,sections,ambiguous,unambiguous", [
+        ("30", "100", "true", "30"),    # 100 sections of 1 px shear over a 30 px period
+        ("16", "12", "false", "16"),
+    ])
+    def test_summary_and_sidecar(self, tmp_path, capsys, period, sections, ambiguous,
+                                 unambiguous):
+        acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+        code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "6",
+                       "--proj-width", "64", "--proj-height", "4", "--period", period,
+                       "--shifts", period, "--sections", sections,
+                       "--pixel-pitch", SHEAR1_PITCH, "--out", str(acq))
+        assert code == 0
+        code, out, _ = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
+        assert code == 0 and parse_summary(out)["ambiguous"] == ambiguous
+        code, out, _ = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep),
+                           "--refine")
+        assert code == 0
+        summary = parse_summary(out)
+        assert (summary["ambiguous"], summary["unambiguous_sections"]) == (ambiguous, unambiguous)
+        _, meta = read_stack(dep)
+        assert (meta["ambiguous"], meta["unambiguous_sections"]) == (ambiguous, unambiguous)
+        assert meta["sections"] == sections and meta["refine"] == "1"
+
+
+def traced_peak(capsys, argv):
+    assert run(capsys, *argv)[0] == 0  # first-use imports are not the command's memory
+    tracemalloc.start()
+    try:
+        code, *_ = run(capsys, *argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        assert code == 0
+
+
+def test_reconstruct_memory_does_not_grow_with_the_frames(tmp_path, capsys):
+    # 512 x 32 frames: 48 more of them are 3.1 MB, which the whole stack held;
+    # the mask bank and the chunks of frame rows grow by a third of that
+    peaks = {}
+    for shifts in (16, 64):
+        acq = tmp_path / f"acq{shifts}.aspi"
+        code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "3",
+                       "--proj-width", "32", "--proj-height", "512", "--period", "64",
+                       "--shifts", str(shifts), "--sections", "24", "--pixel-pitch", "2.0",
+                       "--out", str(acq))
+        assert code == 0
+        peaks[shifts] = traced_peak(capsys, ["reconstruct", "--input", str(acq), "--out",
+                                             str(tmp_path / "vol.aspi"), "--threads", "2"])
+    frame = 512 * 32 * 4
+    assert peaks[64] - peaks[16] < 48 * frame / 2, peaks
+
+
+@pytest.mark.parametrize("confidence", [[], ["--min-confidence", "0.5"]])
+def test_depthmap_memory_does_not_grow_with_the_sections(tmp_path, capsys, confidence):
+    # 512 x 32 planes: 72 more sections are 4.7 MB of volume, which the
+    # whole-volume read held
+    peaks = {}
+    for sections in (24, 96):
+        acq, vol = tmp_path / f"acq{sections}.aspi", tmp_path / f"vol{sections}.aspi"
+        code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "3",
+                       "--proj-width", "32", "--proj-height", "512", "--sections", str(sections),
+                       "--haze", "0.2", "--pixel-pitch", "2.0", "--out", str(acq))
+        assert code == 0
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        peaks[sections] = traced_peak(capsys, ["depthmap", "--input", str(vol), "--out",
+                                               str(tmp_path / "d.aspi"), "--refine", *confidence])
+    plane = 512 * 32 * 4
+    assert peaks[96] - peaks[24] < 72 * plane / 8, peaks

@@ -13,6 +13,7 @@ from aspi import (
     PatternSpec,
     PrecomputedMasks,
     Scene,
+    StackReader,
     ZGrid,
     acquire_stack,
     base_camera_pattern,
@@ -25,6 +26,7 @@ from aspi import (
     reconstruct_volume,
     shift_image,
     synthesize_mask,
+    write_stack,
 )
 from aspi import reconstructor
 from aspi.imaging_model import TranslationMasks
@@ -537,16 +539,18 @@ class TestVolumeStream:
             assert block.tobytes() == np.ascontiguousarray(whole[:, r0:r0 + block.shape[1]]).tobytes()
         assert offsets == [(0, 0, (12, 32, 90)), (0, 32, (12, 32, 90)), (0, 64, (12, 6, 90))]
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_reference_kernel_yields_sections_in_order(self, threads):
+    @pytest.mark.parametrize("threads,rows", [(1, 32), (3, 16)])
+    def test_reference_kernel_yields_row_chunks_in_order(self, threads, rows):
+        # 64 rows: at least 2 * threads chunks of whole 16-row bands
         provider, frames = self.model_rig()
         whole = reconstruct_volume(frames, provider, threads=threads).sections
         stream = reconstructor.VolumeStream(frames, provider, threads=threads)
         blocks = [(k0, r0, block.copy()) for k0, r0, block in stream.blocks()]
-        assert [(k0, r0) for k0, r0, _ in blocks] == [(j, 0) for j in range(whole.shape[0])]
-        assert np.concatenate([b for *_, b in blocks]).tobytes() == whole.tobytes()
+        assert [(k0, r0, b.shape) for k0, r0, b in blocks] == [
+            (0, r0, (12, rows, 96)) for r0 in range(0, 64, rows)]
+        assert np.concatenate([b for *_, b in blocks], axis=1).tobytes() == whole.tobytes()
 
-    def test_reference_kernel_submits_a_section_only_after_the_last_was_taken(self, monkeypatch):
+    def test_reference_kernel_submits_a_chunk_only_after_the_last_was_taken(self, monkeypatch):
         provider, frames = self.model_rig()
         submitted = []
 
@@ -556,10 +560,12 @@ class TestVolumeStream:
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", CountingExecutor)
-        for k0, _, _ in reconstructor.VolumeStream(frames, provider, threads=2).blocks():
-            # the two row bands of every section up to this one, none beyond
-            assert len(submitted) == 2 * (k0 + 1)
-        assert len(submitted) == 2 * 12
+        chunks = 0
+        for _, r0, _ in reconstructor.VolumeStream(frames, provider, threads=2).blocks():
+            # the 12 sections of every 16-row chunk up to this one, none beyond
+            chunks += 1
+            assert (r0, len(submitted)) == (16 * (chunks - 1), 12 * chunks)
+        assert len(submitted) == 12 * 4
 
     def test_reference_kernel_holds_one_mask_bank(self):
         # two workers that each build a whole section's (n, H, W) bank peak
@@ -658,3 +664,60 @@ class TestThreadCount:
         with pytest.raises(ValueError, match=message):
             reconstruct_volume(frames, provider, threads=threads)
         assert threading.active_count() == baseline
+
+
+def stack_reader(tmp_path, frames):
+    path = tmp_path / "acq.aspi"
+    write_stack(frames, {"kind": "acquisition"}, path)
+    return StackReader(path)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reference_kernel_chunks_from_a_file_equal_the_section_major_oracle(tmp_path, threads):
+    # 150 rows: chunks of 64 rows (one thread) or 32 (two), the last one
+    # short, with masks moving along y across the chunk edges
+    base = np.random.default_rng(4).random((150, 200))
+    model = MaskModel(base, 0.6, 0.35, 0.25, -0.8, (10, 5), 0.0, 0.0)
+    provider = ModelMasks(model, ZGrid(0.0, 1.0, 5), 10)
+    frames = noisy_frames(10, base.shape, seed=8).astype(np.float32)
+    with stack_reader(tmp_path, frames) as reader:
+        stream = reconstructor.VolumeStream(reader, provider, threads=threads)
+        rows = [chunk.shape[1] for _, _, chunk in stream.blocks()]
+        volume = reconstruct_volume(reader, provider, threads=threads)
+    assert rows == ([64, 64, 22] if threads == 1 else [32] * 4 + [22])
+    oracle = reference_volume(frames, provider, volume.coverage_floor_used)
+    assert volume.sections.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gemm_chunks_from_a_file_equal_those_of_the_array(tmp_path, monkeypatch, threads):
+    # 600 columns: three column slabs in every band, the last one short
+    spec = PatternSpec(600, 70, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+    provider = GeometryMasks(spec, geometry_with_shear(0.2332), ZGrid(0.0, 1.0, 12))
+    frames = noisy_frames(30, camera_shape(spec, provider.geom), seed=4).astype(np.float32)
+    whole = reconstruct_volume(frames, provider, threads=threads).sections
+    with stack_reader(tmp_path, frames) as reader:
+        streamed = reconstruct_volume(reader, provider, threads=threads).sections
+    assert streamed.tobytes() == whole.tobytes()
+    # every column is its own product: one slab of all of them has the same bits
+    monkeypatch.setattr(reconstructor, "_GEMM_COLS", 600)
+    assert reconstruct_volume(frames, provider).sections.tobytes() == whole.tobytes()
+
+
+def test_stream_checks_the_file_frame_by_frame_then_reads_chunk_rows(tmp_path, monkeypatch):
+    provider, frames = TestVolumeStream().gemm_rig()
+    reads = []
+    read = StackReader.read
+
+    def recording(self, k0, k1, rows=None, out=None):
+        reads.append((k0, k1, rows))
+        return read(self, k0, k1, rows, out)
+
+    monkeypatch.setattr(StackReader, "read", recording)
+    with stack_reader(tmp_path, frames) as reader:
+        stream = reconstructor.VolumeStream(reader, provider)
+        assert reads == [(i, i + 1, None) for i in range(30)]
+        reads.clear()
+        for _, r0, chunk in stream.blocks():
+            assert reads[-1] == (0, 30, (r0, r0 + chunk.shape[1]))
+    assert reads == [(0, 30, (0, 32)), (0, 30, (32, 64)), (0, 30, (64, 70))]

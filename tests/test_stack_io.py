@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from aspi import StackFormatError, StackWriter, read_stack, write_pgm, write_stack
+from aspi import StackFormatError, StackReader, StackWriter, read_stack, write_pgm, write_stack
 from aspi.stack_io import sidecar_path
 
 
@@ -328,3 +328,97 @@ class TestStackWriter:
             write_stack(self.volume(), {}, path)
         assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
         assert stack_files(tmp_path) == ["s.aspi", "s.aspi.meta"]
+
+
+class TestStackReader:
+    """Windows read through StackReader are the slices of read_stack's planes."""
+
+    @staticmethod
+    def stack(tmp_path, shape):
+        planes = np.random.default_rng(1).normal(size=shape).astype(np.float32)
+        path = tmp_path / "s.aspi"
+        write_stack(planes, {"kind": "volume", "z0": 1.5}, path)
+        return path, read_stack(path)
+
+    @pytest.mark.parametrize("shape", [(5, 70, 9), (1, 70, 9), (4, 1, 9), (1, 1, 1)])
+    def test_windows_equal_read_stack_slices(self, tmp_path, shape):
+        path, (whole, meta) = self.stack(tmp_path, shape)
+        k, h, w = shape
+        # 32-row chunks (the last one short), the edge rows, whole planes, no rows
+        windows = [(r0, min(r0 + 32, h)) for r0 in range(0, h, 32)]
+        windows += [(0, 1), (h - 1, h), (0, h), (h, h)]
+        with StackReader(path) as reader:
+            assert (reader.shape, reader.size, reader.metadata) == (shape, whole.size, meta)
+            for k0, k1 in ((0, k), (k - 1, k), (0, 1), (k, k)):
+                for rows in windows:
+                    got = reader.read(k0, k1, rows)
+                    assert got.dtype == np.float32 and got.flags.c_contiguous
+                    want = np.ascontiguousarray(whole[k0:k1, rows[0]:rows[1]])
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert reader.read(k0, k1).tobytes() == whole[k0:k1].tobytes()
+
+    def test_reads_into_the_callers_buffer(self, tmp_path):
+        path, (whole, _) = self.stack(tmp_path, (5, 70, 9))
+        buffer = np.full((3, 6, 9), 7.0, dtype=np.float32)
+        with StackReader(path) as reader:
+            assert reader.read(1, 4, (64, 70), out=buffer) is buffer
+            assert buffer.tobytes() == np.ascontiguousarray(whole[1:4, 64:]).tobytes()
+            for bad in (np.empty((3, 6, 9)), np.empty((3, 5, 9), dtype=np.float32),
+                        np.empty((3, 6, 18), dtype=np.float32)[:, :, ::2]):
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    reader.read(1, 4, (64, 70), out=bad)
+            for k0, k1, rows in ((4, 6, None), (2, 1, None), (0, 1, (60, 71)), (0, 1, (5, 4))):
+                with pytest.raises(ValueError, match="outside a 5x70x9 stack"):
+                    reader.read(k0, k1, rows)
+
+    def test_a_window_reads_only_its_bytes(self, tmp_path, monkeypatch):
+        path, _ = self.stack(tmp_path, (5, 70, 9))
+        preadv = os.preadv
+        read = []
+
+        def counting(fd, buffers, offset):
+            count = preadv(fd, buffers, offset)
+            read.append((offset, count))
+            return count
+
+        monkeypatch.setattr(os, "preadv", counting)
+        with StackReader(path) as reader:
+            reader.read(1, 4, (32, 64))
+            # one read per plane, of its rows only
+            assert read == [(32 + ((1 + j) * 70 + 32) * 9 * 4, 32 * 9 * 4) for j in range(3)]
+            read.clear()
+            reader.read(2, 5)
+            # whole planes: one read
+            assert read == [(32 + 2 * 70 * 9 * 4, 3 * 70 * 9 * 4)]
+
+    def test_short_reads_are_resumed(self, tmp_path, monkeypatch):
+        path, (whole, _) = self.stack(tmp_path, (5, 70, 9))
+        preadv = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                            preadv(fd, [memoryview(buffers[0])[:7]], offset))
+        with StackReader(path) as reader:
+            assert reader.read(0, 5, (3, 40)).tobytes() == np.ascontiguousarray(
+                whole[:, 3:40]).tobytes()
+
+    def test_file_truncated_after_opening(self, tmp_path):
+        path, _ = self.stack(tmp_path, (5, 70, 9))
+        with StackReader(path) as reader:
+            os.truncate(path, 32 + 3 * 70 * 9 * 4)
+            reader.read(0, 3)
+            with pytest.raises(StackFormatError, match="payload ends at byte"):
+                reader.read(2, 4)
+
+    def test_fifo_windows(self, tmp_path):
+        path, (whole, _) = self.stack(tmp_path, (3, 5, 7))
+        raw = path.read_bytes()
+        fifo = tmp_path / "pipe.aspi"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        try:
+            with StackReader(fifo) as reader:
+                assert reader.read(1, 3, (2, 4)).tobytes() == np.ascontiguousarray(
+                    whole[1:3, 2:4]).tobytes()
+                assert reader.read(0, 3).tobytes() == whole.tobytes()
+        finally:
+            writer.join(timeout=10)

@@ -15,6 +15,7 @@ from aspi import (
     GeometryMasks,
     PatternSpec,
     Scene,
+    StackReader,
     VolumeStack,
     ZGrid,
     acquire_stack,
@@ -28,6 +29,7 @@ from aspi import (
     predicted_fwhm_sections,
     reconstruct_volume,
     sample_row,
+    write_stack,
 )
 from aspi import volume_analysis
 from conftest import geometry_with_shear
@@ -544,3 +546,75 @@ def test_axial_psf_equals_its_double_loop_oracle_bit_for_bit():
         assert got.response.tobytes() == want.response.tobytes()
         assert got.z.tobytes() == want.z.tobytes()
     assert 40 <= raised <= 120  # both outcomes well represented
+
+
+class TestVolumeFromAFile:
+    """A StackReader of a volume gives the depth map of the volume as stored, bit for bit."""
+
+    @pytest.mark.parametrize("sections_per_run", [1, 2, 4, 9])
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("min_confidence", [None, 0.9])
+    def test_equals_the_array_and_the_oracle(self, tmp_path, sections_per_run, refine,
+                                             min_confidence):
+        data = awkward_volume(1)
+        path = tmp_path / "vol.aspi"
+        write_stack(data, {"kind": "volume"}, path)
+        array = stored_volume(data)
+        run = sections_per_run * data.shape[1] * data.shape[2]
+        with mock.patch.object(volume_analysis, "_BACKGROUND_RUN", run), StackReader(path) as reader:
+            volume = VolumeStack(sections=reader, grid=array.grid, coverage_floor_used=1e-3)
+            dm = extract_depth_map(volume, min_confidence=min_confidence, refine=refine)
+            assert estimate_background(reader) == estimate_background(data)
+        depth, confidence = reference_depth_map(array, min_confidence, refine)
+        assert_same_bits(dm.depth, depth)
+        assert_same_bits(dm.confidence, confidence)
+
+    def test_nonfinite_voxels_raise(self, tmp_path):
+        data = awkward_volume(2)
+        data[4, 7, 3] = np.inf
+        path = tmp_path / "vol.aspi"
+        write_stack(data, {"kind": "volume"}, path)
+        with StackReader(path) as reader:
+            volume = VolumeStack(sections=reader, grid=stored_volume(data).grid,
+                                 coverage_floor_used=1e-3)
+            with pytest.raises(ValueError, match="1 non-finite voxels"):
+                extract_depth_map(volume, refine=True)
+
+
+@given(sizes=st.lists(st.integers(0, 400), min_size=1, max_size=30), seed=st.integers(0, 2**32 - 1))
+def test_streamed_sum_has_the_bits_of_numpy_sum(sizes, seed):
+    # blocks of numpy's smallest unsplit size: every split of the tree is taken
+    rng = np.random.default_rng(seed)
+    total = sum(sizes)
+    values = rng.normal(size=total) * 10.0 ** rng.integers(-20, 20, total)
+    pieces = np.split(values, np.cumsum(sizes)[:-1])
+    with mock.patch.object(volume_analysis, "_SUM_BLOCK", 128):
+        got = volume_analysis._pairwise_sum(volume_analysis._Values(pieces), total) if total else 0.0
+    assert np.float64(got).tobytes() == np.float64(np.add.reduce(values)).tobytes()
+
+
+def test_background_of_a_large_volume_matches_the_oracle():
+    # 800k values: the decile's 80k low values are summed in more than one block
+    rng = np.random.default_rng(6)
+    data = rng.lognormal(0.0, 3.0, (16, 224, 224)).astype(np.float32)
+    data[:, :, :3] = SENTINEL
+    assert 0.1 * np.count_nonzero(data != SENTINEL) > 1.2 * volume_analysis._SUM_BLOCK
+    assert np.float64(estimate_background(data)).tobytes() == np.float64(
+        reference_background(data)).tobytes()
+
+
+def test_background_of_tied_values_holds_a_fraction_of_the_volume():
+    # 60% of the values tie at the decile, zero: gathering them, or the low
+    # values in float64, would take 0.6 and 1.2 times the volume's bytes;
+    # the 65536-bin histogram and its bincounts take 1.5 MB
+    rng = np.random.default_rng(7)
+    data = rng.lognormal(0.0, 1.0, (48, 160, 160)).astype(np.float32)
+    data[rng.random(data.shape) < 0.6] = 0.0
+    tracemalloc.start()
+    try:
+        got = estimate_background(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == reference_background(data) == 0.0
+    assert peak < data.nbytes / 2
