@@ -82,7 +82,7 @@ def bench_reconstruction(
     crc = 0
     start = time.perf_counter()
     stream = VolumeStream(frames, provider, grid, floor, threads)
-    for _, _, chunk in stream.blocks():
+    for _, chunk in stream.blocks():
         crc = zlib.crc32(chunk, crc)
     wall = time.perf_counter() - start
 

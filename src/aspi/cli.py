@@ -232,7 +232,7 @@ def cmd_calibrate(args) -> int:
 def _load_model(path) -> MaskModel:
     reader, meta = _open(path, "mask-model")
     with reader:
-        base = reader.read(0, 1)[0].astype(np.float64)
+        base = reader[0].astype(np.float64)
     return MaskModel(
         base_mask=base,
         lateral_dx=meta.value("lateral_dx", float),
@@ -271,8 +271,8 @@ def cmd_reconstruct(args) -> int:
         # the volume goes to the file chunk by chunk and is never held whole
         sentinels = 0
         with StackWriter(args.out, stream.shape, out_meta) as out:
-            for k0, r0, block in stream.blocks():
-                out.write(k0, r0, block)
+            for r0, block in stream.blocks():
+                out.write(0, r0, block)
                 sentinels += sum(int(np.count_nonzero(plane == SENTINEL)) for plane in block)
     sentinel_fraction = sentinels / math.prod(stream.shape)
     ambiguous = getattr(provider, "ambiguous", None)

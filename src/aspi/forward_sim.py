@@ -28,6 +28,7 @@ whatever the number of sections; frames are rendered one at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gaussian_sigma < 0 or self.poisson_scale < 0:
-            raise ValueError("noise parameters must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.gaussian_sigma, self.poisson_scale)):
+            raise ValueError(f"noise parameters must be finite and >= 0, got gaussian_sigma="
+                             f"{self.gaussian_sigma}, poisson_scale={self.poisson_scale}")
 
     @property
     def enabled(self) -> bool:
@@ -247,6 +249,8 @@ def make_tilted_plane_scene(
     inside the grid.
     """
     refl = validate_frame(reflectance, "reflectance")
+    if not math.isfinite(slope):
+        raise ValueError(f"slope must be finite, got {slope}")
     secs = tilted_plane_sections(refl.shape[1], slope, z_start)
     if secs.min() < 0 or secs.max() >= grid.count:
         raise ValueError(

@@ -116,8 +116,9 @@ class GeometryConfig:
     def __post_init__(self):
         if not (0.0 < self.tilt_theta < math.pi / 2):
             raise ValueError(f"tilt_theta must lie in (0, pi/2), got {self.tilt_theta}")
-        if self.z_step <= 0 or self.camera_pixel_pitch <= 0 or self.magnification <= 0:
-            raise ValueError("z_step, camera_pixel_pitch and magnification must be > 0")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.z_step, self.camera_pixel_pitch, self.magnification)):
+            raise ValueError("z_step, camera_pixel_pitch and magnification must be finite and > 0")
         if self.shift_sign not in (1, -1):
             raise ValueError("shift_sign must be +1 or -1")
         s = self.shear_px_per_section
@@ -143,8 +144,10 @@ class ZGrid:
     count: int
 
     def __post_init__(self):
-        if self.z_step <= 0:
-            raise ValueError("z_step must be > 0")
+        if not math.isfinite(self.z0):
+            raise ValueError(f"z0 must be finite, got {self.z0}")
+        if not (math.isfinite(self.z_step) and self.z_step > 0):
+            raise ValueError(f"z_step must be finite and > 0, got {self.z_step}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
 

@@ -35,10 +35,11 @@ count. The GEMM kernel's chunks are STREAM_ROWS rows, split into fixed
 _GEMM_ROWS bands; the reference kernel's chunks hold up to _BAND_PIXELS
 pixels of a section and are split into their sections, each built from
 only the chunk's rows of that section's masks. Each chunk needs only its
-own rows of the frames, which the stream takes from an array or reads from
-a StackReader as it goes. reconstruct_volume copies the chunks into one
-(K, H, W) array; `aspi reconstruct` writes them to the stack file and
-`aspi bench` checksums them. So besides the frames (none when they are read
+own rows of the frames, frames[:, r0:r1]: a view of an array, or a read of
+a StackReader, which indexes like the array it stores, so the stream holds
+no read buffer. reconstruct_volume copies the chunks into one (K, H, W)
+array; `aspi reconstruct` writes them to the stack file and `aspi bench`
+checksums them. So besides the frames (none when they are read
 from a file) these hold one chunk of every section in float64 and the
 chunk's rows of the frames (float32 as read), never the volume; the GEMM
 kernel also holds the (n, K, W) bank, the reference kernel the chunk's
@@ -48,7 +49,6 @@ chunk rows. A thread count below 1 is a ValueError.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -103,8 +103,8 @@ class VolumeStack:
     """Reconstructed confocal sections bound to their depth grid."""
 
     # (K, H, W) float64 as reconstructed, float32 as read from a stack file,
-    # or a StackReader of one (extract_depth_map takes any); SENTINEL where
-    # coverage failed
+    # or a StackReader of one, which indexes like that array (extract_depth_map
+    # takes any); SENTINEL where coverage failed
     sections: np.ndarray | StackReader
     grid: ZGrid
     coverage_floor_used: float
@@ -228,22 +228,9 @@ def _resolve_provider(acq, masks, grid: ZGrid):
     return PrecomputedMasks(masks, grid)
 
 
-def _frame_rows(frames, rows: tuple[int, int], buffer) -> np.ndarray:
-    """Rows r0:r1 of every frame: a view of an array, or read from a StackReader into buffer."""
-    if not isinstance(frames, StackReader):
-        return frames[:, rows[0]:rows[1]]
-    shape = (frames.shape[0], rows[1] - rows[0], frames.shape[2])
-    return frames.read(0, shape[0], rows, out=buffer[:math.prod(shape)].reshape(shape))
-
-
 def _check_finite(frames) -> None:
     # frame by frame: the flags of one frame at a time, not of the stack
-    n, h, w = frames.shape
-    buffer = np.empty(h * w, dtype=np.float32) if isinstance(frames, StackReader) else None
-    bad = n * h * w
-    for i in range(n):
-        frame = frames[i] if buffer is None else frames.read(i, i + 1, out=buffer.reshape(1, h, w))
-        bad -= int(np.count_nonzero(np.isfinite(frame)))
+    bad = sum(frame.size - int(np.count_nonzero(np.isfinite(frame))) for frame in frames)
     if bad:
         raise ValueError(f"acquisition has {bad} non-finite frame pixels (NaN or Inf)")
 
@@ -295,7 +282,7 @@ class VolumeStream:
         self._threads = threads
 
     def blocks(self):
-        """Yield (0, r0, chunk): float64 (K, rows, W) row chunks of every section, from row r0.
+        """Yield (r0, chunk): float64 (K, rows, W) row chunks of every section, from row r0.
 
         Chunks come top to bottom (the last one shorter), each computed only
         after the one before it was taken, from only its rows of the frames:
@@ -305,22 +292,20 @@ class VolumeStream:
         whole stream and is shut down when the stream ends, is closed or
         raises.
         """
-        n, h, w = self._frames.shape
+        _, h, w = self._frames.shape
         if self._bank is not None:
             rows, kernel = STREAM_ROWS, self._gemm_kernel()
         else:
             rows, kernel = self._section_rows(), self._section_kernel()
         rows = min(rows, h)
         sections = np.empty(self.shape[0] * rows * w, dtype=np.float64)
-        frame_rows = (np.empty(n * rows * w, dtype=np.float32)
-                      if isinstance(self._frames, StackReader) else None)
         pool = ThreadPoolExecutor(max_workers=self._threads) if self._threads > 1 else None
         try:
             for c0 in range(0, h, rows):
                 c1 = min(c0 + rows, h)
                 chunk = sections[:self.shape[0] * (c1 - c0) * w].reshape(-1, c1 - c0, w)
-                kernel(pool, _frame_rows(self._frames, (c0, c1), frame_rows), c0, chunk)
-                yield 0, c0, chunk
+                kernel(pool, self._frames[:, c0:c1], c0, chunk)
+                yield c0, chunk
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -403,7 +388,7 @@ def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
     """
     stream = VolumeStream(acq, masks, grid, floor, threads)
     sections = np.empty(stream.shape, dtype=np.float64)
-    for _, r0, chunk in stream.blocks():
+    for r0, chunk in stream.blocks():
         sections[:, r0:r0 + chunk.shape[1]] = chunk
     return VolumeStack(
         sections=sections,

@@ -27,12 +27,12 @@ commits the file and its sidecar only when the whole payload was written
 exactly once.
 
 StackReader is its read-side twin: it checks the header and the payload
-length once, then reads any row window of a run of planes into a float32
-buffer the caller may provide, so a reader holds one window, never the
-stack; `aspi reconstruct` reads one row chunk of every frame at a time,
-`aspi depthmap` runs of whole planes. read_stack reads the whole payload
-through it. A file with no size (a FIFO) is read whole first and served
-from that one payload.
+length once, then indexes like the (K, H, W) array it stores, reading just
+the window reader[k0:k1, r0:r1] into a new array; so it holds one window,
+never the stack, and its callers keep no read buffer. `aspi reconstruct`
+reads one row chunk of every frame at a time, `aspi depthmap` runs of whole
+planes, read_stack the whole payload, all through StackReader.read. A FIFO
+is read whole first and served from that one (K, H, W) payload.
 """
 
 from __future__ import annotations
@@ -231,8 +231,9 @@ class StackReader:
     none) when the reader is made; a malformed file raises StackFormatError
     naming the offending byte ranges. `shape` is the (K, H, W) of the
     stack, `dtype` little-endian float32 and `size` its value count.
-    A regular file is read with os.preadv, straight into the array; a file
-    with no size (a FIFO) is read whole and kept as one payload. Used as a
+    Indexing it, or iterating over its planes, reads a new array. A regular
+    file is read with os.preadv, straight into the array; a file with no
+    size (a FIFO) is read whole and kept as one (K, H, W) payload. Used as a
     context manager it closes the file when the block ends.
     """
 
@@ -243,16 +244,11 @@ class StackReader:
         self._file = open(path, "rb", buffering=0)
         try:
             st = os.fstat(self._file.fileno())
-            if stat.S_ISREG(st.st_mode):
-                self._payload = None
-                self.shape = _check_header(os.pread(self._file.fileno(), _HEADER.size, 0))
-                actual = st.st_size - _HEADER.size
-            else:
-                # a pipe reports no size, so its payload is read whole first
-                raw = self._file.read()
-                self.shape = _check_header(raw)
-                self._payload = memoryview(raw)[_HEADER.size:]
-                actual = len(self._payload)
+            # a pipe reports no size, so its payload is read whole first
+            raw = None if stat.S_ISREG(st.st_mode) else self._file.read()
+            self.shape = _check_header(
+                os.pread(self._file.fileno(), _HEADER.size, 0) if raw is None else raw)
+            actual = (st.st_size if raw is None else len(raw)) - _HEADER.size
             expected = math.prod(self.shape) * 4
             if expected != actual:
                 count, height, width = self.shape
@@ -260,28 +256,24 @@ class StackReader:
                     f"payload length mismatch: header declares {count}x{height}x{width} "
                     f"({expected} bytes after the {_HEADER.size}-byte header), got {actual} bytes"
                 )
+            self._payload = None if raw is None else np.frombuffer(
+                raw, dtype=self.dtype, offset=_HEADER.size).reshape(self.shape)
             self.metadata = _read_sidecar(path)
         except BaseException:
             self.close()
             raise
         self.size = math.prod(self.shape)
 
-    def read(self, k0: int, k1: int, rows: tuple[int, int] | None = None, out=None) -> np.ndarray:
-        """Rows r0:r1 (default all) of planes k0:k1 as a (k1 - k0, r1 - r0, W) float32 array.
-
-        out, when given, is a C-contiguous float32 array of that shape, which
-        is filled and returned; otherwise a new array is.
-        """
+    def read(self, k0: int, k1: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+        """Rows r0:r1 (default all) of planes k0:k1 as a new (k1 - k0, r1 - r0, W) float32 array."""
         k, h, w = self.shape
         r0, r1 = (0, h) if rows is None else rows
         if not (0 <= k0 <= k1 <= k and 0 <= r0 <= r1 <= h):
             raise ValueError(f"planes {k0}:{k1}, rows {r0}:{r1} outside a {k}x{h}x{w} stack")
-        shape = (k1 - k0, r1 - r0, w)
-        if out is None:
-            out = np.empty(shape, dtype=self.dtype)
-        elif out.shape != shape or out.dtype != self.dtype or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous {shape} float32 array")
-        planes = out.reshape(shape[0], shape[1] * w).view(np.uint8)
+        if self._payload is not None:
+            return self._payload[k0:k1, r0:r1].copy()
+        out = np.empty((k1 - k0, r1 - r0, w), dtype=self.dtype)
+        planes = out.reshape(k1 - k0, (r1 - r0) * w).view(np.uint8)
         offset = _HEADER.size + (k0 * h + r0) * w * 4
         if r1 - r0 == h:
             # whole planes lie back to back in the file
@@ -291,11 +283,23 @@ class StackReader:
                 self._read_into(plane, offset + j * h * w * 4)
         return out
 
+    def __getitem__(self, index) -> np.ndarray:
+        """reader[k], reader[k0:k1] or reader[k0:k1, r0:r1]: that window as a new float32 array.
+
+        Indices mean what they mean for the (K, H, W) array, except that rows
+        take only a slice and a slice only a unit step; a plane index outside
+        the stack raises IndexError. A window of whole planes is one read.
+        """
+        planes, rows = index if isinstance(index, tuple) else (index, slice(None))
+        k, h, _ = self.shape
+        if not isinstance(planes, slice):
+            if not -k <= planes < k:
+                raise IndexError(f"plane {planes} outside a stack of {k}")
+            return self[planes % k:planes % k + 1, rows][0]
+        r0, r1 = _span(rows, h)
+        return self.read(*_span(planes, k), None if (r0, r1) == (0, h) else (r0, r1))
+
     def _read_into(self, buffer: np.ndarray, offset: int) -> None:
-        if self._payload is not None:
-            start = offset - _HEADER.size
-            buffer[...] = np.frombuffer(self._payload[start:start + buffer.size], dtype=np.uint8)
-            return
         view = memoryview(buffer)
         done = 0
         while done < len(view):
@@ -324,6 +328,14 @@ def read_stack(path) -> tuple[np.ndarray, dict]:
     """
     with StackReader(path) as reader:
         return reader.read(0, reader.shape[0]), reader.metadata
+
+
+def _span(index: slice, size: int) -> tuple[int, int]:
+    """start, stop of a unit-step slice over size items, clipped as numpy clips it."""
+    span = range(size)[index]
+    if not isinstance(span, range) or span.step != 1:
+        raise IndexError(f"expected a slice with a unit step, got {index!r}")
+    return span.start, max(span.start, span.stop)
 
 
 def write_pgm(image, path, invalid_value: float = 0.0) -> None:

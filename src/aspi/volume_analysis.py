@@ -22,14 +22,16 @@ float64. Every value that enters arithmetic is widened to float64 first,
 which is exact, so both dtypes of the same volume give the same depth map
 bit for bit. A volume with a NaN or an infinity is rejected.
 
-The depth map walks the volume in passes over runs of sections, so a volume
-may also be a StackReader of a stack file (as `aspi depthmap` passes it),
-which is then read run by run and never held whole. The first pass is the
-running argmax, with the background's key histogram taken from the same
-runs; refinement gathers each pixel's neighbouring sections in one more
-pass, and the background's selection and sum take two. Besides one run
-they hold per-pixel planes: the best value and section, the neighbours,
-the depth and the confidence.
+The depth map walks the volume in passes over runs of sections, each run
+sections[j:j + step]. So a volume may also be a StackReader of a stack file
+(as `aspi depthmap` passes it), which indexes like the array it stores: it
+is then read run by run into new arrays, never held whole, and the passes
+hold no read buffer. The first pass is the running argmax, with the
+background's key histogram taken from the same runs; refinement gathers
+each pixel's neighbouring sections in one more pass, and the background's
+selection and sum take two. Besides one run (two while the next is read)
+they hold per-pixel planes: the best value and section, the neighbours, the
+depth and the confidence.
 """
 
 from __future__ import annotations
@@ -191,19 +193,10 @@ def fwhm(curve: AxialCurve) -> float:
 
 
 def _runs(sections):
-    """Runs of whole sections of a (K, H, W) array or StackReader, in order.
-
-    Runs read from a file share one buffer: consume a run before the next.
-    """
-    k = sections.shape[0]
+    """Runs of whole sections of a (K, H, W) array or StackReader, in order."""
     step = max(1, _BACKGROUND_RUN // max(1, math.prod(sections.shape[1:])))
-    if isinstance(sections, np.ndarray):
-        for j in range(0, k, step):
-            yield sections[j:j + step]
-        return
-    buffer = np.empty((min(step, k),) + sections.shape[1:], dtype=sections.dtype)
-    for j in range(0, k, step):
-        yield sections.read(j, min(j + step, k), out=buffer[:min(step, k - j)])
+    for j in range(0, sections.shape[0], step):
+        yield sections[j:j + step]
 
 
 def _key_bits(dtype) -> tuple[np.dtype, int]:
@@ -215,8 +208,10 @@ def _count_keys(run, counts: np.ndarray) -> int:
     """Add the keys of a run's values to the histogram counts; returns its sentinel count."""
     udtype, shift = _key_bits(run.dtype)
     flat = run.reshape(-1)
-    counts += np.bincount((flat.view(udtype) >> shift).astype(np.intp, copy=False),
-                          minlength=_KEY_BINS)
+    # shifted straight into the intp keys bincount takes, with no other temporary
+    keys = np.empty(flat.size, dtype=np.intp)
+    np.right_shift(flat.view(udtype), shift, out=keys, casting="unsafe")
+    counts += np.bincount(keys, minlength=_KEY_BINS)
     return int(np.count_nonzero(flat == SENTINEL))
 
 

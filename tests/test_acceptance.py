@@ -297,13 +297,13 @@ def test_criterion_8_throughput():
     # figure is reported, not asserted (hardware-dependent)
     reference = bench_reconstruction(2048, 2048, 30, 100, threads=2)
 
-    # property: wall time scales linearly in section count (+-20%)
-    def best_of(runs, **kw):
-        return min(bench_reconstruction(**kw).wall_seconds for _ in range(runs))
-
-    base_wall = best_of(3, width=512, height=512, n=10, sections=24, threads=1)
-    doubled_wall = best_of(3, width=512, height=512, n=10, sections=48, threads=1)
-    ratio = doubled_wall / base_wall
+    # property: wall time scales linearly in section count (+-20%); the two
+    # section counts take turns, so a slow spell of a shared host slows both
+    walls = {24: [], 48: []}
+    for _ in range(7):
+        for sections, runs in walls.items():
+            runs.append(bench_reconstruction(512, 512, 10, sections, threads=1).wall_seconds)
+    ratio = min(walls[48]) / min(walls[24])
     assert 1.6 <= ratio <= 2.4, f"scaling ratio {ratio:.2f}"
 
     # property: identical output regardless of thread count

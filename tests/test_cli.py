@@ -469,8 +469,8 @@ class TestStreamedReconstruct:
         blocks = reconstructor.VolumeStream.blocks
 
         def all_but_the_last_rows(self, *args, **kwargs):
-            for k0, r0, block in blocks(self, *args, **kwargs):
-                yield k0, r0, block if r0 + block.shape[1] < self.shape[1] else block[:, :-1]
+            for r0, block in blocks(self, *args, **kwargs):
+                yield r0, block if r0 + block.shape[1] < self.shape[1] else block[:, :-1]
 
         monkeypatch.setattr(reconstructor.VolumeStream, "blocks", all_but_the_last_rows)
         code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
@@ -520,6 +520,23 @@ class TestRejectedInputs:
         result = run(capsys, "simulate", "--scene", "bands", "--layer-z", layers,
                      "--proj-width", "64", "--proj-height", "8", "--shifts", "16",
                      "--period", "16", "--sections", "4", "--out", str(acq))
+        assert_one_error_line(result, needle, acq)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags,needle", [
+        (["--noise-sigma", "inf"], "noise parameters must be finite and >= 0"),
+        (["--noise-sigma", "nan"], "noise parameters must be finite and >= 0"),
+        (["--poisson-scale", "nan"], "noise parameters must be finite and >= 0"),
+        (["--z0", "nan"], "z0 must be finite"),
+        (["--z0=-inf"], "z0 must be finite"),
+        (["--scene", "tilted", "--slope", "nan"], "slope must be finite"),
+        (["--magnification", "inf"], "magnification must be finite and > 0"),
+    ])
+    def test_simulate_non_finite_value(self, tmp_path, capsys, flags, needle):
+        acq = tmp_path / "acq.aspi"
+        result = run(capsys, "simulate", "--proj-width", "64", "--proj-height", "8",
+                     "--shifts", "16", "--period", "16", "--sections", "4", *flags,
+                     "--out", str(acq))
         assert_one_error_line(result, needle, acq)
 
     def test_reconstruct_planes_not_the_camera_shape(self, tmp_path, capsys):

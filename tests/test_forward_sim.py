@@ -177,6 +177,10 @@ class TestSceneValidation:
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(gaussian_sigma=-1.0)
+        for bad in (np.nan, np.inf):
+            for noise in ({"gaussian_sigma": bad}, {"poisson_scale": bad}):
+                with pytest.raises(ValueError, match="must be finite and >= 0"):
+                    NoiseSpec(**noise)
 
 
 class TestTiltedPlaneScene:
@@ -211,11 +215,16 @@ class TestTiltedPlaneScene:
         secs = tilted_plane_sections(width, slope)
         assert np.array_equal(secs, np.floor(slope * np.arange(width)).astype(int))
 
+    @pytest.mark.filterwarnings("error")
     def test_out_of_grid_slope_rejected(self):
         with pytest.raises(ValueError):
             make_tilted_plane_scene(self.grid, 1.0, np.ones((4, 24)))
         with pytest.raises(ValueError):
             make_tilted_plane_scene(self.grid, -0.5, np.ones((4, 24)))
+        # before the cast of floor(slope * column) to integers, which warns
+        for slope in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="slope must be finite"):
+                make_tilted_plane_scene(self.grid, slope, np.ones((4, 24)))
 
     def test_z_start_offset(self):
         scene = make_tilted_plane_scene(self.grid, 0.0, np.ones((4, 8)), z_start=5)

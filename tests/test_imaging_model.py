@@ -55,6 +55,12 @@ class TestGeometryConfig:
             with pytest.raises(ValueError):
                 GeometryConfig(tilt_theta=theta, z_step=1.0)
 
+    @pytest.mark.parametrize("key", ["z_step", "camera_pixel_pitch", "magnification"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_lengths_must_be_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            GeometryConfig(**{"tilt_theta": 0.5, "z_step": 1.0, key: value})
+
     def test_sign_convention(self):
         g = geometry_with_shear(1.0, shift_sign=-1)
         assert g.signed_shear == -1.0
@@ -72,6 +78,11 @@ class TestZGrid:
             ZGrid(z0=0.0, z_step=0.0, count=3)
         with pytest.raises(ValueError):
             ZGrid(z0=0.0, z_step=1.0, count=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="z0 must be finite"):
+                ZGrid(z0=bad, z_step=1.0, count=3)
+            with pytest.raises(ValueError, match="z_step must be finite and > 0"):
+                ZGrid(z0=0.0, z_step=bad, count=3)
 
 
 class TestMakeSlitPattern:

@@ -533,11 +533,11 @@ class TestVolumeStream:
         stream = reconstructor.VolumeStream(frames, provider, threads=threads)
         assert stream.shape == whole.shape
         offsets = []
-        for k0, r0, block in stream.blocks():
-            offsets.append((k0, r0, block.shape))
+        for r0, block in stream.blocks():
+            offsets.append((r0, block.shape))
             assert block.dtype == np.float64 and block.flags.c_contiguous
             assert block.tobytes() == np.ascontiguousarray(whole[:, r0:r0 + block.shape[1]]).tobytes()
-        assert offsets == [(0, 0, (12, 32, 90)), (0, 32, (12, 32, 90)), (0, 64, (12, 6, 90))]
+        assert offsets == [(0, (12, 32, 90)), (32, (12, 32, 90)), (64, (12, 6, 90))]
 
     @pytest.mark.parametrize("threads,rows", [(1, 32), (3, 16)])
     def test_reference_kernel_yields_row_chunks_in_order(self, threads, rows):
@@ -545,9 +545,9 @@ class TestVolumeStream:
         provider, frames = self.model_rig()
         whole = reconstruct_volume(frames, provider, threads=threads).sections
         stream = reconstructor.VolumeStream(frames, provider, threads=threads)
-        blocks = [(k0, r0, block.copy()) for k0, r0, block in stream.blocks()]
-        assert [(k0, r0, b.shape) for k0, r0, b in blocks] == [
-            (0, r0, (12, rows, 96)) for r0 in range(0, 64, rows)]
+        blocks = [(r0, block.copy()) for r0, block in stream.blocks()]
+        assert [(r0, b.shape) for r0, b in blocks] == [
+            (r0, (12, rows, 96)) for r0 in range(0, 64, rows)]
         assert np.concatenate([b for *_, b in blocks], axis=1).tobytes() == whole.tobytes()
 
     def test_reference_kernel_submits_a_chunk_only_after_the_last_was_taken(self, monkeypatch):
@@ -561,7 +561,7 @@ class TestVolumeStream:
 
         monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", CountingExecutor)
         chunks = 0
-        for _, r0, _ in reconstructor.VolumeStream(frames, provider, threads=2).blocks():
+        for r0, _ in reconstructor.VolumeStream(frames, provider, threads=2).blocks():
             # the 12 sections of every 16-row chunk up to this one, none beyond
             chunks += 1
             assert (r0, len(submitted)) == (16 * (chunks - 1), 12 * chunks)
@@ -682,7 +682,7 @@ def test_reference_kernel_chunks_from_a_file_equal_the_section_major_oracle(tmp_
     frames = noisy_frames(10, base.shape, seed=8).astype(np.float32)
     with stack_reader(tmp_path, frames) as reader:
         stream = reconstructor.VolumeStream(reader, provider, threads=threads)
-        rows = [chunk.shape[1] for _, _, chunk in stream.blocks()]
+        rows = [chunk.shape[1] for _, chunk in stream.blocks()]
         volume = reconstruct_volume(reader, provider, threads=threads)
     assert rows == ([64, 64, 22] if threads == 1 else [32] * 4 + [22])
     oracle = reference_volume(frames, provider, volume.coverage_floor_used)
@@ -709,15 +709,15 @@ def test_stream_checks_the_file_frame_by_frame_then_reads_chunk_rows(tmp_path, m
     reads = []
     read = StackReader.read
 
-    def recording(self, k0, k1, rows=None, out=None):
+    def recording(self, k0, k1, rows=None):
         reads.append((k0, k1, rows))
-        return read(self, k0, k1, rows, out)
+        return read(self, k0, k1, rows)
 
     monkeypatch.setattr(StackReader, "read", recording)
     with stack_reader(tmp_path, frames) as reader:
         stream = reconstructor.VolumeStream(reader, provider)
         assert reads == [(i, i + 1, None) for i in range(30)]
         reads.clear()
-        for _, r0, chunk in stream.blocks():
+        for r0, chunk in stream.blocks():
             assert reads[-1] == (0, 30, (r0, r0 + chunk.shape[1]))
     assert reads == [(0, 30, (0, 32)), (0, 30, (32, 64)), (0, 30, (64, 70))]

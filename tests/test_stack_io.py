@@ -340,36 +340,59 @@ class TestStackReader:
         write_stack(planes, {"kind": "volume", "z0": 1.5}, path)
         return path, read_stack(path)
 
-    @pytest.mark.parametrize("shape", [(5, 70, 9), (1, 70, 9), (4, 1, 9), (1, 1, 1)])
-    def test_windows_equal_read_stack_slices(self, tmp_path, shape):
-        path, (whole, meta) = self.stack(tmp_path, shape)
-        k, h, w = shape
+    @staticmethod
+    def assert_windows(reader, whole):
+        """Every window, read or indexed, is a new array equal to that slice of whole."""
+        k, h, _ = whole.shape
+
+        def same(got, want):
+            assert got.dtype == np.float32 and got.flags.c_contiguous and got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
         # 32-row chunks (the last one short), the edge rows, whole planes, no rows
         windows = [(r0, min(r0 + 32, h)) for r0 in range(0, h, 32)]
         windows += [(0, 1), (h - 1, h), (0, h), (h, h)]
+        for k0, k1 in ((0, k), (k - 1, k), (0, 1), (k, k)):
+            for r0, r1 in windows:
+                same(reader.read(k0, k1, (r0, r1)), whole[k0:k1, r0:r1])
+                same(reader[k0:k1, r0:r1], whole[k0:k1, r0:r1])
+            same(reader.read(k0, k1), whole[k0:k1])
+            same(reader[k0:k1], whole[k0:k1])
+        for r0, r1 in windows:
+            same(reader[:, r0:r1], whole[:, r0:r1])
+        for plane in (0, k - 1, -1, -k):
+            same(reader[plane], whole[plane])
+            same(reader[plane, h - 1:], whole[plane, h - 1:])
+        # slice bounds clip as numpy clips them
+        same(reader[k - 1:k + 3, -2:h + 3], whole[k - 1:k + 3, -2:h + 3])
+        same(reader[k:0], whole[k:0])
+        first = reader[0]
+        first[...] = 7.0
+        same(reader[0], whole[0])
+
+    @pytest.mark.parametrize("shape", [(5, 70, 9), (1, 70, 9), (4, 1, 9), (1, 1, 1)])
+    def test_windows_equal_read_stack_slices(self, tmp_path, shape):
+        path, (whole, meta) = self.stack(tmp_path, shape)
         with StackReader(path) as reader:
             assert (reader.shape, reader.size, reader.metadata) == (shape, whole.size, meta)
-            for k0, k1 in ((0, k), (k - 1, k), (0, 1), (k, k)):
-                for rows in windows:
-                    got = reader.read(k0, k1, rows)
-                    assert got.dtype == np.float32 and got.flags.c_contiguous
-                    want = np.ascontiguousarray(whole[k0:k1, rows[0]:rows[1]])
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                assert reader.read(k0, k1).tobytes() == whole[k0:k1].tobytes()
+            self.assert_windows(reader, whole)
 
-    def test_reads_into_the_callers_buffer(self, tmp_path):
-        path, (whole, _) = self.stack(tmp_path, (5, 70, 9))
-        buffer = np.full((3, 6, 9), 7.0, dtype=np.float32)
+    def test_windows_outside_the_stack_raise(self, tmp_path):
+        path, _ = self.stack(tmp_path, (5, 70, 9))
         with StackReader(path) as reader:
-            assert reader.read(1, 4, (64, 70), out=buffer) is buffer
-            assert buffer.tobytes() == np.ascontiguousarray(whole[1:4, 64:]).tobytes()
-            for bad in (np.empty((3, 6, 9)), np.empty((3, 5, 9), dtype=np.float32),
-                        np.empty((3, 6, 18), dtype=np.float32)[:, :, ::2]):
-                with pytest.raises(ValueError, match="C-contiguous"):
-                    reader.read(1, 4, (64, 70), out=bad)
             for k0, k1, rows in ((4, 6, None), (2, 1, None), (0, 1, (60, 71)), (0, 1, (5, 4))):
                 with pytest.raises(ValueError, match="outside a 5x70x9 stack"):
                     reader.read(k0, k1, rows)
+            # an index never reads planes other than those it names
+            for plane in (5, -6, 70):
+                with pytest.raises(IndexError, match=f"plane {plane} outside a stack of 5"):
+                    reader[plane]
+            for index in (slice(0, 5, 2), slice(None, None, -1), (slice(None), slice(0, 70, 2)),
+                          (1, slice(70, 0, -1))):
+                with pytest.raises(IndexError, match="expected a slice with a unit step"):
+                    reader[index]
+            with pytest.raises(IndexError, match=r"expected a slice with a unit step, got 3\b"):
+                reader[1, 3]
 
     def test_a_window_reads_only_its_bytes(self, tmp_path, monkeypatch):
         path, _ = self.stack(tmp_path, (5, 70, 9))
@@ -409,7 +432,7 @@ class TestStackReader:
                 reader.read(2, 4)
 
     def test_fifo_windows(self, tmp_path):
-        path, (whole, _) = self.stack(tmp_path, (3, 5, 7))
+        path, (whole, _) = self.stack(tmp_path, (5, 70, 9))
         raw = path.read_bytes()
         fifo = tmp_path / "pipe.aspi"
         os.mkfifo(fifo)
@@ -419,6 +442,7 @@ class TestStackReader:
             with StackReader(fifo) as reader:
                 assert reader.read(1, 3, (2, 4)).tobytes() == np.ascontiguousarray(
                     whole[1:3, 2:4]).tobytes()
-                assert reader.read(0, 3).tobytes() == whole.tobytes()
+                assert reader.read(0, 5).tobytes() == whole.tobytes()
+                self.assert_windows(reader, whole)
         finally:
             writer.join(timeout=10)
