@@ -36,7 +36,6 @@ from .imaging_model import (
 )
 from .calibration import MaskModel, estimate_translation, fit_mask_model, predict_mask
 from .forward_sim import (
-    AcquisitionSet,
     NoiseSpec,
     Scene,
     acquire_stack,
@@ -49,7 +48,6 @@ from .reconstructor import (
     SENTINEL,
     CoverageReport,
     ModelMasks,
-    PrecomputedMasks,
     VolumeStack,
     VolumeStream,
     coverage_report,
@@ -78,11 +76,11 @@ __all__ = [
     "make_slit_pattern", "axial_range", "is_axially_ambiguous",
     "synthesize_mask", "threshold_mask",
     "MaskModel", "estimate_translation", "fit_mask_model", "predict_mask",
-    "NoiseSpec", "Scene", "AcquisitionSet", "camera_shape",
+    "NoiseSpec", "Scene", "camera_shape",
     "base_camera_pattern", "render_frame", "render_frames", "acquire_stack",
     "make_tilted_plane_scene", "tilted_plane_sections",
     "SENTINEL", "VolumeStack", "CoverageReport", "GeometryMasks",
-    "ModelMasks", "PrecomputedMasks", "default_floor",
+    "ModelMasks", "default_floor",
     "reconstruct_section", "reconstruct_volume", "VolumeStream", "coverage_report",
     "AxialCurve", "DepthMap", "axial_psf", "fwhm", "predicted_fwhm_sections",
     "estimate_background", "extract_depth_map",

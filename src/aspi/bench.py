@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imaging_model import GeometryConfig, PatternSpec, ZGrid
-from .reconstructor import GeometryMasks, VolumeStream, _check_threads, default_floor
+from .reconstructor import GeometryMasks, VolumeStream, _check_threads
 
 __all__ = ["BenchReport", "bench_reconstruction"]
 
@@ -77,11 +77,10 @@ def bench_reconstruction(
     rng = np.random.default_rng(seed)
     frames = rng.random((n, height, width), dtype=np.float32)
     provider = GeometryMasks(spec, geom, grid)
-    floor = default_floor(provider.base, n)
 
     crc = 0
     start = time.perf_counter()
-    stream = VolumeStream(frames, provider, grid, floor, threads)
+    stream = VolumeStream(frames, provider, threads=threads)
     for _, chunk in stream.blocks():
         crc = zlib.crc32(chunk, crc)
     wall = time.perf_counter() - start

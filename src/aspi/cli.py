@@ -264,7 +264,7 @@ def cmd_reconstruct(args) -> int:
         else:
             provider = GeometryMasks(spec, geom, grid, threshold=args.threshold)
         # the frames are checked in one pass over the file, then read chunk by chunk
-        stream = VolumeStream(frames, provider, grid, floor=args.floor, threads=args.threads)
+        stream = VolumeStream(frames, provider, floor=args.floor, threads=args.threads)
         out_meta = _rig_metadata(spec, geom, grid)
         out_meta.update(kind="volume", floor=stream.floor, sentinel=SENTINEL,
                         masks_source=stream.masks_source)
@@ -275,7 +275,7 @@ def cmd_reconstruct(args) -> int:
                 out.write(0, r0, block)
                 sentinels += sum(int(np.count_nonzero(plane == SENTINEL)) for plane in block)
     sentinel_fraction = sentinels / math.prod(stream.shape)
-    ambiguous = getattr(provider, "ambiguous", None)
+    ambiguous = provider.ambiguous
     _print_summary(kind="volume", sections=grid.count,
                    floor=f"{stream.floor:.6g}",
                    sentinel_fraction=f"{sentinel_fraction:.6g}",
@@ -376,9 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover the confocal volume from an acquisition")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", help="mask-model file; omit to synthesize masks from geometry")
-    p.add_argument("--threshold", action="store_true",
-                   help="reduce the geometric mask to 1-pixel slits first")
+    masks = p.add_mutually_exclusive_group()
+    masks.add_argument("--model", help="mask-model file; omit to synthesize masks from geometry")
+    masks.add_argument("--threshold", action="store_true",
+                       help="reduce the geometric mask to 1-pixel slits first")
     p.add_argument("--floor", type=float, default=None, help="coverage floor (default: derived)")
     _add_threads_arg(p)
     p.set_defaults(func=cmd_reconstruct)

@@ -46,7 +46,6 @@ from .imaging_model import (
 __all__ = [
     "NoiseSpec",
     "Scene",
-    "AcquisitionSet",
     "render_frame",
     "render_frames",
     "acquire_stack",
@@ -121,24 +120,6 @@ class Scene:
         """(z_index, reflectance) pairs: each field's reflectance at each of its sections."""
         return [(int(j), refl * (section_map == j))
                 for section_map, refl in self.fields for j in np.unique(section_map)]
-
-
-@dataclass(frozen=True)
-class AcquisitionSet:
-    """One full lateral scan: frames[i] is the camera image at scan step i."""
-
-    frames: np.ndarray  # (n, H, W)
-    spec: PatternSpec
-    geom: GeometryConfig
-    grid: ZGrid
-
-    def __post_init__(self):
-        if self.frames.ndim != 3:
-            raise ValueError("frames must be a (n, H, W) array")
-        if self.frames.shape[0] != self.spec.num_shifts_n:
-            raise ValueError(
-                f"frame count {self.frames.shape[0]} != num_shifts_n {self.spec.num_shifts_n}"
-            )
 
 
 def _check_scene(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid):
@@ -221,12 +202,12 @@ def acquire_stack(
     spec: PatternSpec,
     geom: GeometryConfig,
     grid: ZGrid,
-) -> AcquisitionSet:
-    """Render the full lateral scan. Bit-identical to per-frame render_frame calls."""
+) -> np.ndarray:
+    """The full lateral scan as float64 (n, H, W) frames, bit-identical to render_frame's."""
     frames = np.empty((spec.num_shifts_n,) + scene.shape, dtype=np.float64)
     for frame, rendered in zip(frames, render_frames(scene, spec, geom, grid)):
         frame[...] = rendered
-    return AcquisitionSet(frames=frames, spec=spec, geom=geom, grid=grid)
+    return frames
 
 
 def tilted_plane_sections(width: int, slope: float, z_start: int = 0) -> np.ndarray:

@@ -425,6 +425,9 @@ class TranslationMasks:
             store[:, :, z] = self.section_masks(z)[:, 0].T
         return store.transpose(1, 2, 0)
 
+    def describe(self) -> str:
+        return "translation"
+
 
 class GeometryMasks(TranslationMasks):
     """Bank of geometric masks, shared by the simulator and the reconstructor.

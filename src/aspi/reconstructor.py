@@ -18,7 +18,7 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
 * The reference kernel, reconstruct_section, accumulates in fixed order
   i = 0..n-1 per pixel. It takes any bank, full (n, H, W) or row-compressed
   (n, 1, W), and reconstruct_volume uses it for banks that vary along y.
-* The GEMM kernel serves banks that are constant along y: providers whose
+* The GEMM kernel serves banks that are constant along y: those whose
   row_bank() returns the whole (n, K, W) bank, geometric or calibrated.
   For every column x the numerator of all sections is one matrix product,
   (rows x n) . (n x K), computed in row bands of _GEMM_ROWS rows by a
@@ -27,28 +27,31 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
   per voxel rather than bit for bit. Coverage (mask_coverage) and the floor
   rule (_floor_rule) are shared, so coverage and sentinels are identical.
 
-Both kernels run behind one stream, VolumeStream, which computes the volume
-in (K, rows, W) row chunks of every section, top to bottom, and computes
-every chunk the same way: threads take pieces of it, and no sum is ever
-split between them, so each kernel's output is bit-identical for any thread
-count. The GEMM kernel's chunks are STREAM_ROWS rows, split into fixed
-_GEMM_ROWS bands; the reference kernel's chunks hold up to _BAND_PIXELS
-pixels of a section and are split into their sections, each built from
-only the chunk's rows of that section's masks. Each chunk needs only its
-own rows of the frames, frames[:, r0:r1]: a view of an array, or a read of
-a StackReader, which indexes like the array it stores, so the stream holds
-no read buffer. reconstruct_volume copies the chunks into one (K, H, W)
-array; `aspi reconstruct` writes them to the stack file and `aspi bench`
-checksums them. So besides the frames (none when they are read
-from a file) these hold one chunk of every section in float64 and the
-chunk's rows of the frames (float32 as read), never the volume; the GEMM
-kernel also holds the (n, K, W) bank, the reference kernel the chunk's
-frame rows in float64 and, per worker, the float64 masks of one section's
-chunk rows. A thread count below 1 is a ValueError.
+Both kernels run behind one stream, VolumeStream, which takes the (n, H, W)
+frames and one TranslationMasks bank of that shape, whose grid names the
+sections. It computes the volume in (K, rows, W) row chunks of every
+section, top to bottom, and computes every chunk the same way: threads take
+pieces of it, and no sum is ever split between them, so each kernel's
+output is bit-identical for any thread count. The GEMM kernel's chunks are
+STREAM_ROWS rows, split into fixed _GEMM_ROWS bands; the reference kernel's
+chunks hold up to _BAND_PIXELS pixels of a section and are split into their
+sections, each built from only the chunk's rows of that section's masks.
+Each chunk needs only its own rows of the frames, frames[:, r0:r1]: a view
+of an array, or a read of a StackReader, which indexes like the array it
+stores, so the stream holds no read buffer. reconstruct_volume copies the
+chunks into one (K, H, W) array; `aspi reconstruct` writes them to the
+stack file and `aspi bench` checksums them. So besides the frames (none
+when they are read from a file) these hold one chunk of every section in
+float64 and the chunk's rows of the frames (float32 as read), never the
+volume; the GEMM kernel also holds the (n, K, W) bank, the reference kernel
+the chunk's frame rows in float64 and, per worker, the float64 masks of one
+section's chunk rows. A thread count below 1, a floor that is not finite
+and > 0, and frames of another shape than the bank's are each a ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,7 +67,6 @@ __all__ = [
     "CoverageReport",
     "GeometryMasks",
     "ModelMasks",
-    "PrecomputedMasks",
     "default_floor",
     "reconstruct_section",
     "reconstruct_volume",
@@ -140,34 +142,7 @@ class ModelMasks(TranslationMasks):
         return "calibrated-model"
 
 
-class PrecomputedMasks:
-    """Mask provider over already-materialized per-section banks."""
-
-    def __init__(self, banks, grid: ZGrid):
-        self.banks = [np.asarray(b, dtype=np.float64) for b in banks]
-        if len(self.banks) != grid.count:
-            raise ValueError(f"{len(self.banks)} mask banks for a {grid.count}-section grid")
-        self.grid = grid
-        self.shift_count = self.banks[0].shape[0]
-        self.base = self.banks[0][0]
-        self.ambiguous = None
-
-    def section_masks(self, z_index: int, rows: tuple[int, int] | None = None) -> np.ndarray:
-        bank = self.banks[z_index]
-        return bank if rows is None or bank.shape[1] == 1 else bank[:, rows[0]:rows[1]]
-
-    def row_bank(self) -> np.ndarray | None:
-        """(n, K, W) masks of every scan step and section; None unless all banks are (n, 1, W)."""
-        if any(b.ndim != 3 or b.shape[1] != 1 for b in self.banks):
-            return None
-        return np.stack([b[:, 0] for b in self.banks], axis=1)
-
-    def describe(self) -> str:
-        return "precomputed"
-
-
-def _as_frames(acq):
-    frames = getattr(acq, "frames", acq)
+def _as_frames(frames):
     if not isinstance(frames, StackReader):
         frames = np.asarray(frames)
     if len(frames.shape) != 3:
@@ -188,18 +163,17 @@ def _as_masks(masks, n: int, h: int, w: int) -> np.ndarray:
     return m
 
 
-def reconstruct_section(acq, masks, floor: float) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_section(frames, masks, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Recover one confocal section; returns (section, coverage).
 
-    acq is an AcquisitionSet or a raw (n, H, W) array; masks is the (n, H, W)
-    or broadcastable (n, 1, W) bank for the target depth. Pixels whose
-    coverage sum falls below `floor` carry SENTINEL in the section.
+    frames is an (n, H, W) array; masks is the (n, H, W) or broadcastable
+    (n, 1, W) bank for the target depth. Pixels whose coverage sum falls
+    below `floor` (finite and > 0) carry SENTINEL in the section.
     """
-    frames = _as_frames(acq)
+    frames = _as_frames(frames)
     n, h, w = frames.shape
     m = _as_masks(masks, n, h, w)
-    if not (floor > 0):
-        raise ValueError(f"floor must be > 0, got {floor}")
+    _check_floor(floor)
 
     num = np.zeros((h, w), dtype=np.float64)
     prod = np.empty((h, w), dtype=np.float64)
@@ -220,14 +194,6 @@ def _floor_rule(den: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(uncovered, 1.0, den), uncovered
 
 
-def _resolve_provider(acq, masks, grid: ZGrid):
-    if isinstance(masks, MaskModel):
-        return ModelMasks(masks, grid, acq.spec.num_shifts_n)
-    if hasattr(masks, "section_masks"):
-        return masks
-    return PrecomputedMasks(masks, grid)
-
-
 def _check_finite(frames) -> None:
     # frame by frame: the flags of one frame at a time, not of the stack
     bad = sum(frame.size - int(np.count_nonzero(np.isfinite(frame))) for frame in frames)
@@ -240,45 +206,42 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
+def _check_floor(floor: float) -> None:
+    if not (0 < floor < math.inf):
+        raise ValueError(f"floor must be > 0 and finite, got {floor}")
+
+
 class VolumeStream:
     """A checked reconstruction whose row chunks are computed as they are read.
 
-    The constructor takes reconstruct_volume's arguments and makes all of
-    its checks (threads, frames, NaN or Inf pixels, floor, mask bank), so a
-    caller can reject bad input before it opens an output; frames read from
-    a StackReader are checked in one pass over the file, frame by frame.
-    `blocks` computes the volume chunk by chunk, each chunk in pieces shared
-    among `threads` workers. `shape` is the volume's (K, H, W).
+    frames is an (n, H, W) array or a StackReader of one, masks a
+    TranslationMasks bank of the same (shift_count,) + base shape, whose grid
+    names the sections. The constructor makes all the checks (threads,
+    floor, frame shape, NaN or Inf pixels), so a caller can reject bad input
+    before it opens an output; frames read from a StackReader are checked in
+    one pass over the file, frame by frame. `blocks` computes the volume
+    chunk by chunk, each chunk in pieces shared among `threads` workers.
+    `shape` is the volume's (K, H, W).
     """
 
-    def __init__(self, acq, masks, grid: ZGrid | None = None,
-                 floor: float | None = None, threads: int = 1):
+    def __init__(self, frames, masks: TranslationMasks, floor: float | None = None,
+                 threads: int = 1):
         _check_threads(threads)
-        if grid is None:
-            grid = getattr(masks, "grid", None) or acq.grid
-        provider = _resolve_provider(acq, masks, grid)
         if floor is None:
-            floor = default_floor(provider.base, provider.shift_count)
-        if not (floor > 0):
-            raise ValueError(f"floor must be > 0, got {floor}")
-        frames = _as_frames(acq)
+            floor = default_floor(masks.base, masks.shift_count)
+        _check_floor(floor)
+        frames = _as_frames(frames)
+        expected = (masks.shift_count,) + masks.base.shape
+        if frames.shape != expected:
+            raise ValueError(f"frames of shape {frames.shape} for a mask bank of {expected}")
         _check_finite(frames)
-        row_bank = getattr(provider, "row_bank", None)
-        bank = row_bank() if row_bank is not None else None
-        if bank is not None:
-            n, _, w = frames.shape
-            if bank.ndim != 3 or bank.shape[0] != n or bank.shape[2] != w:
-                raise ValueError(f"mask bank shape {bank.shape} incompatible with frames {frames.shape}")
-            if bank.shape[1] < grid.count:
-                raise ValueError(f"mask bank has {bank.shape[1]} sections for a {grid.count}-section grid")
-            bank = bank[:, :grid.count]
-        self.grid = grid
+        self.grid = masks.grid
         self.floor = float(floor)
-        self.masks_source = provider.describe()
-        self.shape = (grid.count,) + frames.shape[1:]
+        self.masks_source = masks.describe()
+        self.shape = (masks.grid.count,) + frames.shape[1:]
         self._frames = frames
-        self._provider = provider
-        self._bank = bank
+        self._masks = masks
+        self._bank = masks.row_bank()
         self._threads = threads
 
     def blocks(self):
@@ -347,7 +310,7 @@ class VolumeStream:
         return _GEMM_ROWS * max(1, bands)
 
     def _section_kernel(self):
-        provider, floor, k = self._provider, self.floor, self.shape[0]
+        masks, floor, k = self._masks, self.floor, self.shape[0]
 
         def chunk(pool, frames, c0: int, sections):
             # one exact upcast per chunk, not one in each of the K * n
@@ -356,7 +319,7 @@ class VolumeStream:
             rows = (c0, c0 + frames.shape[1])
 
             def section(z: int):
-                sections[z] = reconstruct_section(frames, provider.section_masks(z, rows), floor)[0]
+                sections[z] = reconstruct_section(frames, masks.section_masks(z, rows), floor)[0]
 
             _run(pool, section, range(k))
 
@@ -372,21 +335,19 @@ def _run(pool, work, items) -> None:
         list(pool.map(work, items))
 
 
-def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
-                       floor: float | None = None, threads: int = 1) -> VolumeStack:
-    """Recover every section of the grid from one acquisition.
+def reconstruct_volume(frames, masks: TranslationMasks, floor: float | None = None,
+                       threads: int = 1) -> VolumeStack:
+    """Recover every section of the bank's grid from one acquisition.
 
-    masks may be a MaskModel, a mask provider (GeometryMasks / ModelMasks /
-    PrecomputedMasks), or a sequence of per-section banks. A provider whose
-    row_bank() returns an (n, K, W) bank takes the GEMM kernel; any other
-    takes reconstruct_section once per section of every row chunk. Frames
-    (an array, an AcquisitionSet or a StackReader) of any float dtype are
-    read as float64; a NaN or an infinity in them raises ValueError. With
-    threads > 1 each chunk's work is split among workers, and the result is
-    bit-identical to the serial one. The volume is VolumeStream's row
-    chunks, copied into one array.
+    frames and masks are VolumeStream's, and so are the checks. A bank
+    whose row_bank() returns an (n, K, W) bank takes the GEMM kernel; any
+    other takes reconstruct_section once per section of every row chunk.
+    Frames of any float dtype are read as float64. With threads > 1 each
+    chunk's work is split among workers, and the result is bit-identical to
+    the serial one. The volume is VolumeStream's row chunks, copied into one
+    array.
     """
-    stream = VolumeStream(acq, masks, grid, floor, threads)
+    stream = VolumeStream(frames, masks, floor, threads)
     sections = np.empty(stream.shape, dtype=np.float64)
     for r0, chunk in stream.blocks():
         sections[:, r0:r0 + chunk.shape[1]] = chunk
@@ -398,32 +359,24 @@ def reconstruct_volume(acq, masks, grid: ZGrid | None = None,
     )
 
 
-def coverage_report(masks, floor: float | None = None) -> CoverageReport:
-    """Exact per-pixel illumination denominators for every section.
+def coverage_report(masks: TranslationMasks, floor: float | None = None) -> CoverageReport:
+    """Exact per-pixel illumination denominators for every section of a bank.
 
-    masks is a provider or a sequence of per-section banks. The ambiguity
-    flag is carried over from the provider when it knows its geometry
-    (True when the grid spans more shear than one slit period encodes).
+    The ambiguity flag is the bank's (True when its grid spans more shear
+    than one slit period encodes; None when it does not know its geometry).
     """
-    if hasattr(masks, "section_masks"):
-        provider = masks
-    else:
-        banks = list(masks)
-        if not banks:
-            raise ValueError("empty mask list")
-        provider = PrecomputedMasks(banks, ZGrid(z0=0.0, z_step=1.0, count=len(banks)))
     if floor is None:
-        floor = default_floor(provider.base, provider.shift_count)
+        floor = default_floor(masks.base, masks.shift_count)
 
-    # row-compressed providers yield (1, W) planes; the statistics are
+    # row-compressed banks yield (1, W) planes; the statistics are
     # identical to the broadcast (H, W) form
-    coverage = np.stack([mask_coverage(provider.section_masks(j))
-                         for j in range(provider.grid.count)])
+    coverage = np.stack([mask_coverage(masks.section_masks(j))
+                         for j in range(masks.grid.count)])
     return CoverageReport(
         coverage=coverage,
         floor=float(floor),
         min_coverage=float(coverage.min()),
         mean_coverage=float(coverage.mean()),
         sentinel_fraction=float(np.mean(coverage < floor)),
-        ambiguous=getattr(provider, "ambiguous", None),
+        ambiguous=masks.ambiguous,
     )

@@ -397,8 +397,11 @@ def extract_depth_map(
     confidence. With refine=True, interior peaks with valid neighbors are
     sharpened by a 3-point parabolic fit across adjacent sections. The
     argmax runs section by section over the volume as stored; a NaN or an
-    infinity in it raises ValueError naming the count.
+    infinity in it raises ValueError naming the count, as does a
+    min_confidence that is not finite.
     """
+    if min_confidence is not None and not math.isfinite(min_confidence):
+        raise ValueError(f"min_confidence must be finite, got {min_confidence}")
     data = volume.sections
     grid = volume.grid
     k = data.shape[0]

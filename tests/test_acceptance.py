@@ -61,7 +61,7 @@ def test_criterion_1_psf_equivalence():
     volume = reconstruct_volume(acq, GeometryMasks(spec, geom, grid))
 
     probe = (200, 128)
-    curve = axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+    curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
                       spec, geom, grid, probe=probe)
     response = volume.sections[:, probe[1], probe[0]]
     assert np.all(response != SENTINEL)
@@ -92,15 +92,13 @@ def test_criterion_2_normalization_contract():
     assert cv < 1e-9, f"coefficient of variation {cv:.3e}"
 
     floor = volume.coverage_floor_used
-    banks = [provider.section_masks(j) for j in range(grid.count)]
-    scaled_masks = reconstruct_volume(acq, [0.25 * b for b in banks], grid, floor=0.25 * floor)
+    # a power-of-two scale passes through the mask interpolation exactly
+    scaled = GeometryMasks(spec, geom, grid, base=0.25 * provider.base)
+    scaled_masks = reconstruct_volume(acq, scaled, floor=0.25 * floor)
     assert np.array_equal(scaled_masks.sections, volume.sections), "mask-scale invariance"
 
     doubled = acquire_stack(uniform_scene(spec, geom, layer_section), spec, geom, grid)
-    doubled_volume = reconstruct_volume(
-        type(acq)(frames=2.0 * doubled.frames, spec=spec, geom=geom, grid=grid),
-        provider, floor=floor,
-    )
+    doubled_volume = reconstruct_volume(2.0 * doubled, provider, floor=floor)
     valid = volume.sections != SENTINEL
     assert np.array_equal(doubled_volume.sections[valid], 2.0 * volume.sections[valid]), \
         "object-scale equivariance"
@@ -147,7 +145,7 @@ def test_criterion_3_three_layer_sectioning():
     assert clean_ratio < 0.01, f"noise-free leakage {clean_ratio:.4f}"
 
     clean_acq = acquire_stack(Scene(layers=layers), spec, geom, grid)
-    sigma = 0.01 * float(clean_acq.frames.max())
+    sigma = 0.01 * float(clean_acq.max())
     noisy_ratio = band_energies(Scene(layers=layers, haze_fraction=0.3,
                                       noise=NoiseSpec(gaussian_sigma=sigma, seed=11)))
     assert noisy_ratio < 0.05, f"hazy/noisy leakage {noisy_ratio:.4f}"
@@ -268,7 +266,7 @@ def test_criterion_7_fwhm_parametric():
     grid = ZGrid(z0=0.0, z_step=1.0, count=40)
     layer_section = 20  # integer mask phase: 20 * 0.5 = 10 px
     acq = acquire_stack(uniform_scene(spec, geom, layer_section), spec, geom, grid)
-    curve = axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+    curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
                       spec, geom, grid, probe=(180, 4))
     predicted = predicted_fwhm_sections(spec.linewidth_w, geom.shear_px_per_section)
     measured = fwhm(curve) / grid.z_step
@@ -281,7 +279,7 @@ def test_criterion_7_fwhm_parametric():
     grid_05 = ZGrid(z0=0.0, z_step=z_step, count=100)
     layer_section = 50  # phase 50 * 0.2 = 10 px
     acq = acquire_stack(uniform_scene(spec, geom_05, layer_section), spec, geom_05, grid_05)
-    curve = axial_psf(acq.frames[0], base_camera_pattern(spec, geom_05),
+    curve = axial_psf(acq[0], base_camera_pattern(spec, geom_05),
                       spec, geom_05, grid_05, probe=(180, 4))
     width_z = fwhm(curve)
     width_sections = width_z / z_step

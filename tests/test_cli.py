@@ -555,6 +555,45 @@ class TestRejectedInputs:
                      "--out", str(vol))
         assert_one_error_line(result, f"{acq} is not a mask-model file", vol)
 
+    @pytest.mark.parametrize("dy", [(0.0, 0.0), (0.3, -0.2)])
+    def test_reconstruct_model_of_another_frame_height(self, tmp_path, capsys, dy):
+        # 64 x 16 masks on 64 x 8 frames, row-constant (GEMM kernel) or
+        # moving along y (reference kernel)
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        model = slit_model(tmp_path, height=16, dy=dy)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                     "--out", str(vol))
+        assert_one_error_line(result, "frames of shape (16, 8, 64) for a mask bank of "
+                              "(16, 16, 64)", vol)
+        assert not vol.with_name("vol.aspi.meta").exists()
+
+    def test_reconstruct_infinite_floor(self, tmp_path, capsys):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--floor", "inf",
+                     "--out", str(vol))
+        assert_one_error_line(result, "floor must be > 0 and finite, got inf", vol)
+
+    def test_reconstruct_model_with_threshold_is_usage_error(self, tmp_path, capsys):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq),
+                             "--model", str(slit_model(tmp_path)), "--threshold",
+                             "--out", str(vol))
+        assert code == 2 and out == ""
+        assert "argument --threshold: not allowed with argument --model" in err
+        assert not vol.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_depthmap_non_finite_min_confidence(self, tmp_path, capsys, value):
+        acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        result = run(capsys, "depthmap", "--input", str(vol), f"--min-confidence={value}",
+                     "--out", str(dep))
+        assert_one_error_line(result, f"min_confidence must be finite, got {value}", dep)
+
     @pytest.mark.parametrize("command,flag,wrong,needle", [
         ("reconstruct", "--input", "vol", "is not an acquisition file"),
         ("reconstruct", "--input", "depth", "is not an acquisition file"),
@@ -621,12 +660,15 @@ def test_psf_threshold_summary(capsys):
     assert (int(summary["probe_x"]), int(summary["probe_y"])) == (96, 4)
 
 
-def y_moving_model(tmp_path):
-    """A model file whose masks move along y: its volume takes the reference kernel."""
-    base = make_slit_pattern(PatternSpec(64, 8, period_d=16, linewidth_w=2), 0)
+def slit_model(tmp_path, height=8, dy=(0.3, -0.2)):
+    """A model file of a 64-wide slit base whose masks move by dy (lateral, axial) along y.
+
+    Masks that move along y take the reference kernel, row-constant ones the GEMM kernel.
+    """
+    base = make_slit_pattern(PatternSpec(64, height, period_d=16, linewidth_w=2), 0)
     model = tmp_path / "model.aspi"
-    write_stack(base, {"kind": "mask-model", "lateral_dx": 1.0, "lateral_dy": 0.3,
-                       "axial_dx": 1.0, "axial_dy": -0.2, "anchor_x": 2, "anchor_z": 4,
+    write_stack(base, {"kind": "mask-model", "lateral_dx": 1.0, "lateral_dy": dy[0],
+                       "axial_dx": 1.0, "axial_dy": dy[1], "anchor_x": 2, "anchor_z": 4,
                        "lateral_residual_rms": 0.0, "axial_residual_rms": 0.0}, model)
     return model
 
@@ -646,7 +688,7 @@ class TestBadThreadCount:
     def test_reconstruct(self, tmp_path, capsys, threads, masks):
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
         small_acquisition(capsys, acq)
-        model = ["--model", str(y_moving_model(tmp_path))] if masks == "y_moving_model" else []
+        model = ["--model", str(slit_model(tmp_path))] if masks == "y_moving_model" else []
         result = run(capsys, "reconstruct", "--input", str(acq), *model,
                      "--threads", threads, "--out", str(vol))
         assert_one_error_line(result, f"threads must be >= 1, got {threads}", vol)

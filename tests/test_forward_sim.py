@@ -112,30 +112,30 @@ class TestAcquireStack:
         spec, geom, grid = rig(n=1)
         scene = ones_scene(spec, geom, 2)
         acq = acquire_stack(scene, spec, geom, grid)
-        assert acq.frames.shape[0] == 1
-        assert np.array_equal(acq.frames[0], render_frame(scene, 0, spec, geom, grid))
+        assert acq.dtype == np.float64 and acq.shape == (1,) + camera_shape(spec, geom)
+        assert np.array_equal(acq[0], render_frame(scene, 0, spec, geom, grid))
 
     def test_seeded_noise_is_deterministic(self):
         spec, geom, grid = rig(n=6)
         noise = NoiseSpec(gaussian_sigma=0.05, poisson_scale=200.0, seed=42)
         a = acquire_stack(ones_scene(spec, geom, 1, noise=noise), spec, geom, grid)
         b = acquire_stack(ones_scene(spec, geom, 1, noise=noise), spec, geom, grid)
-        assert np.array_equal(a.frames, b.frames)
+        assert np.array_equal(a, b)
         c = acquire_stack(ones_scene(spec, geom, 1, noise=NoiseSpec(0.05, 200.0, 43)),
                           spec, geom, grid)
-        assert not np.array_equal(a.frames, c.frames)
+        assert not np.array_equal(a, c)
 
     def test_frames_match_per_frame_renders_with_haze(self):
         spec, geom, grid = rig(n=8)
         scene = ones_scene(spec, geom, 3, haze_fraction=0.4)
         acq = acquire_stack(scene, spec, geom, grid)
         for i in (0, 3, 7):
-            assert np.array_equal(acq.frames[i], render_frame(scene, i, spec, geom, grid))
+            assert np.array_equal(acq[i], render_frame(scene, i, spec, geom, grid))
 
     def test_full_coverage_sum_is_constant(self):
         spec, geom, grid = rig(d=10, w=2, n=10, width=80)
         acq = acquire_stack(ones_scene(spec, geom, 0), spec, geom, grid)
-        total = acq.frames.sum(axis=0)
+        total = acq.sum(axis=0)
         expected = slit_coverage_constant(10, 2, 1, 10)
         assert expected == {2}
         interior = total[:, 12:]  # clear of the scan-vacated border
@@ -150,7 +150,7 @@ class TestAcquireStack:
         refl[:, :1] = 1.0
         scene = Scene(layers=[(0, refl)], noise=NoiseSpec(gaussian_sigma=0.1, seed=9))
         acq = acquire_stack(scene, spec, geom, grid)
-        assert acq.frames.min() < 0
+        assert acq.min() < 0
 
 
 class TestSceneValidation:
@@ -255,7 +255,7 @@ def layer_sum_frames(layers, haze, noise, spec, geom, grid):
 
 
 def assert_renders_the_oracle(scene, layers, spec, geom, grid):
-    frames = acquire_stack(scene, spec, geom, grid).frames
+    frames = acquire_stack(scene, spec, geom, grid)
     oracle = layer_sum_frames(layers, scene.haze_fraction, scene.noise, spec, geom, grid)
     assert np.array_equal(frames, oracle)
     for i, frame in zip((5, 0), render_frames(scene, spec, geom, grid, (5, 0))):

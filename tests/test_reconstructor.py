@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,6 @@ from aspi import (
     MaskModel,
     ModelMasks,
     PatternSpec,
-    PrecomputedMasks,
     Scene,
     StackReader,
     ZGrid,
@@ -60,55 +60,55 @@ class TestReconstructSection:
 
     def test_uniform_layer_normalizes_to_one(self):
         spec, geom, grid = rig()
-        acq = uniform_acquisition(spec, geom, grid, z_index=6)
+        frames = uniform_acquisition(spec, geom, grid, z_index=6)
         provider = GeometryMasks(spec, geom, grid)
-        section, coverage = reconstruct_section(acq.frames, provider.section_masks(6),
+        section, coverage = reconstruct_section(frames, provider.section_masks(6),
                                                 floor=default_floor(provider.base, 30))
         interior = section[:, 40:]
         assert np.array_equal(interior, np.ones_like(interior))
 
     def test_object_scale_equivariance_exact(self):
         spec, geom, grid = rig()
-        acq = uniform_acquisition(spec, geom, grid, z_index=3)
+        frames = uniform_acquisition(spec, geom, grid, z_index=3)
         provider = GeometryMasks(spec, geom, grid)
         masks = provider.section_masks(3)
         floor = default_floor(provider.base, 30)
-        base_sec, _ = reconstruct_section(acq.frames, masks, floor)
-        scaled_sec, _ = reconstruct_section(2.0 * acq.frames, masks, floor)
+        base_sec, _ = reconstruct_section(frames, masks, floor)
+        scaled_sec, _ = reconstruct_section(2.0 * frames, masks, floor)
         covered = base_sec != SENTINEL
         assert np.array_equal(scaled_sec[covered], 2.0 * base_sec[covered])
 
     def test_mask_scale_invariance_exact(self):
         spec, geom, grid = rig()
-        acq = uniform_acquisition(spec, geom, grid, z_index=3)
+        frames = uniform_acquisition(spec, geom, grid, z_index=3)
         provider = GeometryMasks(spec, geom, grid)
         masks = provider.section_masks(3)
         floor = default_floor(provider.base, 30)
-        a, _ = reconstruct_section(acq.frames, masks, floor)
-        b, _ = reconstruct_section(acq.frames, 0.25 * masks, 0.25 * floor)
+        a, _ = reconstruct_section(frames, masks, floor)
+        b, _ = reconstruct_section(frames, 0.25 * masks, 0.25 * floor)
         assert np.array_equal(a, b)
 
     def test_mask_scale_invariance_general_beta(self):
         spec, geom, grid = rig()
-        acq = uniform_acquisition(spec, geom, grid, z_index=3)
+        frames = uniform_acquisition(spec, geom, grid, z_index=3)
         provider = GeometryMasks(spec, geom, grid)
         masks = provider.section_masks(3)
         floor = default_floor(provider.base, 30)
-        a, _ = reconstruct_section(acq.frames, masks, floor)
-        b, _ = reconstruct_section(acq.frames, 3.7 * masks, 3.7 * floor)
+        a, _ = reconstruct_section(frames, masks, floor)
+        b, _ = reconstruct_section(frames, 3.7 * masks, 3.7 * floor)
         valid = a != SENTINEL
         assert np.allclose(a[valid], b[valid], rtol=1e-12)
 
     def test_row_masks_equal_full_masks(self):
         spec, geom, grid = rig()
-        acq = uniform_acquisition(spec, geom, grid, z_index=2)
+        frames = uniform_acquisition(spec, geom, grid, z_index=2)
         provider = GeometryMasks(spec, geom, grid)
         rows = provider.section_masks(2)
         assert rows.shape[1] == 1
         full = np.broadcast_to(rows, (rows.shape[0],) + camera_shape(spec, geom)).copy()
         floor = default_floor(provider.base, 30)
-        a, cov_a = reconstruct_section(acq.frames, rows, floor)
-        b, cov_b = reconstruct_section(acq.frames, full, floor)
+        a, cov_a = reconstruct_section(frames, rows, floor)
+        b, cov_b = reconstruct_section(frames, full, floor)
         assert np.array_equal(a, b)
         assert np.array_equal(cov_a, cov_b)
 
@@ -123,17 +123,18 @@ class TestReconstructSection:
             reconstruct_section(frames[:, :, :50], masks, 1.0)
         with pytest.raises(ValueError):
             reconstruct_section(np.empty((0, 4, 4)), np.empty((0, 4, 4)), 1.0)
-        with pytest.raises(ValueError):
-            reconstruct_section(frames, masks, floor=0.0)
+        for floor in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="floor must be > 0 and finite"):
+                reconstruct_section(frames, masks, floor)
 
 
 class TestReconstructVolume:
     def test_single_section_volume_equals_section(self):
         spec, geom, grid = rig(sections=1)
-        acq = uniform_acquisition(spec, geom, grid, z_index=0)
+        frames = uniform_acquisition(spec, geom, grid, z_index=0)
         provider = GeometryMasks(spec, geom, grid)
-        volume = reconstruct_volume(acq, provider)
-        section, _ = reconstruct_section(acq.frames, provider.section_masks(0),
+        volume = reconstruct_volume(frames, provider)
+        section, _ = reconstruct_section(frames, provider.section_masks(0),
                                          volume.coverage_floor_used)
         assert np.array_equal(volume.sections[0], section)
 
@@ -149,8 +150,8 @@ class TestReconstructVolume:
             refl[:, 40 * k + 50:40 * k + 80] = 1.0
             layers.append((z, refl))
             supports[z] = refl > 0
-        acq = acquire_stack(Scene(layers=layers), spec, geom, grid)
-        volume = reconstruct_volume(acq, GeometryMasks(spec, geom, grid))
+        frames = acquire_stack(Scene(layers=layers), spec, geom, grid)
+        volume = reconstruct_volume(frames, GeometryMasks(spec, geom, grid))
         for z, support in supports.items():
             energies = []
             for j in range(grid.count):
@@ -161,41 +162,17 @@ class TestReconstructVolume:
 
     def test_threaded_sections_bit_identical(self):
         spec, geom, grid = rig(sections=12)
-        acq = uniform_acquisition(spec, geom, grid, z_index=4)
-        serial = reconstruct_volume(acq, GeometryMasks(spec, geom, grid), threads=1)
-        threaded = reconstruct_volume(acq, GeometryMasks(spec, geom, grid), threads=4)
+        frames = uniform_acquisition(spec, geom, grid, z_index=4)
+        serial = reconstruct_volume(frames, GeometryMasks(spec, geom, grid), threads=1)
+        threaded = reconstruct_volume(frames, GeometryMasks(spec, geom, grid), threads=4)
         assert np.array_equal(serial.sections, threaded.sections)
-
-    def test_precomputed_masks_match_on_the_fly(self):
-        spec, geom, grid = rig(sections=8)
-        acq = uniform_acquisition(spec, geom, grid, z_index=4)
-        provider = GeometryMasks(spec, geom, grid)
-        banks = [provider.section_masks(j) for j in range(grid.count)]
-        on_the_fly = reconstruct_volume(acq, provider)
-        materialized = reconstruct_volume(acq, PrecomputedMasks(banks, grid))
-        assert np.array_equal(on_the_fly.sections, materialized.sections)
-
-    def test_mask_model_auto_wrap(self):
-        spec, geom, grid = rig(shear=0.5, sections=10)
-        base = GeometryMasks(spec, geom, grid).base
-        model = fit_mask_model(
-            base,
-            synthesize_mask(base, 5.0, 0, geom, grid),
-            synthesize_mask(base, 0.0, 9, geom, grid),
-            anchors=(6, 10),
-        )
-        acq = uniform_acquisition(spec, geom, grid, z_index=4)
-        direct = reconstruct_volume(acq, ModelMasks(model, grid, spec.num_shifts_n))
-        wrapped = reconstruct_volume(acq, model)
-        assert np.array_equal(direct.sections, wrapped.sections)
-        assert wrapped.masks_source == "calibrated-model"
 
     def test_out_of_plane_rejection(self):
         # a single layer leaks < 1% of its in-plane energy to sections
         # more than 3 FWHM away (noise-free, haze 0)
         spec, geom, grid = rig(d=30, w=2, n=30, shear=0.5, sections=40)
-        acq = uniform_acquisition(spec, geom, grid, z_index=10)
-        volume = reconstruct_volume(acq, GeometryMasks(spec, geom, grid))
+        frames = uniform_acquisition(spec, geom, grid, z_index=10)
+        volume = reconstruct_volume(frames, GeometryMasks(spec, geom, grid))
         fwhm_sections = 2 / 0.5
         in_plane = volume.sections[10][:, 60:]
         far = volume.sections[10 + int(3 * fwhm_sections)][:, 60:]
@@ -235,15 +212,6 @@ class TestCoverageReport:
         clean = coverage_report(GeometryMasks(spec, geom, ZGrid(0.0, 1.0, 10)))
         assert ambiguous.ambiguous is True
         assert clean.ambiguous is False
-
-    def test_plain_bank_list_accepted(self):
-        spec, geom, grid = rig(sections=3)
-        provider = GeometryMasks(spec, geom, grid)
-        banks = [provider.section_masks(j) for j in range(3)]
-        report = coverage_report(banks, floor=0.5)
-        assert report.coverage.shape[0] == 3
-        assert report.ambiguous is None
-
 
 def test_default_floor_value():
     base = 2.0 * np.ones((4, 4))
@@ -327,23 +295,12 @@ class TestGemmKernel:
                 one = synthesize_mask(row, float(i), z, provider.geom, provider.grid)
                 assert masks[i].tobytes() == one.tobytes()
 
-    def test_precomputed_row_banks_take_gemm_kernel(self, monkeypatch):
-        spec, provider = self.rig()
-        frames = noisy_frames(30, camera_shape(spec, provider.geom), seed=2)
-        banks = [provider.section_masks(j) for j in range(24)]
-        monkeypatch.setattr(reconstructor, "reconstruct_section", no_reference_kernel)
-        geometry = reconstruct_volume(frames, provider).sections
-        precomputed = reconstruct_volume(frames, PrecomputedMasks(banks, provider.grid)).sections
-        assert geometry.tobytes() == precomputed.tobytes()
-
     def test_float32_frames_equal_float64_on_both_kernels(self):
-        spec, provider = self.rig()
-        f32 = noisy_frames(30, camera_shape(spec, provider.geom), seed=3).astype(np.float32)
-        f64 = f32.astype(np.float64)
-        full = [np.broadcast_to(provider.section_masks(j), f64.shape) for j in range(24)]
-        for masks in (provider, PrecomputedMasks(full, provider.grid)):
-            a = reconstruct_volume(f32, masks).sections
-            b = reconstruct_volume(f64, masks).sections
+        for provider in (self.rig()[1], y_varying_provider("geometry_2d")[0]):
+            f32 = noisy_frames(provider.shift_count, provider.base.shape, seed=3).astype(np.float32)
+            f64 = f32.astype(np.float64)
+            a = reconstruct_volume(f32, provider).sections
+            b = reconstruct_volume(f64, provider).sections
             assert a.tobytes() == b.tobytes()
 
     def test_magnified_slit_pattern_stays_row_constant(self):
@@ -422,16 +379,12 @@ def y_varying_provider(kind):
         base = base_camera_pattern(spec, geom)
         falloff = np.linspace(1.0, 0.6, base.shape[0])[:, None]
         provider = GeometryMasks(spec, geom, grid, base=falloff * base)
-        if kind == "precomputed":
-            shape = (provider.shift_count,) + base.shape
-            provider = PrecomputedMasks([np.broadcast_to(provider.section_masks(j), shape)
-                                         for j in range(grid.count)], grid)
     assert provider.row_bank() is None
     return provider, noisy_frames(provider.shift_count, provider.base.shape, seed=9)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["model", "geometry_2d", "precomputed"])
+@pytest.mark.parametrize("kind", ["model", "geometry_2d"])
 def test_reference_kernel_bands_equal_the_full_frame_oracle(kind, threads):
     # band workers write disjoint rows of one section; switch threads often
     provider, frames = y_varying_provider(kind)
@@ -497,8 +450,7 @@ class TestNonFiniteFrames:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_geometry_and_model_paths_reject(self, value):
         spec, geom, grid = rig(shear=0.5, sections=6)
-        acq = uniform_acquisition(spec, geom, grid, z_index=2)
-        frames = acq.frames.copy()
+        frames = uniform_acquisition(spec, geom, grid, z_index=2)
         frames[4, 3, 50] = value
         provider = GeometryMasks(spec, geom, grid)
         model = fit_mask_model(
@@ -509,7 +461,7 @@ class TestNonFiniteFrames:
         )
         for masks in (provider, ModelMasks(model, grid, spec.num_shifts_n)):
             with pytest.raises(ValueError, match="1 non-finite frame pixels"):
-                reconstruct_volume(frames, masks, grid)
+                reconstruct_volume(frames, masks)
 
 
 class TestVolumeStream:
@@ -622,8 +574,21 @@ class TestVolumeStream:
         frames[2, 5, 7] = np.nan
         with pytest.raises(ValueError, match="1 non-finite frame pixels"):
             reconstructor.VolumeStream(frames, provider)
-        with pytest.raises(ValueError, match="floor must be > 0"):
-            reconstructor.VolumeStream(frames, provider, floor=0.0)
+        for floor in (0.0, -np.inf, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"floor must be > 0 and finite, got {floor}"):
+                reconstructor.VolumeStream(frames, provider, floor=floor)
+
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_frames_of_another_shape_than_the_bank_rejected(self, rig):
+        # a taller bank than the frames once took the GEMM kernel, or the
+        # reference kernel's top rows of it
+        provider, frames = getattr(self, rig)()
+        n, h, w = frames.shape
+        for shape in ((n - 1, h, w), (n, h - 1, w), (n, h, w - 1),
+                      (n + 1, h, w), (n, h + 1, w), (n, h, w + 1)):
+            message = re.escape(f"frames of shape {shape} for a mask bank of {(n, h, w)}")
+            with pytest.raises(ValueError, match=message):
+                reconstructor.VolumeStream(np.ones(shape, dtype=np.float32), provider)
 
 
 def test_coverage_equal_to_the_floor_is_covered_by_both_kernels():
@@ -635,11 +600,8 @@ def test_coverage_equal_to_the_floor_is_covered_by_both_kernels():
     at_floor = np.broadcast_to(coverage == 1.0, (grid.count,) + camera_shape(spec, geom))
     assert at_floor.any() and (coverage < 1.0).any()
     frames = noisy_frames(20, camera_shape(spec, geom), seed=3)
-    full = PrecomputedMasks([np.broadcast_to(provider.section_masks(j), frames.shape)
-                             for j in range(grid.count)], grid)
-    assert full.row_bank() is None
-    for masks in (provider, full):
-        sections = reconstruct_volume(frames, masks, floor=1.0).sections
+    for sections in (reconstruct_volume(frames, provider, floor=1.0).sections,
+                     reference_volume(frames, provider, 1.0)):
         assert np.array_equal(sections == SENTINEL,
                               np.broadcast_to(coverage < 1.0, sections.shape))
         assert np.all(sections[at_floor] != SENTINEL)

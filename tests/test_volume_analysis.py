@@ -52,7 +52,7 @@ class TestAxialPsf:
     def test_peak_at_layer_section(self):
         spec, geom, grid = rig()
         acq = layer_acquisition(spec, geom, grid, 8)
-        curve = axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
                           spec, geom, grid, probe=(120, 6))
         assert int(np.argmax(curve.response)) == 8
         assert curve.response.max() == 1.0
@@ -61,7 +61,7 @@ class TestAxialPsf:
         # slit width w against itself: triangle spanning 2w/shear sections
         spec, geom, grid = rig(d=30, w=3, shear=1.0, sections=16)
         acq = layer_acquisition(spec, geom, grid, 6)
-        curve = axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
                           spec, geom, grid, probe=(120, 4))
         delta = np.arange(grid.count) - 6.0
         expected = np.maximum(0.0, 1.0 - np.abs(delta) / 3.0)
@@ -74,7 +74,7 @@ class TestAxialPsf:
         acq = layer_acquisition(spec, geom, grid, 7)
         volume = reconstruct_volume(acq, GeometryMasks(spec, geom, grid))
         probe = (120, 5)
-        curve = axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
                           spec, geom, grid, probe=probe)
         rec = volume.sections[:, probe[1], probe[0]]
         rec = rec / rec.max()
@@ -84,14 +84,14 @@ class TestAxialPsf:
         spec, geom, grid = rig()
         acq = layer_acquisition(spec, geom, grid, 0)
         with pytest.raises(CoverageError):
-            axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+            axial_psf(acq[0], base_camera_pattern(spec, geom),
                       spec, geom, grid, probe=(2, 3))
 
     def test_probe_bounds_checked(self):
         spec, geom, grid = rig()
         acq = layer_acquisition(spec, geom, grid, 0)
         with pytest.raises(ValueError):
-            axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+            axial_psf(acq[0], base_camera_pattern(spec, geom),
                       spec, geom, grid, probe=(500, 3))
 
 
@@ -148,7 +148,7 @@ class TestFwhm:
         pred = predicted_fwhm_sections(2, 0.25)
         assert pred == 8.0
         acq = layer_acquisition(spec, geom, grid, 40)  # phase 40*0.25 = integer
-        curve = axial_psf(acq.frames[0], base_camera_pattern(spec, geom),
+        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
                           spec, geom, grid, probe=(150, 3))
         assert fwhm(curve) == pytest.approx(pred, abs=0.2)
 
