@@ -273,7 +273,7 @@ def cmd_reconstruct(args) -> int:
         with StackWriter(args.out, stream.shape, out_meta) as out:
             for r0, block in stream.blocks():
                 out.write(0, r0, block)
-                sentinels += sum(int(np.count_nonzero(plane == SENTINEL)) for plane in block)
+                sentinels += int(np.count_nonzero(block == SENTINEL))
     sentinel_fraction = sentinels / math.prod(stream.shape)
     ambiguous = provider.ambiguous
     _print_summary(kind="volume", sections=grid.count,

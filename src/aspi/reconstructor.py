@@ -21,21 +21,23 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
 * The GEMM kernel serves banks that are constant along y: those whose
   row_bank() returns the whole (n, K, W) bank, geometric or calibrated.
   For every column x the numerator of all sections is one matrix product,
-  (rows x n) . (n x K), computed in row bands of _GEMM_ROWS rows by a
-  batched matmul. Its summation order is the BLAS one, so it agrees with
-  the reference kernel to within 2*n*eps of sum_i |O_i| * M_iz / sum_i M_iz
-  per voxel rather than bit for bit. Coverage (mask_coverage) and the floor
-  rule (_floor_rule) are shared, so coverage and sentinels are identical.
+  (rows x n) . (n x K), computed in row bands of _GEMM_ROWS rows by
+  batched matmuls over tiles of _GEMM_COLS columns. Its summation order is
+  the BLAS one, so it agrees with the reference kernel to within 2*n*eps of
+  sum_i |O_i| * M_iz / sum_i M_iz per voxel rather than bit for bit.
+  Coverage (mask_coverage) and the floor rule (_floor_rule) are shared, so
+  coverage and sentinels are identical.
 
 Both kernels run behind one stream, VolumeStream, which takes the (n, H, W)
 frames and one TranslationMasks bank of that shape, whose grid names the
 sections. It computes the volume in (K, rows, W) row chunks of every
 section, top to bottom, and computes every chunk the same way: threads take
 pieces of it, and no sum is ever split between them, so each kernel's
-output is bit-identical for any thread count. The GEMM kernel's chunks are
-STREAM_ROWS rows, split into fixed _GEMM_ROWS bands; the reference kernel's
-chunks hold up to _BAND_PIXELS pixels of a section and are split into their
-sections, each built from only the chunk's rows of that section's masks.
+output is bit-identical for any thread count. A GEMM chunk is one fixed
+_GEMM_ROWS (16-row) band, which workers take in tiles of _GEMM_COLS (64)
+columns; the reference kernel's chunks hold up to _BAND_PIXELS pixels of a
+section and are split into their sections, each built from only the
+chunk's rows of that section's masks.
 Each chunk needs only its own rows of the frames, frames[:, r0:r1]: a view
 of an array, or a read of a StackReader, which indexes like the array it
 stores, so the stream holds no read buffer. reconstruct_volume copies the
@@ -43,9 +45,10 @@ chunks into one (K, H, W) array; `aspi reconstruct` writes them to the
 stack file and `aspi bench` checksums them. So besides the frames (none
 when they are read from a file) these hold one chunk of every section in
 float64 and the chunk's rows of the frames (float32 as read), never the
-volume; the GEMM kernel also holds the (n, K, W) bank, the reference kernel
-the chunk's frame rows in float64 and, per worker, the float64 masks of one
-section's chunk rows. A thread count below 1, a floor that is not finite
+volume; the GEMM kernel also holds the (n, K, W) bank and, per worker, one
+tile's frame rows and products in float64, the reference kernel the chunk's
+frame rows in float64 and, per worker, the float64 masks of one section's
+chunk rows. A thread count below 1, a floor that is not finite
 and > 0, and frames of another shape than the bank's are each a ValueError.
 """
 
@@ -71,7 +74,6 @@ __all__ = [
     "reconstruct_section",
     "reconstruct_volume",
     "VolumeStream",
-    "STREAM_ROWS",
     "coverage_report",
 ]
 
@@ -82,17 +84,13 @@ SENTINEL = -1.0
 # array operation outlasts the workers' hand-offs of the interpreter lock.
 _BAND_PIXELS = 128 * 512
 
-# Row-band height of the GEMM kernel. Fixed, so the bands and each band's
-# products are the same for every thread count.
+# Row-band height of the GEMM kernel, one band per chunk. Fixed, so the
+# bands and each band's products are the same for every thread count.
 _GEMM_ROWS = 16
 
-# Columns per batched matmul of a GEMM band: each column is its own product,
-# so this bounds a worker's memory without changing any bit.
-_GEMM_COLS = 256
-
-# Rows per chunk of a streamed volume: whole GEMM bands, so the chunks hold
-# the bits of a whole pass.
-STREAM_ROWS = 2 * _GEMM_ROWS
+# Columns per tile of a GEMM band, one batched matmul each: every column is
+# its own product, so this bounds a worker's memory without changing any bit.
+_GEMM_COLS = 64
 
 
 def default_floor(base_mask, n: int) -> float:
@@ -249,15 +247,15 @@ class VolumeStream:
 
         Chunks come top to bottom (the last one shorter), each computed only
         after the one before it was taken, from only its rows of the frames:
-        STREAM_ROWS rows from the GEMM kernel, whole _GEMM_ROWS bands of at
-        most _BAND_PIXELS pixels from the reference kernel. The next chunk
+        one _GEMM_ROWS band from the GEMM kernel, whole _GEMM_ROWS bands of
+        at most _BAND_PIXELS pixels from the reference kernel. The next chunk
         may overwrite this one, so consume it first. One executor serves the
         whole stream and is shut down when the stream ends, is closed or
         raises.
         """
         _, h, w = self._frames.shape
         if self._bank is not None:
-            rows, kernel = STREAM_ROWS, self._gemm_kernel()
+            rows, kernel = _GEMM_ROWS, self._gemm_kernel()
         else:
             rows, kernel = self._section_rows(), self._section_kernel()
         rows = min(rows, h)
@@ -274,7 +272,7 @@ class VolumeStream:
                 pool.shutdown(cancel_futures=True)
 
     def _gemm_kernel(self):
-        # one batched matmul per _GEMM_ROWS row band of every chunk
+        # one batched matmul per tile of _GEMM_COLS columns of a _GEMM_ROWS band
         masks_x = np.ascontiguousarray(self._bank.transpose(2, 0, 1))     # (W, n, K)
         den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]     # (W, 1, K)
         den_x, uncovered_x = _floor_rule(den_x, self.floor)
@@ -283,21 +281,19 @@ class VolumeStream:
         def chunk(pool, frames, c0: int, sections):
             n, rows, w = frames.shape
 
-            def band(b0: int):
-                b1 = min(b0 + _GEMM_ROWS, rows)
+            def tile(x0: int):
                 # column by column the same products, _GEMM_COLS columns at a time
-                for x0 in range(0, w, _GEMM_COLS):
-                    x1 = min(x0 + _GEMM_COLS, w)
-                    obs = np.empty((x1 - x0, b1 - b0, n), dtype=np.float64)
-                    # cast first: a contiguous float64 band transposes twice as fast
-                    obs[...] = frames[:, b0:b1, x0:x1].astype(np.float64).transpose(2, 1, 0)
-                    num = np.matmul(obs, masks_x[x0:x1])                  # (cols, rows, K)
-                    num /= den_x[x0:x1]
-                    block = sections[:, b0:b1, x0:x1]
-                    block[...] = num.transpose(2, 1, 0)
-                    np.copyto(block, SENTINEL, where=uncovered[:, :, x0:x1])
+                x1 = min(x0 + _GEMM_COLS, w)
+                obs = np.empty((x1 - x0, rows, n), dtype=np.float64)
+                # cast first: a contiguous float64 band transposes twice as fast
+                obs[...] = frames[:, :, x0:x1].astype(np.float64).transpose(2, 1, 0)
+                num = np.matmul(obs, masks_x[x0:x1])                      # (cols, rows, K)
+                num /= den_x[x0:x1]
+                block = sections[:, :, x0:x1]
+                block[...] = num.transpose(2, 1, 0)
+                np.copyto(block, SENTINEL, where=uncovered[:, :, x0:x1])
 
-            _run(pool, band, range(0, rows, _GEMM_ROWS))
+            _run(pool, tile, range(0, w, _GEMM_COLS))
 
         return chunk
 

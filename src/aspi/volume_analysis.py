@@ -30,8 +30,10 @@ hold no read buffer. The first pass is the running argmax, with the
 background's key histogram taken from the same runs; refinement gathers
 each pixel's neighbouring sections in one more pass, and the background's
 selection and sum take two. Besides one run (two while the next is read)
-they hold per-pixel planes: the best value and section, the neighbours, the
-depth and the confidence.
+they hold per-pixel planes: the best value, the best section (in the
+narrowest integer type that holds the last one), the neighbours and the
+pixels' order by best section, the depth and the confidence. Refinement
+takes its float64 temporaries in blocks of rows.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class DepthMap:
 _KEY_BINS = 1 << 16
 
 # Voxels per run of sections in the passes over a volume: bounded memory,
-# and few 65536-bin histograms when sections are small.
+# and few 65536-bin histograms when sections are small. Refinement takes
+# its float64 temporaries in blocks of whole rows of about as many pixels.
 _BACKGROUND_RUN = 1 << 16
 
 # Values per block of the background's streamed sum. numpy sums up to 128
@@ -369,9 +372,10 @@ def _neighbours(sections, jbest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k = sections.shape[0]
     flat = jbest.reshape(-1)
-    # a stable sort of 16-bit keys is a radix sort
-    order = np.argsort(flat.astype(np.uint16) if k <= 1 << 16 else flat, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=k))])
+    # a stable sort of 8- or 16-bit keys is a radix sort
+    order = np.argsort(flat, kind="stable")
+    # where each section's run of sorted keys starts, found in the keys' own type
+    starts = np.append(np.searchsorted(flat[order], np.arange(k, dtype=flat.dtype)), flat.size)
     group = [order[starts[j]:starts[j + 1]] for j in range(k)]
     rm = np.zeros(flat.size, dtype=sections.dtype)
     rp = np.zeros_like(rm)
@@ -382,6 +386,48 @@ def _neighbours(sections, jbest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if j > 0:
             rp[group[j - 1]] = values[group[j - 1]]
     return rm.reshape(jbest.shape), rp.reshape(jbest.shape)
+
+
+def _refined_sections(sections, jbest: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Each pixel's best section in float64, plus its parabolic offset.
+
+    The float64 plane is made only after the neighbours are gathered, and
+    the offsets are computed block by block of rows: they are elementwise,
+    so the blocks give the bits of the whole plane.
+    """
+    k, _, w = sections.shape
+    rm, rp = _neighbours(sections, jbest)
+    depth = jbest.astype(np.float64)
+    rows = max(1, _BACKGROUND_RUN // max(1, w))
+    for r0 in range(0, depth.shape[0], rows):
+        block = slice(r0, r0 + rows)
+        depth[block] += _parabolic_offset(rm[block], rp[block], peak[block], jbest[block], k)
+    return depth
+
+
+def _parabolic_offset(rm, rp, peak, jbest, k: int) -> np.ndarray:
+    """The 3-point parabolic peak offset of pixels, in sections, within +-0.5.
+
+    rm and rp are the values in the sections before and after jbest, peak
+    the value at jbest in float64 (wherever jbest is interior, the best
+    section's value); pixels that are not interior concave peaks with valid
+    neighbours get 0.
+    """
+    interior = (jbest > 0) & (jbest < k - 1) & (rm != SENTINEL) & (rp != SENTINEL)
+    # widen before any arithmetic: float32 planes would keep it float32
+    rm, rp = rm.astype(np.float64), rp.astype(np.float64)
+    # in place, in the order of rm - 2.0 * peak + rp, then of
+    # where(interior & concave, 0.5 * (rm - rp) / safe, 0.0)
+    safe = np.multiply(peak, 2.0)
+    np.subtract(rm, safe, out=safe)
+    safe += rp
+    concave = safe < 0
+    np.copyto(safe, -1.0, where=~concave)
+    delta = np.subtract(rm, rp, out=rm)
+    delta *= 0.5
+    delta /= safe
+    np.copyto(delta, 0.0, where=~(interior & concave))
+    return np.clip(delta, -0.5, 0.5, out=delta)
 
 
 def extract_depth_map(
@@ -407,7 +453,8 @@ def extract_depth_map(
     k = data.shape[0]
     refine = refine and k >= 3
     best = np.full(data.shape[1:], -np.inf, dtype=data.dtype)
-    jbest = np.zeros(data.shape[1:], dtype=np.intp)
+    # the narrowest signed integer type that holds k - 1 (int16 below 32768 sections)
+    jbest = np.zeros(data.shape[1:], dtype=np.min_scalar_type(-k))
     better = np.empty(data.shape[1:], dtype=bool)
     scratch = np.empty_like(better)
     # the background's key histogram, of the same runs
@@ -428,42 +475,20 @@ def extract_depth_map(
             j += 1
     if nonfinite:
         raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
+    del better, scratch
     any_valid = best > -np.inf
     peak = best.astype(np.float64)
     del best
 
     if min_confidence is None:
         min_confidence = 5.0 * _background(data, counts, sentinels)
-    keep = any_valid & (peak >= min_confidence)
-
-    depth_sections = jbest.astype(np.float64)
-    if refine:
-        rm, rp = _neighbours(data, jbest)
-        interior = (jbest > 0) & (jbest < k - 1) & (rm != SENTINEL) & (rp != SENTINEL)
-        # widen before any arithmetic: float32 planes would keep it float32;
-        # the peak is the best section's value wherever it is interior
-        rm, rp = rm.astype(np.float64), rp.astype(np.float64)
-        # in place, in the order of rm - 2.0 * peak + rp, then of
-        # where(interior & concave, 0.5 * (rm - rp) / safe, 0.0)
-        safe = np.multiply(peak, 2.0)
-        np.subtract(rm, safe, out=safe)
-        safe += rp
-        concave = safe < 0
-        np.copyto(safe, -1.0, where=~concave)
-        delta = np.subtract(rm, rp, out=rm)
-        del rp
-        delta *= 0.5
-        delta /= safe
-        del safe
-        np.copyto(delta, 0.0, where=~(interior & concave))
-        depth_sections += np.clip(delta, -0.5, 0.5, out=delta)
-        del delta
+    del counts
 
     # z0 + depth_sections * z_step where kept, NaN elsewhere
-    depth = depth_sections
+    depth = _refined_sections(data, jbest, peak) if refine else jbest.astype(np.float64)
     depth *= grid.z_step
     depth += grid.z0
-    np.copyto(depth, np.nan, where=~keep)
+    np.copyto(depth, np.nan, where=~(any_valid & (peak >= min_confidence)))
     confidence = peak
     np.copyto(confidence, 0.0, where=~any_valid)
     return DepthMap(depth=depth, confidence=confidence, grid=grid)

@@ -468,7 +468,7 @@ class TestVolumeStream:
     """VolumeStream.blocks: the volume of reconstruct_volume, piece by piece."""
 
     def gemm_rig(self, height=70, sections=12):
-        # 70 rows: two full 32-row chunks and a short one
+        # 70 rows: four full 16-row bands and a short one
         spec = PatternSpec(90, height, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
         geom = geometry_with_shear(0.2332)
         provider = GeometryMasks(spec, geom, ZGrid(z0=0.0, z_step=1.0, count=sections))
@@ -489,7 +489,7 @@ class TestVolumeStream:
             offsets.append((r0, block.shape))
             assert block.dtype == np.float64 and block.flags.c_contiguous
             assert block.tobytes() == np.ascontiguousarray(whole[:, r0:r0 + block.shape[1]]).tobytes()
-        assert offsets == [(0, (12, 32, 90)), (32, (12, 32, 90)), (64, (12, 6, 90))]
+        assert offsets == [(r0, (12, 16, 90)) for r0 in range(0, 64, 16)] + [(64, (12, 6, 90))]
 
     @pytest.mark.parametrize("threads,rows", [(1, 32), (3, 16)])
     def test_reference_kernel_yields_row_chunks_in_order(self, threads, rows):
@@ -534,6 +534,29 @@ class TestVolumeStream:
         finally:
             tracemalloc.stop()
         assert peak < 1.45 * bank
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_gemm_stream_holds_the_bank_one_band_and_a_tile_per_worker(self, tmp_path, threads):
+        # frames read from a file, 30 shifts, 64 x 512, 48 sections
+        n, k, w = 30, 48, 512
+        spec = PatternSpec(w, 64, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=n)
+        provider = GeometryMasks(spec, geometry_with_shear(0.2332), ZGrid(0.0, 1.0, k))
+        frames = noisy_frames(n, camera_shape(spec, provider.geom), seed=5).astype(np.float32)
+        assert frames.shape == (n, 64, w)
+        bank = n * k * w * 8                  # the (n, K, W) float64 masks
+        coverage = k * w * (8 + 8 + 1)        # their sums, floored, and the uncovered flags
+        band = 16 * w * (k * 8 + n * 4)       # one band of every section, its frame rows
+        tile = 16 * 64 * 8 * (n + n + k)      # a tile's frame rows, as float64 twice, products
+        slack = 1 << 19                       # threads, futures, the reader's small arrays
+        with stack_reader(tmp_path, frames) as reader:
+            tracemalloc.start()
+            try:
+                for _ in reconstructor.VolumeStream(reader, provider, threads=threads).blocks():
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= bank + coverage + band + threads * tile + slack
 
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
     def test_one_executor_shut_down_on_close_and_error(self, monkeypatch, rig):
@@ -653,7 +676,7 @@ def test_reference_kernel_chunks_from_a_file_equal_the_section_major_oracle(tmp_
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gemm_chunks_from_a_file_equal_those_of_the_array(tmp_path, monkeypatch, threads):
-    # 600 columns: three column slabs in every band, the last one short
+    # 600 columns: ten 64-column tiles in every band, the last one short
     spec = PatternSpec(600, 70, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
     provider = GeometryMasks(spec, geometry_with_shear(0.2332), ZGrid(0.0, 1.0, 12))
     frames = noisy_frames(30, camera_shape(spec, provider.geom), seed=4).astype(np.float32)
@@ -661,9 +684,12 @@ def test_gemm_chunks_from_a_file_equal_those_of_the_array(tmp_path, monkeypatch,
     with stack_reader(tmp_path, frames) as reader:
         streamed = reconstruct_volume(reader, provider, threads=threads).sections
     assert streamed.tobytes() == whole.tobytes()
-    # every column is its own product: one slab of all of them has the same bits
-    monkeypatch.setattr(reconstructor, "_GEMM_COLS", 600)
-    assert reconstruct_volume(frames, provider).sections.tobytes() == whole.tobytes()
+    # every column is its own product: tiles of any width have the same bits,
+    # from one column each to one tile of all of them
+    for cols in (1, 7, 64, 600):
+        monkeypatch.setattr(reconstructor, "_GEMM_COLS", cols)
+        tiled = reconstruct_volume(frames, provider, threads=threads).sections
+        assert tiled.tobytes() == whole.tobytes(), cols
 
 
 def test_stream_checks_the_file_frame_by_frame_then_reads_chunk_rows(tmp_path, monkeypatch):
@@ -682,4 +708,4 @@ def test_stream_checks_the_file_frame_by_frame_then_reads_chunk_rows(tmp_path, m
         reads.clear()
         for r0, chunk in stream.blocks():
             assert reads[-1] == (0, 30, (r0, r0 + chunk.shape[1]))
-    assert reads == [(0, 30, (0, 32)), (0, 30, (32, 64)), (0, 30, (64, 70))]
+    assert reads == [(0, 30, (r0, r0 + 16)) for r0 in range(0, 64, 16)] + [(0, 30, (64, 70))]

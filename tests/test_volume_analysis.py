@@ -214,6 +214,18 @@ class TestExtractDepthMap:
         dm = extract_depth_map(volume_from_array(data), min_confidence=0.1, refine=True)
         assert dm.depth[0, 0] == 0.0
 
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("sections,peaks", [(128, (127, 64)), (129, (128, 0)),
+                                                (40000, (32768, 39999))])
+    def test_deep_volumes_keep_their_section_indices(self, sections, peaks, refine):
+        # best sections past the range of a narrower integer type than the
+        # volume's: int8 holds 127, int16 32767
+        data = np.zeros((sections, 1, 2))
+        data[peaks[0], 0, 0] = data[peaks[1], 0, 1] = 1.0
+        volume = volume_from_array(data, z0=0.5, z_step=0.25)
+        dm = extract_depth_map(volume, min_confidence=0.5, refine=refine)
+        assert dm.depth.tolist() == [[0.5 + 0.25 * p for p in peaks]]
+
     def test_argmax_invariant_under_scaling(self):
         rng = np.random.default_rng(0)
         data = rng.random((8, 5, 5))
@@ -370,6 +382,33 @@ class TestFloat32DepthMap:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * data.nbytes
+
+
+def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path):
+    # the best value of over half the pixels in one section: one neighbour
+    # gather then takes the values of most of the plane at once
+    rng = np.random.default_rng(8)
+    data = rng.random((12, 384, 512), dtype=np.float32)
+    data[6, :200] += 2.0
+    data[:, :, :8] = SENTINEL
+    path = tmp_path / "vol.aspi"
+    write_stack(data, {"kind": "volume"}, path)
+    pixels = 384 * 512
+    # per pixel: the float64 peak (8) and sort order (8), the best section
+    # (1) and the validity flags (1), the two float32 neighbour planes (8),
+    # two float32 planes read (8) and one gathered (4); then the background's
+    # 65536-bin histogram and the bincount added to it
+    bound = (8 + 8 + 1 + 1 + 8 + 8 + 4) * pixels + 2 * 65536 * 8
+    with StackReader(path) as reader:
+        volume = VolumeStack(sections=reader, grid=ZGrid(0.0, 1.0, 12), coverage_floor_used=1e-3)
+        tracemalloc.start()
+        try:
+            dm = extract_depth_map(volume, refine=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert np.count_nonzero(np.isfinite(dm.depth)) > pixels / 2
+    assert peak <= bound
 
 
 class TestNonFiniteVolume:
