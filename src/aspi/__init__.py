@@ -26,7 +26,6 @@ from .imaging_model import (
     base_camera_pattern,
     camera_shape,
     is_axially_ambiguous,
-    magnify,
     make_slit_pattern,
     sample_row,
     shift_image,
@@ -72,7 +71,7 @@ __all__ = [
     "AspiError", "CoverageError", "DegenerateInputError", "EmptyMaskError",
     "FwhmRangeError", "StackFormatError",
     "PatternSpec", "GeometryConfig", "ZGrid",
-    "validate_frame", "sample_row", "shift_image", "magnify",
+    "validate_frame", "sample_row", "shift_image",
     "make_slit_pattern", "axial_range", "is_axially_ambiguous",
     "synthesize_mask", "threshold_mask",
     "MaskModel", "estimate_translation", "fit_mask_model", "predict_mask",

@@ -18,6 +18,7 @@ intermediate pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class MaskModel:
     (lateral_dx, lateral_dy) moves the mask by one scan step, (axial_dx,
     axial_dy) by one depth section, in camera pixels. The residuals are the
     RMS mismatch between each anchor frame and the base shifted by the full
-    fitted displacement.
+    fitted displacement. Each translation must be finite.
     """
 
     base_mask: np.ndarray
@@ -55,6 +56,12 @@ class MaskModel:
     anchors: tuple[int, int]
     lateral_residual_rms: float
     axial_residual_rms: float
+
+    def __post_init__(self):
+        for key in ("lateral_dx", "lateral_dy", "axial_dx", "axial_dy"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"mask model {key} must be finite, got {value}")
 
 
 def _ncc_surface(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -84,7 +91,8 @@ def estimate_translation(frame_a, frame_b) -> tuple[float, float]:
     the two frames; the integer peak is refined per axis by a parabolic fit
     over its immediate neighbors. Results are wrapped into
     [-size/2, size/2) per axis, so displacements at or beyond half the frame
-    (or half the pattern period, for periodic content) alias.
+    (or half the pattern period, for periodic content) alias. A NaN or Inf
+    pixel in either frame is a ValueError.
     """
     a = np.asarray(frame_a, dtype=np.float64)
     b = np.asarray(frame_b, dtype=np.float64)
@@ -92,6 +100,9 @@ def estimate_translation(frame_a, frame_b) -> tuple[float, float]:
         raise ValueError("frames must be 2D")
     if a.shape != b.shape:
         raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
+    bad = np.count_nonzero(~np.isfinite(a)) + np.count_nonzero(~np.isfinite(b))
+    if bad:
+        raise ValueError(f"reference frames contain {bad} NaN or Inf pixels")
     na = a - a.mean()
     nb = b - b.mean()
     sa = np.sqrt(np.mean(na * na))

@@ -208,7 +208,8 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"calibration needs exactly 3 reference planes, got {planes.shape[0]}")
     refs = [p.astype(np.float64) for p in planes]
     if args.normalize:
-        refs = [r / r.max() if r.max() > 0 else r for r in refs]
+        # a NaN or Inf peak leaves its plane as it is, for the fit to reject
+        refs = [r / r.max() if 0 < r.max() < math.inf else r for r in refs]
     model = fit_mask_model(refs[0], refs[1], refs[2], (args.anchor_x, args.anchor_z))
     meta = {
         "kind": "mask-model",

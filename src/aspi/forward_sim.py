@@ -115,12 +115,6 @@ class Scene:
     def shape(self) -> tuple[int, int]:
         return self.fields[0][1].shape
 
-    @property
-    def layers(self) -> list:
-        """(z_index, reflectance) pairs: each field's reflectance at each of its sections."""
-        return [(int(j), refl * (section_map == j))
-                for section_map, refl in self.fields for j in np.unique(section_map)]
-
 
 def _check_scene(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid):
     shape = camera_shape(spec, geom)

@@ -6,8 +6,11 @@ function of depth. Everything downstream (simulation, calibration, and the
 confocal reconstruction) is built on the two primitives in this module:
 generating the pattern at a given lateral scan position, and translating a
 mask image by the sub-pixel amount that corresponds to a given (scan, depth)
-pair. TranslationMasks combines the two into the one bank of (scan, depth)
-masks; GeometryMasks, which the simulator and the reconstructor read, and
+pair. The slits are constant along their length, so the camera sees one
+row-constant pattern: the projector's slit row, resampled once onto the
+camera plane (base_camera_pattern). TranslationMasks combines the two
+primitives into the one bank of (scan, depth) masks, each the base shifted;
+GeometryMasks, which the simulator and the reconstructor read, and
 calibrated models are that bank with rig-derived or fitted steps.
 
 Conventions
@@ -35,7 +38,6 @@ __all__ = [
     "validate_frame",
     "sample_row",
     "shift_image",
-    "magnify",
     "make_slit_pattern",
     "axial_range",
     "synthesize_mask",
@@ -226,35 +228,6 @@ def shift_image(frame, dx: float, dy: float = 0.0) -> np.ndarray:
                            np.array([dy], dtype=np.float64), (0, a.shape[0]))[0]
 
 
-def magnify(frame, factor: float) -> np.ndarray:
-    """Rescale an image by a scalar factor with bilinear sampling.
-
-    Output shape is round(shape * factor); border samples clamp to the edge
-    pixel. The samples go through _interpolate, along x, then along y.
-    factor == 1 returns an exact copy.
-    """
-    a = np.asarray(frame, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2D image, got shape {a.shape}")
-    if factor <= 0:
-        raise ValueError("magnification factor must be > 0")
-    if factor == 1.0:
-        return a.copy()
-
-    def clamped(n_in: int, n_out: int):
-        # edge-clamped indices and weights, unlike _lerp's zero outside
-        pos = np.arange(n_out, dtype=np.float64) / factor
-        i0 = np.clip(np.floor(pos).astype(np.int64), 0, n_in - 1)
-        frac = pos - i0
-        return i0, np.clip(i0 + 1, 0, n_in - 1), 1 - frac, frac
-
-    h, w = a.shape
-    x0, x1, xw0, xw1 = clamped(w, max(1, int(round(w * factor))))
-    y0, y1, yw0, yw1 = clamped(h, max(1, int(round(h * factor))))
-    rows = _interpolate(a, x0, x1, xw0, xw1, axis=1)
-    return _interpolate(rows, y0, y1, yw0[:, None], yw1[:, None], axis=0)
-
-
 def make_slit_pattern(spec: PatternSpec, shift_index: int) -> np.ndarray:
     """Binary slit-array pattern at the given lateral scan position.
 
@@ -358,13 +331,19 @@ def camera_shape(spec: PatternSpec, geom: GeometryConfig) -> tuple[int, int]:
 
 
 def base_camera_pattern(spec: PatternSpec, geom: GeometryConfig) -> np.ndarray:
-    """Unshifted slit pattern resampled once onto the camera plane.
+    """Unshifted slit row resampled once onto the camera plane, copied to every row.
 
-    Row 0 is resampled (y weights exactly 1 and 0) and copied to every row,
-    so the base is row-constant at any magnification.
+    Camera column c samples projector column c / magnification with linear
+    weights; samples past the last column clamp to it. The pattern is
+    constant along the slits, so the base is row-constant at any magnification.
     """
-    row = magnify(make_slit_pattern(spec, 0)[:1], geom.magnification)[0]
-    return np.broadcast_to(row, camera_shape(spec, geom)).copy()
+    row = make_slit_pattern(spec, 0)[0]
+    shape = camera_shape(spec, geom)
+    pos = np.arange(shape[1], dtype=np.float64) / geom.magnification
+    i0 = np.clip(np.floor(pos).astype(np.int64), 0, row.size - 1)
+    frac = pos - i0
+    row = _interpolate(row, i0, np.clip(i0 + 1, 0, row.size - 1), 1 - frac, frac, axis=-1)
+    return np.broadcast_to(row, shape).copy()
 
 
 def mask_coverage(bank) -> np.ndarray:

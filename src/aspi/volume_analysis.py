@@ -60,11 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AxialCurve:
-    """Response versus depth, optionally normalized to peak 1."""
+    """Response versus depth."""
 
     z: np.ndarray
     response: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
@@ -157,7 +156,7 @@ def axial_psf(
     peak = response.max()
     if peak <= 0:
         raise DegenerateInputError("probe response is identically zero")
-    return AxialCurve(z=grid.z_values(), response=response / peak, normalized=True)
+    return AxialCurve(z=grid.z_values(), response=response / peak)
 
 
 def fwhm(curve: AxialCurve) -> float:

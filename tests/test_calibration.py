@@ -5,6 +5,7 @@ from numpy.lib.stride_tricks import as_strided
 from aspi import calibration
 from aspi import (
     DegenerateInputError,
+    MaskModel,
     PatternSpec,
     ZGrid,
     estimate_translation,
@@ -66,6 +67,20 @@ class TestEstimateTranslation:
         with pytest.raises(ValueError):
             estimate_translation(np.ones((4, 4)), np.ones((4, 5)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected_before_the_fft(self, monkeypatch, value):
+        def no_fft(*args):
+            raise AssertionError("the correlation surface was computed")
+
+        monkeypatch.setattr(calibration, "_ncc_surface", no_fft)
+        a = slit_frame()
+        b = shift_image(a, 2.0)
+        b[3, 7] = b[5, 9] = value
+        for frames in [(a, b), (b, a)]:
+            with pytest.raises(ValueError, match="contain 2 NaN or Inf pixels"):
+                estimate_translation(*frames)
+
     def test_fft_and_spatial_paths_agree(self, monkeypatch):
         a = slit_frame(96, 40, period=24, w=4, noise_seed=3)
         b = shift_image(a, 5.3, -1.2)
@@ -117,6 +132,16 @@ class TestFitMaskModel:
         base = slit_frame()
         with pytest.raises(ValueError):
             fit_mask_model(base, shift_image(base, 1.0), shift_image(base, 2.0), anchors=(1, 5))
+
+
+@pytest.mark.parametrize("key", ["lateral_dx", "lateral_dy", "axial_dx", "axial_dy"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_mask_model_rejects_a_non_finite_translation(key, value):
+    steps = dict(lateral_dx=1.0, lateral_dy=0.0, axial_dx=0.5, axial_dy=0.0)
+    steps[key] = value
+    with pytest.raises(ValueError, match=f"mask model {key} must be finite"):
+        MaskModel(slit_frame(), **steps, anchors=(2, 5),
+                  lateral_residual_rms=0.0, axial_residual_rms=0.0)
 
 
 def fitted_model(shear=0.8, width=192, height=24, period=30, w=2):

@@ -539,6 +539,30 @@ class TestRejectedInputs:
                      "--out", str(acq))
         assert_one_error_line(result, needle, acq)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+    def test_calibrate_non_finite_reference(self, tmp_path, capsys, value, normalize):
+        base = make_slit_pattern(PatternSpec(96, 64, period_d=16, linewidth_w=2), 0)
+        refs = np.stack([base, np.roll(base, 1, axis=1), np.roll(base, 3, axis=1)])
+        refs[1, 10, 20] = value
+        refs_path, model = tmp_path / "refs.aspi", tmp_path / "model.aspi"
+        write_stack(refs, {"kind": "references"}, refs_path)
+        result = run(capsys, "calibrate", "--refs", str(refs_path), "--anchor-x", "2",
+                     "--anchor-z", "4", *normalize, "--out", str(model))
+        assert_one_error_line(result, "reference frames contain 1 NaN or Inf pixels", model)
+
+    @pytest.mark.parametrize("key,value", [("lateral_dx", "nan"), ("lateral_dy", "inf"),
+                                           ("axial_dx", "-inf"), ("axial_dy", "nan")])
+    def test_reconstruct_model_non_finite_translation(self, tmp_path, capsys, key, value):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        model = small_model(capsys, tmp_path)
+        set_sidecar_value(model, key, value)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                     "--out", str(vol))
+        assert_one_error_line(result, f"mask model {key} must be finite", vol)
+
     def test_reconstruct_planes_not_the_camera_shape(self, tmp_path, capsys):
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
         small_acquisition(capsys, acq)

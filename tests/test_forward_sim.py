@@ -188,19 +188,20 @@ class TestTiltedPlaneScene:
 
     def test_zero_slope_single_layer(self):
         scene = make_tilted_plane_scene(self.grid, 0.0, np.ones((4, 24)))
-        assert len(scene.layers) == 1
-        assert scene.layers[0][0] == 0
+        assert len(scene.fields) == 1
+        assert np.array_equal(np.unique(scene.fields[0][0]), [0])
 
     def test_band_partition(self):
         width = 48
         slope = 12 / width
         refl = np.ones((4, width))
         scene = make_tilted_plane_scene(self.grid, slope, refl)
-        assert len(scene.layers) == 12
+        (section_map, reflectance), = scene.fields
+        assert np.unique(section_map).size == 12
         support = np.zeros(width, dtype=int)
         prev_end = 0
-        for z_index, band in scene.layers:
-            cols = np.flatnonzero(band[0])
+        for z_index in np.unique(section_map):
+            cols = np.flatnonzero((reflectance * (section_map == z_index))[0])
             # contiguous, disjoint, ordered column bands
             assert np.array_equal(cols, np.arange(cols[0], cols[-1] + 1))
             assert cols[0] == prev_end
@@ -228,7 +229,7 @@ class TestTiltedPlaneScene:
 
     def test_z_start_offset(self):
         scene = make_tilted_plane_scene(self.grid, 0.0, np.ones((4, 8)), z_start=5)
-        assert scene.layers[0][0] == 5
+        assert np.array_equal(np.unique(scene.fields[0][0]), [5])
 
 
 def layer_sum_frames(layers, haze, noise, spec, geom, grid):

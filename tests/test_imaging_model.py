@@ -12,8 +12,8 @@ from aspi import (
     PatternSpec,
     ZGrid,
     axial_range,
+    base_camera_pattern,
     is_axially_ambiguous,
-    magnify,
     make_slit_pattern,
     shift_image,
     synthesize_mask,
@@ -236,24 +236,27 @@ class TestSynthesizeMask:
 
 
 class TestMagnify:
+    """base_camera_pattern magnifies the projector's slit row onto the camera plane."""
+
     def test_identity_at_unit_factor(self):
-        a = np.random.default_rng(0).random((5, 7))
-        assert np.array_equal(magnify(a, 1.0), a)
+        spec = PatternSpec(20, 4, period_d=10, linewidth_w=2)
+        assert np.array_equal(base_camera_pattern(spec, geometry_with_shear(1.0)),
+                              make_slit_pattern(spec, 0))
 
     def test_output_shape_and_row_constancy(self):
-        base = make_slit_pattern(PatternSpec(20, 4, period_d=10, linewidth_w=2), 0)
-        up = magnify(base, 3.0)
+        spec = PatternSpec(20, 4, period_d=10, linewidth_w=2)
+        up = base_camera_pattern(spec, geometry_with_shear(1.0, magnification=3.0))
         assert up.shape == (12, 60)
         assert np.array_equal(up, np.broadcast_to(up[:1], up.shape))
 
     def test_interior_slit_plateau_and_ramp(self):
-        base = make_slit_pattern(PatternSpec(40, 2, period_d=10, linewidth_w=2), 0)
-        up = magnify(base, 2.0)
+        spec = PatternSpec(40, 2, period_d=10, linewidth_w=2)
+        up = base_camera_pattern(spec, geometry_with_shear(1.0, magnification=2.0))
         # projector columns 10-11 map to a camera plateau at 20..22 with a
         # half-value ramp sample on each side
-        assert np.array_equal(up[0, 20:23], np.ones(3))
-        assert up[0, 19] == pytest.approx(0.5)
-        assert up[0, 23] == pytest.approx(0.5)
+        assert np.array_equal(up[:, 20:23], np.ones((4, 3)))
+        assert up[:, 19] == pytest.approx(np.full(4, 0.5))
+        assert up[:, 23] == pytest.approx(np.full(4, 0.5))
 
 
 class TestThresholdMask:
@@ -277,7 +280,7 @@ class TestThresholdMask:
         assert np.array_equal(np.flatnonzero(out[0]), [5])
 
     def test_one_column_per_slit(self):
-        mask = magnify(make_slit_pattern(spec30(w=3), 2), 1.0)
+        mask = make_slit_pattern(spec30(w=3), 2)
         out = threshold_mask(mask)
         # four slits in 120 columns at period 30
         assert np.flatnonzero(out[0]).size == 4
@@ -324,7 +327,7 @@ def test_mask_coverage_sums_in_scan_order():
 
 
 def magnify_oracle(frame, factor):
-    """magnify's own bilinear formula before it sampled through _interpolate."""
+    """Bilinear, edge-clamped 2-D resample: the oracle of base_camera_pattern's row."""
     a = np.asarray(frame, dtype=np.float64)
     h_out = max(1, int(round(a.shape[0] * factor)))
     w_out = max(1, int(round(a.shape[1] * factor)))
@@ -341,14 +344,17 @@ def magnify_oracle(frame, factor):
     return (1 - fy) * top + fy * bot
 
 
-@pytest.mark.parametrize("factor", [0.3, 0.5, 1.5, 2.1236, 3.0])
+@pytest.mark.parametrize("factor", [0.3, 0.5, 1.0, 1.5, 2.1236, 3.0])
 def test_magnify_equals_its_bilinear_oracle_bit_for_bit(factor):
     rng = np.random.default_rng(int(factor * 1e4))
     for _ in range(40):
-        shape = tuple(int(s) for s in rng.integers(1, 40, size=2))
-        a = rng.random(shape)
-        if rng.random() < 0.3:
-            a = np.broadcast_to(a[:1], shape)  # row-constant, as slit patterns are
-        got, want = magnify(a, factor), magnify_oracle(a, factor)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        d = int(rng.integers(2, 20))
+        width, height = (int(s) for s in rng.integers(1, 40, size=2))
+        spec = PatternSpec(width, height, period_d=d, linewidth_w=int(rng.integers(1, d + 1)))
+        for m in (factor, float(rng.uniform(0.3, 5.0))):
+            got = base_camera_pattern(spec, geometry_with_shear(1.0, magnification=m))
+            # row 0 of the oracle: y weights exactly 1 and 0
+            want = magnify_oracle(make_slit_pattern(spec, 0)[:1], m)[0]
+            assert got.shape == (max(1, round(height * m)), want.size)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()

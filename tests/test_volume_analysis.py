@@ -549,7 +549,7 @@ def axial_psf_oracle(base_pattern, base_mask, spec, geom, grid, probe, floor=Non
     peak = response.max()
     if peak <= 0:
         raise DegenerateInputError("probe response is identically zero")
-    return AxialCurve(z=grid.z_values(), response=response / peak, normalized=True)
+    return AxialCurve(z=grid.z_values(), response=response / peak)
 
 
 def test_axial_psf_equals_its_double_loop_oracle_bit_for_bit():
