@@ -58,7 +58,7 @@ from .volume_analysis import (
     AxialCurve,
     DepthMap,
     axial_psf,
-    estimate_background,
+    contrast_window,
     extract_depth_map,
     fwhm,
     predicted_fwhm_sections,
@@ -82,7 +82,7 @@ __all__ = [
     "ModelMasks", "default_floor",
     "reconstruct_section", "reconstruct_volume", "VolumeStream", "coverage_report",
     "AxialCurve", "DepthMap", "axial_psf", "fwhm", "predicted_fwhm_sections",
-    "estimate_background", "extract_depth_map",
+    "contrast_window", "extract_depth_map",
     "read_stack", "write_stack", "StackReader", "StackWriter", "write_pgm",
     "BenchReport", "bench_reconstruction",
     "run_cli",

@@ -4,11 +4,14 @@ Synthesizes float32 frames in memory (no file I/O inside the timed region)
 and measures how fast the VolumeStream that `aspi reconstruct` runs for
 geometry masks (frame check, GEMM kernel) produces output sections.
 Throughput is reported as output megapixels per second: width * height *
-sections / wall time. Row chunks of every section are streamed,
-checksummed in row order with CRC32, and discarded, so besides frames and
-masks memory holds one chunk; the checksum makes thread-count determinism
-checkable. The timed region includes the frame check, mask synthesis and
-checksumming, all part of producing verified output.
+sections / wall time. Row chunks of every section are streamed, converted
+to the float32 bytes `aspi reconstruct` writes (as `StackWriter.write`
+does), checksummed in row order with CRC32, and discarded, so besides
+frames and masks memory holds one chunk; the checksum makes thread-count
+determinism checkable. The timed region includes the frame check, mask
+synthesis, conversion and checksumming, all part of producing verified
+output. Its CPU time over all threads is reported too: a spell of other
+work on a shared host lengthens the wall time, not the CPU time.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ class BenchReport:
     sections: int
     threads: int
     wall_seconds: float
+    cpu_seconds: float
     megapixels_per_second: float
     per_section_seconds: float
     checksum: int
@@ -47,6 +51,7 @@ class BenchReport:
         return (
             f"megapixels_per_second={self.megapixels_per_second:.1f} "
             f"wall_seconds={self.wall_seconds:.3f} "
+            f"cpu_seconds={self.cpu_seconds:.3f} "
             f"per_section_seconds={self.per_section_seconds:.5f} "
             f"width={self.width} height={self.height} shifts={self.shifts} "
             f"sections={self.sections} threads={self.threads} "
@@ -79,11 +84,12 @@ def bench_reconstruction(
     provider = GeometryMasks(spec, geom, grid)
 
     crc = 0
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     stream = VolumeStream(frames, provider, threads=threads)
     for _, chunk in stream.blocks():
-        crc = zlib.crc32(chunk, crc)
+        crc = zlib.crc32(np.ascontiguousarray(chunk, dtype="<f4"), crc)
     wall = time.perf_counter() - start
+    cpu = time.process_time() - cpu_start
 
     out_mp = width * height * sections / 1e6
     return BenchReport(
@@ -93,6 +99,7 @@ def bench_reconstruction(
         sections=sections,
         threads=threads,
         wall_seconds=wall,
+        cpu_seconds=cpu,
         megapixels_per_second=out_mp / wall,
         per_section_seconds=wall / sections,
         checksum=crc,

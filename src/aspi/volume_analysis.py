@@ -15,6 +15,11 @@ Depth maps take the per-pixel argmax of the reconstructed sections (ties to
 the lower section) with an optional 3-point parabolic refinement between
 sections. The depth sentinel is NaN: depth values in z units may
 legitimately be negative, so the volume's -1.0 sentinel cannot double here.
+A depth is valid by default when one peak dominates the pixel's response,
+by the primary-peak ratio used to judge cross-correlation peaks (Charonko
+& Vlachos, Meas. Sci. Technol. 24:065301, 2013; see extract_depth_map):
+folded aliases as strong as the peak fail it, and it needs no volume-wide
+level, which haze cancellation can push below zero.
 
 Volumes are read in their stored dtype, float32 (as read from a stack file)
 or float64 (as reconstructed in-process), and never copied whole to
@@ -22,18 +27,18 @@ float64. Every value that enters arithmetic is widened to float64 first,
 which is exact, so both dtypes of the same volume give the same depth map
 bit for bit. A volume with a NaN or an infinity is rejected.
 
-The depth map walks the volume in passes over runs of sections, each run
-sections[j:j + step]. So a volume may also be a StackReader of a stack file
-(as `aspi depthmap` passes it), which indexes like the array it stores: it
-is then read run by run into new arrays, never held whole, and the passes
-hold no read buffer. The first pass is the running argmax, with the
-background's key histogram taken from the same runs; refinement gathers
-each pixel's neighbouring sections in one more pass, and the background's
-selection and sum take two. Besides one run (two while the next is read)
-they hold per-pixel planes: the best value, the best section (in the
-narrowest integer type that holds the last one), the neighbours and the
-pixels' order by best section, the depth and the confidence. Refinement
-takes its float64 temporaries in blocks of rows.
+The depth map walks the volume in at most two passes over runs of
+sections, each run sections[j:j + step]. So a volume may also be a
+StackReader of a stack file (as `aspi depthmap` passes it), which indexes
+like the array it stores: it is then read run by run into new arrays,
+never held whole, and the passes hold no read buffer. The first pass is
+the running argmax; the second keeps each pixel's runner-up and gathers
+its neighbouring sections for refinement. Besides one run (two while the
+next is read) they hold per-pixel planes: the best value and the
+runner-up in the stored dtype, the best section (in the narrowest integer
+type that holds the last one), the neighbours, the pixels' order by best
+section and which lie outside the window; then the validity flags, the
+depth and the confidence. Float64 temporaries come in blocks of rows.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ __all__ = [
     "axial_psf",
     "fwhm",
     "predicted_fwhm_sections",
-    "estimate_background",
+    "CONTRAST_TAU",
+    "contrast_window",
     "extract_depth_map",
 ]
 
@@ -87,18 +93,14 @@ class DepthMap:
     grid: ZGrid
 
 
-# Bins of the background histogram: the top 16 bits of a value's key.
-_KEY_BINS = 1 << 16
+# A pixel's depth is valid under the contrast rule when its peak exceeds
+# the runner-up outside the peak's own window by at least this share of it.
+CONTRAST_TAU = 0.25
 
-# Voxels per run of sections in the passes over a volume: bounded memory,
-# and few 65536-bin histograms when sections are small. Refinement takes
-# its float64 temporaries in blocks of whole rows of about as many pixels.
-_BACKGROUND_RUN = 1 << 16
-
-# Values per block of the background's streamed sum. numpy sums up to 128
-# values without splitting them, so any block of at least 128 has the bits
-# of numpy's own sum of those values.
-_SUM_BLOCK = 1 << 16
+# Voxels per run of sections in the passes over a volume: bounded memory.
+# The float64 temporaries after the passes come in blocks of whole rows of
+# about as many pixels.
+_RUN_VOXELS = 1 << 16
 
 
 def predicted_fwhm_sections(linewidth_px: float, shear_px_per_section: float) -> float:
@@ -194,180 +196,49 @@ def fwhm(curve: AxialCurve) -> float:
     return float(z_right - z_left)
 
 
-def _runs(sections):
-    """Runs of whole sections of a (K, H, W) array or StackReader, in order."""
-    step = max(1, _BACKGROUND_RUN // max(1, math.prod(sections.shape[1:])))
+def _planes(sections):
+    """The sections of a (K, H, W) array or StackReader, in order, read in runs."""
+    step = max(1, _RUN_VOXELS // max(1, math.prod(sections.shape[1:])))
     for j in range(0, sections.shape[0], step):
-        yield sections[j:j + step]
+        yield from sections[j:j + step]
 
 
-def _key_bits(dtype) -> tuple[np.dtype, int]:
-    """The unsigned integer type of a float dtype's bits, and the shift to their top 16."""
-    return np.dtype(dtype.str.replace("f", "u")), 8 * dtype.itemsize - 16
+def _first_pass(sections) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's largest non-sentinel value and its section, in one pass.
 
-
-def _count_keys(run, counts: np.ndarray) -> int:
-    """Add the keys of a run's values to the histogram counts; returns its sentinel count."""
-    udtype, shift = _key_bits(run.dtype)
-    flat = run.reshape(-1)
-    # shifted straight into the intp keys bincount takes, with no other temporary
-    keys = np.empty(flat.size, dtype=np.intp)
-    np.right_shift(flat.view(udtype), shift, out=keys, casting="unsafe")
-    counts += np.bincount(keys, minlength=_KEY_BINS)
-    return int(np.count_nonzero(flat == SENTINEL))
-
-
-class _Values:
-    """The values of an iterable of 1-D arrays, in order, taken count by count as float64."""
-
-    def __init__(self, pieces):
-        self._pieces = iter(pieces)
-        self._pending = np.empty(0)
-
-    def take(self, count: int) -> np.ndarray:
-        parts, size = [], 0
-        while size < count:
-            if not self._pending.size:
-                self._pending = next(self._pieces)
-            parts.append(self._pending[:count - size])
-            self._pending = self._pending[parts[-1].size:]
-            size += parts[-1].size
-        return np.concatenate(parts, dtype=np.float64)
-
-
-def _pairwise_sum(values: _Values, count: int):
-    """np.add.reduce over the next count float64 values, holding one block of them.
-
-    numpy sums a contiguous float64 array pairwise: more than 128 values
-    split at half their count, rounded down to a multiple of 8, and each
-    half is summed the same way. Splitting so down to blocks of at most
-    _SUM_BLOCK values, each summed by np.add.reduce, gives the same bits.
+    The value is in the stored dtype, -inf if there is none; the section in
+    the narrowest signed integer type that holds the last one, ties to the
+    lower. A NaN or an infinity raises ValueError naming the count.
     """
-    if count <= _SUM_BLOCK:
-        return np.add.reduce(values.take(count))
-    half = count // 2
-    half -= half % 8
-    return _pairwise_sum(values, half) + _pairwise_sum(values, count - half)
+    k = sections.shape[0]
+    best = np.full(sections.shape[1:], -np.inf, dtype=sections.dtype)
+    jbest = np.zeros(sections.shape[1:], dtype=np.min_scalar_type(-k))
+    better = np.empty(sections.shape[1:], dtype=bool)
+    scratch = np.empty_like(better)
+    nonfinite = 0
+    for j, plane in enumerate(_planes(sections)):
+        nonfinite += plane.size - np.count_nonzero(np.isfinite(plane, out=scratch))
+        # strict: a tie keeps the lower section
+        np.greater(plane, best, out=better)
+        better &= np.not_equal(plane, SENTINEL, out=scratch)
+        np.copyto(best, plane, where=better)
+        np.copyto(jbest, j, where=better)
+    if nonfinite:
+        raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
+    return best, jbest
 
 
-def estimate_background(sections) -> float:
-    """Mean of the lowest-decile non-sentinel intensities of a volume.
+def _second_pass(sections, jbest: np.ndarray, window: int | None, refine: bool):
+    """Each pixel's runner-up and neighbours, as planes in the stored dtype, or None.
 
-    sections is a (K, H, W) array or a StackReader of one. The decile is
-    np.percentile's linear one and the mean is taken over the low values in
-    C order as float64, so the result has the bits of the float64
-    computation whatever the stored dtype. Values must be finite
-    (extract_depth_map checks).
-
-    The decile is selected exactly, by bucket selection (as in Alabi et
-    al., "Fast k-selection algorithms for graphics processing units", ACM
-    JEA 17, 2012), in three passes over runs of sections; the volume is
-    never held whole. The first pass histograms the top 16 bits of
-    order-preserving integer keys, which finds the bins that hold the two
-    order statistics; the second counts the values below those bins and
-    the values in them, value by value, which yields the order statistics;
-    the third sums the low values, widened to float64, the way np.mean
-    does. Extra memory is the histogram, the distinct values of the two
-    bins with their counts, and one run.
-    """
-    counts = np.zeros(_KEY_BINS, dtype=np.int64)
-    sentinels = sum(_count_keys(run, counts) for run in _runs(sections))
-    return _background(sections, counts, sentinels)
-
-
-def _background(sections, counts: np.ndarray, sentinels: int) -> float:
-    """estimate_background's second and third passes, after its key histogram."""
-    dtype = sections.dtype
-    udtype, shift = _key_bits(dtype)
-    # a float's bits as an unsigned integer ascend with positive values and
-    # descend with negative ones; the histogram is reordered to match
-    counts[int(np.asarray(SENTINEL, dtype=dtype).view(udtype)) >> shift] -= sentinels
-    half = _KEY_BINS // 2
-    cumulative = np.concatenate([counts[:half - 1:-1], counts[:half]])
-    np.cumsum(cumulative, out=cumulative)
-    n = int(cumulative[-1])
-    if n == 0:
-        return 0.0
-    # np.percentile(vals, 10.0): lerp between the order statistics that
-    # bracket the virtual index (n - 1) * 0.1, in float64
-    index = (n - 1) * 0.1
-    lo = math.floor(index)
-    hi = min(lo + 1, n - 1)
-
-    def bin_edge(rank: int, largest: bool):
-        # the smallest or largest value of the bin that holds rank
-        b = int(np.searchsorted(cumulative, rank, side="right"))
-        ones = (1 << shift) - 1
-        if b >= half:
-            bits = ((b - half) << shift) | (ones if largest else 0)
-        else:
-            bits = ((_KEY_BINS - 1 - b) << shift) | (0 if largest else ones)
-        return np.asarray(bits, dtype=udtype).view(dtype)[()]
-
-    lower, upper = bin_edge(lo, False), bin_edge(hi, True)
-    # every value below `lower` ranks below lo, every value above `upper`
-    # above hi, so lo and hi rank among the values in between after the
-    # `below` ones; those are kept as distinct values and their counts
-    below, values, tally = _between(sections, lower, upper)
-    below -= sentinels if SENTINEL < lower else 0
-    rank = np.cumsum(tally)
-    a, b = (float(values[np.searchsorted(rank, r - below, side="right")]) for r in (lo, hi))
-    g = index - lo
-    q10 = b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
-    # the largest stored value <= q10: a stored-dtype value is <= it exactly
-    # when it is <= q10 in float64
-    cut = dtype.type(q10)
-    if float(cut) > q10:
-        cut = np.nextafter(cut, dtype.type(-np.inf))
-    # cut >= a >= lower: the low values are the `below` ones and the
-    # in-between ones up to cut, a among them
-    low = below + int(tally[values <= cut].sum())
-
-    def low_values():
-        for run in _runs(sections):
-            flat = run.reshape(-1)
-            yield np.compress((flat <= cut) & (flat != SENTINEL), flat)
-
-    return float(_pairwise_sum(_Values(low_values()), low)) / low
-
-
-def _between(sections, lower, upper) -> tuple[int, np.ndarray, np.ndarray]:
-    """The count of values below lower, and the distinct non-sentinel values
-    from lower to upper, ascending, with their counts (as float64).
-
-    The values are gathered run by run and folded into the distinct ones
-    whenever they outnumber a run, so ties take no more than a run's memory.
-    """
-    below = 0
-    values, tally = np.empty(0, dtype=sections.dtype), np.empty(0)
-    gathered, size = [], 0
-    for run in _runs(sections):
-        flat = run.reshape(-1)
-        under = flat < lower
-        below += int(np.count_nonzero(under))
-        gathered.append(np.compress(~under & (flat <= upper) & (flat != SENTINEL), flat))
-        size += gathered[-1].size
-        if size >= _BACKGROUND_RUN:
-            values, tally = _fold(values, tally, gathered)
-            gathered, size = [], 0
-    if gathered:
-        values, tally = _fold(values, tally, gathered)
-    return below, values, tally
-
-
-def _fold(values, tally, gathered) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values and their counts, with the gathered values added."""
-    distinct, count = np.unique(np.concatenate(gathered), return_counts=True)
-    values, inverse = np.unique(np.concatenate([values, distinct]), return_inverse=True)
-    return values, np.bincount(inverse, weights=np.concatenate([tally, count]))
-
-
-def _neighbours(sections, jbest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each pixel's values in the sections before and after jbest, in one pass.
-
-    The pixels are grouped by jbest once; section j then gives its values
-    to the pixels whose best section is j + 1 and j - 1. A pixel whose best
-    section is the first or the last has no neighbour there, and gets 0.
+    The runner-up (when window is not None) is the largest value more than
+    window sections from jbest, or 0 when none is larger: a sentinel never
+    is, and a negative runner-up gives a contrast of at least 1 as 0 does.
+    The neighbours (when refine) are the values in the sections before and
+    after jbest, 0 where there is none. The pixels are grouped by jbest
+    once; section j then gives its values to the pixels whose best section
+    is j + 1 and j - 1, and to those outside the window, a set that gains
+    one group and loses another per section.
     """
     k = sections.shape[0]
     flat = jbest.reshape(-1)
@@ -376,32 +247,52 @@ def _neighbours(sections, jbest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # where each section's run of sorted keys starts, found in the keys' own type
     starts = np.append(np.searchsorted(flat[order], np.arange(k, dtype=flat.dtype)), flat.size)
     group = [order[starts[j]:starts[j + 1]] for j in range(k)]
-    rm = np.zeros(flat.size, dtype=sections.dtype)
-    rp = np.zeros_like(rm)
-    for j, plane in enumerate(p for run in _runs(sections) for p in run):
+    runner = outside = rm = rp = None
+    if window is not None:
+        # no pixel has a section more than k - 1 away; jbest's type holds k - 1
+        window = min(window, k - 1)
+        runner = np.zeros(flat.size, dtype=sections.dtype)
+        outside = flat > window
+    if refine:
+        rm = np.zeros(flat.size, dtype=sections.dtype)
+        rp = np.zeros_like(rm)
+    for j, plane in enumerate(_planes(sections)):
         values = plane.reshape(-1)
-        if j + 1 < k:
-            rm[group[j + 1]] = values[group[j + 1]]
-        if j > 0:
-            rp[group[j - 1]] = values[group[j - 1]]
-    return rm.reshape(jbest.shape), rp.reshape(jbest.shape)
+        if runner is not None:
+            # outside: best section below j - window or above j + window
+            if 0 < j and j + window < k:
+                outside[group[j + window]] = False
+            if j > window:
+                outside[group[j - window - 1]] = True
+            np.maximum(runner, values, out=runner, where=outside)
+        if refine:
+            if j + 1 < k:
+                rm[group[j + 1]] = values[group[j + 1]]
+            if j > 0:
+                rp[group[j - 1]] = values[group[j - 1]]
+    return tuple(None if a is None else a.reshape(jbest.shape) for a in (runner, rm, rp))
 
 
-def _refined_sections(sections, jbest: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """Each pixel's best section in float64, plus its parabolic offset.
+def _kept(best: np.ndarray, runner, min_confidence) -> np.ndarray:
+    """Which pixels' depths are valid by extract_depth_map's rule, in float64 blocks of rows."""
+    keep = np.empty(best.shape, dtype=bool)
+    for block in _row_blocks(best.shape):
+        peak = best[block].astype(np.float64)
+        if min_confidence is not None:
+            np.greater_equal(peak, min_confidence, out=keep[block])
+            continue
+        positive = peak > 0
+        share = np.subtract(peak, runner[block])
+        np.divide(share, peak, out=share, where=positive)
+        np.logical_and(positive, share >= CONTRAST_TAU, out=keep[block])
+    return keep
 
-    The float64 plane is made only after the neighbours are gathered, and
-    the offsets are computed block by block of rows: they are elementwise,
-    so the blocks give the bits of the whole plane.
-    """
-    k, _, w = sections.shape
-    rm, rp = _neighbours(sections, jbest)
-    depth = jbest.astype(np.float64)
-    rows = max(1, _BACKGROUND_RUN // max(1, w))
-    for r0 in range(0, depth.shape[0], rows):
-        block = slice(r0, r0 + rows)
-        depth[block] += _parabolic_offset(rm[block], rp[block], peak[block], jbest[block], k)
-    return depth
+
+def _row_blocks(shape):
+    """Blocks of whole rows of a plane of about _RUN_VOXELS pixels."""
+    rows = max(1, _RUN_VOXELS // max(1, shape[1]))
+    for r0 in range(0, shape[0], rows):
+        yield slice(r0, r0 + rows)
 
 
 def _parabolic_offset(rm, rp, peak, jbest, k: int) -> np.ndarray:
@@ -429,65 +320,60 @@ def _parabolic_offset(rm, rp, peak, jbest, k: int) -> np.ndarray:
     return np.clip(delta, -0.5, 0.5, out=delta)
 
 
+def contrast_window(linewidth_px: float, shear_px_per_section: float) -> int:
+    """The contrast rule's window h: the predicted FWHM in sections, rounded up.
+
+    The width is first rounded to 1e-9 sections, so that a width that is an
+    integer but for rounding (2.0000000000000004 for a slit of 2 px at a
+    shear of 1 px per section) stays that integer.
+    """
+    return math.ceil(round(predicted_fwhm_sections(linewidth_px, shear_px_per_section), 9))
+
+
 def extract_depth_map(
     volume: VolumeStack,
     min_confidence: float | None = None,
     refine: bool = False,
+    window: int = 1,
 ) -> DepthMap:
     """Per-pixel depth of the strongest section response.
 
     Sentinel-valued entries are skipped; argmax ties break toward lower z.
-    Pixels whose peak falls under min_confidence (default: 5x the estimated
-    background level) get a NaN depth but keep their measured peak as
-    confidence. With refine=True, interior peaks with valid neighbors are
-    sharpened by a 3-point parabolic fit across adjacent sections. The
-    argmax runs section by section over the volume as stored; a NaN or an
-    infinity in it raises ValueError naming the count, as does a
-    min_confidence that is not finite.
+    By default a depth is valid when the peak is positive and its contrast
+    (peak - runner_up) / peak is at least CONTRAST_TAU. The runner-up is
+    the pixel's largest value more than `window` sections from its best
+    section, 0 when there is none; `window` is the half-width of one peak's
+    own response, contrast_window of the rig. An explicit min_confidence is
+    an absolute floor on the peak instead. Pixels that are not valid get a
+    NaN depth but keep their peak as confidence. With refine=True, interior
+    peaks with valid neighbors are sharpened by a 3-point parabolic fit
+    across adjacent sections. A NaN or an infinity in the volume raises
+    ValueError naming the count, as do a min_confidence that is not finite
+    and a negative window.
     """
     if min_confidence is not None and not math.isfinite(min_confidence):
         raise ValueError(f"min_confidence must be finite, got {min_confidence}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     data = volume.sections
     grid = volume.grid
     k = data.shape[0]
-    refine = refine and k >= 3
-    best = np.full(data.shape[1:], -np.inf, dtype=data.dtype)
-    # the narrowest signed integer type that holds k - 1 (int16 below 32768 sections)
-    jbest = np.zeros(data.shape[1:], dtype=np.min_scalar_type(-k))
-    better = np.empty(data.shape[1:], dtype=bool)
-    scratch = np.empty_like(better)
-    # the background's key histogram, of the same runs
-    counts = np.zeros(_KEY_BINS, dtype=np.int64) if min_confidence is None else None
-    sentinels = 0
-    nonfinite = 0
-    j = 0
-    for run in _runs(data):
-        if counts is not None:
-            sentinels += _count_keys(run, counts)
-        for plane in run:
-            nonfinite += plane.size - np.count_nonzero(np.isfinite(plane, out=scratch))
-            # strict: a tie keeps the lower section
-            np.greater(plane, best, out=better)
-            better &= np.not_equal(plane, SENTINEL, out=scratch)
-            np.copyto(best, plane, where=better)
-            np.copyto(jbest, j, where=better)
-            j += 1
-    if nonfinite:
-        raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
-    del better, scratch
-    any_valid = best > -np.inf
-    peak = best.astype(np.float64)
-    del best
-
-    if min_confidence is None:
-        min_confidence = 5.0 * _background(data, counts, sentinels)
-    del counts
-
+    best, jbest = _first_pass(data)
+    contrast = min_confidence is None
+    runner, rm, rp = (_second_pass(data, jbest, window if contrast else None, refine)
+                      if contrast or refine else (None, None, None))
+    keep = _kept(best, runner, min_confidence)
+    del runner
     # z0 + depth_sections * z_step where kept, NaN elsewhere
-    depth = _refined_sections(data, jbest, peak) if refine else jbest.astype(np.float64)
+    depth = jbest.astype(np.float64)
+    for block in _row_blocks(depth.shape) if refine else ():
+        depth[block] += _parabolic_offset(rm[block], rp[block], best[block].astype(np.float64),
+                                          jbest[block], k)
+    del rm, rp, jbest
     depth *= grid.z_step
     depth += grid.z0
-    np.copyto(depth, np.nan, where=~(any_valid & (peak >= min_confidence)))
-    confidence = peak
-    np.copyto(confidence, 0.0, where=~any_valid)
+    np.copyto(depth, np.nan, where=~keep)
+    # the peak, 0 where every section is a sentinel
+    confidence = best.astype(np.float64)
+    np.copyto(confidence, 0.0, where=confidence == -np.inf)
     return DepthMap(depth=depth, confidence=confidence, grid=grid)

@@ -395,7 +395,7 @@ class TestStreamedReconstruct:
     """`reconstruct` writes the volume chunk by chunk and commits it whole or not at all."""
 
     def inputs(self, capsys, tmp_path):
-        # 80 rows: three 32-row chunks of every section
+        # 80 rows: five 16-row chunks of every section
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
         code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "1",
                        "--proj-width", "64", "--proj-height", "80", "--period", "16",
@@ -430,7 +430,9 @@ class TestStreamedReconstruct:
 
         def failing_matmul(*args, **kwargs):
             bands.append(1)
-            if len(bands) > 2:  # the first chunk has two row bands
+            # one call per 16-row chunk (its one 64-column tile): the third
+            # chunk fails after two chunks have been written
+            if len(bands) > 2:
                 raise ValueError("kernel failure")
             return matmul(*args, **kwargs)
 
@@ -798,6 +800,53 @@ class TestDepthmapAmbiguity:
         _, meta = read_stack(dep)
         assert (meta["ambiguous"], meta["unambiguous_sections"]) == (ambiguous, unambiguous)
         assert meta["sections"] == sections and meta["refine"] == "1"
+
+
+class TestDepthmapValidRule:
+    """depthmap names the rule that made its depths valid, in the summary and the sidecar."""
+
+    def test_contrast_by_default_and_a_floor_when_given(self, tmp_path, capsys):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        code, *_ = run(capsys, "simulate", "--scene", "uniform", "--layer-z", "6",
+                       "--proj-width", "64", "--proj-height", "4", "--period", "16",
+                       "--shifts", "16", "--sections", "12",
+                       "--pixel-pitch", SHEAR1_PITCH, "--out", str(acq))
+        assert code == 0
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        confidence = {}
+        for rule, flags in (("contrast", []), ("min_confidence", ["--min-confidence", "0.5"])):
+            dep, conf = tmp_path / f"{rule}.aspi", tmp_path / f"{rule}-conf.aspi"
+            code, out, _ = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep),
+                               "--confidence-out", str(conf), *flags)
+            assert code == 0 and parse_summary(out)["valid_rule"] == rule
+            _, meta = read_stack(dep)
+            assert meta["valid_rule"] == rule
+            confidence[rule] = read_stack(conf)[0]
+            if rule == "contrast":
+                # a 2 px slit at 1 px per section: a peak 2 sections wide
+                assert (meta["contrast_tau"], meta["contrast_window"]) == ("0.25", "2")
+            else:
+                assert "contrast_tau" not in meta and "contrast_window" not in meta
+        # the confidence map is the peak under either rule
+        assert confidence["contrast"].tobytes() == confidence["min_confidence"].tobytes()
+
+    def test_a_psf_wider_than_the_grid_keeps_its_depths(self, tmp_path, capsys):
+        # 0.518 px of shear per section over 12 sections is 6.2 px, against
+        # a 6.4 px camera slit: the peak is 12.4 sections wide, so no section
+        # lies outside its window and no fold is possible
+        acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+        code, *_ = run(capsys, "simulate", "--scene", "bands", "--layer-z", "2,5,9",
+                       "--haze", "0.2", "--noise-sigma", "0.01", "--sections", "12",
+                       "--proj-width", "45", "--proj-height", "19", "--period", "16",
+                       "--linewidth", "3", "--shifts", "16", "--magnification", "2.14",
+                       "--pixel-pitch", "0.9", "--out", str(acq))
+        assert code == 0
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        code, out, _ = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
+        assert code == 0
+        assert float(parse_summary(out)["valid_fraction"]) > 0.9
+        planes, meta = read_stack(dep)
+        assert planes.shape[1:] == (41, 96) and meta["contrast_window"] == "13"
 
 
 def traced_peak(capsys, argv):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from aspi import (
@@ -12,7 +12,9 @@ from aspi import (
     CoverageError,
     DegenerateInputError,
     FwhmRangeError,
+    GeometryConfig,
     GeometryMasks,
+    NoiseSpec,
     PatternSpec,
     Scene,
     StackReader,
@@ -22,16 +24,19 @@ from aspi import (
     axial_psf,
     base_camera_pattern,
     camera_shape,
+    contrast_window,
     default_floor,
-    estimate_background,
     extract_depth_map,
     fwhm,
+    make_tilted_plane_scene,
     predicted_fwhm_sections,
     reconstruct_volume,
     sample_row,
+    tilted_plane_sections,
     write_stack,
 )
 from aspi import volume_analysis
+from aspi.volume_analysis import CONTRAST_TAU
 from conftest import geometry_with_shear
 
 
@@ -260,18 +265,20 @@ def test_predicted_fwhm_validation():
         predicted_fwhm_sections(2, 0.0)
 
 
-def reference_background(sections):
-    """The float64 np.percentile background, the oracle of estimate_background."""
-    sections = np.asarray(sections, dtype=np.float64)
-    vals = sections[sections != SENTINEL]
-    if vals.size == 0:
-        return 0.0
-    q10 = np.percentile(vals, 10.0)
-    low = vals[vals <= q10]
-    return float(low.mean()) if low.size else 0.0
+def reference_contrast(data, jbest, peak, window):
+    """Whole-volume float64 contrast (peak - runner_up) / peak, the default rule's oracle.
+
+    The runner-up is the largest non-sentinel value more than window
+    sections from jbest, or 0 when there is none.
+    """
+    far = np.abs(np.arange(data.shape[0])[:, None, None] - jbest) > window
+    runner = np.where(far & (data != SENTINEL), data, -np.inf).max(axis=0)
+    runner = np.where(runner > -np.inf, runner, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (peak - runner) / peak
 
 
-def reference_depth_map(volume, min_confidence=None, refine=False):
+def reference_depth_map(volume, min_confidence=None, refine=False, window=1):
     """Whole-volume float64 argmax, the oracle of extract_depth_map."""
     data = np.asarray(volume.sections, dtype=np.float64)
     grid = volume.grid
@@ -283,8 +290,9 @@ def reference_depth_map(volume, min_confidence=None, refine=False):
     any_valid = valid.any(axis=0)
 
     if min_confidence is None:
-        min_confidence = 5.0 * reference_background(data)
-    keep = any_valid & (peak >= min_confidence)
+        keep = (peak > 0) & (reference_contrast(data, jbest, peak, window) >= CONTRAST_TAU)
+    else:
+        keep = any_valid & (peak >= min_confidence)
 
     depth_sections = jbest.astype(np.float64)
     if refine and k >= 3:
@@ -384,6 +392,106 @@ class TestFloat32DepthMap:
         assert peak <= 2 * data.nbytes
 
 
+class TestContrastRule:
+    """By default a depth is valid when its peak has contrast CONTRAST_TAU over its runner-up."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 7, 8, 20])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_the_oracle_for_every_window(self, seed, window, refine):
+        # 9 sections: from windows that leave most sections outside to none
+        volume = stored_volume(awkward_volume(seed))
+        dm = extract_depth_map(volume, refine=refine, window=window)
+        depth, confidence = reference_depth_map(volume, refine=refine, window=window)
+        assert_same_bits(dm.depth, depth)
+        assert_same_bits(dm.confidence, confidence)
+
+    def column(self, values, window, dtype=np.float32):
+        data = np.asarray(values, dtype=dtype).reshape(-1, 1, 1)
+        return extract_depth_map(stored_volume(data, z0=0.0, z_step=1.0), window=window)
+
+    def test_contrast_of_exactly_tau_is_valid(self):
+        assert CONTRAST_TAU == 0.25
+        assert self.column([0.75, 0.0, 1.0], window=1).depth[0, 0] == 2.0
+        above = np.nextafter(np.float32(0.75), np.float32(1))
+        assert np.isnan(self.column([above, 0.0, 1.0], window=1).depth[0, 0])
+
+    @pytest.mark.parametrize("window,valid", [(0, False), (1, False), (2, False), (3, True)])
+    def test_runner_up_lies_outside_the_window(self, window, valid):
+        # best at section 1; 0.8 one section away, 0.9 three away
+        dm = self.column([0.2, 1.0, 0.8, SENTINEL, 0.9], window)
+        assert np.isfinite(dm.depth[0, 0]) == valid
+        assert dm.confidence[0, 0] == 1.0
+
+    def test_no_section_outside_the_window_is_a_runner_up_of_zero(self):
+        # 5 sections within 2 of the best: a broad peak that cannot fold
+        assert self.column([0.9, 0.95, 1.0, 0.95, 0.9], window=2).depth[0, 0] == 2.0
+        assert np.isnan(self.column([0.9, 0.95, 1.0, 0.95, 0.9], window=1).depth[0, 0])
+
+    @pytest.mark.parametrize("values", [[-0.5, -0.2, -0.4], [0.0, SENTINEL, 0.0], [SENTINEL] * 3])
+    def test_a_peak_of_zero_or_less_is_not_valid(self, values):
+        assert np.isnan(self.column(values, window=0).depth[0, 0])
+
+    def test_negative_runner_up_is_valid(self):
+        # haze-cancelled volumes sit below zero away from the layer
+        dm = self.column([-0.02, -0.01, 0.05, 0.04, -0.03], window=1, dtype=np.float64)
+        assert dm.depth[0, 0] == 2.0
+
+    def test_negative_window_is_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 0, got -1"):
+            extract_depth_map(stored_volume(awkward_volume(0)), window=-1)
+
+    def test_window_of_the_rig(self):
+        # a 2 px slit at 1 px per section but for rounding: 2 sections, not 3
+        geom = GeometryConfig(tilt_theta=np.radians(25.0), z_step=1.0,
+                              camera_pixel_pitch=0.46630765815499863)
+        assert predicted_fwhm_sections(2, geom.shear_px_per_section) > 2
+        assert contrast_window(2, geom.shear_px_per_section) == 2
+        assert contrast_window(2, 0.2331538290774993) == 9
+        assert contrast_window(3 * 2.14, 0.5181196201722207) == 13
+
+    def test_folded_depths_are_not_valid(self):
+        # 90 sections of 1 px shear over a 30 px period: each depth has two
+        # aliases a period away, which a plain argmax picks for most pixels
+        spec = PatternSpec(960, 1, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+        geom = geometry_with_shear(1.0)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=90)
+        shape = camera_shape(spec, geom)
+        slope = grid.count / shape[1]
+        scene = make_tilted_plane_scene(grid, slope, np.ones(shape))
+        volume = reconstruct_volume(acquire_stack(scene, spec, geom, grid),
+                                    GeometryMasks(spec, geom, grid))
+        truth = tilted_plane_sections(shape[1], slope)[None, :]
+        floor = extract_depth_map(volume, min_confidence=0.0)
+        assert np.mean(np.abs(floor.depth - truth) > 1) > 0.6
+        window = contrast_window(spec.linewidth_w, geom.shear_px_per_section)
+        dm = extract_depth_map(volume, refine=True, window=window)
+        valid = np.isfinite(dm.depth)
+        assert 0 < valid.mean() <= 0.05
+        assert np.all(np.abs(dm.depth - truth)[valid] <= 1)
+
+    def test_haze_cancelled_noisy_bands_stay_valid(self):
+        # the rig of the bands benchmark volume at 256 x 32: the reconstruction
+        # cancels the haze, so values away from the layers scatter about zero
+        # and over a tenth of them are negative
+        spec = PatternSpec(256, 32, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+        geom = GeometryConfig(tilt_theta=np.radians(25.0), z_step=1.0, camera_pixel_pitch=2.0)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=48)
+        shape = camera_shape(spec, geom)
+        rows = np.repeat([6, 18, 30, 42], shape[0] // 4)
+        layers = [(z, np.broadcast_to((rows == z)[:, None], shape).astype(float))
+                  for z in (6, 18, 30, 42)]
+        scene = Scene(layers=layers, haze_fraction=0.3,
+                      noise=NoiseSpec(gaussian_sigma=0.01, seed=1))
+        volume = reconstruct_volume(acquire_stack(scene, spec, geom, grid),
+                                    GeometryMasks(spec, geom, grid))
+        # the lowest decile lies below zero, so a floor from it would be negative
+        assert np.percentile(volume.sections[volume.sections != SENTINEL], 10) < 0
+        window = contrast_window(spec.linewidth_w, geom.shear_px_per_section)
+        dm = extract_depth_map(volume, refine=True, window=window)
+        assert np.mean(np.isfinite(dm.depth)) >= 0.99
+
+
 def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path):
     # the best value of over half the pixels in one section: one neighbour
     # gather then takes the values of most of the plane at once
@@ -394,11 +502,11 @@ def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path):
     path = tmp_path / "vol.aspi"
     write_stack(data, {"kind": "volume"}, path)
     pixels = 384 * 512
-    # per pixel: the float64 peak (8) and sort order (8), the best section
-    # (1) and the validity flags (1), the two float32 neighbour planes (8),
-    # two float32 planes read (8) and one gathered (4); then the background's
-    # 65536-bin histogram and the bincount added to it
-    bound = (8 + 8 + 1 + 1 + 8 + 8 + 4) * pixels + 2 * 65536 * 8
+    # per pixel, in the second pass: the float32 peak (4) and runner-up (4),
+    # the sort order (8), the best section (1) and the out-of-window flags
+    # (1), the two float32 neighbour planes (8), two float32 planes read (8)
+    # and one gathered (4)
+    bound = (4 + 4 + 8 + 1 + 1 + 8 + 8 + 4) * pixels
     with StackReader(path) as reader:
         volume = VolumeStack(sections=reader, grid=ZGrid(0.0, 1.0, 12), coverage_floor_used=1e-3)
         tracemalloc.start()
@@ -422,87 +530,8 @@ class TestNonFiniteVolume:
             extract_depth_map(stored_volume(data), min_confidence=0.0)
 
 
-class TestEstimateBackground:
-    """estimate_background has the float64 np.percentile result's bits."""
-
-    @given(n=st.integers(1, 3000), levels=st.one_of(st.integers(1, 50), st.none()),
-           sentinels=st.integers(0, 100), scale=st.floats(1e-3, 1e5), seed=st.integers(0, 2**32 - 1))
-    def test_matches_percentile_oracle(self, n, levels, sentinels, scale, seed):
-        # levels: values rounded to that many steps per scale (many ties); None: continuous
-        rng = np.random.default_rng(seed)
-        data = rng.normal(0.2, 1.0, n) * scale
-        if levels is not None:
-            data = np.round(data / scale * levels) * (scale / levels)
-        data = np.concatenate([data, np.full(sentinels, SENTINEL)])
-        rng.shuffle(data)
-        stored = data.astype(np.float32).reshape(1, 1, -1)
-        got = estimate_background(stored)
-        assert np.float64(got).tobytes() == np.float64(reference_background(stored)).tobytes()
-        got64 = estimate_background(data.reshape(1, 1, -1))
-        assert np.float64(got64).tobytes() == np.float64(reference_background(data)).tobytes()
-
-    @staticmethod
-    def specials(dtype):
-        """Zeros of both signs, subnormals, and real values in the sentinel's bin."""
-        info = np.finfo(dtype)
-        one = dtype(SENTINEL)
-        tiny = info.smallest_subnormal
-        return np.array([0.0, -0.0, tiny, -tiny, info.tiny - tiny, -(info.tiny - tiny), info.tiny,
-                         np.nextafter(one, dtype(-np.inf)), np.nextafter(one, dtype(np.inf)),
-                         info.max, info.min], dtype=dtype)
-
-    @given(dtype=st.sampled_from([np.float32, np.float64]),
-           picks=st.lists(st.integers(0, 10), max_size=12),
-           packed=st.integers(0, 400), spread=st.integers(0, 400), sentinels=st.integers(0, 60),
-           base=st.floats(-1e3, 1e3), sections=st.integers(1, 4), run=st.integers(1, 70),
-           seed=st.integers(0, 2**32 - 1))
-    @example(dtype=np.float32, picks=[7], packed=0, spread=0, sentinels=0, base=0.0,
-             sections=1, run=1, seed=0)                      # n = 1, just below -1.0
-    @example(dtype=np.float64, picks=[], packed=0, spread=0, sentinels=9, base=0.0,
-             sections=3, run=2, seed=0)                      # sentinels only
-    def test_histogram_selection_matches_oracle(self, dtype, picks, packed, spread, sentinels,
-                                                base, sections, run, seed):
-        # packed: within a few hundred ulps of base, one or two bins; spread:
-        # random bit patterns, so all bins, subnormals and huge magnitudes
-        rng = np.random.default_rng(seed)
-        utype = np.uint32 if dtype is np.float32 else np.uint64
-        start = max(int(np.array(base, dtype=dtype).view(utype)) - 300, 0)
-        near = utype(start) + rng.integers(0, 600, packed).astype(utype)
-        bits = rng.integers(0, np.iinfo(utype).max, spread, dtype=utype, endpoint=True)
-        values = np.concatenate([
-            self.specials(dtype)[picks],
-            near.view(dtype),
-            bits.view(dtype),
-            np.full(sentinels, SENTINEL, dtype=dtype),
-        ])
-        values = values[np.isfinite(values)]
-        rng.shuffle(values)
-        pad = -values.size % sections
-        values = np.concatenate([values, np.full(pad, SENTINEL, dtype=dtype)])
-        volume = values.reshape(sections, 1, -1)
-        # short runs of sections: several histogram and gather passes; huge
-        # float64 values may sum to an infinity, in both
-        with mock.patch.object(volume_analysis, "_BACKGROUND_RUN", run), np.errstate(over="ignore"):
-            got = estimate_background(volume)
-            want = reference_background(volume)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-    def test_sentinel_only_volume(self):
-        assert estimate_background(np.full((3, 2, 2), SENTINEL, dtype=np.float32)) == 0.0
-
-    def test_decile_between_adjacent_float32_values(self):
-        # 17 values: the decile lies 0.6 of the way from a to its float32
-        # neighbor b, so rounding it to float32 would wrongly admit the b's
-        a = np.float32(0.3)
-        b = np.nextafter(a, np.float32(1))
-        data = np.array([a, a] + [b] * 5 + [2.0] * 10, dtype=np.float32).reshape(1, 1, 17)
-        assert estimate_background(data) == reference_background(data) == float(a)
-
-
 def test_depth_map_of_a_reconstructed_volume_within_three_quarters_of_it():
-    # two hazy layers, as an acquisition through turbid media; the low
-    # decile's float64 copy grows with the values tied at the decile, which a
-    # haze-free scene of exact zeros would have in most voxels
+    # two hazy layers, as an acquisition through turbid media
     spec = PatternSpec(192, 160, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
     geom = geometry_with_shear(0.25)
     grid = ZGrid(z0=0.0, z_step=1.0, count=48)
@@ -600,10 +629,9 @@ class TestVolumeFromAFile:
         write_stack(data, {"kind": "volume"}, path)
         array = stored_volume(data)
         run = sections_per_run * data.shape[1] * data.shape[2]
-        with mock.patch.object(volume_analysis, "_BACKGROUND_RUN", run), StackReader(path) as reader:
+        with mock.patch.object(volume_analysis, "_RUN_VOXELS", run), StackReader(path) as reader:
             volume = VolumeStack(sections=reader, grid=array.grid, coverage_floor_used=1e-3)
             dm = extract_depth_map(volume, min_confidence=min_confidence, refine=refine)
-            assert estimate_background(reader) == estimate_background(data)
         depth, confidence = reference_depth_map(array, min_confidence, refine)
         assert_same_bits(dm.depth, depth)
         assert_same_bits(dm.confidence, confidence)
@@ -618,42 +646,3 @@ class TestVolumeFromAFile:
                                  coverage_floor_used=1e-3)
             with pytest.raises(ValueError, match="1 non-finite voxels"):
                 extract_depth_map(volume, refine=True)
-
-
-@given(sizes=st.lists(st.integers(0, 400), min_size=1, max_size=30), seed=st.integers(0, 2**32 - 1))
-def test_streamed_sum_has_the_bits_of_numpy_sum(sizes, seed):
-    # blocks of numpy's smallest unsplit size: every split of the tree is taken
-    rng = np.random.default_rng(seed)
-    total = sum(sizes)
-    values = rng.normal(size=total) * 10.0 ** rng.integers(-20, 20, total)
-    pieces = np.split(values, np.cumsum(sizes)[:-1])
-    with mock.patch.object(volume_analysis, "_SUM_BLOCK", 128):
-        got = volume_analysis._pairwise_sum(volume_analysis._Values(pieces), total) if total else 0.0
-    assert np.float64(got).tobytes() == np.float64(np.add.reduce(values)).tobytes()
-
-
-def test_background_of_a_large_volume_matches_the_oracle():
-    # 800k values: the decile's 80k low values are summed in more than one block
-    rng = np.random.default_rng(6)
-    data = rng.lognormal(0.0, 3.0, (16, 224, 224)).astype(np.float32)
-    data[:, :, :3] = SENTINEL
-    assert 0.1 * np.count_nonzero(data != SENTINEL) > 1.2 * volume_analysis._SUM_BLOCK
-    assert np.float64(estimate_background(data)).tobytes() == np.float64(
-        reference_background(data)).tobytes()
-
-
-def test_background_of_tied_values_holds_a_fraction_of_the_volume():
-    # 60% of the values tie at the decile, zero: gathering them, or the low
-    # values in float64, would take 0.6 and 1.2 times the volume's bytes;
-    # the 65536-bin histogram and its bincounts take 1.5 MB
-    rng = np.random.default_rng(7)
-    data = rng.lognormal(0.0, 1.0, (48, 160, 160)).astype(np.float32)
-    data[rng.random(data.shape) < 0.6] = 0.0
-    tracemalloc.start()
-    try:
-        got = estimate_background(data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got == reference_background(data) == 0.0
-    assert peak < data.nbytes / 2
