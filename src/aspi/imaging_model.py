@@ -360,13 +360,17 @@ class TranslationMasks:
     step and shear are (dx, dy) in camera pixels, applied with shift_image's
     arithmetic. A row-constant base moved only along x is kept as one row,
     whose (n, 1, W) masks broadcast to exactly the full (n, H, W) ones;
-    `base` is then that row broadcast to the base's shape (read-only).
+    `base` is then that row broadcast to the base's shape (read-only). A base
+    with NaN or Inf pixels is a ValueError.
     """
 
     ambiguous = None
 
     def __init__(self, base, step, shear, shift_count: int, grid: ZGrid):
         self.base = b = np.asarray(base, dtype=np.float64)
+        bad = b.size - int(np.count_nonzero(np.isfinite(b)))
+        if bad:
+            raise ValueError(f"mask base has {bad} non-finite pixels (NaN or Inf)")
         self.grid = grid
         self.shift_count = shift_count
         i = np.arange(shift_count, dtype=np.float64)
@@ -395,7 +399,7 @@ class TranslationMasks:
     def row_bank(self) -> np.ndarray | None:
         """(n, K, W) masks of every step and section; None unless kept as one row.
 
-        A view of (W, n, K) storage, the GEMM kernel's layout.
+        A view of new (W, n, K) storage on every call, the GEMM kernel's layout.
         """
         if self._row is None:
             return None

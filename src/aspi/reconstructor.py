@@ -20,10 +20,13 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
   (n, 1, W), and reconstruct_volume uses it for banks that vary along y.
 * The GEMM kernel serves banks that are constant along y: those whose
   row_bank() returns the whole (n, K, W) bank, geometric or calibrated.
-  For every column x the numerator of all sections is one matrix product,
-  (rows x n) . (n x K), computed in row bands of _GEMM_ROWS rows by
-  batched matmuls over tiles of _GEMM_COLS columns. Its summation order is
-  the BLAS one, so it agrees with the reference kernel to within 2*n*eps of
+  The bank is normalised once: each column M_iz(x) divided by its
+  coverage, the uncovered ones 0. For every column x all sections are then
+  one matrix product, (rows x n) . (n x K), plus a sentinel plane that is
+  -1.0 where the column is uncovered and 0 elsewhere, computed in row
+  bands of _GEMM_ROWS rows by batched matmuls over tiles of _GEMM_COLS
+  columns. Its summation order is the BLAS one and it divides before it
+  sums, so it agrees with the reference kernel to within (n+1)*eps of
   sum_i |O_i| * M_iz / sum_i M_iz per voxel rather than bit for bit.
   Coverage (mask_coverage) and the floor rule (_floor_rule) are shared, so
   coverage and sentinels are identical.
@@ -45,8 +48,9 @@ chunks into one (K, H, W) array; `aspi reconstruct` writes them to the
 stack file and `aspi bench` checksums them. So besides the frames (none
 when they are read from a file) these hold one chunk of every section in
 float64 and the chunk's rows of the frames (float32 as read), never the
-volume; the GEMM kernel also holds the (n, K, W) bank and, per worker, one
-tile's frame rows and products in float64, the reference kernel the chunk's
+volume; the GEMM kernel also holds the (n, K, W) bank, divided by its
+coverage, one (K, W) sentinel plane and, per worker, one tile's frame rows
+and products in float64, the reference kernel the chunk's
 frame rows in float64 and, per worker, the float64 masks of one section's
 chunk rows. A thread count below 1, a floor that is not finite
 and > 0, and frames of another shape than the bank's are each a ValueError.
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -217,9 +222,10 @@ class VolumeStream:
     names the sections. The constructor makes all the checks (threads,
     floor, frame shape, NaN or Inf pixels), so a caller can reject bad input
     before it opens an output; frames read from a StackReader are checked in
-    one pass over the file, frame by frame. `blocks` computes the volume
-    chunk by chunk, each chunk in pieces shared among `threads` workers.
-    `shape` is the volume's (K, H, W).
+    one pass over the file, frame by frame. It also prepares the kernel once:
+    for the GEMM kernel, the bank divided by its coverage and the sentinel
+    plane. `blocks` computes the volume chunk by chunk, each chunk in pieces
+    shared among `threads` workers. `shape` is the volume's (K, H, W).
     """
 
     def __init__(self, frames, masks: TranslationMasks, floor: float | None = None,
@@ -239,8 +245,25 @@ class VolumeStream:
         self.shape = (masks.grid.count,) + frames.shape[1:]
         self._frames = frames
         self._masks = masks
-        self._bank = masks.row_bank()
         self._threads = threads
+        bank = masks.row_bank()
+        if bank is None:
+            # one exact float64 upcast per chunk, not one in each of the K * n multiplies
+            self._rows, self._work, self._dtype = self._section_rows(), self._section, np.float64
+            self._items = range(self.shape[0])
+            return
+        # each bank column divided by its coverage and the uncovered ones 0
+        # (a copy, not a multiply), in place in the bank's new (W, n, K)
+        # storage, so that a tile's product plus the sentinel plane is the
+        # finished voxel: +0.0 where covered, -1.0 exactly where not
+        self._masks_x = masks_x = bank.transpose(2, 0, 1)
+        den, uncovered = _floor_rule(mask_coverage(masks_x.transpose(1, 0, 2)), self.floor)
+        masks_x /= den[:, None, :]
+        np.copyto(masks_x, 0.0, where=uncovered[:, None, :])
+        self._sentinel = np.where(uncovered, SENTINEL, 0.0).T.copy()[:, None, :]  # (K, 1, W)
+        # tiles cast their own columns of the chunk's frames
+        self._rows, self._work, self._dtype = _GEMM_ROWS, self._tile, None
+        self._items = range(0, self.shape[2], _GEMM_COLS)
 
     def blocks(self):
         """Yield (r0, chunk): float64 (K, rows, W) row chunks of every section, from row r0.
@@ -253,49 +276,30 @@ class VolumeStream:
         whole stream and is shut down when the stream ends, is closed or
         raises.
         """
-        _, h, w = self._frames.shape
-        if self._bank is not None:
-            rows, kernel = _GEMM_ROWS, self._gemm_kernel()
-        else:
-            rows, kernel = self._section_rows(), self._section_kernel()
-        rows = min(rows, h)
-        sections = np.empty(self.shape[0] * rows * w, dtype=np.float64)
+        k, h, w = self.shape
+        rows = min(self._rows, h)
+        sections = np.empty(k * rows * w, dtype=np.float64)
         pool = ThreadPoolExecutor(max_workers=self._threads) if self._threads > 1 else None
         try:
             for c0 in range(0, h, rows):
                 c1 = min(c0 + rows, h)
-                chunk = sections[:self.shape[0] * (c1 - c0) * w].reshape(-1, c1 - c0, w)
-                kernel(pool, self._frames[:, c0:c1], c0, chunk)
+                chunk = sections[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
+                frames = np.asarray(self._frames[:, c0:c1], dtype=self._dtype)
+                _run(pool, partial(self._work, frames, (c0, c1), chunk), self._items)
                 yield c0, chunk
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    def _gemm_kernel(self):
-        # one batched matmul per tile of _GEMM_COLS columns of a _GEMM_ROWS band
-        masks_x = np.ascontiguousarray(self._bank.transpose(2, 0, 1))     # (W, n, K)
-        den_x = mask_coverage(masks_x.transpose(1, 0, 2))[:, None, :]     # (W, 1, K)
-        den_x, uncovered_x = _floor_rule(den_x, self.floor)
-        uncovered = uncovered_x.transpose(2, 1, 0)                         # (K, 1, W)
-
-        def chunk(pool, frames, c0: int, sections):
-            n, rows, w = frames.shape
-
-            def tile(x0: int):
-                # column by column the same products, _GEMM_COLS columns at a time
-                x1 = min(x0 + _GEMM_COLS, w)
-                obs = np.empty((x1 - x0, rows, n), dtype=np.float64)
-                # cast first: a contiguous float64 band transposes twice as fast
-                obs[...] = frames[:, :, x0:x1].astype(np.float64).transpose(2, 1, 0)
-                num = np.matmul(obs, masks_x[x0:x1])                      # (cols, rows, K)
-                num /= den_x[x0:x1]
-                block = sections[:, :, x0:x1]
-                block[...] = num.transpose(2, 1, 0)
-                np.copyto(block, SENTINEL, where=uncovered[:, :, x0:x1])
-
-            _run(pool, tile, range(0, w, _GEMM_COLS))
-
-        return chunk
+    def _tile(self, frames, rows: tuple[int, int], chunk, x0: int) -> None:
+        # one batched matmul over _GEMM_COLS columns of a _GEMM_ROWS band
+        n, w = frames.shape[0], frames.shape[2]
+        x1 = min(x0 + _GEMM_COLS, w)
+        obs = np.empty((x1 - x0, rows[1] - rows[0], n), dtype=np.float64)
+        # cast first: a contiguous float64 band transposes twice as fast
+        obs[...] = frames[:, :, x0:x1].astype(np.float64).transpose(2, 1, 0)
+        np.add(np.matmul(obs, self._masks_x[x0:x1]).transpose(2, 1, 0),
+               self._sentinel[:, :, x0:x1], out=chunk[:, :, x0:x1])
 
     def _section_rows(self) -> int:
         # whole GEMM bands of at most _BAND_PIXELS pixels, and at least
@@ -305,21 +309,9 @@ class VolumeStream:
         bands = min(_BAND_PIXELS // (_GEMM_ROWS * w), h // (2 * self._threads * _GEMM_ROWS))
         return _GEMM_ROWS * max(1, bands)
 
-    def _section_kernel(self):
-        masks, floor, k = self._masks, self.floor, self.shape[0]
-
-        def chunk(pool, frames, c0: int, sections):
-            # one exact upcast per chunk, not one in each of the K * n
-            # multiplies; each section's sums stay on one worker
-            frames = frames.astype(np.float64, copy=False)
-            rows = (c0, c0 + frames.shape[1])
-
-            def section(z: int):
-                sections[z] = reconstruct_section(frames, masks.section_masks(z, rows), floor)[0]
-
-            _run(pool, section, range(k))
-
-        return chunk
+    def _section(self, frames, rows: tuple[int, int], chunk, z: int) -> None:
+        # each section's sums stay on one worker
+        chunk[z] = reconstruct_section(frames, self._masks.section_masks(z, rows), self.floor)[0]
 
 
 def _run(pool, work, items) -> None:

@@ -565,6 +565,22 @@ class TestRejectedInputs:
                      "--out", str(vol))
         assert_one_error_line(result, f"mask model {key} must be finite", vol)
 
+    @pytest.mark.parametrize("floor", [[], ["--floor", "0.01"]])
+    def test_reconstruct_model_non_finite_base(self, tmp_path, capsys, floor):
+        # unchecked, it fails on a NaN default floor, and with --floor it
+        # writes a volume
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        model = small_model(capsys, tmp_path)
+        planes, meta = read_stack(model)
+        planes = planes.copy()
+        planes[0, 5, 7] = np.nan
+        write_stack(planes, meta, model)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                     *floor, "--out", str(vol))
+        assert_one_error_line(result, "mask base has 1 non-finite pixels (NaN or Inf)", vol)
+        assert not vol.with_name("vol.aspi.meta").exists()
+
     def test_reconstruct_planes_not_the_camera_shape(self, tmp_path, capsys):
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
         small_acquisition(capsys, acq)

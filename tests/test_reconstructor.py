@@ -239,16 +239,20 @@ def no_reference_kernel(*args, **kwargs):
     raise AssertionError("row-constant banks must not take the reference kernel")
 
 
-def assert_within_gemm_bound(gemm, ref, frames, bank):
-    """GEMM sections vs reference ones: same sentinels, 2*n*eps*sum|O_i|M_i/den apart."""
+def assert_within_gemm_bound(gemm, ref, frames, bank, ulps=None):
+    """GEMM sections vs reference ones: same sentinels, ulps*eps*sum|O_i|M_i/den apart.
+
+    ulps is 2*n unless given.
+    """
     n = frames.shape[0]
+    ulps = 2 * n if ulps is None else ulps
     den = np.broadcast_to(bank.sum(axis=0)[:, None, :], ref.shape)
     magnitude = np.einsum("iyx,ijx->jyx", np.abs(frames), bank)
     eps = np.finfo(float).eps
     covered = ref != SENTINEL
     assert np.array_equal(gemm != SENTINEL, covered)
     assert covered.mean() > 0.5
-    bound = 2 * n * eps * magnitude[covered] / den[covered]
+    bound = ulps * eps * magnitude[covered] / den[covered]
     assert np.all(np.abs(gemm - ref)[covered] <= bound)
 
 
@@ -319,6 +323,18 @@ class TestGemmKernel:
         provider, frames = y_varying_provider("geometry_2d")
         assert provider.row_bank() is None
         assert provider.section_masks(0).shape == (16, 18, 120) == frames.shape
+
+
+@pytest.mark.parametrize("threshold", [False, True])
+def test_gemm_kernel_within_n_plus_1_eps_of_reference(threshold):
+    # the bank is divided by its coverage before the product: one rounding
+    # per mask, then the product's own, against the reference's sum and divide
+    spec, provider = TestGemmKernel().rig(threshold)
+    frames = noisy_frames(30, camera_shape(spec, provider.geom), seed=2)
+    floor = default_floor(provider.base, 30)
+    ref = reference_volume(frames, provider, floor)
+    gemm = reconstruct_volume(frames, provider, floor=floor).sections
+    assert_within_gemm_bound(gemm, ref, frames, provider.row_bank(), ulps=30 + 1)
 
 
 class TestModelMasks:
@@ -464,6 +480,17 @@ class TestNonFiniteFrames:
                 reconstruct_volume(frames, masks)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_mask_base_rejected(value):
+    # unchecked, it gives a NaN default floor, or with a given floor a
+    # sentinel wherever one of its masks moves the pixel
+    spec, geom, grid = rig(sections=6)
+    base = base_camera_pattern(spec, geom)
+    base[3, 50] = base[5, 7] = value
+    with pytest.raises(ValueError, match=re.escape("mask base has 2 non-finite pixels (NaN or Inf)")):
+        GeometryMasks(spec, geom, grid, base=base)
+
+
 class TestVolumeStream:
     """VolumeStream.blocks: the volume of reconstruct_volume, piece by piece."""
 
@@ -557,6 +584,17 @@ class TestVolumeStream:
             finally:
                 tracemalloc.stop()
         assert peak <= bank + coverage + band + threads * tile + slack
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_a_second_pass_yields_the_same_chunks(self, rig, threads):
+        # the kernel is prepared once, in the constructor: a GEMM bank
+        # normalised again on every pass would change the second one
+        provider, frames = getattr(self, rig)()
+        stream = reconstructor.VolumeStream(frames, provider, threads=threads)
+        first = [(r0, chunk.tobytes()) for r0, chunk in stream.blocks()]
+        assert len(first) > 1
+        assert [(r0, chunk.tobytes()) for r0, chunk in stream.blocks()] == first
 
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
     def test_one_executor_shut_down_on_close_and_error(self, monkeypatch, rig):

@@ -87,3 +87,29 @@ def test_every_private_top_level_name_is_used_in_its_module():
                 if not any(name in _loaded_names(other) for other in tree.body if other is not stmt):
                     unused.append(f"{path.name}: {name}")
     assert not unused, unused
+
+
+PERFBENCH = SRC.parents[1] / "perfbench" / "run.py"
+
+
+def _package_attributes(tree):
+    # X of self.aspi.X, prog.aspi.X, and a.X where a = self.aspi
+    def is_package(node):
+        return isinstance(node, ast.Attribute) and node.attr == "aspi"
+
+    aliases = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and is_package(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (is_package(node.value)
+                 or isinstance(node.value, ast.Name) and node.value.id in aliases)}
+
+
+def test_every_name_the_benchmark_reads_off_the_package_is_exported():
+    # the benchmark's set-up calls names that src/ itself may no longer
+    # call (synthesize_mask, say); deleting one would break the benchmark
+    used = _package_attributes(ast.parse(PERFBENCH.read_text(), str(PERFBENCH)))
+    assert {"synthesize_mask", "run_cli", "SENTINEL", "PatternSpec"} <= used
+    exported = set(_exports(ast.parse((SRC / "__init__.py").read_text())))
+    assert sorted(used - exported) == []
