@@ -33,10 +33,8 @@ from .imaging_model import (
     PatternSpec,
     ZGrid,
     axial_range,
-    base_camera_pattern,
     camera_shape,
     is_axially_ambiguous,
-    threshold_mask,
 )
 from .reconstructor import SENTINEL, ModelMasks, VolumeStack, VolumeStream
 from .stack_io import StackReader, StackWriter, read_stack, sidecar_path, write_pgm, write_stack
@@ -324,9 +322,7 @@ def cmd_psf(args) -> int:
     layer_z = args.layer_z if args.layer_z is not None else grid.count // 2
     scene = Scene(layers=[(layer_z, np.ones(shape))])
     pattern = render_frame(scene, 0, spec, geom, grid)
-    mask = base_camera_pattern(spec, geom)
-    if args.threshold:
-        mask = threshold_mask(mask)
+    mask = GeometryMasks(spec, geom, grid, threshold=args.threshold).base
     probe_x = args.probe_x if args.probe_x is not None else (3 * shape[1]) // 4
     probe_y = args.probe_y if args.probe_y is not None else shape[0] // 2
     curve = axial_psf(pattern, mask, spec, geom, grid, (probe_x, probe_y))

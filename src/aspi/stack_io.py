@@ -17,22 +17,21 @@ includes the -1.0 coverage sentinel and NaN depth sentinels. Human-readable
 provenance travels in a sidecar text file at <path>.meta with one
 ``key=value`` pair per line; the binary header stays minimal on purpose.
 
-StackWriter writes a stack block by block: each block goes to its place in
-the file as it comes, so a writer holds the float32 copy of one block of
-whole planes, or of one plane's rows of a row block, never the stack; `aspi
-reconstruct` streams its volume this way, `aspi simulate` its frames.
-write_stack writes a whole array through it as one contiguous payload,
-holding the array's float32 copy (none when it is float32 already). Either
+StackWriter writes a stack block by block: each plane's rows of a block go
+to their place in the file as they come, so a writer holds the float32 copy
+of one plane's rows, never the stack; `aspi reconstruct` streams its volume
+this way, `aspi simulate` its frames, and write_stack a whole array. Either
 commits the file and its sidecar only when the whole payload was written
 exactly once.
 
 StackReader is its read-side twin: it checks the header and the payload
 length once, then indexes like the (K, H, W) array it stores, reading just
-the window reader[k0:k1, r0:r1] into a new array; so it holds one window,
-never the stack, and its callers keep no read buffer. `aspi reconstruct`
-reads one row chunk of every frame at a time, `aspi depthmap` runs of whole
-planes, read_stack the whole payload, all through StackReader.read. A FIFO
-is read whole first and served from that one (K, H, W) payload.
+the window reader[k0:k1, r0:r1] into a new array, one plane's rows at a
+time; so it holds one window, never the stack, and its callers keep no read
+buffer. Indexing is its only read: `aspi reconstruct` reads one row chunk of
+every frame at a time, `aspi depthmap` runs of whole planes, read_stack
+reader[:]. A FIFO is read header first, then its declared payload into one
+(K, H, W) array that serves every window.
 """
 
 from __future__ import annotations
@@ -76,8 +75,9 @@ def _sidecar_text(metadata: dict) -> str:
         if not key or not set(key) <= _KEY_OK:
             raise ValueError(f"invalid metadata key {key!r}")
         value = str(value)
-        if "\n" in value:
-            raise ValueError(f"metadata value for {key!r} contains a newline")
+        # _read_sidecar splits lines with str.splitlines, at more than "\n"
+        if "".join(value.splitlines()) != value:
+            raise ValueError(f"metadata value for {key!r} contains a line break")
         lines.append(f"{key}={value}\n")
     return "".join(lines)
 
@@ -150,13 +150,9 @@ class StackWriter:
         if rows.any():
             raise ValueError(f"block at section {k0}, row {r0} overlaps rows already written")
         offset = _HEADER.size + (k0 * h + r0) * w * 4
-        if b.shape[1] == h:
-            # whole planes lie back to back in the file
-            self._pwrite(np.ascontiguousarray(b, dtype="<f4"), offset)
-        else:
-            # one plane's float32 rows at a time, not the block's
-            for j, plane in enumerate(b):
-                self._pwrite(np.ascontiguousarray(plane, dtype="<f4"), offset + j * h * w * 4)
+        # one plane's float32 rows at a time, not the block's
+        for j, plane in enumerate(b):
+            self._pwrite(np.ascontiguousarray(plane, dtype="<f4"), offset + j * h * w * 4)
         rows += 1
 
     def commit(self) -> None:
@@ -195,8 +191,8 @@ def write_stack(planes, metadata: dict, path) -> None:
     """Write planes as a stack file plus its sidecar, through StackWriter.
 
     planes is a (K, H, W) array (a single 2D plane is accepted and treated
-    as K=1); values are stored as little-endian float32, in one contiguous
-    write. Bad metadata is rejected before anything is written.
+    as K=1); values are stored as little-endian float32, one plane at a
+    time. Bad metadata is rejected before anything is written.
     """
     a = np.asarray(planes)
     if a.ndim == 2:
@@ -231,73 +227,75 @@ class StackReader:
     none) when the reader is made; a malformed file raises StackFormatError
     naming the offending byte ranges. `shape` is the (K, H, W) of the
     stack, `dtype` little-endian float32 and `size` its value count.
-    Indexing it, or iterating over its planes, reads a new array. A regular
-    file is read with os.preadv, straight into the array; a file with no
-    size (a FIFO) is read whole and kept as one (K, H, W) payload. Used as a
-    context manager it closes the file when the block ends.
+    Indexing it, or iterating over its planes, reads a new array; that is
+    its only read. A regular file is read with one os.preadv per plane's
+    rows, straight into the array; a file with no size (a FIFO) is read
+    header first, then its declared payload into one (K, H, W) array, and
+    any bytes past it are counted, not kept. Used as a context manager it
+    closes the file when the block ends.
     """
 
     dtype = np.dtype("<f4")
 
     def __init__(self, path):
         self.path = path
-        self._file = open(path, "rb", buffering=0)
+        self._file = open(path, "rb")
         try:
             st = os.fstat(self._file.fileno())
-            # a pipe reports no size, so its payload is read whole first
-            raw = None if stat.S_ISREG(st.st_mode) else self._file.read()
-            self.shape = _check_header(
-                os.pread(self._file.fileno(), _HEADER.size, 0) if raw is None else raw)
-            actual = (st.st_size if raw is None else len(raw)) - _HEADER.size
-            expected = math.prod(self.shape) * 4
+            if stat.S_ISREG(st.st_mode):
+                self.shape = _check_header(os.pread(self._file.fileno(), _HEADER.size, 0))
+                self._payload = None
+                actual = st.st_size - _HEADER.size
+            else:
+                # a pipe reports no size: its header says how much to read
+                self.shape = _check_header(self._file.read(_HEADER.size))
+                try:
+                    self._payload = np.empty(self.shape, dtype=self.dtype)
+                except (MemoryError, ValueError):
+                    raise StackFormatError(f"header declares a {self.shape} stack, too large to hold")
+                actual = self._file.readinto(self._payload.reshape(-1).view(np.uint8))
+                while extra := len(self._file.read(1 << 16)):
+                    actual += extra
+            self.size = math.prod(self.shape)
+            expected = self.size * 4
             if expected != actual:
                 count, height, width = self.shape
                 raise StackFormatError(
                     f"payload length mismatch: header declares {count}x{height}x{width} "
                     f"({expected} bytes after the {_HEADER.size}-byte header), got {actual} bytes"
                 )
-            self._payload = None if raw is None else np.frombuffer(
-                raw, dtype=self.dtype, offset=_HEADER.size).reshape(self.shape)
             self.metadata = _read_sidecar(path)
         except BaseException:
             self.close()
             raise
-        self.size = math.prod(self.shape)
-
-    def read(self, k0: int, k1: int, rows: tuple[int, int] | None = None) -> np.ndarray:
-        """Rows r0:r1 (default all) of planes k0:k1 as a new (k1 - k0, r1 - r0, W) float32 array."""
-        k, h, w = self.shape
-        r0, r1 = (0, h) if rows is None else rows
-        if not (0 <= k0 <= k1 <= k and 0 <= r0 <= r1 <= h):
-            raise ValueError(f"planes {k0}:{k1}, rows {r0}:{r1} outside a {k}x{h}x{w} stack")
-        if self._payload is not None:
-            return self._payload[k0:k1, r0:r1].copy()
-        out = np.empty((k1 - k0, r1 - r0, w), dtype=self.dtype)
-        planes = out.reshape(k1 - k0, (r1 - r0) * w).view(np.uint8)
-        offset = _HEADER.size + (k0 * h + r0) * w * 4
-        if r1 - r0 == h:
-            # whole planes lie back to back in the file
-            self._read_into(planes.reshape(-1), offset)
-        else:
-            for j, plane in enumerate(planes):
-                self._read_into(plane, offset + j * h * w * 4)
-        return out
 
     def __getitem__(self, index) -> np.ndarray:
         """reader[k], reader[k0:k1] or reader[k0:k1, r0:r1]: that window as a new float32 array.
 
-        Indices mean what they mean for the (K, H, W) array, except that rows
-        take only a slice and a slice only a unit step; a plane index outside
-        the stack raises IndexError. A window of whole planes is one read.
+        Indices mean what they mean for the (K, H, W) array, except that
+        planes take only an integer or a slice, rows only a slice, and a
+        slice only a unit step; any other index, and a plane index outside
+        the stack, raises IndexError. Slice bounds clip as numpy clips them.
         """
-        planes, rows = index if isinstance(index, tuple) else (index, slice(None))
-        k, h, _ = self.shape
-        if not isinstance(planes, slice):
-            if not -k <= planes < k:
-                raise IndexError(f"plane {planes} outside a stack of {k}")
-            return self[planes % k:planes % k + 1, rows][0]
+        pair = isinstance(index, tuple) and len(index) == 2
+        planes, rows = index if pair else (index, slice(None))
+        k, h, w = self.shape
+        if isinstance(planes, slice):
+            k0, k1 = _span(planes, k)
+        elif not isinstance(planes, (int, np.integer)):
+            raise IndexError(f"expected a plane or a slice of planes, got {index!r}")
+        elif -k <= planes < k:
+            k0, k1 = planes % k, planes % k + 1
+        else:
+            raise IndexError(f"plane {planes} outside a stack of {k}")
         r0, r1 = _span(rows, h)
-        return self.read(*_span(planes, k), None if (r0, r1) == (0, h) else (r0, r1))
+        if self._payload is not None:
+            out = self._payload[k0:k1, r0:r1].copy()
+        else:
+            out = np.empty((k1 - k0, r1 - r0, w), dtype=self.dtype)
+            for j, plane in enumerate(out.reshape(k1 - k0, (r1 - r0) * w).view(np.uint8)):
+                self._read_into(plane, _HEADER.size + ((k0 + j) * h + r0) * w * 4)
+        return out if isinstance(planes, slice) else out[0]
 
     def _read_into(self, buffer: np.ndarray, offset: int) -> None:
         view = memoryview(buffer)
@@ -327,13 +325,13 @@ def read_stack(path) -> tuple[np.ndarray, dict]:
     ranges. The planes are one new, writable array, read through StackReader.
     """
     with StackReader(path) as reader:
-        return reader.read(0, reader.shape[0]), reader.metadata
+        return reader[:], reader.metadata
 
 
-def _span(index: slice, size: int) -> tuple[int, int]:
+def _span(index, size: int) -> tuple[int, int]:
     """start, stop of a unit-step slice over size items, clipped as numpy clips it."""
-    span = range(size)[index]
-    if not isinstance(span, range) or span.step != 1:
+    span = range(size)[index] if isinstance(index, slice) else None
+    if span is None or span.step != 1:
         raise IndexError(f"expected a slice with a unit step, got {index!r}")
     return span.start, max(span.start, span.stop)
 

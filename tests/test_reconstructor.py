@@ -733,17 +733,19 @@ def test_gemm_chunks_from_a_file_equal_those_of_the_array(tmp_path, monkeypatch,
 def test_stream_checks_the_file_frame_by_frame_then_reads_chunk_rows(tmp_path, monkeypatch):
     provider, frames = TestVolumeStream().gemm_rig()
     reads = []
-    read = StackReader.read
+    getitem = StackReader.__getitem__
 
-    def recording(self, k0, k1, rows=None):
-        reads.append((k0, k1, rows))
-        return read(self, k0, k1, rows)
+    def recording(self, index):
+        # after the read: iteration ends at the index that raises IndexError
+        window = getitem(self, index)
+        reads.append(index)
+        return window
 
-    monkeypatch.setattr(StackReader, "read", recording)
+    monkeypatch.setattr(StackReader, "__getitem__", recording)
     with stack_reader(tmp_path, frames) as reader:
         stream = reconstructor.VolumeStream(reader, provider)
-        assert reads == [(i, i + 1, None) for i in range(30)]
+        assert reads == list(range(30))
         reads.clear()
         for r0, chunk in stream.blocks():
-            assert reads[-1] == (0, 30, (r0, r0 + chunk.shape[1]))
-    assert reads == [(0, 30, (r0, r0 + 16)) for r0 in range(0, 64, 16)] + [(0, 30, (64, 70))]
+            assert reads[-1] == (slice(None), slice(r0, r0 + chunk.shape[1]))
+    assert reads == [(slice(None), slice(r0, min(r0 + 16, 70))) for r0 in range(0, 70, 16)]

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import threading
 
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from aspi import StackFormatError, StackReader, StackWriter, read_stack, write_pgm, write_stack
-from aspi.stack_io import sidecar_path
+from aspi.stack_io import _HEADER, FORMAT_VERSION, MAGIC, sidecar_path
+
+# every character at which str.splitlines, and so the sidecar reader, breaks a line
+LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def roundtrip(tmp_path, planes, metadata=None):
@@ -179,6 +183,32 @@ class TestNonRegularFile:
         assert f"({2 * 3 * 4 * 4} bytes" in str(err.value)
         assert f"got {2 * 3 * 4 * 4 + extra} bytes" in str(err.value)
 
+    def test_fifo_header_is_checked_before_the_writer_closes(self, tmp_path):
+        fifo = tmp_path / "pipe.aspi"
+        os.mkfifo(fifo)
+        errors = []
+
+        def read():
+            try:
+                StackReader(fifo)
+            except StackFormatError as exc:
+                errors.append(exc)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        with open(fifo, "wb", buffering=0) as writer:
+            writer.write(b"JUNK" + bytes(60))
+            # the writer's end stays open, so reading to the end would not return
+            reader.join(timeout=5)
+            done = not reader.is_alive()
+        reader.join(timeout=10)
+        assert done and "bad magic" in str(errors[0])
+
+    def test_fifo_dimension_overflow_caught_before_allocation(self, tmp_path):
+        raw = _HEADER.pack(MAGIC, FORMAT_VERSION, 0xFFFFFFFF, 0xFFFFFFFF, 1, 0) + bytes(4)
+        with pytest.raises(StackFormatError, match="too large to hold"):
+            read_through_fifo(tmp_path, raw)
+
 
 class TestSidecarValidation:
     def test_bad_key_rejected(self, tmp_path):
@@ -296,10 +326,11 @@ class TestStackWriter:
                 out.write(k0, r0, np.zeros(shape))
             out.write(0, 0, self.volume())
 
-    @pytest.mark.parametrize("metadata", [{"bad key": 1}, {"k": "a\nb"}])
+    @pytest.mark.parametrize("metadata", [{"bad key": 1}] + [
+        {"note": f"a{c}b=c", "kind": "volume"} for c in LINE_BREAKS])
     def test_bad_metadata_rejected_before_anything_is_written(self, tmp_path, metadata):
         path, before = self.previous(tmp_path)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'bad key'|'note' contains a line break"):
             StackWriter(path, (5, 9, 4), metadata)
         assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
         assert stack_files(tmp_path) == ["s.aspi", "s.aspi.meta"]
@@ -316,7 +347,8 @@ class TestStackWriter:
 
         monkeypatch.setattr(os, "pwrite", at_most_7_bytes)
         write_stack(planes, {}, tmp_path / "short.aspi")
-        assert len(calls) == -(-32 // 7) + -(-planes.size * 4 // 7)
+        # one write per plane, each resumed until its 144 bytes are in
+        assert len(calls) == -(-32 // 7) + len(planes) * -(-planes[0].size * 4 // 7)
         assert (tmp_path / "short.aspi").read_bytes() == (tmp_path / "whole.aspi").read_bytes()
 
     def test_failed_write_commits_nothing(self, tmp_path, monkeypatch):
@@ -324,7 +356,7 @@ class TestStackWriter:
         pwrite = os.pwrite
         monkeypatch.setattr(os, "pwrite", lambda fd, data, offset:
                             pwrite(fd, data, offset) if offset == 0 else 0)
-        with pytest.raises(OSError, match="wrote 0 of 720 bytes at offset 32"):
+        with pytest.raises(OSError, match="wrote 0 of 144 bytes at offset 32"):
             write_stack(self.volume(), {}, path)
         assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
         assert stack_files(tmp_path) == ["s.aspi", "s.aspi.meta"]
@@ -342,7 +374,7 @@ class TestStackReader:
 
     @staticmethod
     def assert_windows(reader, whole):
-        """Every window, read or indexed, is a new array equal to that slice of whole."""
+        """Every indexed window is a new array equal to that slice of whole."""
         k, h, _ = whole.shape
 
         def same(got, want):
@@ -354,9 +386,7 @@ class TestStackReader:
         windows += [(0, 1), (h - 1, h), (0, h), (h, h)]
         for k0, k1 in ((0, k), (k - 1, k), (0, 1), (k, k)):
             for r0, r1 in windows:
-                same(reader.read(k0, k1, (r0, r1)), whole[k0:k1, r0:r1])
                 same(reader[k0:k1, r0:r1], whole[k0:k1, r0:r1])
-            same(reader.read(k0, k1), whole[k0:k1])
             same(reader[k0:k1], whole[k0:k1])
         for r0, r1 in windows:
             same(reader[:, r0:r1], whole[:, r0:r1])
@@ -380,9 +410,6 @@ class TestStackReader:
     def test_windows_outside_the_stack_raise(self, tmp_path):
         path, _ = self.stack(tmp_path, (5, 70, 9))
         with StackReader(path) as reader:
-            for k0, k1, rows in ((4, 6, None), (2, 1, None), (0, 1, (60, 71)), (0, 1, (5, 4))):
-                with pytest.raises(ValueError, match="outside a 5x70x9 stack"):
-                    reader.read(k0, k1, rows)
             # an index never reads planes other than those it names
             for plane in (5, -6, 70):
                 with pytest.raises(IndexError, match=f"plane {plane} outside a stack of 5"):
@@ -393,6 +420,11 @@ class TestStackReader:
                     reader[index]
             with pytest.raises(IndexError, match=r"expected a slice with a unit step, got 3\b"):
                 reader[1, 3]
+            # numpy takes these, a reader does not
+            for index in ((0, 1, 2), ..., [0, 1], 1.0, (1.0, slice(None))):
+                with pytest.raises(IndexError, match="expected a plane or a slice of planes, got "
+                                   + re.escape(repr(index))):
+                    reader[index]
 
     def test_a_window_reads_only_its_bytes(self, tmp_path, monkeypatch):
         path, _ = self.stack(tmp_path, (5, 70, 9))
@@ -406,13 +438,13 @@ class TestStackReader:
 
         monkeypatch.setattr(os, "preadv", counting)
         with StackReader(path) as reader:
-            reader.read(1, 4, (32, 64))
+            reader[1:4, 32:64]
             # one read per plane, of its rows only
             assert read == [(32 + ((1 + j) * 70 + 32) * 9 * 4, 32 * 9 * 4) for j in range(3)]
             read.clear()
-            reader.read(2, 5)
-            # whole planes: one read
-            assert read == [(32 + 2 * 70 * 9 * 4, 3 * 70 * 9 * 4)]
+            reader[2:5]
+            # whole planes too: one read per plane
+            assert read == [(32 + (2 + j) * 70 * 9 * 4, 70 * 9 * 4) for j in range(3)]
 
     def test_short_reads_are_resumed(self, tmp_path, monkeypatch):
         path, (whole, _) = self.stack(tmp_path, (5, 70, 9))
@@ -420,16 +452,16 @@ class TestStackReader:
         monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
                             preadv(fd, [memoryview(buffers[0])[:7]], offset))
         with StackReader(path) as reader:
-            assert reader.read(0, 5, (3, 40)).tobytes() == np.ascontiguousarray(
-                whole[:, 3:40]).tobytes()
+            assert reader[:, 3:40].tobytes() == np.ascontiguousarray(whole[:, 3:40]).tobytes()
+            assert reader[:].tobytes() == whole.tobytes()
 
     def test_file_truncated_after_opening(self, tmp_path):
         path, _ = self.stack(tmp_path, (5, 70, 9))
         with StackReader(path) as reader:
             os.truncate(path, 32 + 3 * 70 * 9 * 4)
-            reader.read(0, 3)
+            reader[0:3]
             with pytest.raises(StackFormatError, match="payload ends at byte"):
-                reader.read(2, 4)
+                reader[2:4]
 
     def test_fifo_windows(self, tmp_path):
         path, (whole, _) = self.stack(tmp_path, (5, 70, 9))
@@ -440,9 +472,9 @@ class TestStackReader:
         writer.start()
         try:
             with StackReader(fifo) as reader:
-                assert reader.read(1, 3, (2, 4)).tobytes() == np.ascontiguousarray(
+                assert reader[1:3, 2:4].tobytes() == np.ascontiguousarray(
                     whole[1:3, 2:4]).tobytes()
-                assert reader.read(0, 5).tobytes() == whole.tobytes()
+                assert reader[:].tobytes() == whole.tobytes()
                 self.assert_windows(reader, whole)
         finally:
             writer.join(timeout=10)

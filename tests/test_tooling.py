@@ -1,10 +1,13 @@
-"""Guards on the package source itself, checked without importing it."""
+"""Guards on the package source, checked without importing it, and on its README."""
 
 import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "aspi"
+README = SRC.parents[1] / "README.md"
 
 
 def _imported_roots(tree):
@@ -113,3 +116,14 @@ def test_every_name_the_benchmark_reads_off_the_package_is_exported():
     assert {"synthesize_mask", "run_cli", "SENTINEL", "PatternSpec"} <= used
     exported = set(_exports(ast.parse((SRC / "__init__.py").read_text())))
     assert sorted(used - exported) == []
+
+
+def test_readme_library_example_runs():
+    # the block exactly as written, so the documented API cannot drift unseen
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(code, str(README), "exec"), names)
+    assert names["volume"].sections.shape == (60, 64, 256)
+    # the one layer lies at section 20
+    assert np.nanmedian(names["depth"].depth) == 20.0
