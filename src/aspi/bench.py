@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_threads
 from .imaging_model import GeometryConfig, PatternSpec, ZGrid
-from .reconstructor import GeometryMasks, VolumeStream, _check_threads
+from .reconstructor import GeometryMasks, VolumeStream
 
 __all__ = ["BenchReport", "bench_reconstruction"]
 
@@ -70,7 +71,7 @@ def bench_reconstruction(
     """Time the reconstruction of `sections` planes from an n-frame scan."""
     if min(width, height, n, sections) < 1:
         raise ValueError("width, height, n and sections must be >= 1")
-    _check_threads(threads)  # before hundreds of MB of frames are drawn
+    check_threads(threads)  # before hundreds of MB of frames are drawn
 
     period = max(16, n)  # scan of n unit steps must fit one period
     spec = PatternSpec(proj_width=width, proj_height=height, period_d=period,

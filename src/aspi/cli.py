@@ -10,8 +10,10 @@ acquisition, a mask model, a volume), as its sidecar's ``kind`` names it.
 
 Exit codes: 0 success, 1 runtime failure (bad data, violated invariants,
 I/O problems; a diagnostic goes to stderr), 2 usage errors (argparse).
-The worker thread count falls back to the ASPI_THREADS environment
-variable when --threads is not given; either one must be an integer.
+The worker thread count of `simulate`, `reconstruct` and `bench` falls back
+to the ASPI_THREADS environment variable when --threads is not given, and
+to the number of CPUs this process may run on when neither is; either one
+must be an integer.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import argparse
 import math
 import os
 import sys
+from contextlib import closing
 
 import numpy as np
 
 from . import __version__
 from .bench import bench_reconstruction
 from .calibration import MaskModel, fit_mask_model
+from .errors import CoverageError
 from .forward_sim import NoiseSpec, Scene, make_tilted_plane_scene, render_frame, render_frames
 from .imaging_model import (
     GeometryConfig,
@@ -73,11 +77,20 @@ def _open(path, kind: str) -> tuple[StackReader, _Sidecar]:
     return reader, _Sidecar(sidecar_path(path), reader.metadata)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _add_threads_arg(p: argparse.ArgumentParser):
     # a string default goes through type=int like a command-line value, so a
     # bad ASPI_THREADS is the same usage error as a bad --threads
-    p.add_argument("--threads", type=int, default=os.environ.get("ASPI_THREADS", "1"),
-                   help="worker threads (default: $ASPI_THREADS, else 1)")
+    p.add_argument("--threads", type=int, default=os.environ.get("ASPI_THREADS", str(_cpus())),
+                   help="worker threads (default: $ASPI_THREADS, else the CPUs this "
+                        "process may run on)")
 
 
 def _add_rig_args(p: argparse.ArgumentParser):
@@ -180,7 +193,8 @@ def _print_summary(**kv):
 def cmd_simulate(args) -> int:
     spec, geom, grid = _rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
     scene = _build_scene(args, spec, geom, grid)
-    frames = render_frames(scene, spec, geom, grid)
+    # checked here, before the output is opened; the workers start with the first frame
+    frames = render_frames(scene, spec, geom, grid, threads=args.threads)
     meta = _rig_metadata(spec, geom, grid)
     meta.update(
         kind="acquisition",
@@ -190,8 +204,9 @@ def cmd_simulate(args) -> int:
         poisson_scale=args.poisson_scale,
         seed=args.seed,
     )
-    # each frame goes to the file as it is rendered; the stack is never held
-    with StackWriter(args.out, (spec.num_shifts_n,) + scene.shape, meta) as out:
+    # each frame goes to the file as it is rendered; the stack is never held,
+    # and the workers are gone when the block ends, whether it raised or not
+    with closing(frames), StackWriter(args.out, (spec.num_shifts_n,) + scene.shape, meta) as out:
         for i, frame in enumerate(frames):
             out.write(i, 0, frame[None])
     h, w = scene.shape
@@ -325,7 +340,15 @@ def cmd_psf(args) -> int:
     mask = GeometryMasks(spec, geom, grid, threshold=args.threshold).base
     probe_x = args.probe_x if args.probe_x is not None else (3 * shape[1]) // 4
     probe_y = args.probe_y if args.probe_y is not None else shape[0] // 2
-    curve = axial_psf(pattern, mask, spec, geom, grid, (probe_x, probe_y))
+    try:
+        curve = axial_psf(pattern, mask, spec, geom, grid, (probe_x, probe_y))
+    except CoverageError as exc:
+        if not args.threshold:
+            raise
+        raise CoverageError(
+            f"{exc}; --threshold leaves 1-pixel slits, which need a scan step of about one "
+            f"camera pixel, and this rig's, shift_step x magnification, is "
+            f"{spec.shift_step * geom.magnification:.6g} camera pixels") from None
     width = fwhm(curve)
     if args.out:
         with open(args.out, "w") as fh:
@@ -366,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson-scale", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
+    _add_threads_arg(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="fit a mask model from 3 reference planes")
@@ -382,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     masks = p.add_mutually_exclusive_group()
     masks.add_argument("--model", help="mask-model file; omit to synthesize masks from geometry")
     masks.add_argument("--threshold", action="store_true",
-                       help="reduce the geometric mask to 1-pixel slits first")
+                       help="reduce the geometric mask to 1-pixel slits first; needs a scan "
+                            "step (shift step x magnification) of about one camera pixel")
     p.add_argument("--floor", type=float, default=None, help="coverage floor (default: derived)")
     _add_threads_arg(p)
     p.set_defaults(func=cmd_reconstruct)
@@ -402,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="section of the probed uniform layer (default: mid grid)")
     p.add_argument("--probe-x", type=int, default=None)
     p.add_argument("--probe-y", type=int, default=None)
-    p.add_argument("--threshold", action="store_true")
+    p.add_argument("--threshold", action="store_true",
+                   help="reduce the mask to 1-pixel slits first; needs a scan step "
+                        "(shift step x magnification) of about one camera pixel")
     p.add_argument("--out", default=None, help="write the curve as two-column text")
     p.set_defaults(func=cmd_psf)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the thread-count check.
 
 All of them subclass ValueError so callers that do not care about the
 distinction can catch a single builtin type.
@@ -27,3 +27,9 @@ class FwhmRangeError(AspiError):
 
 class StackFormatError(AspiError):
     """A stack file violates the binary format contract."""
+
+
+def check_threads(threads: int) -> None:
+    """A worker thread count below 1 is a ValueError."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")

@@ -22,17 +22,25 @@ be rendered in any order.
 Masks come from the shared GeometryMasks bank: the same row-compressed
 (scan, depth) masks the reconstructor multiplies with, so the simulator
 cannot drift from the reconstruction model. Each field gathers the masks of
-its pixels' sections once, so a frame costs one multiply-add per field
-whatever the number of sections; frames are rendered one at a time.
+its pixels' sections once, so a frame costs one multiply-add per field,
+over the rows its reflectance lights, whatever the number of sections.
+With threads > 1 a pool of workers renders and noises frames ahead of the
+one being consumed, at most `threads` of them; since each frame is a
+function of its own scan step, every frame has the same bytes for any
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .errors import check_threads
 from .imaging_model import (
     GeometryConfig,
     GeometryMasks,
@@ -52,6 +60,10 @@ __all__ = [
     "make_tilted_plane_scene",
     "tilted_plane_sections",
 ]
+
+# Values per noise draw (a block of rows, 512 KB of float64): small enough to
+# stay in cache, large enough that each draw outlasts its call overhead.
+_NOISE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -127,26 +139,40 @@ def _check_scene(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZG
 
 
 def _apply_noise(frame: np.ndarray, noise: NoiseSpec, shift_index: int) -> np.ndarray:
-    """The frame with noise; may add the read noise into `frame` itself."""
+    """The frame with noise, drawn into `frame` itself in blocks of rows.
+
+    A generator fills values in the order they are asked for, so blocks
+    drawn in row order get the values of one whole-frame draw, and no
+    draw needs a frame-sized temporary.
+    """
     if not noise.enabled:
         return frame
     rng = np.random.default_rng(noise.seed + shift_index)
-    out = frame
+    rows = max(1, _NOISE_BLOCK // frame.shape[1])
+    blocks = [frame[r:r + rows] for r in range(0, frame.shape[0], rows)]
     if noise.poisson_scale > 0:
-        out = rng.poisson(np.maximum(out, 0.0) * noise.poisson_scale) / noise.poisson_scale
+        for block in blocks:
+            block[...] = rng.poisson(np.maximum(block, 0.0) * noise.poisson_scale) / noise.poisson_scale
     if noise.gaussian_sigma > 0:
-        out += rng.normal(0.0, noise.gaussian_sigma, size=out.shape)
-    return out
+        for block in blocks:
+            block += rng.normal(0.0, noise.gaussian_sigma, size=block.shape)
+    return frame
 
 
 def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
-                  shift_indices=None):
-    """Yield the frames at the given scan steps (default: all), in that order.
+                  shift_indices=None, threads: int = 1):
+    """An iterator of the frames at the given scan steps (default: all), in that order.
 
-    Each frame is the same whichever others are asked for. Every field
-    first gathers, at each pixel, the masks of that pixel's section: one
-    (n, 1, W) bank for a tilted plane of row-constant masks.
+    Each frame is the same whichever others are asked for, and for any
+    thread count. Every field first gathers, at each pixel, the masks of
+    that pixel's section: one (n, 1, W) bank for a tilted plane of
+    row-constant masks. The arguments are checked here, before any frame is
+    rendered; with threads > 1 up to `threads` workers render frames ahead
+    of the one the caller takes, so with the frame the caller holds at most
+    threads + 1 frames are alive. Their pool is shut down when the iterator
+    ends, is closed or raises.
     """
+    check_threads(threads)
     _check_scene(scene, spec, geom, grid)
     n, h = spec.num_shifts_n, scene.haze_fraction
     steps = range(n) if shift_indices is None else list(shift_indices)
@@ -154,7 +180,9 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
         if not (0 <= i < n):
             raise ValueError(f"shift_index {i} out of range [0, {n})")
     masks = GeometryMasks(spec, geom, grid)
-    fields, count = [], 0
+    # each field only over the rows its reflectance lights: on the others its
+    # products are 0.0, which leave a sum that is never -0.0 as it is
+    spans, count = [], 0
     for section_map, refl in scene.fields:
         sections = np.unique(section_map)
         bank = masks.section_masks(int(sections[0]))
@@ -162,22 +190,53 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
             bank = np.broadcast_to(bank, np.broadcast_shapes(bank.shape, section_map.shape)).copy()
             for j in sections[1:]:
                 np.copyto(bank, masks.section_masks(int(j)), where=section_map == j)
-        fields.append((refl, bank))
+        lit = np.flatnonzero(refl.any(axis=1))
+        rows = slice(lit[0], lit[-1] + 1) if lit.size else slice(0, 0)
+        spans.append((rows, refl[rows], bank[:, rows] if bank.shape[1] > 1 else bank))
         count += len(sections)
+    haze = None
     if h > 0.0:
         haze = np.zeros(scene.shape, dtype=np.float64)
-        for refl, bank in fields:
-            haze += refl * mask_coverage(bank)
+        for rows, refl, bank in spans:
+            haze[rows] += refl * mask_coverage(bank)
         haze /= count * n
         haze *= h
-    for i in steps:
-        frame = np.zeros(scene.shape, dtype=np.float64)
-        for refl, bank in fields:
-            frame += refl * bank[i]
-        if h > 0.0:
-            frame *= 1.0 - h
-            frame += haze
-        yield _apply_noise(frame, scene.noise, i)
+    return _frames(partial(_render_frame, scene.shape, spans, haze, h, scene.noise),
+                   steps, threads)
+
+
+def _render_frame(shape, spans, haze, h: float, noise: NoiseSpec, i: int) -> np.ndarray:
+    # the first field's product goes straight into the frame, the others are added in
+    frame = np.zeros(shape, dtype=np.float64)
+    (rows, refl, bank), *rest = spans
+    np.multiply(refl, bank[i], out=frame[rows])
+    frame[rows] += 0.0  # -0.0 to +0.0, as a sum started from zeros would give
+    for rows, refl, bank in rest:
+        frame[rows] += refl * bank[i]
+    if haze is not None:
+        frame *= 1.0 - h
+        frame += haze
+    return _apply_noise(frame, noise, i)
+
+
+def _frames(render, steps, threads: int):
+    """Yield render(i) for each step in order; with threads > 1, up to `threads` on workers."""
+    if threads == 1:
+        yield from map(render, steps)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        # the next step goes to a worker only when the caller asks for the
+        # next frame, so the frame it still holds is one of threads + 1
+        ahead = deque()
+        for i in steps:
+            ahead.append(pool.submit(render, i))
+            if len(ahead) == threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def render_frame(
@@ -196,11 +255,15 @@ def acquire_stack(
     spec: PatternSpec,
     geom: GeometryConfig,
     grid: ZGrid,
+    threads: int = 1,
 ) -> np.ndarray:
-    """The full lateral scan as float64 (n, H, W) frames, bit-identical to render_frame's."""
+    """The full lateral scan as float64 (n, H, W) frames, bit-identical to render_frame's.
+
+    With threads > 1, render_frames' workers render the frames.
+    """
     frames = np.empty((spec.num_shifts_n,) + scene.shape, dtype=np.float64)
-    for frame, rendered in zip(frames, render_frames(scene, spec, geom, grid)):
-        frame[...] = rendered
+    for i, frame in enumerate(render_frames(scene, spec, geom, grid, threads=threads)):
+        frames[i] = frame
     return frames
 
 

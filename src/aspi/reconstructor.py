@@ -66,6 +66,7 @@ from functools import partial
 import numpy as np
 
 from .calibration import MaskModel
+from .errors import check_threads
 from .imaging_model import GeometryMasks, TranslationMasks, ZGrid, mask_coverage
 from .stack_io import StackReader
 
@@ -204,11 +205,6 @@ def _check_finite(frames) -> None:
         raise ValueError(f"acquisition has {bad} non-finite frame pixels (NaN or Inf)")
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def _check_floor(floor: float) -> None:
     if not (0 < floor < math.inf):
         raise ValueError(f"floor must be > 0 and finite, got {floor}")
@@ -230,7 +226,7 @@ class VolumeStream:
 
     def __init__(self, frames, masks: TranslationMasks, floor: float | None = None,
                  threads: int = 1):
-        _check_threads(threads)
+        check_threads(threads)
         if floor is None:
             floor = default_floor(masks.base, masks.shift_count)
         _check_floor(floor)

@@ -150,8 +150,9 @@ class StackWriter:
         if rows.any():
             raise ValueError(f"block at section {k0}, row {r0} overlaps rows already written")
         offset = _HEADER.size + (k0 * h + r0) * w * 4
-        # one plane's float32 rows at a time, not the block's
-        for j, plane in enumerate(b):
+        # one plane's float32 rows at a time, not the block's; a block with
+        # no rows or no columns has no bytes (and memoryview cannot cast it)
+        for j, plane in enumerate(b if b.size else ()):
             self._pwrite(np.ascontiguousarray(plane, dtype="<f4"), offset + j * h * w * 4)
         rows += 1
 

@@ -1,6 +1,9 @@
+import argparse
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,8 +21,9 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
-from aspi import bench, cli, reconstructor
+from aspi import StackWriter, bench, cli, forward_sim, reconstructor
 from aspi.cli import _rig_from_metadata, build_parser
+from aspi.stack_io import sidecar_path
 from conftest import geometry_with_shear
 
 
@@ -378,17 +382,66 @@ def test_env_thread_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_bad_env_threads_is_usage_error(capsys, monkeypatch):
+def threaded_commands():
+    """The subcommands with a --threads flag, each with its required flags filled in."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [name] + [token for action in p._actions if action.required
+                            for token in (action.option_strings[0], "x.aspi")]
+            for name, p in sub.choices.items() if "--threads" in p._option_string_actions}
+
+
+def test_threaded_commands():
+    assert sorted(threaded_commands()) == ["bench", "reconstruct", "simulate"]
+
+
+@pytest.mark.parametrize("command", sorted(threaded_commands()))
+def test_threads_default_to_the_cpus_this_process_may_use(capsys, monkeypatch, command):
+    argv = threaded_commands()[command]
+    monkeypatch.delenv("ASPI_THREADS", raising=False)
+    assert build_parser().parse_args(argv).threads == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("ASPI_THREADS", "3")
+    assert build_parser().parse_args(argv).threads == 3
+    assert build_parser().parse_args(argv + ["--threads", "5"]).threads == 5
     # only the argument parse runs: it fails before any command starts
     monkeypatch.setenv("ASPI_THREADS", "abc")
-    code, out, err = run(capsys, "reconstruct", "--input", "in.aspi", "--out", "out.aspi")
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [
-        "aspi reconstruct: error: argument --threads: invalid int value: 'abc'"
+        f"aspi {command}: error: argument --threads: invalid int value: 'abc'"
     ]
-    assert build_parser().parse_args(["bench", "--threads", "3"]).threads == 3
-    monkeypatch.setenv("ASPI_THREADS", "4")
-    assert build_parser().parse_args(["bench"]).threads == 4
+
+
+SIMULATE_NOISY = ["simulate", "--scene", "bands", "--layer-z", "1,3", "--proj-width", "96",
+                  "--proj-height", "24", "--period", "16", "--shifts", "16", "--sections", "6",
+                  "--pixel-pitch", SHEAR1_PITCH, "--haze", "0.3", "--noise-sigma", "0.01",
+                  "--poisson-scale", "50"]
+
+
+def test_simulate_file_is_the_same_for_any_thread_count(tmp_path, capsys):
+    files = []
+    for threads in ("1", "2"):
+        files.append(tmp_path / f"acq{threads}.aspi")
+        code, *_ = run(capsys, *SIMULATE_NOISY, "--threads", threads, "--out", str(files[-1]))
+        assert code == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert sidecar_path(files[0]).read_bytes() == sidecar_path(files[1]).read_bytes()
+
+
+def test_simulate_write_failure_leaves_no_worker(tmp_path, capsys, monkeypatch):
+    write = StackWriter.write
+
+    def failing_write(self, k0, r0, block):
+        if k0 == 3:
+            raise OSError("disk full")
+        write(self, k0, r0, block)
+
+    monkeypatch.setattr(StackWriter, "write", failing_write)
+    before = threading.active_count()
+    acq = tmp_path / "acq.aspi"
+    code, out, err = run(capsys, *SIMULATE_NOISY, "--threads", "3", "--out", str(acq))
+    assert (code, out, err) == (1, "", "error: disk full\n")
+    assert threading.active_count() == before
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestStreamedReconstruct:
@@ -702,6 +755,18 @@ def test_psf_threshold_summary(capsys):
     assert (int(summary["probe_x"]), int(summary["probe_y"])) == (96, 4)
 
 
+def test_psf_threshold_error_names_the_scan_step(capsys):
+    # 1-pixel slits stepped by 2.14 camera pixels leave pixels no slit lights
+    argv = ("psf", "--magnification", "2.14")
+    code, *_ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--threshold")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: probe (411, 274) below coverage floor at section 1")
+    assert "1-pixel slits" in err and "shift_step x magnification" in err
+    assert err.endswith(", is 2.14 camera pixels\n")
+
+
 def slit_model(tmp_path, height=8, dy=(0.3, -0.2)):
     """A model file of a 64-wide slit base whose masks move by dy (lateral, axial) along y.
 
@@ -734,6 +799,20 @@ class TestBadThreadCount:
         result = run(capsys, "reconstruct", "--input", str(acq), *model,
                      "--threads", threads, "--out", str(vol))
         assert_one_error_line(result, f"threads must be >= 1, got {threads}", vol)
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_simulate(self, tmp_path, capsys, monkeypatch, threads):
+        def fail(*args, **kwargs):
+            raise AssertionError("no executor may be built and no frame rendered")
+
+        monkeypatch.setattr(forward_sim, "ThreadPoolExecutor", fail)
+        monkeypatch.setattr(forward_sim, "_render_frame", fail)
+        acq = tmp_path / "acq.aspi"
+        result = run(capsys, "simulate", "--proj-width", "64", "--proj-height", "8",
+                     "--period", "16", "--shifts", "16", "--sections", "4",
+                     "--threads", threads, "--out", str(acq))
+        assert_one_error_line(result, f"threads must be >= 1, got {threads}", acq)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_bench_checks_before_drawing_frames(self, monkeypatch, threads):

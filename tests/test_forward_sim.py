@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from aspi import (
     synthesize_mask,
     tilted_plane_sections,
 )
+from aspi import forward_sim
 from aspi.imaging_model import mask_coverage
 from conftest import geometry_with_shear, slit_coverage_constant
 
@@ -302,6 +304,32 @@ class TestLayerSumOracle:
         scene = Scene(layers=layers, haze_fraction=haze, noise=NoiseSpec(gaussian_sigma=0.01))
         assert_renders_the_oracle(scene, layers, spec, geom, grid)
 
+    @pytest.mark.parametrize("block", [50, 240, 600])
+    def test_noise_drawn_in_blocks_of_rows(self, monkeypatch, block):
+        # blocks of 1, 2 and 5 of the frame's 16 rows of 120 (the last one shorter)
+        monkeypatch.setattr(forward_sim, "_NOISE_BLOCK", block)
+        spec, geom, grid = rig(n=6)
+        refl = np.random.default_rng(3).random(camera_shape(spec, geom))
+        layers = [(4, refl)]
+        for noise in self.NOISES[1:]:
+            scene = Scene(layers=layers, haze_fraction=0.2, noise=noise)
+            assert_renders_the_oracle(scene, layers, spec, geom, grid)
+
+    def test_fields_lit_on_some_rows_keep_the_bytes_of_the_full_sum(self):
+        # a first field lit on rows 3 and 7 only, with -0.0 on an unlit row,
+        # a field lit nowhere and one lit on the top rows
+        spec, geom, grid = rig(n=6)
+        shape = camera_shape(spec, geom)
+        first, last = np.zeros(shape), np.zeros(shape)
+        first[[3, 7]] = np.random.default_rng(8).random((2, shape[1]))
+        first[5] = -0.0
+        last[:4] = 1.0
+        layers = [(2, first), (6, np.zeros(shape)), (9, last)]
+        for haze in (0.0, 0.3):
+            scene = Scene(layers=layers, haze_fraction=haze)
+            oracle = layer_sum_frames(layers, haze, NoiseSpec(), spec, geom, grid)
+            assert acquire_stack(scene, spec, geom, grid).tobytes() == oracle.tobytes()
+
     def test_overlapping_uniform_layers(self):
         spec, geom, grid = rig(n=10, sections=40)
         refl = np.random.default_rng(2).random(camera_shape(spec, geom))
@@ -331,3 +359,76 @@ def test_simulate_memory_does_not_grow_with_sections(tmp_path, capsys):
     peaks = {k: traced_simulate_peak(tmp_path, k) for k in (16, 64)}
     assert peaks[16] < 10 * frame + 4 * bank, peaks
     assert peaks[64] < peaks[16] + bank, peaks
+
+
+def tilted_scene(spec, geom, grid, noise):
+    refl = np.random.default_rng(5).random(camera_shape(spec, geom))
+    slope = (grid.count - 2) / refl.shape[1]  # every section but the last
+    return make_tilted_plane_scene(grid, slope, refl, z_start=1, haze_fraction=0.3, noise=noise)
+
+
+def bands_scene(spec, geom, grid, noise):
+    shape = camera_shape(spec, geom)
+    layers = []
+    for z, r0, r1 in zip((2, 9, 15), (0, 5, 11), (5, 11, shape[0])):
+        band = np.zeros(shape)
+        band[r0:r1] = 1.0
+        layers.append((z, band))
+    return Scene(layers=layers, haze_fraction=0.3, noise=noise)
+
+
+class TestThreads:
+    """Frames rendered on workers keep their bytes and leave no thread behind."""
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(gaussian_sigma=0.02, seed=4),
+                                       NoiseSpec(gaussian_sigma=0.01, poisson_scale=80.0, seed=11)])
+    @pytest.mark.parametrize("make_scene", [tilted_scene, bands_scene])
+    def test_every_thread_count_gives_the_same_bytes(self, make_scene, noise):
+        spec, geom, grid = rig(n=10)
+        scene = make_scene(spec, geom, grid, noise)
+        serial = acquire_stack(scene, spec, geom, grid)
+        steps = (7, 2, 9, 0, 5)  # a subset out of scan order
+        for threads in (2, 3):
+            assert acquire_stack(scene, spec, geom, grid, threads=threads).tobytes() == \
+                serial.tobytes()
+            frames = list(render_frames(scene, spec, geom, grid, steps, threads=threads))
+            assert [f.tobytes() for f in frames] == [serial[i].tobytes() for i in steps]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_thread_count_rejected_before_any_frame(self, monkeypatch, threads):
+        def fail(*args, **kwargs):
+            raise AssertionError("no executor may be built and no frame rendered")
+
+        monkeypatch.setattr(forward_sim, "ThreadPoolExecutor", fail)
+        monkeypatch.setattr(forward_sim, "_render_frame", fail)
+        spec, geom, grid = rig()
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            render_frames(ones_scene(spec, geom), spec, geom, grid, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_at_most_threads_plus_one_frames_alive(self, threads):
+        # one field, no noise: rendering a frame allocates that frame and
+        # one ufunc buffer; the loop holds the last frame while the next renders
+        spec, geom, grid = rig(n=12, width=256, height=128)
+        scene = tilted_scene(spec, geom, grid, NoiseSpec())
+        frame, buffer = 128 * 256 * 8, np.getbufsize() * 8
+        tracemalloc.start()
+        try:
+            frames = render_frames(scene, spec, geom, grid, threads=threads)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for f in frames:
+                f.sum()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (threads + 1.25) * frame + threads * buffer, peak / frame
+
+    def test_closing_early_stops_the_workers(self):
+        spec, geom, grid = rig(n=12)
+        before = threading.active_count()
+        frames = render_frames(ones_scene(spec, geom), spec, geom, grid, threads=3)
+        next(frames)
+        assert threading.active_count() > before
+        frames.close()
+        assert threading.active_count() == before

@@ -29,6 +29,13 @@ class TestRoundTrip:
         assert planes.shape == (1, 1, 1)
         assert planes[0, 0, 0] == 0.0
 
+    @pytest.mark.parametrize("shape", [(1, 0, 3), (2, 3, 0), (0, 2, 2)])
+    def test_empty_planes_roundtrip(self, tmp_path, shape):
+        (planes, meta), path = roundtrip(tmp_path, np.zeros(shape), {"kind": "empty"})
+        assert planes.shape == shape and planes.dtype == np.float32
+        assert meta == {"kind": "empty"}
+        assert path.stat().st_size == 32
+
     def test_acquisition_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         stack = rng.random((30, 17, 23)).astype(np.float32)
