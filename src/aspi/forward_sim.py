@@ -22,12 +22,11 @@ be rendered in any order.
 Masks come from the shared GeometryMasks bank: the same row-compressed
 (scan, depth) masks the reconstructor multiplies with, so the simulator
 cannot drift from the reconstruction model. Each field gathers the masks of
-its pixels' sections once, so a frame costs one multiply-add per field,
-over the rows its reflectance lights, whatever the number of sections.
-With threads > 1 a pool of workers renders and noises frames ahead of the
-one being consumed, at most `threads` of them; since each frame is a
-function of its own scan step, every frame has the same bytes for any
-thread count.
+its pixels' sections once, so a frame costs one multiply-add per field
+whatever the number of sections. With threads > 1 a pool of workers
+renders and noises frames ahead of the one being consumed, at most
+`threads` of them; since each frame is a function of its own scan step,
+every frame has the same bytes for any thread count.
 """
 
 from __future__ import annotations
@@ -180,9 +179,7 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
         if not (0 <= i < n):
             raise ValueError(f"shift_index {i} out of range [0, {n})")
     masks = GeometryMasks(spec, geom, grid)
-    # each field only over the rows its reflectance lights: on the others its
-    # products are 0.0, which leave a sum that is never -0.0 as it is
-    spans, count = [], 0
+    fields, count = [], 0
     for section_map, refl in scene.fields:
         sections = np.unique(section_map)
         bank = masks.section_masks(int(sections[0]))
@@ -190,29 +187,23 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
             bank = np.broadcast_to(bank, np.broadcast_shapes(bank.shape, section_map.shape)).copy()
             for j in sections[1:]:
                 np.copyto(bank, masks.section_masks(int(j)), where=section_map == j)
-        lit = np.flatnonzero(refl.any(axis=1))
-        rows = slice(lit[0], lit[-1] + 1) if lit.size else slice(0, 0)
-        spans.append((rows, refl[rows], bank[:, rows] if bank.shape[1] > 1 else bank))
+        fields.append((refl, bank))
         count += len(sections)
     haze = None
     if h > 0.0:
         haze = np.zeros(scene.shape, dtype=np.float64)
-        for rows, refl, bank in spans:
-            haze[rows] += refl * mask_coverage(bank)
+        for refl, bank in fields:
+            haze += refl * mask_coverage(bank)
         haze /= count * n
         haze *= h
-    return _frames(partial(_render_frame, scene.shape, spans, haze, h, scene.noise),
+    return _frames(partial(_render_frame, scene.shape, fields, haze, h, scene.noise),
                    steps, threads)
 
 
-def _render_frame(shape, spans, haze, h: float, noise: NoiseSpec, i: int) -> np.ndarray:
-    # the first field's product goes straight into the frame, the others are added in
+def _render_frame(shape, fields, haze, h: float, noise: NoiseSpec, i: int) -> np.ndarray:
     frame = np.zeros(shape, dtype=np.float64)
-    (rows, refl, bank), *rest = spans
-    np.multiply(refl, bank[i], out=frame[rows])
-    frame[rows] += 0.0  # -0.0 to +0.0, as a sum started from zeros would give
-    for rows, refl, bank in rest:
-        frame[rows] += refl * bank[i]
+    for refl, bank in fields:
+        frame += refl * bank[i]
     if haze is not None:
         frame *= 1.0 - h
         frame += haze
@@ -255,15 +246,11 @@ def acquire_stack(
     spec: PatternSpec,
     geom: GeometryConfig,
     grid: ZGrid,
-    threads: int = 1,
 ) -> np.ndarray:
-    """The full lateral scan as float64 (n, H, W) frames, bit-identical to render_frame's.
-
-    With threads > 1, render_frames' workers render the frames.
-    """
+    """The full lateral scan as float64 (n, H, W) frames, bit-identical to render_frame's."""
     frames = np.empty((spec.num_shifts_n,) + scene.shape, dtype=np.float64)
-    for i, frame in enumerate(render_frames(scene, spec, geom, grid, threads=threads)):
-        frames[i] = frame
+    for frame, rendered in zip(frames, render_frames(scene, spec, geom, grid)):
+        frame[...] = rendered
     return frames
 
 
