@@ -4,12 +4,13 @@ Synthesizes float32 frames in memory (no file I/O inside the timed region)
 and measures how fast the VolumeStream that `aspi reconstruct` runs for
 geometry masks (frame check, GEMM kernel) produces output sections.
 Throughput is reported as output megapixels per second: width * height *
-sections / wall time. Row chunks of every section are streamed, converted
-to the float32 bytes `aspi reconstruct` writes (as `StackWriter.write`
-does), checksummed in row order with CRC32, and discarded, so besides
-frames and masks memory holds one chunk; the checksum makes thread-count
-determinism checkable. The timed region includes the frame check, mask
-synthesis, conversion and checksumming, all part of producing verified
+sections / wall time. The float32 row chunks of every section, the bytes
+`aspi reconstruct` writes, are checksummed in row order with CRC32 and
+discarded as `aspi reconstruct` writes them (VolumeStream.consume): with
+threads > 1 on one more thread, while the kernel computes the next chunk.
+So besides frames and masks memory holds two chunks, and the checksum
+makes thread-count determinism checkable. The timed region includes the frame
+check, mask synthesis and checksumming, all part of producing verified
 output. Its CPU time over all threads is reported too: a spell of other
 work on a shared host lengthens the wall time, not the CPU time.
 """
@@ -85,10 +86,13 @@ def bench_reconstruction(
     provider = GeometryMasks(spec, geom, grid)
 
     crc = 0
-    start, cpu_start = time.perf_counter(), time.process_time()
-    stream = VolumeStream(frames, provider, threads=threads)
-    for _, chunk in stream.blocks():
+
+    def checksum(r0, chunk):
+        nonlocal crc
         crc = zlib.crc32(np.ascontiguousarray(chunk, dtype="<f4"), crc)
+
+    start, cpu_start = time.perf_counter(), time.process_time()
+    VolumeStream(frames, provider, threads=threads).consume(checksum)
     wall = time.perf_counter() - start
     cpu = time.process_time() - cpu_start
 

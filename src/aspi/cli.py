@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from contextlib import closing
+from functools import partial
 
 import numpy as np
 
@@ -194,7 +195,7 @@ def cmd_simulate(args) -> int:
     spec, geom, grid = _rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
     scene = _build_scene(args, spec, geom, grid)
     # checked here, before the output is opened; the workers start with the first frame
-    frames = render_frames(scene, spec, geom, grid, threads=args.threads)
+    frames = render_frames(scene, spec, geom, grid, threads=args.threads, ring=True)
     meta = _rig_metadata(spec, geom, grid)
     meta.update(
         kind="acquisition",
@@ -282,13 +283,11 @@ def cmd_reconstruct(args) -> int:
         out_meta = _rig_metadata(spec, geom, grid)
         out_meta.update(kind="volume", floor=stream.floor, sentinel=SENTINEL,
                         masks_source=stream.masks_source)
-        # the volume goes to the file chunk by chunk and is never held whole
-        sentinels = 0
+        # the volume goes to the file chunk by chunk and is never held whole;
+        # with more than one thread, each chunk is written while the next one computes
         with StackWriter(args.out, stream.shape, out_meta) as out:
-            for r0, block in stream.blocks():
-                out.write(0, r0, block)
-                sentinels += int(np.count_nonzero(block == SENTINEL))
-    sentinel_fraction = sentinels / math.prod(stream.shape)
+            stream.consume(partial(out.write, 0))
+    sentinel_fraction = stream.sentinels / math.prod(stream.shape)
     ambiguous = provider.ambiguous
     _print_summary(kind="volume", sections=grid.count,
                    floor=f"{stream.floor:.6g}",

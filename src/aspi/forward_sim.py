@@ -26,7 +26,9 @@ its pixels' sections once, so a frame costs one multiply-add per field
 whatever the number of sections. With threads > 1 a pool of workers
 renders and noises frames ahead of the one being consumed, at most
 `threads` of them; since each frame is a function of its own scan step,
-every frame has the same bytes for any thread count.
+every frame has the same bytes for any thread count. A caller that uses
+each frame at once (`aspi simulate` writes it) has them rendered into a
+ring of threads + 1 arrays made once, not into a new array each.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -159,7 +162,7 @@ def _apply_noise(frame: np.ndarray, noise: NoiseSpec, shift_index: int) -> np.nd
 
 
 def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
-                  shift_indices=None, threads: int = 1):
+                  shift_indices=None, threads: int = 1, ring: bool = False):
     """An iterator of the frames at the given scan steps (default: all), in that order.
 
     Each frame is the same whichever others are asked for, and for any
@@ -169,7 +172,10 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
     rendered; with threads > 1 up to `threads` workers render frames ahead
     of the one the caller takes, so with the frame the caller holds at most
     threads + 1 frames are alive. Their pool is shut down when the iterator
-    ends, is closed or raises.
+    ends, is closed or raises. Each frame is a new array, unless ring=True:
+    then the frames are rendered into a ring of threads + 1 arrays that the
+    iterator makes once, so a frame is overwritten when the caller asks for
+    the one after next, and must be used (written, copied) before then.
     """
     check_threads(threads)
     _check_scene(scene, spec, geom, grid)
@@ -196,13 +202,19 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
             haze += refl * mask_coverage(bank)
         haze /= count * n
         haze *= h
-    return _frames(partial(_render_frame, scene.shape, fields, haze, h, scene.noise),
-                   steps, threads)
+    buffers = [np.empty(scene.shape) for _ in range(threads + 1)] if ring else None
+    return _frames(partial(_render_frame, fields, haze, h, scene.noise), steps, threads, buffers)
 
 
-def _render_frame(shape, fields, haze, h: float, noise: NoiseSpec, i: int) -> np.ndarray:
-    frame = np.zeros(shape, dtype=np.float64)
-    for refl, bank in fields:
+def _render_frame(fields, haze, h: float, noise: NoiseSpec, i: int,
+                  out: np.ndarray | None) -> np.ndarray:
+    """Frame i, in out or in a new array."""
+    (refl, bank), *rest = fields
+    # the first field's product straight into the frame; adding 0.0 turns a
+    # -0.0 into 0.0, as the sum of the fields from zero does
+    frame = np.multiply(refl, bank[i], out=out)
+    frame += 0.0
+    for refl, bank in rest:
         frame += refl * bank[i]
     if haze is not None:
         frame *= 1.0 - h
@@ -210,18 +222,22 @@ def _render_frame(shape, fields, haze, h: float, noise: NoiseSpec, i: int) -> np
     return _apply_noise(frame, noise, i)
 
 
-def _frames(render, steps, threads: int):
-    """Yield render(i) for each step in order; with threads > 1, up to `threads` on workers."""
+def _frames(render, steps, threads: int, buffers):
+    """Yield render(i, out) for each step in order; with threads > 1, up to `threads` on workers.
+
+    out is None, or else each of the threads + 1 buffers in turn.
+    """
+    outs = cycle(buffers) if buffers else repeat(None)
     if threads == 1:
-        yield from map(render, steps)
+        yield from map(render, steps, outs)
         return
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         # the next step goes to a worker only when the caller asks for the
         # next frame, so the frame it still holds is one of threads + 1
         ahead = deque()
-        for i in steps:
-            ahead.append(pool.submit(render, i))
+        for i, out in zip(steps, outs):
+            ahead.append(pool.submit(render, i, out))
             if len(ahead) == threads:
                 yield ahead.popleft().result()
         while ahead:

@@ -399,13 +399,20 @@ class TranslationMasks:
     def row_bank(self) -> np.ndarray | None:
         """(n, K, W) masks of every step and section; None unless kept as one row.
 
-        A view of new (W, n, K) storage on every call, the GEMM kernel's layout.
+        A view of new (W, n, K) storage on every call, the GEMM kernel's layout,
+        filled in blocks of whole columns, each at most one section's n * W
+        values (one column at least), with section_masks' arithmetic.
         """
         if self._row is None:
             return None
-        store = np.empty((self._row.size, self.shift_count, self.grid.count), dtype=np.float64)
-        for z in range(self.grid.count):
-            store[:, :, z] = self.section_masks(z)[:, 0].T
+        w, n, k = self._row.size, self.shift_count, self.grid.count
+        # dx[i, z], as section_masks(z) computes it for every step i
+        dx = self._steps[0][:, None] + np.arange(k) * self._shear[0]
+        store = np.empty((w, n, k), dtype=np.float64)
+        cols = max(1, w // k)
+        for x0 in range(0, w, cols):
+            positions = np.arange(x0, min(x0 + cols, w), dtype=np.float64)[:, None, None] - dx
+            _interpolate(self._row, *_lerp(positions, w), axis=-1, out=store[x0:x0 + cols])
         return store.transpose(1, 2, 0)
 
     def describe(self) -> str:

@@ -43,23 +43,32 @@ section and are split into their sections, each built from only the
 chunk's rows of that section's masks.
 Each chunk needs only its own rows of the frames, frames[:, r0:r1]: a view
 of an array, or a read of a StackReader, which indexes like the array it
-stores, so the stream holds no read buffer. reconstruct_volume copies the
-chunks into one (K, H, W) array; `aspi reconstruct` writes them to the
-stack file and `aspi bench` checksums them. So besides the frames (none
-when they are read from a file) these hold one chunk of every section in
-float64 and the chunk's rows of the frames (float32 as read), never the
-volume; the GEMM kernel also holds the (n, K, W) bank, divided by its
-coverage, one (K, W) sentinel plane and, per worker, one tile's frame rows
-and products in float64, the reference kernel the chunk's
-frame rows in float64 and, per worker, the float64 masks of one section's
-chunk rows. A thread count below 1, a floor that is not finite
-and > 0, and frames of another shape than the bank's are each a ValueError.
+stores, so the stream holds no read buffer. Chunks are float32 unless asked
+for in float64: the kernels store their float64 voxels straight into the
+chunk, which rounds each one once, so a float32 chunk holds the bytes of
+the float64 one cast to float32. The chunks alternate between two buffers,
+so a chunk stays as it is while the next one is computed; with threads > 1,
+VolumeStream.consume hands each one to one more thread meanwhile.
+reconstruct_volume copies float64 chunks into one (K, H, W) array;
+`aspi reconstruct` writes float32 ones to the stack file and `aspi bench`
+checksums them, both through consume. So besides the frames (none when
+they are read from a file) these hold two chunks of every section and the
+chunk's rows of the frames (float32 as read), never the volume; the GEMM
+kernel also holds the (n, K, W) bank, divided by its coverage, one (K, W)
+sentinel plane and, per worker, one tile's frame rows and products in
+float64, the reference kernel the chunk's frame rows in float64 and, per
+worker, the float64 masks of one section's chunk rows. The number of
+SENTINEL voxels, VolumeStream.sentinels, comes from the coverage, not from
+the voxels: a covered voxel whose quotient happens to be exactly -1.0 is
+not counted. A thread count below 1, a floor that is not finite and > 0,
+and frames of another shape than the bank's are each a ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 
@@ -222,6 +231,13 @@ class VolumeStream:
     for the GEMM kernel, the bank divided by its coverage and the sentinel
     plane. `blocks` computes the volume chunk by chunk, each chunk in pieces
     shared among `threads` workers. `shape` is the volume's (K, H, W).
+
+    `sentinels` is the number of SENTINEL voxels in the volume, counted from
+    the coverage: for the GEMM kernel H times the uncovered (section, column)
+    pairs, known from the constructor on; for the reference kernel the
+    uncovered pixels of every section as blocks() computes them, complete
+    once it is exhausted. A covered voxel whose quotient is exactly -1.0 is
+    not a sentinel and is not counted.
     """
 
     def __init__(self, frames, masks: TranslationMasks, floor: float | None = None,
@@ -242,7 +258,9 @@ class VolumeStream:
         self._frames = frames
         self._masks = masks
         self._threads = threads
+        self.sentinels = 0
         bank = masks.row_bank()
+        self._counted = bank is None
         if bank is None:
             # one exact float64 upcast per chunk, not one in each of the K * n multiplies
             self._rows, self._work, self._dtype = self._section_rows(), self._section, np.float64
@@ -257,35 +275,66 @@ class VolumeStream:
         masks_x /= den[:, None, :]
         np.copyto(masks_x, 0.0, where=uncovered[:, None, :])
         self._sentinel = np.where(uncovered, SENTINEL, 0.0).T.copy()[:, None, :]  # (K, 1, W)
+        self.sentinels = self.shape[1] * int(np.count_nonzero(uncovered))
         # tiles cast their own columns of the chunk's frames
         self._rows, self._work, self._dtype = _GEMM_ROWS, self._tile, None
         self._items = range(0, self.shape[2], _GEMM_COLS)
 
-    def blocks(self):
-        """Yield (r0, chunk): float64 (K, rows, W) row chunks of every section, from row r0.
+    def blocks(self, dtype=np.float32):
+        """Yield (r0, chunk): (K, rows, W) row chunks of every section, from row r0.
 
         Chunks come top to bottom (the last one shorter), each computed only
         after the one before it was taken, from only its rows of the frames:
         one _GEMM_ROWS band from the GEMM kernel, whole _GEMM_ROWS bands of
-        at most _BAND_PIXELS pixels from the reference kernel. The next chunk
-        may overwrite this one, so consume it first. One executor serves the
-        whole stream and is shut down when the stream ends, is closed or
-        raises.
+        at most _BAND_PIXELS pixels from the reference kernel. dtype is
+        float32 or float64; both kernels compute in float64 and store each
+        voxel into the chunk, which rounds it once. The chunks alternate
+        between two buffers: a chunk stays as it is while the next one is
+        computed and yielded, and the one after overwrites it, so consume it
+        before asking for that. One executor serves the whole stream and is
+        shut down when the stream ends, is closed or raises.
         """
         k, h, w = self.shape
         rows = min(self._rows, h)
-        sections = np.empty(k * rows * w, dtype=np.float64)
+        buffers = np.empty((2, k * rows * w), dtype=dtype)
+        if self._counted:
+            self.sentinels = 0
         pool = ThreadPoolExecutor(max_workers=self._threads) if self._threads > 1 else None
         try:
             for c0 in range(0, h, rows):
                 c1 = min(c0 + rows, h)
-                chunk = sections[:k * (c1 - c0) * w].reshape(k, c1 - c0, w)
+                chunk = buffers[c0 // rows % 2, :k * (c1 - c0) * w].reshape(k, c1 - c0, w)
                 frames = np.asarray(self._frames[:, c0:c1], dtype=self._dtype)
-                _run(pool, partial(self._work, frames, (c0, c1), chunk), self._items)
+                done = _run(pool, partial(self._work, frames, (c0, c1), chunk), self._items)
+                if self._counted:
+                    self.sentinels += sum(done)
                 yield c0, chunk
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
+
+    def consume(self, work) -> None:
+        """Call work(r0, chunk) on every float32 chunk of blocks(), in order.
+
+        With threads > 1 the calls run on one more thread, each while the
+        kernel computes the next chunk; a chunk is handed over only after
+        work has returned for the one before, so the two chunk buffers
+        suffice. With one thread they run on the calling thread, after each
+        chunk. An exception of work or of the kernel is raised here, once
+        both have stopped and no thread of theirs is left.
+        """
+        with closing(self.blocks()) as chunks:
+            if self._threads == 1:
+                for r0, chunk in chunks:
+                    work(r0, chunk)
+                return
+            with ThreadPoolExecutor(max_workers=1) as consumer:
+                pending = None
+                for r0, chunk in chunks:
+                    if pending is not None:
+                        pending.result()
+                    pending = consumer.submit(work, r0, chunk)
+                pending.result()
 
     def _tile(self, frames, rows: tuple[int, int], chunk, x0: int) -> None:
         # one batched matmul over _GEMM_COLS columns of a _GEMM_ROWS band
@@ -305,18 +354,19 @@ class VolumeStream:
         bands = min(_BAND_PIXELS // (_GEMM_ROWS * w), h // (2 * self._threads * _GEMM_ROWS))
         return _GEMM_ROWS * max(1, bands)
 
-    def _section(self, frames, rows: tuple[int, int], chunk, z: int) -> None:
-        # each section's sums stay on one worker
-        chunk[z] = reconstruct_section(frames, self._masks.section_masks(z, rows), self.floor)[0]
+    def _section(self, frames, rows: tuple[int, int], chunk, z: int) -> int:
+        # each section's sums stay on one worker; returns its uncovered pixels
+        section, coverage = reconstruct_section(frames, self._masks.section_masks(z, rows),
+                                                self.floor)
+        chunk[z] = section
+        return int(np.count_nonzero(_floor_rule(coverage, self.floor)[1]))
 
 
-def _run(pool, work, items) -> None:
+def _run(pool, work, items) -> list:
     if pool is None or len(items) < 2:
-        for item in items:
-            work(item)
-    else:
-        # reading every result re-raises a worker's exception here
-        list(pool.map(work, items))
+        return [work(item) for item in items]
+    # reading every result re-raises a worker's exception here
+    return list(pool.map(work, items))
 
 
 def reconstruct_volume(frames, masks: TranslationMasks, floor: float | None = None,
@@ -328,12 +378,12 @@ def reconstruct_volume(frames, masks: TranslationMasks, floor: float | None = No
     other takes reconstruct_section once per section of every row chunk.
     Frames of any float dtype are read as float64. With threads > 1 each
     chunk's work is split among workers, and the result is bit-identical to
-    the serial one. The volume is VolumeStream's row chunks, copied into one
-    array.
+    the serial one. The volume is VolumeStream's float64 row chunks, copied
+    into one array.
     """
     stream = VolumeStream(frames, masks, floor, threads)
     sections = np.empty(stream.shape, dtype=np.float64)
-    for r0, chunk in stream.blocks():
+    for r0, chunk in stream.blocks(np.float64):
         sections[:, r0:r0 + chunk.shape[1]] = chunk
     return VolumeStack(
         sections=sections,

@@ -12,6 +12,7 @@ import pytest
 from aspi import (
     GeometryConfig,
     GeometryMasks,
+    ModelMasks,
     PatternSpec,
     ZGrid,
     bench_reconstruction,
@@ -357,6 +358,11 @@ class TestBench:
         with pytest.raises(ValueError):
             bench_reconstruction(0, 64, 8, 10)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_checksum_of_the_float32_volume_is_pinned(self, threads):
+        # the CRC32 of the float32 bytes `reconstruct` writes, chunk by chunk
+        assert bench_reconstruction(256, 96, 30, 24, threads=threads).checksum == 0x42c23ba3
+
 
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
@@ -494,6 +500,31 @@ class TestStreamedReconstruct:
                              "--threads", "1")
         assert (code, out, err) == (1, "", "error: kernel failure\n")
         assert len(bands) == 3
+        self.assert_untouched(tmp_path, vol, before)
+
+    @pytest.mark.parametrize("failing", [2, 5])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_write_failure_commits_nothing_and_leaves_no_thread(self, capsys, tmp_path,
+                                                                   monkeypatch, threads, failing):
+        # the second chunk's write fails (with two threads on the writer
+        # thread, while the kernel's workers compute the third), or the last's
+        acq, vol, before = self.inputs(capsys, tmp_path)
+        writes = []
+        write = StackWriter.write
+
+        def failing_write(self, k0, r0, block):
+            writes.append(r0)
+            if len(writes) == failing:
+                raise OSError("disk full")
+            write(self, k0, r0, block)
+
+        monkeypatch.setattr(StackWriter, "write", failing_write)
+        alive = threading.active_count()
+        code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol),
+                             "--threads", threads)
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert writes == [0, 16, 32, 48, 64][:failing]
+        assert threading.active_count() == alive
         self.assert_untouched(tmp_path, vol, before)
 
     def test_nan_frames_rejected_before_the_file_is_opened(self, capsys, tmp_path, monkeypatch):
@@ -778,6 +809,35 @@ def slit_model(tmp_path, height=8, dy=(0.3, -0.2)):
                        "axial_dx": 1.0, "axial_dy": dy[1], "anchor_x": 2, "anchor_z": 4,
                        "lateral_residual_rms": 0.0, "axial_residual_rms": 0.0}, model)
     return model
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reconstruct_with_masks_that_vary_along_y_takes_the_reference_kernel(tmp_path, capsys,
+                                                                             threads):
+    # 80 rows: three row chunks with one thread, five with two
+    acq, vol, model = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "model.aspi"
+    code, *_ = run(capsys, "simulate", "--scene", "bands", "--layer-z", "1,3",
+                   "--proj-width", "64", "--proj-height", "80", "--period", "16",
+                   "--shifts", "16", "--sections", "6", "--pixel-pitch", SHEAR1_PITCH,
+                   "--noise-sigma", "0.01", "--out", str(acq))
+    assert code == 0
+    base = make_slit_pattern(PatternSpec(64, 80, period_d=16, linewidth_w=2), 0)
+    base *= np.linspace(1.0, 0.5, 80)[:, None]
+    write_stack(base, {"kind": "mask-model", "lateral_dx": 1.0, "lateral_dy": 0.0,
+                       "axial_dx": 1.0, "axial_dy": 0.0, "anchor_x": 2, "anchor_z": 4,
+                       "lateral_residual_rms": 0.0, "axial_residual_rms": 0.0}, model)
+    code, out, _ = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                       "--threads", threads, "--out", str(vol))
+    assert code == 0
+    frames, meta = read_stack(acq)
+    masks = ModelMasks(cli._load_model(model), _rig_from_metadata(meta)[2], 16)
+    assert masks.row_bank() is None
+    whole = reconstructor.reconstruct_volume(frames, masks)
+    volume, _ = read_stack(vol)
+    assert volume.tobytes() == whole.sections.astype("<f4").tobytes()
+    sentinels = np.count_nonzero(volume == -1.0)
+    assert sentinels > 0
+    assert parse_summary(out)["sentinel_fraction"] == f"{sentinels / volume.size:.6g}"
 
 
 class TestBadThreadCount:

@@ -316,6 +316,15 @@ class TestLayerSumOracle:
             scene = Scene(layers=layers, haze_fraction=0.2, noise=noise)
             assert_renders_the_oracle(scene, layers, spec, geom, grid)
 
+    def test_a_negative_zero_reflectance_renders_as_zero(self):
+        # a sum of the fields from zero turns a -0.0 product into 0.0
+        spec, geom, grid = rig(n=4)
+        refl = np.ones(camera_shape(spec, geom))
+        refl[:, ::3] = -0.0
+        for layers in ([(2, refl)], [(2, refl), (5, refl)]):
+            frames = acquire_stack(Scene(layers=layers), spec, geom, grid)
+            assert (frames == 0.0).any() and not np.signbit(frames).any()
+
     def test_overlapping_uniform_layers(self):
         spec, geom, grid = rig(n=10, sections=40)
         refl = np.random.default_rng(2).random(camera_shape(spec, geom))
@@ -414,6 +423,41 @@ class TestThreads:
         assert max(held) < (threads + 0.25) * frame, max(held) / frame
         # while the next renders: one more frame, and a product per worker
         assert peak < (threads + 1.25) * frame + threads * (frame + buffer), peak / frame
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_ring_of_threads_plus_one_frames(self, threads):
+        spec, geom, grid = rig(n=10)
+        scene = tilted_scene(spec, geom, grid, NoiseSpec(gaussian_sigma=0.02, seed=4))
+        serial = acquire_stack(scene, spec, geom, grid)
+        buffers, held = set(), None
+        frames = render_frames(scene, spec, geom, grid, threads=threads, ring=True)
+        for i, frame in enumerate(frames):
+            # the frame before stays as it was while this one is yielded
+            if held is not None:
+                assert held[0].tobytes() == held[1]
+            assert frame.tobytes() == serial[i].tobytes()
+            held = frame, frame.tobytes()
+            buffers.add(frame.ctypes.data)
+        assert len(buffers) == threads + 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_ring_allocates_no_frame_per_step(self, threads):
+        # the ring's threads + 1 frames are made with the iterator; rendering
+        # one field then allocates only the multiply's buffer on each worker
+        spec, geom, grid = rig(n=12, width=256, height=128)
+        scene = tilted_scene(spec, geom, grid, NoiseSpec())
+        frame, buffer = 128 * 256 * 8, np.getbufsize() * 8
+        tracemalloc.start()
+        try:
+            frames = render_frames(scene, spec, geom, grid, threads=threads, ring=True)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in frames:
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * frame + threads * buffer, peak / frame
 
     def test_closing_early_stops_the_workers(self):
         spec, geom, grid = rig(n=12)

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -514,8 +515,10 @@ class TestVolumeStream:
         offsets = []
         for r0, block in stream.blocks():
             offsets.append((r0, block.shape))
-            assert block.dtype == np.float64 and block.flags.c_contiguous
-            assert block.tobytes() == np.ascontiguousarray(whole[:, r0:r0 + block.shape[1]]).tobytes()
+            # the float64 voxels, each rounded once to float32
+            assert block.dtype == np.float32 and block.flags.c_contiguous
+            rows = whole[:, r0:r0 + block.shape[1]]
+            assert block.tobytes() == rows.astype("<f4").tobytes()
         assert offsets == [(r0, (12, 16, 90)) for r0 in range(0, 64, 16)] + [(64, (12, 6, 90))]
 
     @pytest.mark.parametrize("threads,rows", [(1, 32), (3, 16)])
@@ -525,9 +528,59 @@ class TestVolumeStream:
         whole = reconstruct_volume(frames, provider, threads=threads).sections
         stream = reconstructor.VolumeStream(frames, provider, threads=threads)
         blocks = [(r0, block.copy()) for r0, block in stream.blocks()]
-        assert [(r0, b.shape) for r0, b in blocks] == [
-            (r0, (12, rows, 96)) for r0 in range(0, 64, rows)]
-        assert np.concatenate([b for *_, b in blocks], axis=1).tobytes() == whole.tobytes()
+        assert [(r0, b.shape, b.dtype) for r0, b in blocks] == [
+            (r0, (12, rows, 96), np.float32) for r0 in range(0, 64, rows)]
+        assert np.concatenate([b for *_, b in blocks], axis=1).tobytes() == \
+            whole.astype("<f4").tobytes()
+        float64 = [block.copy() for _, block in stream.blocks(np.float64)]
+        assert np.concatenate(float64, axis=1).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_sentinels_counted_from_the_coverage(self, rig, threads):
+        # noisy frames: every -1.0 voxel is a sentinel, and the count is the
+        # uncovered voxels of the float64 volume
+        provider, frames = getattr(self, rig)()
+        whole = reconstruct_volume(frames, provider, threads=threads).sections
+        stream = reconstructor.VolumeStream(frames, provider, threads=threads)
+        for _ in stream.blocks():
+            pass
+        assert stream.sentinels == np.count_nonzero(whole == SENTINEL) > 0
+        for _ in stream.blocks():  # a second pass counts afresh
+            pass
+        assert stream.sentinels == np.count_nonzero(whole == SENTINEL)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_a_chunk_stays_while_the_next_is_computed(self, rig, dtype):
+        provider, frames = getattr(self, rig)()
+        held = None
+        for r0, chunk in reconstructor.VolumeStream(frames, provider, threads=2).blocks(dtype):
+            if held is not None:
+                assert held[0].tobytes() == held[1] and not np.shares_memory(held[0], chunk)
+            held = chunk, chunk.tobytes()
+        assert r0 > 16
+
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_consume_sees_every_chunk_whole(self, rig):
+        # more workers than cores and frequent switches: the consumer reads
+        # one buffer, slowly, while the workers fill the other
+        provider, frames = getattr(self, rig)()
+        whole = reconstruct_volume(frames, provider).sections.astype("<f4")
+        seen = []
+
+        def work(r0, chunk):
+            time.sleep(0.02)  # longer than the workers take for a chunk
+            seen.append((r0, chunk.copy()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reconstructor.VolumeStream(frames, provider, threads=3).consume(work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r0 for r0, _ in seen] == sorted({r0 for r0, _ in seen}) and len(seen) > 2
+        assert np.concatenate([c for _, c in seen], axis=1).tobytes() == whole.tobytes()
 
     def test_reference_kernel_submits_a_chunk_only_after_the_last_was_taken(self, monkeypatch):
         provider, frames = self.model_rig()
