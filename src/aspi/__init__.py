@@ -45,11 +45,9 @@ from .forward_sim import (
 )
 from .reconstructor import (
     SENTINEL,
-    CoverageReport,
     ModelMasks,
     VolumeStack,
     VolumeStream,
-    coverage_report,
     default_floor,
     reconstruct_section,
     reconstruct_volume,
@@ -78,9 +76,9 @@ __all__ = [
     "NoiseSpec", "Scene", "camera_shape",
     "base_camera_pattern", "render_frame", "render_frames", "acquire_stack",
     "make_tilted_plane_scene", "tilted_plane_sections",
-    "SENTINEL", "VolumeStack", "CoverageReport", "GeometryMasks",
+    "SENTINEL", "VolumeStack", "GeometryMasks",
     "ModelMasks", "default_floor",
-    "reconstruct_section", "reconstruct_volume", "VolumeStream", "coverage_report",
+    "reconstruct_section", "reconstruct_volume", "VolumeStream",
     "AxialCurve", "DepthMap", "axial_psf", "fwhm", "predicted_fwhm_sections",
     "contrast_window", "extract_depth_map",
     "read_stack", "write_stack", "StackReader", "StackWriter", "write_pgm",

@@ -6,10 +6,10 @@ geometry masks (frame check, GEMM kernel) produces output sections.
 Throughput is reported as output megapixels per second: width * height *
 sections / wall time. The float32 row chunks of every section, the bytes
 `aspi reconstruct` writes, are checksummed in row order with CRC32 and
-discarded as `aspi reconstruct` writes them (VolumeStream.consume): with
-threads > 1 on one more thread, while the kernel computes the next chunk.
-So besides frames and masks memory holds two chunks, and the checksum
-makes thread-count determinism checkable. The timed region includes the frame
+discarded as `aspi reconstruct` writes them: on the calling thread, while
+the workers compute the next chunks. So besides frames and masks memory
+holds one chunk per worker, and the checksum makes thread-count
+determinism checkable. The timed region includes the frame
 check, mask synthesis and checksumming, all part of producing verified
 output. Its CPU time over all threads is reported too: a spell of other
 work on a shared host lengthens the wall time, not the CPU time.
@@ -86,13 +86,9 @@ def bench_reconstruction(
     provider = GeometryMasks(spec, geom, grid)
 
     crc = 0
-
-    def checksum(r0, chunk):
-        nonlocal crc
-        crc = zlib.crc32(np.ascontiguousarray(chunk, dtype="<f4"), crc)
-
     start, cpu_start = time.perf_counter(), time.process_time()
-    VolumeStream(frames, provider, threads=threads).consume(checksum)
+    for _, chunk in VolumeStream(frames, provider, threads=threads).blocks():
+        crc = zlib.crc32(np.ascontiguousarray(chunk, dtype="<f4"), crc)
     wall = time.perf_counter() - start
     cpu = time.process_time() - cpu_start
 

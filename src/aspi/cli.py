@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from contextlib import closing
-from functools import partial
 
 import numpy as np
 
@@ -195,7 +194,7 @@ def cmd_simulate(args) -> int:
     spec, geom, grid = _rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
     scene = _build_scene(args, spec, geom, grid)
     # checked here, before the output is opened; the workers start with the first frame
-    frames = render_frames(scene, spec, geom, grid, threads=args.threads, ring=True)
+    frames = render_frames(scene, spec, geom, grid, threads=args.threads)
     meta = _rig_metadata(spec, geom, grid)
     meta.update(
         kind="acquisition",
@@ -284,9 +283,11 @@ def cmd_reconstruct(args) -> int:
         out_meta.update(kind="volume", floor=stream.floor, sentinel=SENTINEL,
                         masks_source=stream.masks_source)
         # the volume goes to the file chunk by chunk and is never held whole;
-        # with more than one thread, each chunk is written while the next one computes
-        with StackWriter(args.out, stream.shape, out_meta) as out:
-            stream.consume(partial(out.write, 0))
+        # with more than one thread, each chunk is written while the next ones compute
+        with StackWriter(args.out, stream.shape, out_meta) as out, \
+                closing(stream.blocks()) as chunks:
+            for r0, chunk in chunks:
+                out.write(0, r0, chunk)
     sentinel_fraction = stream.sentinels / math.prod(stream.shape)
     ambiguous = provider.ambiguous
     _print_summary(kind="volume", sections=grid.count,

@@ -23,26 +23,23 @@ Masks come from the shared GeometryMasks bank: the same row-compressed
 (scan, depth) masks the reconstructor multiplies with, so the simulator
 cannot drift from the reconstruction model. Each field gathers the masks of
 its pixels' sections once, so a frame costs one multiply-add per field
-whatever the number of sections. With threads > 1 a pool of workers
-renders and noises frames ahead of the one being consumed, at most
-`threads` of them; since each frame is a function of its own scan step,
-every frame has the same bytes for any thread count. A caller that uses
-each frame at once (`aspi simulate` writes it) has them rendered into a
-ring of threads + 1 arrays made once, not into a new array each.
+whatever the number of sections. Frames are rendered and noised into a
+ring of min(threads, frame count) arrays, made once; with threads > 1
+workers render the next frames while the caller uses one
+(errors.run_ahead). Since each frame is a function of its own scan step,
+every frame has the same bytes for any thread count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import cycle, repeat
+from itertools import cycle
 
 import numpy as np
 
-from .errors import check_threads
+from .errors import check_threads, run_ahead
 from .imaging_model import (
     GeometryConfig,
     GeometryMasks,
@@ -162,20 +159,17 @@ def _apply_noise(frame: np.ndarray, noise: NoiseSpec, shift_index: int) -> np.nd
 
 
 def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
-                  shift_indices=None, threads: int = 1, ring: bool = False):
+                  shift_indices=None, threads: int = 1):
     """An iterator of the frames at the given scan steps (default: all), in that order.
 
     Each frame is the same whichever others are asked for, and for any
     thread count. Every field first gathers, at each pixel, the masks of
     that pixel's section: one (n, 1, W) bank for a tilted plane of
     row-constant masks. The arguments are checked here, before any frame is
-    rendered; with threads > 1 up to `threads` workers render frames ahead
-    of the one the caller takes, so with the frame the caller holds at most
-    threads + 1 frames are alive. Their pool is shut down when the iterator
-    ends, is closed or raises. Each frame is a new array, unless ring=True:
-    then the frames are rendered into a ring of threads + 1 arrays that the
-    iterator makes once, so a frame is overwritten when the caller asks for
-    the one after next, and must be used (written, copied) before then.
+    rendered. The frames are rendered into a ring of min(threads, steps)
+    arrays made here, with threads > 1 by workers while the caller uses the
+    frame before (errors.run_ahead): a frame is valid until the caller asks
+    for the next one, so use it (write, copy) before then.
     """
     check_threads(threads)
     _check_scene(scene, spec, geom, grid)
@@ -202,13 +196,13 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
             haze += refl * mask_coverage(bank)
         haze /= count * n
         haze *= h
-    buffers = [np.empty(scene.shape) for _ in range(threads + 1)] if ring else None
-    return _frames(partial(_render_frame, fields, haze, h, scene.noise), steps, threads, buffers)
+    threads = min(threads, len(steps))
+    ring = cycle([np.empty(scene.shape) for _ in range(threads)])
+    return run_ahead(partial(_render_frame, fields, haze, h, scene.noise), steps, ring, threads)
 
 
-def _render_frame(fields, haze, h: float, noise: NoiseSpec, i: int,
-                  out: np.ndarray | None) -> np.ndarray:
-    """Frame i, in out or in a new array."""
+def _render_frame(fields, haze, h: float, noise: NoiseSpec, i: int, out: np.ndarray) -> np.ndarray:
+    """Frame i, in out."""
     (refl, bank), *rest = fields
     # the first field's product straight into the frame; adding 0.0 turns a
     # -0.0 into 0.0, as the sum of the fields from zero does
@@ -220,30 +214,6 @@ def _render_frame(fields, haze, h: float, noise: NoiseSpec, i: int,
         frame *= 1.0 - h
         frame += haze
     return _apply_noise(frame, noise, i)
-
-
-def _frames(render, steps, threads: int, buffers):
-    """Yield render(i, out) for each step in order; with threads > 1, up to `threads` on workers.
-
-    out is None, or else each of the threads + 1 buffers in turn.
-    """
-    outs = cycle(buffers) if buffers else repeat(None)
-    if threads == 1:
-        yield from map(render, steps, outs)
-        return
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        # the next step goes to a worker only when the caller asks for the
-        # next frame, so the frame it still holds is one of threads + 1
-        ahead = deque()
-        for i, out in zip(steps, outs):
-            ahead.append(pool.submit(render, i, out))
-            if len(ahead) == threads:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def render_frame(

@@ -34,62 +34,57 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
 Both kernels run behind one stream, VolumeStream, which takes the (n, H, W)
 frames and one TranslationMasks bank of that shape, whose grid names the
 sections. It computes the volume in (K, rows, W) row chunks of every
-section, top to bottom, and computes every chunk the same way: threads take
-pieces of it, and no sum is ever split between them, so each kernel's
-output is bit-identical for any thread count. A GEMM chunk is one fixed
-_GEMM_ROWS (16-row) band, which workers take in tiles of _GEMM_COLS (64)
-columns; the reference kernel's chunks hold up to _BAND_PIXELS pixels of a
-section and are split into their sections, each built from only the
-chunk's rows of that section's masks.
+section, top to bottom, each chunk whole on one worker thread
+(errors.run_ahead) while the caller uses the one before, so no sum is ever
+split between threads and each kernel's output is bit-identical for any
+thread count. A GEMM chunk is one fixed _GEMM_ROWS (16-row) band, computed
+in tiles of _GEMM_COLS (64) columns; the reference kernel's chunks hold up
+to _BAND_PIXELS pixels of a section and are computed section by section,
+each from only the chunk's rows of that section's masks.
 Each chunk needs only its own rows of the frames, frames[:, r0:r1]: a view
 of an array, or a read of a StackReader, which indexes like the array it
-stores, so the stream holds no read buffer. Chunks are float32 unless asked
-for in float64: the kernels store their float64 voxels straight into the
-chunk, which rounds each one once, so a float32 chunk holds the bytes of
-the float64 one cast to float32. The chunks alternate between two buffers,
-so a chunk stays as it is while the next one is computed; with threads > 1,
-VolumeStream.consume hands each one to one more thread meanwhile.
-reconstruct_volume copies float64 chunks into one (K, H, W) array;
-`aspi reconstruct` writes float32 ones to the stack file and `aspi bench`
-checksums them, both through consume. So besides the frames (none when
-they are read from a file) these hold two chunks of every section and the
-chunk's rows of the frames (float32 as read), never the volume; the GEMM
-kernel also holds the (n, K, W) bank, divided by its coverage, one (K, W)
-sentinel plane and, per worker, one tile's frame rows and products in
-float64, the reference kernel the chunk's frame rows in float64 and, per
-worker, the float64 masks of one section's chunk rows. The number of
-SENTINEL voxels, VolumeStream.sentinels, comes from the coverage, not from
-the voxels: a covered voxel whose quotient happens to be exactly -1.0 is
-not counted. A thread count below 1, a floor that is not finite and > 0,
-and frames of another shape than the bank's are each a ValueError.
+stores, so the stream holds no read buffer; the rows are read on the
+calling thread as the chunk is handed to a worker. The kernels store their
+float64 voxels straight into the chunk: float32 chunks from a ring of one
+per worker, which rounds each voxel once, so a float32 chunk holds the
+bytes of the float64 one cast to float32, and a chunk is valid until the
+caller asks for the next one. `aspi reconstruct` writes them to the stack
+file and `aspi bench` checksums them; reconstruct_volume has them computed
+straight into the rows of its float64 (K, H, W) array. So besides the
+frames (none when they are read from a file) these hold, per worker thread,
+one float32 chunk of every section and the chunk's rows of the frames
+(float32 as read, float64 for the reference kernel), never the volume; the
+GEMM kernel also holds the (n, K, W) bank, divided by its coverage, one
+(K, W) sentinel plane and, per worker, one tile's frame rows and products
+in float64, the reference kernel per worker the float64 masks of one
+section's chunk rows. The number of SENTINEL voxels,
+VolumeStream.sentinels, comes from the coverage, not from the voxels: a
+covered voxel whose quotient happens to be exactly -1.0 is not counted. A
+thread count below 1, a floor that is not finite and > 0, and frames of
+another shape than the bank's are each a ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .calibration import MaskModel
-from .errors import check_threads
+from .errors import check_threads, run_ahead
 from .imaging_model import GeometryMasks, TranslationMasks, ZGrid, mask_coverage
 from .stack_io import StackReader
 
 __all__ = [
     "SENTINEL",
     "VolumeStack",
-    "CoverageReport",
     "GeometryMasks",
     "ModelMasks",
     "default_floor",
     "reconstruct_section",
     "reconstruct_volume",
     "VolumeStream",
-    "coverage_report",
 ]
 
 SENTINEL = -1.0
@@ -130,18 +125,6 @@ class VolumeStack:
             raise ValueError(
                 f"sections shape {self.sections.shape} inconsistent with grid count {self.grid.count}"
             )
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per-section illumination denominators plus summary statistics."""
-
-    coverage: np.ndarray  # (K, H, W)
-    floor: float
-    min_coverage: float
-    mean_coverage: float
-    sentinel_fraction: float
-    ambiguous: bool | None = None
 
 
 class ModelMasks(TranslationMasks):
@@ -229,8 +212,8 @@ class VolumeStream:
     before it opens an output; frames read from a StackReader are checked in
     one pass over the file, frame by frame. It also prepares the kernel once:
     for the GEMM kernel, the bank divided by its coverage and the sentinel
-    plane. `blocks` computes the volume chunk by chunk, each chunk in pieces
-    shared among `threads` workers. `shape` is the volume's (K, H, W).
+    plane. `blocks` computes the volume chunk by chunk, up to `threads`
+    chunks at once, each on one worker. `shape` is the volume's (K, H, W).
 
     `sentinels` is the number of SENTINEL voxels in the volume, counted from
     the coverage: for the GEMM kernel H times the uncovered (section, column)
@@ -259,12 +242,12 @@ class VolumeStream:
         self._masks = masks
         self._threads = threads
         self.sentinels = 0
+        # the GEMM kernel's sentinel plane; None selects the reference kernel
+        self._sentinel = None
         bank = masks.row_bank()
-        self._counted = bank is None
         if bank is None:
             # one exact float64 upcast per chunk, not one in each of the K * n multiplies
-            self._rows, self._work, self._dtype = self._section_rows(), self._section, np.float64
-            self._items = range(self.shape[0])
+            self._rows, self._dtype = self._section_rows(), np.float64
             return
         # each bank column divided by its coverage and the uncovered ones 0
         # (a copy, not a multiply), in place in the bank's new (W, n, K)
@@ -277,74 +260,64 @@ class VolumeStream:
         self._sentinel = np.where(uncovered, SENTINEL, 0.0).T.copy()[:, None, :]  # (K, 1, W)
         self.sentinels = self.shape[1] * int(np.count_nonzero(uncovered))
         # tiles cast their own columns of the chunk's frames
-        self._rows, self._work, self._dtype = _GEMM_ROWS, self._tile, None
-        self._items = range(0, self.shape[2], _GEMM_COLS)
+        self._rows, self._dtype = _GEMM_ROWS, None
 
-    def blocks(self, dtype=np.float32):
+    def blocks(self, out=None):
         """Yield (r0, chunk): (K, rows, W) row chunks of every section, from row r0.
 
-        Chunks come top to bottom (the last one shorter), each computed only
-        after the one before it was taken, from only its rows of the frames:
-        one _GEMM_ROWS band from the GEMM kernel, whole _GEMM_ROWS bands of
-        at most _BAND_PIXELS pixels from the reference kernel. dtype is
-        float32 or float64; both kernels compute in float64 and store each
-        voxel into the chunk, which rounds it once. The chunks alternate
-        between two buffers: a chunk stays as it is while the next one is
-        computed and yielded, and the one after overwrites it, so consume it
-        before asking for that. One executor serves the whole stream and is
-        shut down when the stream ends, is closed or raises.
+        Chunks come top to bottom (the last one shorter): one _GEMM_ROWS
+        band from the GEMM kernel, whole _GEMM_ROWS bands of at most
+        _BAND_PIXELS pixels from the reference kernel. Each is computed
+        whole on one worker (errors.run_ahead), from only its rows of the
+        frames, which are read on the calling thread as the chunk is
+        submitted; up to `threads` chunks are computed at once, the next
+        ones while the caller uses one. Both kernels compute in float64 and
+        store each voxel into the chunk, which rounds it once. The chunks
+        are float32, in a ring of min(threads, chunk count) buffers, so a
+        chunk is valid until the caller asks for the next one; or, when out
+        is given (a (K, H, W) array), they are its rows, out[:, r0:r1]. The
+        workers are shut down when the stream ends, is closed or raises.
         """
         k, h, w = self.shape
         rows = min(self._rows, h)
-        buffers = np.empty((2, k * rows * w), dtype=dtype)
-        if self._counted:
+        spans = [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+        threads = min(self._threads, len(spans))
+        if out is None:
+            ring = np.empty((threads, k * rows * w), dtype=np.float32)
+            outs = (ring[i % threads, :k * (r1 - r0) * w].reshape(k, r1 - r0, w)
+                    for i, (r0, r1) in enumerate(spans))
+        else:
+            outs = (out[:, r0:r1] for r0, r1 in spans)
+        reads = (((r0, r1), np.asarray(self._frames[:, r0:r1], dtype=self._dtype))
+                 for r0, r1 in spans)
+        if self._sentinel is None:
             self.sentinels = 0
-        pool = ThreadPoolExecutor(max_workers=self._threads) if self._threads > 1 else None
-        try:
-            for c0 in range(0, h, rows):
-                c1 = min(c0 + rows, h)
-                chunk = buffers[c0 // rows % 2, :k * (c1 - c0) * w].reshape(k, c1 - c0, w)
-                frames = np.asarray(self._frames[:, c0:c1], dtype=self._dtype)
-                done = _run(pool, partial(self._work, frames, (c0, c1), chunk), self._items)
-                if self._counted:
-                    self.sentinels += sum(done)
-                yield c0, chunk
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        for r0, chunk, uncovered in run_ahead(self._chunk, reads, outs, threads):
+            self.sentinels += uncovered
+            yield r0, chunk
 
-    def consume(self, work) -> None:
-        """Call work(r0, chunk) on every float32 chunk of blocks(), in order.
-
-        With threads > 1 the calls run on one more thread, each while the
-        kernel computes the next chunk; a chunk is handed over only after
-        work has returned for the one before, so the two chunk buffers
-        suffice. With one thread they run on the calling thread, after each
-        chunk. An exception of work or of the kernel is raised here, once
-        both have stopped and no thread of theirs is left.
-        """
-        with closing(self.blocks()) as chunks:
-            if self._threads == 1:
-                for r0, chunk in chunks:
-                    work(r0, chunk)
-                return
-            with ThreadPoolExecutor(max_workers=1) as consumer:
-                pending = None
-                for r0, chunk in chunks:
-                    if pending is not None:
-                        pending.result()
-                    pending = consumer.submit(work, r0, chunk)
-                pending.result()
-
-    def _tile(self, frames, rows: tuple[int, int], chunk, x0: int) -> None:
-        # one batched matmul over _GEMM_COLS columns of a _GEMM_ROWS band
+    def _chunk(self, read, chunk) -> tuple[int, np.ndarray, int]:
+        # one row chunk of every section; returns (r0, chunk, uncovered pixels
+        # the reference kernel found, 0 for the GEMM kernel)
+        (r0, r1), frames = read
+        if self._sentinel is None:
+            # section by section, each from only the chunk's rows of its masks
+            uncovered = 0
+            for z in range(self.shape[0]):
+                chunk[z], coverage = reconstruct_section(
+                    frames, self._masks.section_masks(z, (r0, r1)), self.floor)
+                uncovered += int(np.count_nonzero(_floor_rule(coverage, self.floor)[1]))
+            return r0, chunk, uncovered
+        # one batched matmul per _GEMM_COLS columns
         n, w = frames.shape[0], frames.shape[2]
-        x1 = min(x0 + _GEMM_COLS, w)
-        obs = np.empty((x1 - x0, rows[1] - rows[0], n), dtype=np.float64)
-        # cast first: a contiguous float64 band transposes twice as fast
-        obs[...] = frames[:, :, x0:x1].astype(np.float64).transpose(2, 1, 0)
-        np.add(np.matmul(obs, self._masks_x[x0:x1]).transpose(2, 1, 0),
-               self._sentinel[:, :, x0:x1], out=chunk[:, :, x0:x1])
+        for x0 in range(0, w, _GEMM_COLS):
+            x1 = min(x0 + _GEMM_COLS, w)
+            obs = np.empty((x1 - x0, r1 - r0, n), dtype=np.float64)
+            # cast first: a contiguous float64 band transposes twice as fast
+            obs[...] = frames[:, :, x0:x1].astype(np.float64).transpose(2, 1, 0)
+            np.add(np.matmul(obs, self._masks_x[x0:x1]).transpose(2, 1, 0),
+                   self._sentinel[:, :, x0:x1], out=chunk[:, :, x0:x1])
+        return r0, chunk, 0
 
     def _section_rows(self) -> int:
         # whole GEMM bands of at most _BAND_PIXELS pixels, and at least
@@ -354,20 +327,6 @@ class VolumeStream:
         bands = min(_BAND_PIXELS // (_GEMM_ROWS * w), h // (2 * self._threads * _GEMM_ROWS))
         return _GEMM_ROWS * max(1, bands)
 
-    def _section(self, frames, rows: tuple[int, int], chunk, z: int) -> int:
-        # each section's sums stay on one worker; returns its uncovered pixels
-        section, coverage = reconstruct_section(frames, self._masks.section_masks(z, rows),
-                                                self.floor)
-        chunk[z] = section
-        return int(np.count_nonzero(_floor_rule(coverage, self.floor)[1]))
-
-
-def _run(pool, work, items) -> list:
-    if pool is None or len(items) < 2:
-        return [work(item) for item in items]
-    # reading every result re-raises a worker's exception here
-    return list(pool.map(work, items))
-
 
 def reconstruct_volume(frames, masks: TranslationMasks, floor: float | None = None,
                        threads: int = 1) -> VolumeStack:
@@ -376,41 +335,18 @@ def reconstruct_volume(frames, masks: TranslationMasks, floor: float | None = No
     frames and masks are VolumeStream's, and so are the checks. A bank
     whose row_bank() returns an (n, K, W) bank takes the GEMM kernel; any
     other takes reconstruct_section once per section of every row chunk.
-    Frames of any float dtype are read as float64. With threads > 1 each
-    chunk's work is split among workers, and the result is bit-identical to
-    the serial one. The volume is VolumeStream's float64 row chunks, copied
-    into one array.
+    Frames of any float dtype are read as float64. With threads > 1 the
+    row chunks are computed on workers, each whole on one, and the result
+    is bit-identical to the serial one. VolumeStream computes them straight
+    into the float64 volume.
     """
     stream = VolumeStream(frames, masks, floor, threads)
     sections = np.empty(stream.shape, dtype=np.float64)
-    for r0, chunk in stream.blocks(np.float64):
-        sections[:, r0:r0 + chunk.shape[1]] = chunk
+    for _ in stream.blocks(sections):
+        pass
     return VolumeStack(
         sections=sections,
         grid=stream.grid,
         coverage_floor_used=stream.floor,
         masks_source=stream.masks_source,
-    )
-
-
-def coverage_report(masks: TranslationMasks, floor: float | None = None) -> CoverageReport:
-    """Exact per-pixel illumination denominators for every section of a bank.
-
-    The ambiguity flag is the bank's (True when its grid spans more shear
-    than one slit period encodes; None when it does not know its geometry).
-    """
-    if floor is None:
-        floor = default_floor(masks.base, masks.shift_count)
-
-    # row-compressed banks yield (1, W) planes; the statistics are
-    # identical to the broadcast (H, W) form
-    coverage = np.stack([mask_coverage(masks.section_masks(j))
-                         for j in range(masks.grid.count)])
-    return CoverageReport(
-        coverage=coverage,
-        floor=float(floor),
-        min_coverage=float(coverage.min()),
-        mean_coverage=float(coverage.mean()),
-        sentinel_fraction=float(np.mean(coverage < floor)),
-        ambiguous=masks.ambiguous,
     )

@@ -22,7 +22,7 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
-from aspi import StackWriter, bench, cli, forward_sim, reconstructor
+from aspi import StackWriter, bench, cli, errors, forward_sim, reconstructor
 from aspi.cli import _rig_from_metadata, build_parser
 from aspi.stack_io import sidecar_path
 from conftest import geometry_with_shear
@@ -506,8 +506,8 @@ class TestStreamedReconstruct:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_write_failure_commits_nothing_and_leaves_no_thread(self, capsys, tmp_path,
                                                                    monkeypatch, threads, failing):
-        # the second chunk's write fails (with two threads on the writer
-        # thread, while the kernel's workers compute the third), or the last's
+        # the second chunk's write fails (with two threads while the workers
+        # compute the third and fourth), or the last's
         acq, vol, before = self.inputs(capsys, tmp_path)
         writes = []
         write = StackWriter.write
@@ -845,15 +845,17 @@ class TestBadThreadCount:
 
     @pytest.fixture(autouse=True)
     def no_executor(self, monkeypatch):
+        # the package's one executor, in errors.run_ahead
         def fail(*args, **kwargs):
             raise AssertionError("no executor may be built")
 
-        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", fail)
+        monkeypatch.setattr(errors, "ThreadPoolExecutor", fail)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("masks", ["geometry", "y_moving_model"])
-    def test_reconstruct(self, tmp_path, capsys, threads, masks):
+    def test_reconstruct(self, tmp_path, capsys, monkeypatch, threads, masks):
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        monkeypatch.setenv("ASPI_THREADS", "1")  # the set-up's simulate renders inline
         small_acquisition(capsys, acq)
         model = ["--model", str(slit_model(tmp_path))] if masks == "y_moving_model" else []
         result = run(capsys, "reconstruct", "--input", str(acq), *model,
@@ -863,9 +865,8 @@ class TestBadThreadCount:
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_simulate(self, tmp_path, capsys, monkeypatch, threads):
         def fail(*args, **kwargs):
-            raise AssertionError("no executor may be built and no frame rendered")
+            raise AssertionError("no frame may be rendered")
 
-        monkeypatch.setattr(forward_sim, "ThreadPoolExecutor", fail)
         monkeypatch.setattr(forward_sim, "_render_frame", fail)
         acq = tmp_path / "acq.aspi"
         result = run(capsys, "simulate", "--proj-width", "64", "--proj-height", "8",

@@ -21,7 +21,7 @@ from aspi import (
     synthesize_mask,
     tilted_plane_sections,
 )
-from aspi import forward_sim
+from aspi import errors, forward_sim
 from aspi.imaging_model import mask_coverage
 from conftest import geometry_with_shear, slit_coverage_constant
 
@@ -384,9 +384,10 @@ class TestThreads:
         serial = acquire_stack(scene, spec, geom, grid)
         steps = (7, 2, 9, 0, 5)  # a subset out of scan order
         for threads in (2, 3):
-            frames = np.stack(list(render_frames(scene, spec, geom, grid, threads=threads)))
-            assert frames.tobytes() == serial.tobytes()
-            frames = list(render_frames(scene, spec, geom, grid, steps, threads=threads))
+            # a frame is valid until the next one is asked for: copy each
+            frames = [f.copy() for f in render_frames(scene, spec, geom, grid, threads=threads)]
+            assert np.stack(frames).tobytes() == serial.tobytes()
+            frames = render_frames(scene, spec, geom, grid, steps, threads=threads)
             assert [f.tobytes() for f in frames] == [serial[i].tobytes() for i in steps]
 
     @pytest.mark.parametrize("threads", [0, -1])
@@ -394,7 +395,8 @@ class TestThreads:
         def fail(*args, **kwargs):
             raise AssertionError("no executor may be built and no frame rendered")
 
-        monkeypatch.setattr(forward_sim, "ThreadPoolExecutor", fail)
+        # the package's one executor, in errors.run_ahead
+        monkeypatch.setattr(errors, "ThreadPoolExecutor", fail)
         monkeypatch.setattr(forward_sim, "_render_frame", fail)
         spec, geom, grid = rig()
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
@@ -402,54 +404,59 @@ class TestThreads:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_at_most_threads_plus_one_frames_alive(self, threads):
-        # one field, no noise: rendering a frame allocates that frame and,
-        # while it adds the field in, one frame-sized product
+        # one field, no noise: the iterator makes the ring's `threads`
+        # frames and the haze image, and rendering into the ring allocates
+        # no frame; the caller's slowness lets the workers run ahead
+        spec, geom, grid = rig(n=12, width=256, height=128)
+        scene = tilted_scene(spec, geom, grid, NoiseSpec())
+        frame, buffer = 128 * 256 * 8, np.getbufsize() * 8
+        tracemalloc.start()
+        try:
+            for _ in render_frames(scene, spec, geom, grid, threads=threads):
+                time.sleep(0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (threads + 1.25) * frame + threads * buffer, peak / frame
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_ring_of_threads_frames(self, threads):
+        spec, geom, grid = rig(n=10)
+        scene = tilted_scene(spec, geom, grid, NoiseSpec(gaussian_sigma=0.02, seed=4))
+        serial = acquire_stack(scene, spec, geom, grid)
+        buffers = set()
+        for i, frame in enumerate(render_frames(scene, spec, geom, grid, threads=threads)):
+            time.sleep(0.01)  # the workers render ahead; this frame stays as it is
+            assert frame.tobytes() == serial[i].tobytes()
+            buffers.add(frame.ctypes.data)
+        assert len(buffers) == threads
+
+    def test_no_more_ring_frames_than_steps(self):
+        # 8 threads over 3 steps: a ring of 3 frames, not of 8 or 9
+        spec, geom, grid = rig(n=12, width=256, height=128)
+        scene = ones_scene(spec, geom)
+        frame, buffer = 128 * 256 * 8, np.getbufsize() * 8
+        buffers = set()
+        tracemalloc.start()
+        try:
+            for f in render_frames(scene, spec, geom, grid, (4, 0, 9), threads=8):
+                buffers.add(f.ctypes.data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(buffers) == 3
+        assert peak < 3.25 * frame + 3 * buffer, peak / frame
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_ring_allocates_no_frame_per_step(self, threads):
+        # the ring's frames are made with the iterator; rendering one field
+        # then allocates only the multiply's buffer on each worker
         spec, geom, grid = rig(n=12, width=256, height=128)
         scene = tilted_scene(spec, geom, grid, NoiseSpec())
         frame, buffer = 128 * 256 * 8, np.getbufsize() * 8
         tracemalloc.start()
         try:
             frames = render_frames(scene, spec, geom, grid, threads=threads)
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            held = []
-            for _ in frames:
-                time.sleep(0.02)  # the workers finish the frames they were given
-                held.append(tracemalloc.get_traced_memory()[0] - base)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # between frames: the one the loop holds and up to threads - 1 done
-        assert max(held) < (threads + 0.25) * frame, max(held) / frame
-        # while the next renders: one more frame, and a product per worker
-        assert peak < (threads + 1.25) * frame + threads * (frame + buffer), peak / frame
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_a_ring_of_threads_plus_one_frames(self, threads):
-        spec, geom, grid = rig(n=10)
-        scene = tilted_scene(spec, geom, grid, NoiseSpec(gaussian_sigma=0.02, seed=4))
-        serial = acquire_stack(scene, spec, geom, grid)
-        buffers, held = set(), None
-        frames = render_frames(scene, spec, geom, grid, threads=threads, ring=True)
-        for i, frame in enumerate(frames):
-            # the frame before stays as it was while this one is yielded
-            if held is not None:
-                assert held[0].tobytes() == held[1]
-            assert frame.tobytes() == serial[i].tobytes()
-            held = frame, frame.tobytes()
-            buffers.add(frame.ctypes.data)
-        assert len(buffers) == threads + 1
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_a_ring_allocates_no_frame_per_step(self, threads):
-        # the ring's threads + 1 frames are made with the iterator; rendering
-        # one field then allocates only the multiply's buffer on each worker
-        spec, geom, grid = rig(n=12, width=256, height=128)
-        scene = tilted_scene(spec, geom, grid, NoiseSpec())
-        frame, buffer = 128 * 256 * 8, np.getbufsize() * 8
-        tracemalloc.start()
-        try:
-            frames = render_frames(scene, spec, geom, grid, threads=threads, ring=True)
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for _ in frames:

@@ -19,7 +19,6 @@ from aspi import (
     acquire_stack,
     base_camera_pattern,
     camera_shape,
-    coverage_report,
     default_floor,
     fit_mask_model,
     predict_mask,
@@ -29,8 +28,8 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
-from aspi import reconstructor
-from aspi.imaging_model import TranslationMasks
+from aspi import errors, reconstructor
+from aspi.imaging_model import TranslationMasks, mask_coverage
 from conftest import geometry_with_shear
 
 
@@ -180,39 +179,44 @@ class TestReconstructVolume:
         assert far[far != SENTINEL].sum() < 0.01 * in_plane[in_plane != SENTINEL].sum()
 
 
+def section_coverage(masks):
+    # every section's sum of its masks: (K, 1, W) for a row-compressed bank
+    return np.stack([mask_coverage(masks.section_masks(j)) for j in range(masks.grid.count)])
+
+
 class TestCoverageReport:
+    """The coverage of every section (mask_coverage) and the bank's ambiguity flag."""
+
     def test_full_coverage_equals_linewidth(self):
         spec, geom, grid = rig(d=10, w=2, n=10, width=80, sections=4)
-        report = coverage_report(GeometryMasks(spec, geom, grid))
-        interior = report.coverage[:, :, 16:]
+        masks = GeometryMasks(spec, geom, grid)
+        interior = section_coverage(masks)[:, :, 16:]
         assert np.allclose(interior, 2.0, atol=1e-12)
-        assert report.ambiguous is False
+        assert masks.ambiguous is False
 
     def test_partial_scan_leaves_periodic_stripes(self):
         # n*step < d: enumerate the uncovered residues directly
         spec, geom, grid = rig(d=12, w=1, n=4, width=96, sections=1)
-        report = coverage_report(GeometryMasks(spec, geom, grid), floor=0.5)
-        row = report.coverage[0, 0]
+        coverage = section_coverage(GeometryMasks(spec, geom, grid))
+        row = coverage[0, 0]
         covered_resid = {(i * 1 + 0) % 12 for i in range(4)}  # slit lands on shift residues
         for c in range(24, 96):
             assert (row[c] > 0) == ((c % 12) in covered_resid)
-        assert report.sentinel_fraction > 0.5
+        assert np.mean(coverage < 0.5) > 0.5
 
     def test_shear_vacated_border_flagged(self):
         spec, geom, grid = rig(d=10, w=2, n=10, width=80, shear=1.0, sections=6)
         floor = default_floor(GeometryMasks(spec, geom, grid).base, 10)
-        report = coverage_report(GeometryMasks(spec, geom, grid), floor=floor)
-        last = report.coverage[-1, 0]
+        coverage = section_coverage(GeometryMasks(spec, geom, grid))
+        last = coverage[-1, 0]
         vacated = int(np.ceil(grid.count - 1 + 0))  # (K-1) px of shear at 1 px/section
         assert np.all(last[:vacated] < floor)
-        assert report.min_coverage == 0.0
+        assert coverage.min() == 0.0
 
     def test_ambiguity_flag_tracks_period(self):
         spec, geom, _ = rig(d=10, w=2, n=10, width=80, shear=1.0)
-        ambiguous = coverage_report(GeometryMasks(spec, geom, ZGrid(0.0, 1.0, 11)))
-        clean = coverage_report(GeometryMasks(spec, geom, ZGrid(0.0, 1.0, 10)))
-        assert ambiguous.ambiguous is True
-        assert clean.ambiguous is False
+        assert GeometryMasks(spec, geom, ZGrid(0.0, 1.0, 11)).ambiguous is True
+        assert GeometryMasks(spec, geom, ZGrid(0.0, 1.0, 10)).ambiguous is False
 
 def test_default_floor_value():
     base = 2.0 * np.ones((4, 4))
@@ -532,8 +536,12 @@ class TestVolumeStream:
             (r0, (12, rows, 96), np.float32) for r0 in range(0, 64, rows)]
         assert np.concatenate([b for *_, b in blocks], axis=1).tobytes() == \
             whole.astype("<f4").tobytes()
-        float64 = [block.copy() for _, block in stream.blocks(np.float64)]
-        assert np.concatenate(float64, axis=1).tobytes() == whole.tobytes()
+        # given a float64 volume, the chunks are its rows
+        out = np.empty(stream.shape)
+        for r0, block in stream.blocks(out):
+            assert block.base is out and block.shape == (12, rows, 96)
+            assert np.shares_memory(block, out[:, r0:r0 + rows])
+        assert out.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
@@ -553,51 +561,70 @@ class TestVolumeStream:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
     def test_a_chunk_stays_while_the_next_is_computed(self, rig, dtype):
+        # more workers than cores and frequent switches: a slow caller reads
+        # each chunk, float32 from the ring or rows of a float64 volume,
+        # while the workers compute the next ones
         provider, frames = getattr(self, rig)()
-        held = None
-        for r0, chunk in reconstructor.VolumeStream(frames, provider, threads=2).blocks(dtype):
-            if held is not None:
-                assert held[0].tobytes() == held[1] and not np.shares_memory(held[0], chunk)
-            held = chunk, chunk.tobytes()
-        assert r0 > 16
-
-    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
-    def test_consume_sees_every_chunk_whole(self, rig):
-        # more workers than cores and frequent switches: the consumer reads
-        # one buffer, slowly, while the workers fill the other
-        provider, frames = getattr(self, rig)()
-        whole = reconstruct_volume(frames, provider).sections.astype("<f4")
-        seen = []
-
-        def work(r0, chunk):
-            time.sleep(0.02)  # longer than the workers take for a chunk
-            seen.append((r0, chunk.copy()))
-
+        whole = reconstruct_volume(frames, provider).sections.astype(dtype)
+        stream = reconstructor.VolumeStream(frames, provider, threads=3)
+        out = None if dtype is np.float32 else np.empty(stream.shape)
+        spans = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            reconstructor.VolumeStream(frames, provider, threads=3).consume(work)
+            for r0, chunk in stream.blocks(out):
+                time.sleep(0.02)  # longer than the workers take for a chunk
+                r1 = r0 + chunk.shape[1]
+                assert chunk.dtype == dtype
+                assert chunk.tobytes() == whole[:, r0:r1].tobytes()
+                spans.append((r0, r1))
+        finally:
+            sys.setswitchinterval(interval)
+        # every chunk in order, each once
+        assert len(spans) > 3 and spans[0][0] == 0 and spans[-1][1] == whole.shape[1]
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_consume_sees_every_chunk_whole(self, rig):
+        # more workers than cores and frequent switches: the caller keeps a
+        # copy of each chunk, slowly, while the workers fill the ring
+        provider, frames = getattr(self, rig)()
+        whole = reconstruct_volume(frames, provider).sections.astype("<f4")
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r0, chunk in reconstructor.VolumeStream(frames, provider, threads=3).blocks():
+                time.sleep(0.02)  # longer than the workers take for a chunk
+                seen.append((r0, chunk.copy()))
         finally:
             sys.setswitchinterval(interval)
         assert [r0 for r0, _ in seen] == sorted({r0 for r0, _ in seen}) and len(seen) > 2
         assert np.concatenate([c for _, c in seen], axis=1).tobytes() == whole.tobytes()
 
     def test_reference_kernel_submits_a_chunk_only_after_the_last_was_taken(self, monkeypatch):
+        # a chunk is submitted whole, with its rows of the frames read on the
+        # calling thread, when the caller asks for the chunk threads - 1 before it
         provider, frames = self.model_rig()
-        submitted = []
+        submitted, caller = [], threading.get_ident()
 
-        class CountingExecutor(reconstructor.ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submitted.append(1)
-                return super().submit(*args, **kwargs)
+        class CountingExecutor(errors.ThreadPoolExecutor):
+            def submit(self, fn, read, chunk):
+                assert threading.get_ident() == caller
+                submitted.append(read[0])
+                return super().submit(fn, read, chunk)
 
-        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", CountingExecutor)
-        chunks = 0
-        for r0, _ in reconstructor.VolumeStream(frames, provider, threads=2).blocks():
-            # the 12 sections of every 16-row chunk up to this one, none beyond
-            chunks += 1
-            assert (r0, len(submitted)) == (16 * (chunks - 1), 12 * chunks)
-        assert len(submitted) == 12 * 4
+        monkeypatch.setattr(errors, "ThreadPoolExecutor", CountingExecutor)
+        for threads in (2, 3):
+            submitted.clear()
+            chunks = 0
+            for r0, chunk in reconstructor.VolumeStream(frames, provider, threads=threads).blocks():
+                chunks += 1
+                assert r0 == 16 * (chunks - 1) and chunk.shape == (12, 16, 96)
+                # those up to this one, and `threads - 1` ahead of it
+                expected = [(r, r + 16) for r in range(0, 64, 16)][:chunks + threads - 1]
+                assert submitted == expected, threads
+            assert chunks == 4
 
     def test_reference_kernel_holds_one_mask_bank(self):
         # two workers that each build a whole section's (n, H, W) bank peak
@@ -615,19 +642,22 @@ class TestVolumeStream:
             tracemalloc.stop()
         assert peak < 1.45 * bank
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_gemm_stream_holds_the_bank_one_band_and_a_tile_per_worker(self, tmp_path, threads):
-        # frames read from a file, 30 shifts, 64 x 512, 48 sections
+    @staticmethod
+    def gemm_stream_peak(tmp_path, height, threads):
+        # frames read from a file, 30 shifts, height x 512, 48 sections:
+        # the traced peak of a pass, and what it may hold with `workers`
+        # chunks in flight (those of the ring, each with its frame rows and
+        # a tile on its worker)
         n, k, w = 30, 48, 512
-        spec = PatternSpec(w, 64, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=n)
+        spec = PatternSpec(w, height, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=n)
         provider = GeometryMasks(spec, geometry_with_shear(0.2332), ZGrid(0.0, 1.0, k))
         frames = noisy_frames(n, camera_shape(spec, provider.geom), seed=5).astype(np.float32)
-        assert frames.shape == (n, 64, w)
+        assert frames.shape == (n, height, w)
         bank = n * k * w * 8                  # the (n, K, W) float64 masks
         coverage = k * w * (8 + 8 + 1)        # their sums, floored, and the uncovered flags
-        band = 16 * w * (k * 8 + n * 4)       # one band of every section, its frame rows
+        chunk = 16 * w * (k * 4 + n * 4)      # one float32 band of every section, its frame rows
         tile = 16 * 64 * 8 * (n + n + k)      # a tile's frame rows, as float64 twice, products
-        slack = 1 << 19                       # threads, futures, the reader's small arrays
+        slack = 1 << 18                       # threads, futures, the reader's small arrays
         with stack_reader(tmp_path, frames) as reader:
             tracemalloc.start()
             try:
@@ -636,7 +666,19 @@ class TestVolumeStream:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak <= bank + coverage + band + threads * tile + slack
+        return peak, lambda workers: bank + coverage + workers * (chunk + tile) + slack
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_gemm_stream_holds_the_bank_one_band_and_a_tile_per_worker(self, tmp_path, threads):
+        # four bands: a ring of one band per worker; one band with one
+        # thread, where one more would not fit
+        peak, bound = self.gemm_stream_peak(tmp_path, 64, threads)
+        assert peak <= bound(threads), (peak - bound(threads)) / 1e6
+
+    def test_no_more_bands_than_the_stream_has(self, tmp_path):
+        # 8 threads over three bands: a ring of 3, not of 8 or 9
+        peak, bound = self.gemm_stream_peak(tmp_path, 48, 8)
+        assert peak <= bound(3), (peak - bound(3)) / 1e6
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
@@ -654,13 +696,13 @@ class TestVolumeStream:
         provider, frames = getattr(self, rig)()
         baseline = threading.active_count()
         built = []
-        executor = reconstructor.ThreadPoolExecutor
+        executor = errors.ThreadPoolExecutor
 
         def counting_executor(*args, **kwargs):
             built.append(1)
             return executor(*args, **kwargs)
 
-        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", counting_executor)
+        monkeypatch.setattr(errors, "ThreadPoolExecutor", counting_executor)
         stream = reconstructor.VolumeStream(frames, provider, threads=2)
         for _ in stream.blocks():
             pass
@@ -681,6 +723,7 @@ class TestVolumeStream:
         with pytest.raises(ValueError, match="kernel failure"):
             for _ in stream.blocks():
                 pass
+        assert built == [1, 1, 1]
         assert threading.active_count() == baseline
 
     def test_bad_input_rejected_before_any_block(self):
@@ -710,7 +753,7 @@ def test_coverage_equal_to_the_floor_is_covered_by_both_kernels():
     # pixels, so a floor of 1.0 equals the coverage of the edge columns
     spec, geom, grid = rig(n=20, sections=6)
     provider = GeometryMasks(spec, geom, grid)
-    coverage = coverage_report(provider).coverage
+    coverage = section_coverage(provider)
     at_floor = np.broadcast_to(coverage == 1.0, (grid.count,) + camera_shape(spec, geom))
     assert at_floor.any() and (coverage < 1.0).any()
     frames = noisy_frames(20, camera_shape(spec, geom), seed=3)
@@ -732,7 +775,8 @@ class TestThreadCount:
         def no_executor(*args, **kwargs):
             raise AssertionError("no executor may be built")
 
-        monkeypatch.setattr(reconstructor, "ThreadPoolExecutor", no_executor)
+        # the package's one executor, in errors.run_ahead
+        monkeypatch.setattr(errors, "ThreadPoolExecutor", no_executor)
         baseline = threading.active_count()
         message = f"threads must be >= 1, got {threads}"
         with pytest.raises(ValueError, match=message):

@@ -92,6 +92,20 @@ def test_every_private_top_level_name_is_used_in_its_module():
     assert not unused, unused
 
 
+def test_one_thread_pool_in_the_package():
+    # every threaded path runs through errors.run_ahead; a second pool
+    # (a writer thread, a pool per command) is a second mechanism
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "ThreadPoolExecutor"
+             or getattr(node.func, "attr", None) == "ThreadPoolExecutor")
+    ]
+    assert len(sites) == 1 and sites[0].startswith("errors.py:"), sites
+
+
 PERFBENCH = SRC.parents[1] / "perfbench" / "run.py"
 
 
