@@ -14,23 +14,28 @@ The worker thread count of `simulate`, `reconstruct` and `bench` falls back
 to the ASPI_THREADS environment variable when --threads is not given, and
 to the number of CPUs this process may run on when neither is; either one
 must be an integer.
+
+A command is a short process, so this module imports at its top only what
+every command uses (argparse, numpy, stack_io, imaging_model, errors);
+each command imports the modules it runs when it runs. `main` freezes the
+objects the command leaves before the interpreter exits, which leaves them
+out of its final garbage collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from contextlib import closing
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .bench import bench_reconstruction
-from .calibration import MaskModel, fit_mask_model
 from .errors import CoverageError
-from .forward_sim import NoiseSpec, Scene, make_tilted_plane_scene, render_frame, render_frames
 from .imaging_model import (
     GeometryConfig,
     GeometryMasks,
@@ -40,9 +45,12 @@ from .imaging_model import (
     camera_shape,
     is_axially_ambiguous,
 )
-from .reconstructor import SENTINEL, ModelMasks, VolumeStack, VolumeStream
 from .stack_io import StackReader, StackWriter, read_stack, sidecar_path, write_pgm, write_stack
-from .volume_analysis import CONTRAST_TAU, axial_psf, contrast_window, extract_depth_map, fwhm
+
+# the other modules are imported by the commands that run them
+if TYPE_CHECKING:
+    from .calibration import MaskModel
+    from .forward_sim import Scene
 
 __all__ = ["run_cli", "main"]
 
@@ -159,6 +167,8 @@ def _parse_layer_list(text: str) -> list[int]:
 
 
 def _build_scene(args, spec, geom, grid) -> Scene:
+    from .forward_sim import NoiseSpec, Scene, make_tilted_plane_scene
+
     shape = camera_shape(spec, geom)
     noise = NoiseSpec(
         gaussian_sigma=args.noise_sigma,
@@ -191,6 +201,8 @@ def _print_summary(**kv):
 
 
 def cmd_simulate(args) -> int:
+    from .forward_sim import render_frames
+
     spec, geom, grid = _rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
     scene = _build_scene(args, spec, geom, grid)
     # checked here, before the output is opened; the workers start with the first frame
@@ -216,6 +228,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .calibration import fit_mask_model
+
     planes, _ = read_stack(args.refs)
     if planes.shape[0] != 3:
         raise ValueError(f"calibration needs exactly 3 reference planes, got {planes.shape[0]}")
@@ -244,6 +258,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_model(path) -> MaskModel:
+    from .calibration import MaskModel
+
     reader, meta = _open(path, "mask-model")
     with reader:
         base = reader[0].astype(np.float64)
@@ -260,6 +276,8 @@ def _load_model(path) -> MaskModel:
 
 
 def cmd_reconstruct(args) -> int:
+    from .reconstructor import SENTINEL, ModelMasks, VolumeStream
+
     frames, meta = _open(args.input, "acquisition")
     with frames:
         spec, geom, grid = _rig_from_metadata(meta)
@@ -299,6 +317,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_depthmap(args) -> int:
+    from .reconstructor import VolumeStack
+    from .volume_analysis import CONTRAST_TAU, contrast_window, extract_depth_map
+
     # the volume is read in runs of planes, once per pass, never whole
     planes, meta = _open(args.input, "volume")
     with planes:
@@ -332,6 +353,9 @@ def cmd_depthmap(args) -> int:
 
 
 def cmd_psf(args) -> int:
+    from .forward_sim import Scene, render_frame
+    from .volume_analysis import axial_psf, fwhm
+
     spec, geom, grid = _rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
     shape = camera_shape(spec, geom)
     layer_z = args.layer_z if args.layer_z is not None else grid.count // 2
@@ -362,6 +386,8 @@ def cmd_psf(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import bench_reconstruction
+
     report = bench_reconstruction(
         width=args.width, height=args.height, n=args.shifts,
         sections=args.sections, threads=args.threads, seed=args.seed,
@@ -460,4 +486,9 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    status = run_cli()
+    # Every file is closed and every pool shut down by now. Frozen objects
+    # are left out of the collections the interpreter makes as it exits,
+    # which would otherwise walk all of numpy's objects for nothing.
+    gc.freeze()
+    sys.exit(status)

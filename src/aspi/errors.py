@@ -7,7 +7,6 @@ and the reconstructor computes its row chunks with it.
 """
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 
 class AspiError(ValueError):
@@ -55,6 +54,8 @@ def run_ahead(work, items, outs, threads: int):
     if threads < 2:
         yield from map(work, items, outs)
         return
+    if "ThreadPoolExecutor" not in globals():
+        __getattr__("ThreadPoolExecutor")
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         ahead = deque()
@@ -66,3 +67,14 @@ def run_ahead(work, items, outs, threads: int):
             yield ahead.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def __getattr__(name):
+    # concurrent.futures is imported by the first pool (or the first read of
+    # ThreadPoolExecutor), not by every command; from then on the class is a
+    # plain attribute of this module, which run_ahead looks up on each call
+    global ThreadPoolExecutor
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor

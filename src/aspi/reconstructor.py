@@ -68,13 +68,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calibration import MaskModel
 from .errors import check_threads, run_ahead
 from .imaging_model import GeometryMasks, TranslationMasks, ZGrid, mask_coverage
 from .stack_io import StackReader
+
+if TYPE_CHECKING:  # only the commands that fit or read a mask model load calibration
+    from .calibration import MaskModel
 
 __all__ = [
     "SENTINEL",

@@ -1,15 +1,37 @@
 """Shared rig builders for the test suite."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
+import aspi
 from aspi import GeometryConfig
 
 # Example run times vary with host load; a slow example is not a failure.
 settings.register_profile("aspi", deadline=None)
 settings.load_profile("aspi")
+
+
+def python(*args):
+    """Run a fresh interpreter that imports this checkout's aspi; returns the completed process."""
+    src = str(Path(aspi.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def modules_after(code):
+    """The names in sys.modules after `code` runs in a fresh interpreter."""
+    proc = python("-c", code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def geometry_with_shear(shear, z_step=1.0, theta_deg=25.0, magnification=1.0, shift_sign=1):

@@ -25,7 +25,7 @@ from aspi import (
 from aspi import StackWriter, bench, cli, errors, forward_sim, reconstructor
 from aspi.cli import _rig_from_metadata, build_parser
 from aspi.stack_io import sidecar_path
-from conftest import geometry_with_shear
+from conftest import geometry_with_shear, modules_after, python
 
 
 def parse_summary(line):
@@ -200,13 +200,16 @@ class TestExitCodes:
         assert "volume" in err
 
 
+SMALL_SIMULATE = (
+    "simulate", "--scene", "uniform", "--layer-z", "1",
+    "--proj-width", "64", "--proj-height", "8", "--period", "16",
+    "--linewidth", "2", "--shifts", "16", "--sections", "4",
+    "--pixel-pitch", SHEAR1_PITCH,
+)
+
+
 def small_acquisition(capsys, path):
-    code, *_ = run(
-        capsys, "simulate", "--scene", "uniform", "--layer-z", "1",
-        "--proj-width", "64", "--proj-height", "8", "--period", "16",
-        "--linewidth", "2", "--shifts", "16", "--sections", "4",
-        "--pixel-pitch", SHEAR1_PITCH, "--out", str(path),
-    )
+    code, *_ = run(capsys, *SMALL_SIMULATE, "--out", str(path))
     assert code == 0
 
 
@@ -371,6 +374,56 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "aspi" in proc.stdout
+
+
+@pytest.mark.parametrize("command,runs,skips", [
+    ("simulate", {"aspi.forward_sim"},
+     {"aspi.reconstructor", "aspi.volume_analysis", "aspi.calibration", "aspi.bench"}),
+    ("reconstruct", {"aspi.reconstructor"},
+     {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim"}),
+    ("depthmap", {"aspi.volume_analysis"},
+     {"aspi.forward_sim", "aspi.bench", "aspi.calibration", "concurrent.futures"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, command, runs, skips):
+    acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+    small_acquisition(capsys, acq)
+    assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+    argv = {
+        "simulate": [*SMALL_SIMULATE, "--out", str(tmp_path / "acq2.aspi")],
+        "reconstruct": ["reconstruct", "--input", str(acq), "--out", str(tmp_path / "vol2.aspi"),
+                        "--threads", "1"],
+        "depthmap": ["depthmap", "--input", str(vol), "--out", str(tmp_path / "depth.aspi")],
+    }[command]
+    loaded = modules_after(f"from aspi.cli import run_cli\nassert run_cli({argv!r}) == 0")
+    assert runs <= loaded
+    assert sorted(loaded & skips) == []
+
+
+def test_commands_in_a_process_exit_and_write_as_in_process(tmp_path, capsys):
+    # python -m aspi, stdout piped: the path through main() and its exit
+    def pipeline(d):
+        d.mkdir()
+        return [[*SMALL_SIMULATE, "--out", str(d / "acq.aspi")],
+                ["reconstruct", "--input", str(d / "acq.aspi"), "--out", str(d / "vol.aspi")],
+                ["depthmap", "--input", str(d / "vol.aspi"), "--out", str(d / "depth.aspi"),
+                 "--refine"]]
+
+    here, there = tmp_path / "in_process", tmp_path / "process"
+    for argv, child_argv in zip(pipeline(here), pipeline(there)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        proc = python("-m", "aspi", *child_argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert parse_summary(proc.stdout.replace(str(there), str(here))) == parse_summary(out)
+    for name in ("acq.aspi", "vol.aspi", "depth.aspi"):
+        for path in (here / name, sidecar_path(here / name)):
+            assert (there / path.name).read_bytes() == path.read_bytes(), path.name
+
+    proc = python("-m", "aspi", "depthmap", "--input", str(there / "acq.aspi"),
+                  "--out", str(there / "wrong.aspi"))
+    assert_one_error_line((proc.returncode, proc.stdout, proc.stderr),
+                          "is not a volume file", there / "wrong.aspi")
+    assert python("-m", "aspi", "simulate", "--no-such-flag").returncode == 2
 
 
 def test_env_thread_fallback(tmp_path, capsys, monkeypatch):

@@ -57,18 +57,37 @@ def _exports(tree):
     return []
 
 
+def _package_exports():
+    # aspi/__init__ builds __all__ from _EXPORTS, which names the module
+    # each exported name is looked up in on first use
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def test_every_export_is_defined_at_module_top_level():
     # a name deleted from a module but left in its __all__ breaks
-    # `from aspi.module import *` only when that import runs
+    # `from aspi.module import *` only when that import runs, and one left
+    # in the package's map breaks `aspi.name` only when it is first read
     files = sorted(SRC.glob("*.py"))
     assert files, f"no sources under {SRC}"
-    stale = []
+    stale, defined = [], {}
     for path in files:
         tree = ast.parse(path.read_text(), str(path))
-        defined = set(_top_level_names(tree))
-        stale += [f"{path.name}: {name}" for name in _exports(tree) if name not in defined]
+        defined[path.stem] = set(_top_level_names(tree))
+        if path.name != "__init__.py":
+            stale += [f"{path.name}: {name}" for name in _exports(tree)
+                      if name not in defined[path.stem]]
+    package = _package_exports()
+    assert package
+    stale += [f"__init__.py: {module}.{name}" for module, names in package.items()
+              for name in names if name not in defined.get(module, ())]
     assert not stale, stale
-    assert _exports(ast.parse((SRC / "__init__.py").read_text()))
+    names = [name for names in package.values() for name in names]
+    assert len(names) == len(set(names)), "a name is exported from two modules"
 
 
 def _loaded_names(node):
@@ -128,7 +147,7 @@ def test_every_name_the_benchmark_reads_off_the_package_is_exported():
     # call (synthesize_mask, say); deleting one would break the benchmark
     used = _package_attributes(ast.parse(PERFBENCH.read_text(), str(PERFBENCH)))
     assert {"synthesize_mask", "run_cli", "SENTINEL", "PatternSpec"} <= used
-    exported = set(_exports(ast.parse((SRC / "__init__.py").read_text())))
+    exported = {name for names in _package_exports().values() for name in names}
     assert sorted(used - exported) == []
 
 
