@@ -12,7 +12,9 @@ holds one chunk per worker, and the checksum makes thread-count
 determinism checkable. The timed region includes the frame
 check, mask synthesis and checksumming, all part of producing verified
 output. Its CPU time over all threads is reported too: a spell of other
-work on a shared host lengthens the wall time, not the CPU time.
+work on a shared host lengthens the wall time, not the CPU time. So is the
+number of multiplies the kernel made (VolumeStream.products), a count of
+its work that does not drift with the host at all.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class BenchReport:
     megapixels_per_second: float
     per_section_seconds: float
     checksum: int
+    products: int
 
     def summary(self) -> str:
         return (
@@ -87,7 +90,8 @@ def bench_reconstruction(
 
     crc = 0
     start, cpu_start = time.perf_counter(), time.process_time()
-    for _, chunk in VolumeStream(frames, provider, threads=threads).blocks():
+    stream = VolumeStream(frames, provider, threads=threads)
+    for _, chunk in stream.blocks():
         crc = zlib.crc32(np.ascontiguousarray(chunk, dtype="<f4"), crc)
     wall = time.perf_counter() - start
     cpu = time.process_time() - cpu_start
@@ -104,4 +108,5 @@ def bench_reconstruction(
         megapixels_per_second=out_mp / wall,
         per_section_seconds=wall / sections,
         checksum=crc,
+        products=stream.products,
     )

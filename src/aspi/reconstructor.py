@@ -224,6 +224,11 @@ class VolumeStream:
     uncovered pixels of every section as blocks() computes them, complete
     once it is exhausted. A covered voxel whose quotient is exactly -1.0 is
     not a sentinel and is not counted.
+
+    `products` is the number of multiplies O_i * M_iz the kernel has made,
+    counted from the shapes of its calls as blocks() computes them: n per
+    voxel, K * H * W * n once the stream is exhausted. Unlike a time, it
+    does not drift with the host.
     """
 
     def __init__(self, frames, masks: TranslationMasks, floor: float | None = None,
@@ -245,6 +250,7 @@ class VolumeStream:
         self._masks = masks
         self._threads = threads
         self.sentinels = 0
+        self.products = 0
         # the GEMM kernel's sentinel plane; None selects the reference kernel
         self._sentinel = None
         bank = masks.row_bank()
@@ -295,14 +301,17 @@ class VolumeStream:
                  for r0, r1 in spans)
         if self._sentinel is None:
             self.sentinels = 0
-        for r0, chunk, uncovered in run_ahead(self._chunk, reads, outs, threads):
+        self.products = 0
+        for r0, chunk, uncovered, products in run_ahead(self._chunk, reads, outs, threads):
             self.sentinels += uncovered
+            self.products += products
             yield r0, chunk
 
-    def _chunk(self, read, chunk) -> tuple[int, np.ndarray, int]:
+    def _chunk(self, read, chunk) -> tuple[int, np.ndarray, int, int]:
         # one row chunk of every section; returns (r0, chunk, uncovered pixels
-        # the reference kernel found, 0 for the GEMM kernel)
+        # the reference kernel found, 0 for the GEMM kernel, products made)
         (r0, r1), frames = read
+        products = 0
         if self._sentinel is None:
             # section by section, each from only the chunk's rows of its masks
             uncovered = 0
@@ -310,7 +319,8 @@ class VolumeStream:
                 chunk[z], coverage = reconstruct_section(
                     frames, self._masks.section_masks(z, (r0, r1)), self.floor)
                 uncovered += int(np.count_nonzero(_floor_rule(coverage, self.floor)[1]))
-            return r0, chunk, uncovered
+                products += frames.size
+            return r0, chunk, uncovered, products
         # one batched matmul per _GEMM_COLS columns
         n, w = frames.shape[0], frames.shape[2]
         for x0 in range(0, w, _GEMM_COLS):
@@ -320,7 +330,8 @@ class VolumeStream:
             obs[...] = frames[:, :, x0:x1].astype(np.float64).transpose(2, 1, 0)
             np.add(np.matmul(obs, self._masks_x[x0:x1]).transpose(2, 1, 0),
                    self._sentinel[:, :, x0:x1], out=chunk[:, :, x0:x1])
-        return r0, chunk, 0
+            products += obs.size * self._masks_x.shape[2]
+        return r0, chunk, 0, products
 
     def _section_rows(self) -> int:
         # whole GEMM bands of at most _BAND_PIXELS pixels, and at least

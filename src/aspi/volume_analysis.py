@@ -32,13 +32,19 @@ sections, each run sections[j:j + step]. So a volume may also be a
 StackReader of a stack file (as `aspi depthmap` passes it), which indexes
 like the array it stores: it is then read run by run into new arrays,
 never held whole, and the passes hold no read buffer. The first pass is
-the running argmax; the second keeps each pixel's runner-up and gathers
-its neighbouring sections for refinement. Besides one run (two while the
-next is read) they hold per-pixel planes: the best value and the
-runner-up in the stored dtype, the best section (in the narrowest integer
-type that holds the last one), the neighbours, the pixels' order by best
-section and which lie outside the window; then the validity flags, the
-depth and the confidence. Float64 temporaries come in blocks of rows.
+the running argmax: a plain running max over every value, sentinels
+included, walked a cache-sized strip of _RUN_VOXELS pixels of each plane
+at a time with no masked copy, so that its cost per voxel does not depend
+on how many pixels rise at each section; the rare pixels whose max is at
+or below SENTINEL are resolved exactly at the end (see _first_pass). The
+second keeps each pixel's runner-up and gathers its neighbouring sections
+for refinement. Besides one run (two while the next is read) they hold
+per-pixel planes: the best value and the runner-up in the stored dtype,
+the best section (in the narrowest integer type that holds the last
+one), the first pass's flag of a non-sentinel value, the neighbours, the
+pixels' order by best section and which lie outside the window; then the
+validity flags, the depth and the confidence. The first pass's
+temporaries are strips; float64 temporaries come in blocks of rows.
 """
 
 from __future__ import annotations
@@ -98,8 +104,9 @@ class DepthMap:
 CONTRAST_TAU = 0.25
 
 # Voxels per run of sections in the passes over a volume: bounded memory.
-# The float64 temporaries after the passes come in blocks of whole rows of
-# about as many pixels.
+# The first pass walks each plane in strips of as many pixels, small enough
+# to stay in cache, and the float64 temporaries after the passes come in
+# blocks of whole rows of about as many.
 _RUN_VOXELS = 1 << 16
 
 
@@ -203,29 +210,89 @@ def _planes(sections):
         yield from sections[j:j + step]
 
 
+def _strips(size: int):
+    """Slices of a flat plane of size pixels, _RUN_VOXELS at a time."""
+    for s0 in range(0, size, _RUN_VOXELS):
+        yield slice(s0, min(s0 + _RUN_VOXELS, size))
+
+
 def _first_pass(sections) -> tuple[np.ndarray, np.ndarray]:
     """Each pixel's largest non-sentinel value and its section, in one pass.
 
     The value is in the stored dtype, -inf if there is none; the section in
     the narrowest signed integer type that holds the last one, ties to the
     lower. A NaN or an infinity raises ValueError naming the count.
+
+    Each plane is walked in strips of _RUN_VOXELS pixels, small enough that
+    a strip of the plane and of the running planes stays in cache across
+    its few whole-strip operations, none of them masked: a running max over
+    every value, sentinels included, the section of each strict rise, and
+    whether the pixel has any non-sentinel value. A running max above
+    SENTINEL is the largest non-sentinel value, first reached at that
+    section, since the sentinels lie below it. The pixels whose max is at
+    or below SENTINEL are resolved exactly afterwards: -inf and section 0
+    where every value is a sentinel, else the argmax of their non-sentinel
+    values, read again from their own rows.
     """
     k = sections.shape[0]
     best = np.full(sections.shape[1:], -np.inf, dtype=sections.dtype)
     jbest = np.zeros(sections.shape[1:], dtype=np.min_scalar_type(-k))
-    better = np.empty(sections.shape[1:], dtype=bool)
-    scratch = np.empty_like(better)
+    seen = np.zeros(sections.shape[1:], dtype=bool)
+    flat_best, flat_jbest, flat_seen = best.reshape(-1), jbest.reshape(-1), seen.reshape(-1)
+    strip = min(_RUN_VOXELS, best.size)
+    better = np.empty(strip, dtype=bool)
+    flags = np.empty_like(better)
+    rise = np.empty(strip, dtype=jbest.dtype)
     nonfinite = 0
     for j, plane in enumerate(_planes(sections)):
-        nonfinite += plane.size - np.count_nonzero(np.isfinite(plane, out=scratch))
-        # strict: a tie keeps the lower section
-        np.greater(plane, best, out=better)
-        better &= np.not_equal(plane, SENTINEL, out=scratch)
-        np.copyto(best, plane, where=better)
-        np.copyto(jbest, j, where=better)
+        values = plane.reshape(-1)
+        section = jbest.dtype.type(j)
+        for s in _strips(values.size):
+            v, b, jb = values[s], flat_best[s], flat_jbest[s]
+            n = v.size
+            nonfinite += n - np.count_nonzero(np.isfinite(v, out=flags[:n]))
+            # strict: a tie keeps the lower section
+            np.greater(v, b, out=better[:n])
+            # on a tie of zeros of opposite sign np.maximum returns its
+            # second operand: the earlier section's bits stay, as its section does
+            np.maximum(v, b, out=b)
+            # the section where the max rose, else 0: sections only grow,
+            # so the running max of that is the section of the last rise
+            np.maximum(jb, np.multiply(better[:n], section, out=rise[:n]), out=jb)
+            flat_seen[s] |= np.not_equal(v, SENTINEL, out=flags[:n])
     if nonfinite:
         raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
+    _resolve_at_or_below_sentinel(sections, best, jbest, seen)
     return best, jbest
+
+
+def _resolve_at_or_below_sentinel(sections, best, jbest, seen) -> None:
+    """Give the pixels whose running max is at or below SENTINEL the first pass's result.
+
+    A pixel with no non-sentinel value gets -inf and section 0. Any other
+    has only values below SENTINEL besides its sentinels: it gets the
+    largest of those and its first section, from its row of every section,
+    read again. Both are rare; they are found a strip at a time.
+    """
+    w = best.shape[1]
+    flat_best, flat_jbest, flat_seen = best.reshape(-1), jbest.reshape(-1), seen.reshape(-1)
+    for s in _strips(flat_best.size):
+        low = flat_best[s] <= SENTINEL
+        if not low.any():
+            continue
+        none = low & ~flat_seen[s]
+        flat_best[s][none] = -np.inf
+        flat_jbest[s][none] = 0
+        pixels = s.start + np.flatnonzero(low & flat_seen[s])
+        if not pixels.size:
+            continue
+        # row by row, split where the row changes (np.unique imports numpy.ma)
+        for row in np.split(pixels, np.flatnonzero(np.diff(pixels // w)) + 1):
+            y, x = row[0] // w, row % w
+            values = sections[:, y:y + 1][:, 0, x]
+            j = np.where(values != SENTINEL, values, -np.inf).argmax(axis=0)
+            best[y, x] = values[j, np.arange(x.size)]
+            jbest[y, x] = j
 
 
 def _second_pass(sections, jbest: np.ndarray, window: int | None, refine: bool):

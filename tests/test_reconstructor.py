@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -557,6 +558,22 @@ class TestVolumeStream:
         for _ in stream.blocks():  # a second pass counts afresh
             pass
         assert stream.sentinels == np.count_nonzero(whole == SENTINEL)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
+    def test_products_counted_from_the_kernel_calls(self, rig, threads):
+        # n multiplies per voxel, whichever kernel and thread count
+        provider, frames = getattr(self, rig)()
+        stream = reconstructor.VolumeStream(frames, provider, threads=threads)
+        assert stream.products == 0
+        chunks = 0
+        for _ in stream.blocks():
+            chunks += 1
+        assert chunks > 1
+        assert stream.products == math.prod(stream.shape) * frames.shape[0]
+        for _ in stream.blocks():  # a second pass counts afresh
+            pass
+        assert stream.products == math.prod(stream.shape) * frames.shape[0]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])

@@ -519,6 +519,112 @@ def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path):
     assert peak <= bound
 
 
+def below_sentinel_volume(seed):
+    """awkward_volume with pixels whose non-sentinel values all lie below SENTINEL."""
+    data = awkward_volume(seed)
+    low = data[:, 4:7]  # three rows of them, their sentinels kept
+    np.copyto(low, -1.01 - low ** 2, where=low != SENTINEL)
+    k = data.shape[0]
+    data[:, 5, 6] = [SENTINEL, -1.5, -3.0, SENTINEL, -1.25, -1.25, SENTINEL, -2.0, -1.75]
+    data[:, 7, 2] = -1.5 - np.arange(k)  # no sentinel, all below it
+    data[:, 8, 3] = [-2.0] * (k - 1) + [SENTINEL]
+    return data
+
+
+class TestFirstPassStrips:
+    """The first pass, a running max over strips of each plane, gives the oracle's bits."""
+
+    def check(self, data, **kw):
+        volume = stored_volume(data, dtype=data.dtype)
+        dm = extract_depth_map(volume, **kw)
+        depth, confidence = reference_depth_map(volume, **kw)
+        assert_same_bits(dm.depth, depth)
+        assert_same_bits(dm.confidence, confidence)
+        return dm
+
+    @pytest.mark.parametrize("min_confidence", [None, 0.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_a_tie_of_signed_zeros_keeps_the_earlier_bits(self, first, dtype, min_confidence):
+        # np.maximum returns its second operand on a tie of +0.0 and -0.0,
+        # the running max; the peak's bits are those of the earlier section
+        data = np.array([-0.5, first, -first, SENTINEL, -first, -0.25], dtype=dtype)
+        dm = self.check(data.reshape(-1, 1, 1), min_confidence=min_confidence)
+        assert np.signbit(dm.confidence[0, 0]) == np.signbit(first)
+        best, jbest = volume_analysis._first_pass(data.reshape(-1, 1, 1))
+        assert jbest[0, 0] == 1 and best.tobytes() == data[1:2].tobytes()
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("min_confidence", [None, -2.0])
+    def test_values_below_the_sentinel_are_resolved_exactly(self, min_confidence, refine):
+        data = below_sentinel_volume(4)
+        dm = self.check(data, min_confidence=min_confidence, refine=refine)
+        best, jbest = volume_analysis._first_pass(data)
+        # next to sentinels: the largest, the first of a tie
+        assert best[5, 6] == -1.25 and jbest[5, 6] == 4
+        # no sentinel at all
+        assert best[7, 2] == -1.5 and jbest[7, 2] == 0
+        assert best[8, 3] == -2.0 and jbest[8, 3] == 0
+        # and still -inf and section 0 where every value is a sentinel
+        assert best[2, 2] == -np.inf and jbest[2, 2] == 0 and dm.confidence[2, 2] == 0.0
+        if min_confidence is not None:
+            assert dm.depth[5, 6] == dm.grid.z0 + 4 * dm.grid.z_step
+
+    @pytest.mark.parametrize("values", [[np.nan] * 6, [np.inf] * 6, [-np.inf] * 6,
+                                        [np.nan, np.inf, -np.inf, -np.inf, np.inf, np.nan]])
+    def test_nonfinite_voxels_counted_across_strip_edges(self, values):
+        data = awkward_volume(0)  # 13 x 11 = 143 pixels a section
+        planes = data.reshape(data.shape[0], -1)
+        # on each side of two edges of 7-pixel strips, and the last pixel
+        planes[2, [6, 7, 13, 14, 142]] = values[:5]
+        planes[8, 0] = values[5]
+        with mock.patch.object(volume_analysis, "_RUN_VOXELS", 7):
+            with pytest.raises(ValueError, match="volume has 6 non-finite voxels"):
+                extract_depth_map(stored_volume(data))
+
+    @pytest.mark.parametrize("min_confidence", [None, -2.0])
+    @pytest.mark.parametrize("run", [1, 7, 100, 1 << 16])
+    def test_every_strip_length_gives_the_same_bytes(self, tmp_path, run, min_confidence):
+        # 143 pixels a section: strips of one pixel, of 7 and of 100 (neither
+        # divides it), and one strip of every section at once
+        data = below_sentinel_volume(5)
+        path = tmp_path / "vol.aspi"
+        write_stack(data, {"kind": "volume"}, path)
+        array = stored_volume(data)
+        depth, confidence = reference_depth_map(array, min_confidence, refine=True)
+        with mock.patch.object(volume_analysis, "_RUN_VOXELS", run), StackReader(path) as reader:
+            for sections in (array.sections, reader):
+                volume = VolumeStack(sections=sections, grid=array.grid, coverage_floor_used=1e-3)
+                dm = extract_depth_map(volume, min_confidence=min_confidence, refine=True)
+                assert_same_bits(dm.depth, depth)
+                assert_same_bits(dm.confidence, confidence)
+
+    def test_holds_its_planes_and_strips_only(self, tmp_path):
+        # all-sentinel columns and a row below the sentinel take the exact path
+        rng = np.random.default_rng(9)
+        data = rng.random((12, 384, 512), dtype=np.float32)
+        data[:, :, :8] = SENTINEL
+        data[:, 100, 200:210] = -1.5 - rng.random((12, 10), dtype=np.float32)
+        data[::2, 100, 200:210] = SENTINEL
+        path = tmp_path / "vol.aspi"
+        write_stack(data, {"kind": "volume"}, path)
+        pixels, strip = 384 * 512, 4096
+        # per pixel: the float32 best (4), the best section (1) and the flag
+        # of a non-sentinel value (1); two float32 planes read, the one in
+        # use and the next (8); then a few flag and section strips and one
+        # row of every section, read again
+        bound = (4 + 1 + 1 + 8) * pixels + 8 * strip
+        with mock.patch.object(volume_analysis, "_RUN_VOXELS", strip), StackReader(path) as reader:
+            tracemalloc.start()
+            try:
+                best, jbest = volume_analysis._first_pass(reader)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert best[0, 0] == -np.inf and best[100, 200] < SENTINEL
+        assert peak <= bound
+
+
 class TestNonFiniteVolume:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_raises_naming_the_count(self, value):
