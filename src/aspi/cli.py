@@ -487,7 +487,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     status = run_cli()
-    # Every file is closed and every pool shut down by now. Frozen objects
+    # Every file is closed and every worker thread joined by now. Frozen objects
     # are left out of the collections the interpreter makes as it exits,
     # which would otherwise walk all of numpy's objects for nothing.
     gc.freeze()

@@ -3,10 +3,15 @@
 All the exceptions subclass ValueError so callers that do not care about
 the distinction can catch a single builtin type. run_ahead is the one way
 the package runs work on threads: simulate renders its frames with it,
-and the reconstructor computes its row chunks with it.
+and the reconstructor computes its row chunks with it. Its workers are
+plain threading.Threads fed through a queue.SimpleQueue, so no command
+loads concurrent.futures (and the logging and traceback modules it
+imports). A thread per call would cost a GIL hand-off in every start.
 """
 
 from collections import deque
+from queue import SimpleQueue
+from threading import Thread
 
 
 class AspiError(ValueError):
@@ -42,39 +47,57 @@ def check_threads(threads: int) -> None:
 def run_ahead(work, items, outs, threads: int):
     """Yield work(item, out) for each item and out, in step and in order.
 
-    Up to `threads` calls run at once on a pool of workers. The next call is
-    submitted only when the caller asks for the next result, so while the
-    caller holds a result at most threads - 1 calls run, a ring of
-    `threads` outs suffices, and a result is valid until the caller asks
-    for the next one. items and outs are drawn on the calling thread, as
-    their calls are submitted. The pool is made on the first request and
-    shut down when the iterator ends, is closed or raises, which re-raises
-    an exception of work. With threads < 2 this is map(work, items, outs).
+    Up to `threads` calls run at once, on as many worker threads, each
+    started with the first call that needs it. The next call is submitted
+    only when the caller asks for the next result, so while the caller
+    holds a result at most threads - 1 calls run, a ring of `threads` outs
+    suffices, and a result is valid until the caller asks for the next
+    one. items and outs are drawn on the calling thread, as their calls are
+    submitted. Every worker is joined when the iterator ends, is closed or
+    raises, which re-raises an exception of work. With threads < 2 this is
+    map(work, items, outs).
     """
     if threads < 2:
         yield from map(work, items, outs)
         return
-    if "ThreadPoolExecutor" not in globals():
-        __getattr__("ThreadPoolExecutor")
-    pool = ThreadPoolExecutor(max_workers=threads)
+    calls, workers, ahead = SimpleQueue(), [], deque()
     try:
-        ahead = deque()
         for item, out in zip(items, outs):
-            ahead.append(pool.submit(work, item, out))
+            if len(workers) < threads:
+                worker = Thread(target=_serve, args=(work, calls))
+                worker.start()
+                workers.append(worker)
+            done = SimpleQueue()
+            calls.put((done, item, out))
+            ahead.append(done)
             if len(ahead) == threads:
-                yield ahead.popleft().result()
+                yield _result(ahead.popleft())
         while ahead:
-            yield ahead.popleft().result()
+            yield _result(ahead.popleft())
     finally:
-        pool.shutdown(cancel_futures=True)
+        for _ in workers:
+            calls.put(None)
+        for worker in workers:
+            worker.join()
 
 
-def __getattr__(name):
-    # concurrent.futures is imported by the first pool (or the first read of
-    # ThreadPoolExecutor), not by every command; from then on the class is a
-    # plain attribute of this module, which run_ahead looks up on each call
-    global ThreadPoolExecutor
-    if name != "ThreadPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor
+def _serve(work, calls):
+    # run work on each call's item and out until a None; they are let go
+    # of before the worker waits for the next call
+    for call in iter(calls.get, None):
+        _call(work, *call)
+        del call
+
+
+def _call(work, done, item, out):
+    try:
+        done.put((True, work(item, out)))
+    except BaseException as error:  # re-raised on the calling thread, in order
+        done.put((False, error))
+
+
+def _result(done):
+    ok, value = done.get()
+    if not ok:
+        raise value
+    return value

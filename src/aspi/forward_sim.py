@@ -23,11 +23,12 @@ Masks come from the shared GeometryMasks bank: the same row-compressed
 (scan, depth) masks the reconstructor multiplies with, so the simulator
 cannot drift from the reconstruction model. Each field gathers the masks of
 its pixels' sections once, so a frame costs one multiply-add per field
-whatever the number of sections. Frames are rendered and noised into a
-ring of min(threads, frame count) arrays, made once; with threads > 1
-workers render the next frames while the caller uses one
-(errors.run_ahead). Since each frame is a function of its own scan step,
-every frame has the same bytes for any thread count.
+whatever the number of sections; its distinct sections are found by a sort
+and a neighbour compare, as np.unique would load numpy.ma. Frames are
+rendered and noised into a ring of min(threads, frame count) arrays, made
+once; with threads > 1 workers render the next frames while the caller
+uses one (errors.run_ahead). Since each frame is a function of its own
+scan step, every frame has the same bytes for any thread count.
 """
 
 from __future__ import annotations
@@ -181,7 +182,9 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
     masks = GeometryMasks(spec, geom, grid)
     fields, count = [], 0
     for section_map, refl in scene.fields:
-        sections = np.unique(section_map)
+        # the distinct sections, sorted: np.unique would import numpy.ma
+        flat = np.sort(section_map, axis=None)
+        sections = flat[np.append(True, flat[1:] != flat[:-1])]
         bank = masks.section_masks(int(sections[0]))
         if len(sections) > 1:
             bank = np.broadcast_to(bank, np.broadcast_shapes(bank.shape, section_map.shape)).copy()

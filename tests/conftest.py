@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 import aspi
-from aspi import GeometryConfig
+from aspi import GeometryConfig, errors
 
 # Example run times vary with host load; a slow example is not a failure.
 settings.register_profile("aspi", deadline=None)
@@ -73,3 +75,21 @@ def slit_coverage_constant(period, linewidth, step, n):
     for c in range(period):
         counts.append(sum(1 for i in range(n) if ((c - i * step) % period) < linewidth))
     return set(counts)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The worker threads errors.run_ahead starts from now on, in the order started.
+
+    Each has the ident of the thread that started it as `starter`.
+    """
+    started = []
+
+    class RecordingThread(errors.Thread):
+        def start(self):
+            self.starter = threading.get_ident()
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(errors, "Thread", RecordingThread)
+    return started

@@ -289,9 +289,8 @@ def test_criterion_7_fwhm_parametric():
 
 
 def test_criterion_8_throughput():
-    # reference shape: 4.2 MP frames, 100 sections, 30 shifts; the MP/s
-    # figure is reported, not asserted (hardware-dependent)
-    reference = bench_reconstruction(2048, 2048, 30, 100, threads=2)
+    # the reference shape's MP/s (2048 x 2048, 100 sections, 30 shifts) is
+    # hardware-dependent and half a GB of frames: `aspi bench` measures it
 
     # property: the work scales linearly in section count. It is counted
     # as the multiplies the kernel makes, n per voxel, which the host's
@@ -311,8 +310,6 @@ def test_criterion_8_throughput():
     multi = bench_reconstruction(256, 128, 12, 16, threads=4, seed=5)
     assert single.checksum == multi.checksum
     _report(8, "reconstruction throughput",
-            f"reference {reference.megapixels_per_second:.1f} MP/s "
-            f"({reference.wall_seconds:.1f}s wall, {reference.threads} threads); "
             f"section scaling: products x{products[48] / products[24]:.2f}, "
             f"CPU time x{ratio:.2f}; thread checksums equal")
 

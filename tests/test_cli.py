@@ -376,27 +376,38 @@ def test_module_entrypoint_smoke():
     assert "aspi" in proc.stdout
 
 
-@pytest.mark.parametrize("command,runs,skips", [
-    ("simulate", {"aspi.forward_sim"},
+# no command uses these: np.unique imports numpy.ma, and a ThreadPoolExecutor
+# concurrent.futures with logging
+NEVER_LOADED = {"numpy.ma", "concurrent.futures", "logging"}
+
+
+@pytest.mark.parametrize("command,threads,runs,skips", [
+    ("simulate", None, {"aspi.forward_sim"},
      {"aspi.reconstructor", "aspi.volume_analysis", "aspi.calibration", "aspi.bench"}),
-    ("reconstruct", {"aspi.reconstructor"},
+    ("reconstruct", "1", {"aspi.reconstructor"},
      {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim"}),
-    ("depthmap", {"aspi.volume_analysis"},
-     {"aspi.forward_sim", "aspi.bench", "aspi.calibration", "concurrent.futures"}),
+    ("reconstruct", "2", {"aspi.reconstructor"},
+     {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim"}),
+    ("bench", "2", {"aspi.bench", "aspi.reconstructor"},
+     {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim"}),
+    ("depthmap", None, {"aspi.volume_analysis"},
+     {"aspi.forward_sim", "aspi.bench", "aspi.calibration"}),
 ])
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, command, runs, skips):
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, command, threads, runs,
+                                                  skips):
+    # simulate at its default thread count, the others at the one given
     acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
     small_acquisition(capsys, acq)
     assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
     argv = {
         "simulate": [*SMALL_SIMULATE, "--out", str(tmp_path / "acq2.aspi")],
-        "reconstruct": ["reconstruct", "--input", str(acq), "--out", str(tmp_path / "vol2.aspi"),
-                        "--threads", "1"],
+        "reconstruct": ["reconstruct", "--input", str(acq), "--out", str(tmp_path / "vol2.aspi")],
+        "bench": ["bench", "--width", "64", "--height", "48", "--shifts", "8", "--sections", "6"],
         "depthmap": ["depthmap", "--input", str(vol), "--out", str(tmp_path / "depth.aspi")],
-    }[command]
+    }[command] + (["--threads", threads] if threads else [])
     loaded = modules_after(f"from aspi.cli import run_cli\nassert run_cli({argv!r}) == 0")
     assert runs <= loaded
-    assert sorted(loaded & skips) == []
+    assert sorted(loaded & (skips | NEVER_LOADED)) == []
 
 
 def test_commands_in_a_process_exit_and_write_as_in_process(tmp_path, capsys):
@@ -897,12 +908,12 @@ class TestBadThreadCount:
     """--threads below 1 is one error line and exit 1, before any thread starts."""
 
     @pytest.fixture(autouse=True)
-    def no_executor(self, monkeypatch):
-        # the package's one executor, in errors.run_ahead
+    def no_thread(self, monkeypatch):
+        # the package's one thread start, in errors.run_ahead
         def fail(*args, **kwargs):
-            raise AssertionError("no executor may be built")
+            raise AssertionError("no thread may be started")
 
-        monkeypatch.setattr(errors, "ThreadPoolExecutor", fail)
+        monkeypatch.setattr(errors, "Thread", fail)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("masks", ["geometry", "y_moving_model"])

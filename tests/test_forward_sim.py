@@ -1,6 +1,7 @@
 import threading
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -83,6 +84,23 @@ class TestRenderFrame:
         full = render_frame(Scene(layers=[(5, refl)]), 2, spec, geom, grid)
         half = render_frame(Scene(layers=[(5, 0.5 * refl)]), 2, spec, geom, grid)
         assert np.array_equal(half, 0.5 * full)  # power-of-two scale is exact
+
+    def test_scalar_tilted_and_full_section_maps_render_pinned_frames(self):
+        # a scalar field, a (1, W) map and an (H, W) map, the maps with
+        # repeated sections out of order: each field's distinct sections
+        # pick its masks and count towards the haze term (9 here)
+        spec, geom, grid = rig(shear=0.37)
+        h, w = camera_shape(spec, geom)
+        rng = np.random.default_rng(11)
+        tilted = rng.permutation(np.arange(w) % 4 + 4)[None, :]  # sections 4 to 7
+        full = rng.integers(9, 13, size=(h, w))                   # sections 9 to 12
+        layers = [(np.int64(2), 0.25 * rng.random((h, w))), (tilted, 0.5 * rng.random((h, w))),
+                  (full, rng.random((h, w)))]
+        clear = acquire_stack(Scene(layers), spec, geom, grid)
+        hazy = acquire_stack(Scene(layers, haze_fraction=0.5), spec, geom, grid)
+        assert (zlib.crc32(clear.tobytes()), zlib.crc32(hazy.tobytes())) == (0x064c173e, 0xd658c423)
+        # the haze term, to rounding
+        assert np.mean(hazy - 0.5 * clear) == pytest.approx(0.0031288360219227404, rel=1e-12)
 
     def test_empty_scene_rejected(self):
         with pytest.raises(ValueError):
@@ -393,10 +411,10 @@ class TestThreads:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_bad_thread_count_rejected_before_any_frame(self, monkeypatch, threads):
         def fail(*args, **kwargs):
-            raise AssertionError("no executor may be built and no frame rendered")
+            raise AssertionError("no thread may be started and no frame rendered")
 
-        # the package's one executor, in errors.run_ahead
-        monkeypatch.setattr(errors, "ThreadPoolExecutor", fail)
+        # the package's one thread start, in errors.run_ahead
+        monkeypatch.setattr(errors, "Thread", fail)
         monkeypatch.setattr(forward_sim, "_render_frame", fail)
         spec, geom, grid = rig()
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):

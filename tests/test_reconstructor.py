@@ -619,28 +619,33 @@ class TestVolumeStream:
         assert [r0 for r0, _ in seen] == sorted({r0 for r0, _ in seen}) and len(seen) > 2
         assert np.concatenate([c for _, c in seen], axis=1).tobytes() == whole.tobytes()
 
-    def test_reference_kernel_submits_a_chunk_only_after_the_last_was_taken(self, monkeypatch):
+    def test_reference_kernel_submits_a_chunk_only_after_the_last_was_taken(self,
+                                                                            started_threads):
         # a chunk is submitted whole, with its rows of the frames read on the
         # calling thread, when the caller asks for the chunk threads - 1 before it
         provider, frames = self.model_rig()
         submitted, caller = [], threading.get_ident()
 
-        class CountingExecutor(errors.ThreadPoolExecutor):
-            def submit(self, fn, read, chunk):
+        class RecordingFrames:
+            def __getitem__(self, key):
                 assert threading.get_ident() == caller
-                submitted.append(read[0])
-                return super().submit(fn, read, chunk)
+                submitted.append((key[1].start, key[1].stop))
+                return frames[key]
 
-        monkeypatch.setattr(errors, "ThreadPoolExecutor", CountingExecutor)
         for threads in (2, 3):
             submitted.clear()
+            started_threads.clear()
+            stream = reconstructor.VolumeStream(frames, provider, threads=threads)
+            stream._frames = RecordingFrames()
             chunks = 0
-            for r0, chunk in reconstructor.VolumeStream(frames, provider, threads=threads).blocks():
+            for r0, chunk in stream.blocks():
                 chunks += 1
                 assert r0 == 16 * (chunks - 1) and chunk.shape == (12, 16, 96)
                 # those up to this one, and `threads - 1` ahead of it
                 expected = [(r, r + 16) for r in range(0, 64, 16)][:chunks + threads - 1]
                 assert submitted == expected, threads
+            # one worker per call in flight, started on the calling thread
+            assert [t.starter for t in started_threads] == [caller] * threads
             assert chunks == 4
 
     def test_reference_kernel_holds_one_mask_bank(self):
@@ -709,39 +714,37 @@ class TestVolumeStream:
         assert [(r0, chunk.tobytes()) for r0, chunk in stream.blocks()] == first
 
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
-    def test_one_executor_shut_down_on_close_and_error(self, monkeypatch, rig):
+    def test_one_executor_shut_down_on_close_and_error(self, monkeypatch, started_threads, rig):
+        # each pass starts `threads` workers and joins them when it ends, is
+        # closed or raises
         provider, frames = getattr(self, rig)()
         baseline = threading.active_count()
-        built = []
-        executor = errors.ThreadPoolExecutor
 
-        def counting_executor(*args, **kwargs):
-            built.append(1)
-            return executor(*args, **kwargs)
+        def none_alive():
+            return (not any(t.is_alive() for t in started_threads)
+                    and threading.active_count() == baseline)
 
-        monkeypatch.setattr(errors, "ThreadPoolExecutor", counting_executor)
         stream = reconstructor.VolumeStream(frames, provider, threads=2)
-        for _ in stream.blocks():
-            pass
-        assert built == [1]
-        assert threading.active_count() == baseline
+        assert sum(1 for _ in stream.blocks()) > 2
+        assert len(started_threads) == 2 and none_alive()
 
+        started_threads.clear()
         blocks = stream.blocks()
         next(blocks)
-        assert threading.active_count() > baseline
+        assert threading.active_count() == baseline + 2
         blocks.close()
-        assert threading.active_count() == baseline
+        assert len(started_threads) == 2 and none_alive()
 
         def failing(*args, **kwargs):
             raise ValueError("kernel failure")
 
+        started_threads.clear()
         monkeypatch.setattr(reconstructor, "reconstruct_section", failing)
         monkeypatch.setattr(reconstructor.np, "matmul", failing)
         with pytest.raises(ValueError, match="kernel failure"):
             for _ in stream.blocks():
                 pass
-        assert built == [1, 1, 1]
-        assert threading.active_count() == baseline
+        assert len(started_threads) == 2 and none_alive()
 
     def test_bad_input_rejected_before_any_block(self):
         provider, frames = self.gemm_rig()
@@ -789,11 +792,11 @@ class TestThreadCount:
     def test_rejected_before_any_executor(self, monkeypatch, rig, threads):
         provider, frames = getattr(TestVolumeStream(), rig)()
 
-        def no_executor(*args, **kwargs):
-            raise AssertionError("no executor may be built")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("no thread may be started")
 
-        # the package's one executor, in errors.run_ahead
-        monkeypatch.setattr(errors, "ThreadPoolExecutor", no_executor)
+        # the package's one thread start, in errors.run_ahead
+        monkeypatch.setattr(errors, "Thread", no_thread)
         baseline = threading.active_count()
         message = f"threads must be >= 1, got {threads}"
         with pytest.raises(ValueError, match=message):

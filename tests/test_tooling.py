@@ -111,18 +111,29 @@ def test_every_private_top_level_name_is_used_in_its_module():
     assert not unused, unused
 
 
+# what starts a thread or a process, made by name or as an attribute
+_THREAD_STARTERS = {"Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process",
+                    "Pool", "start_new_thread"}
+
+
 def test_one_thread_pool_in_the_package():
-    # every threaded path runs through errors.run_ahead; a second pool
-    # (a writer thread, a pool per command) is a second mechanism
-    sites = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "ThreadPoolExecutor"
-             or getattr(node.func, "attr", None) == "ThreadPoolExecutor")
-    ]
+    # every threaded path runs through errors.run_ahead and its worker
+    # Threads; a second start site (a writer thread, a pool per command) is
+    # a second mechanism, and concurrent.futures is not needed
+    sites, futures = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in _THREAD_STARTERS:
+                    sites.append(where)
+            elif isinstance(node, ast.Import):
+                futures += [where for a in node.names if a.name.startswith("concurrent")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent"):
+                futures.append(where)
     assert len(sites) == 1 and sites[0].startswith("errors.py:"), sites
+    assert futures == [], futures
 
 
 PERFBENCH = SRC.parents[1] / "perfbench" / "run.py"
