@@ -7,6 +7,9 @@ and `bench` measures reconstruction throughput. Every subcommand prints a
 single machine-parsable ``key=value`` summary line to stdout on success.
 `reconstruct` and `depthmap` reject an input file of the wrong kind (an
 acquisition, a mask model, a volume), as its sidecar's ``kind`` names it.
+`calibrate`, `reconstruct` and `depthmap` refuse an output that names the
+same file as an input or as another output, or as either's sidecar,
+before they write anything.
 
 Exit codes: 0 success, 1 runtime failure (bad data, violated invariants,
 I/O problems; a diagnostic goes to stderr), 2 usage errors (argparse).
@@ -83,6 +86,32 @@ def _open(path, kind: str) -> tuple[StackReader, _Sidecar]:
         article = "an" if kind[0] in "aeiou" else "a"
         raise ValueError(f"{path} is not {article} {kind} file")
     return reader, _Sidecar(sidecar_path(path), reader.metadata)
+
+
+def _distinct_files(args, *options: str) -> None:
+    """A ValueError if two of the given path options name one file, before anything is written.
+
+    Every option but pgm names a stack, and so also its sidecar. Two paths
+    name one file when os.path.samefile says so, or, while either file does
+    not exist yet, when they resolve to the same path.
+    """
+    given = []
+    for option in options:
+        if path := getattr(args, option):
+            given.append((option, path))
+            if option != "pgm":
+                given.append((option, sidecar_path(path)))
+    for i, (option, path) in enumerate(given):
+        for other, other_path in given[:i]:
+            if other == option:
+                continue
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:
+                same = os.path.realpath(path) == os.path.realpath(other_path)
+            if same:
+                raise ValueError(f"--{other.replace('_', '-')} and --{option.replace('_', '-')} "
+                                 f"name the same file: {other_path}, {path}")
 
 
 def _cpus() -> int:
@@ -230,6 +259,7 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     from .calibration import fit_mask_model
 
+    _distinct_files(args, "refs", "out")
     planes, _ = read_stack(args.refs)
     if planes.shape[0] != 3:
         raise ValueError(f"calibration needs exactly 3 reference planes, got {planes.shape[0]}")
@@ -278,6 +308,9 @@ def _load_model(path) -> MaskModel:
 def cmd_reconstruct(args) -> int:
     from .reconstructor import SENTINEL, ModelMasks, VolumeStream
 
+    # a model that is also the input fails as a file of the wrong kind
+    _distinct_files(args, "input", "out")
+    _distinct_files(args, "model", "out")
     frames, meta = _open(args.input, "acquisition")
     with frames:
         spec, geom, grid = _rig_from_metadata(meta)
@@ -320,7 +353,8 @@ def cmd_depthmap(args) -> int:
     from .reconstructor import VolumeStack
     from .volume_analysis import CONTRAST_TAU, contrast_window, extract_depth_map
 
-    # the volume is read in runs of planes, once per pass, never whole
+    _distinct_files(args, "input", "out", "confidence_out", "pgm")
+    # the volume is read once, a window of rows of every plane at a time
     planes, meta = _open(args.input, "volume")
     with planes:
         spec, geom, grid = _rig_from_metadata(meta)

@@ -29,9 +29,10 @@ length once, then indexes like the (K, H, W) array it stores, reading just
 the window reader[k0:k1, r0:r1] into a new array, one plane's rows at a
 time; so it holds one window, never the stack, and its callers keep no read
 buffer. Indexing is its only read: `aspi reconstruct` reads one row chunk of
-every frame at a time, `aspi depthmap` runs of whole planes, read_stack
-reader[:]. A FIFO is read header first, then its declared payload into one
-(K, H, W) array that serves every window.
+every frame at a time, `aspi depthmap` one window of rows of every plane
+at a time, each voxel once, read_stack reader[:]. A FIFO is read header
+first, then its declared payload into one (K, H, W) array that serves
+every window.
 """
 
 from __future__ import annotations

@@ -27,24 +27,20 @@ float64. Every value that enters arithmetic is widened to float64 first,
 which is exact, so both dtypes of the same volume give the same depth map
 bit for bit. A volume with a NaN or an infinity is rejected.
 
-The depth map walks the volume in at most two passes over runs of
-sections, each run sections[j:j + step]. So a volume may also be a
-StackReader of a stack file (as `aspi depthmap` passes it), which indexes
-like the array it stores: it is then read run by run into new arrays,
-never held whole, and the passes hold no read buffer. The first pass is
-the running argmax: a plain running max over every value, sentinels
-included, walked a cache-sized strip of _RUN_VOXELS pixels of each plane
-at a time with no masked copy, so that its cost per voxel does not depend
-on how many pixels rise at each section; the rare pixels whose max is at
-or below SENTINEL are resolved exactly at the end (see _first_pass). The
-second keeps each pixel's runner-up and gathers its neighbouring sections
-for refinement. Besides one run (two while the next is read) they hold
-per-pixel planes: the best value and the runner-up in the stored dtype,
-the best section (in the narrowest integer type that holds the last
-one), the first pass's flag of a non-sentinel value, the neighbours, the
-pixels' order by best section and which lie outside the window; then the
-validity flags, the depth and the confidence. The first pass's
-temporaries are strips; float64 temporaries come in blocks of rows.
+The depth map is computed a window of whole rows at a time,
+sections[:, r0:r1] of about _WINDOW_VOXELS voxels over all the sections, so
+a window's size does not grow with the section count. Every step is per
+pixel, so a window's depth map is those rows of the volume's.
+So a volume may also be a StackReader of a stack file (as `aspi depthmap`
+passes it), which indexes like the array it stores: each window is then
+read once into a new array, so each voxel is read once and the volume is
+held a window at a time. In a window, the running argmax walks the
+sections with a plain running max over every value, sentinels included,
+and no masked copy; the rare pixels whose max is at or below SENTINEL are
+resolved exactly afterwards (see _first_pass). A masked running max then
+gives each pixel's runner-up, and the sections next to its best one are
+gathered for refinement. Besides one window and its per-pixel
+temporaries, only the depth and the confidence span the volume's pixels.
 """
 
 from __future__ import annotations
@@ -103,11 +99,12 @@ class DepthMap:
 # the runner-up outside the peak's own window by at least this share of it.
 CONTRAST_TAU = 0.25
 
-# Voxels per run of sections in the passes over a volume: bounded memory.
-# The first pass walks each plane in strips of as many pixels, small enough
-# to stay in cache, and the float64 temporaries after the passes come in
-# blocks of whole rows of about as many.
-_RUN_VOXELS = 1 << 16
+# Voxels in a window of whole rows of every section: this // (K * W) rows,
+# at least one: 2 MB of float32 values. The passes make a few numpy calls
+# per section of a window, so larger windows run faster; measured on 2
+# vCPUs, twice this ran 10-25% faster on 48- and 100-section volumes, and
+# half of it 15-60% slower.
+_WINDOW_VOXELS = 1 << 19
 
 
 def predicted_fwhm_sections(linewidth_px: float, shear_px_per_section: float) -> float:
@@ -203,173 +200,80 @@ def fwhm(curve: AxialCurve) -> float:
     return float(z_right - z_left)
 
 
-def _planes(sections):
-    """The sections of a (K, H, W) array or StackReader, in order, read in runs."""
-    step = max(1, _RUN_VOXELS // max(1, math.prod(sections.shape[1:])))
-    for j in range(0, sections.shape[0], step):
-        yield from sections[j:j + step]
+def _first_pass(values) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each pixel's largest non-sentinel value and its section, and the non-finite count.
 
+    values is an in-memory (K, pixels) window. The value is in its dtype,
+    -inf if there is none; the section in the narrowest signed integer type
+    that holds the last one, ties to the lower.
 
-def _strips(size: int):
-    """Slices of a flat plane of size pixels, _RUN_VOXELS at a time."""
-    for s0 in range(0, size, _RUN_VOXELS):
-        yield slice(s0, min(s0 + _RUN_VOXELS, size))
-
-
-def _first_pass(sections) -> tuple[np.ndarray, np.ndarray]:
-    """Each pixel's largest non-sentinel value and its section, in one pass.
-
-    The value is in the stored dtype, -inf if there is none; the section in
-    the narrowest signed integer type that holds the last one, ties to the
-    lower. A NaN or an infinity raises ValueError naming the count.
-
-    Each plane is walked in strips of _RUN_VOXELS pixels, small enough that
-    a strip of the plane and of the running planes stays in cache across
-    its few whole-strip operations, none of them masked: a running max over
-    every value, sentinels included, the section of each strict rise, and
-    whether the pixel has any non-sentinel value. A running max above
-    SENTINEL is the largest non-sentinel value, first reached at that
-    section, since the sentinels lie below it. The pixels whose max is at
-    or below SENTINEL are resolved exactly afterwards: -inf and section 0
-    where every value is a sentinel, else the argmax of their non-sentinel
-    values, read again from their own rows.
+    No operation is masked: a running max over every value, sentinels
+    included, the section of each strict rise, and a count of values that
+    are not finite. A running max above SENTINEL is the largest non-sentinel
+    value, first reached at that section, since the sentinels lie below it.
+    The rare pixels whose max is at or below SENTINEL then take the argmax
+    of their non-sentinel values: -inf and section 0 where there is none.
     """
-    k = sections.shape[0]
-    best = np.full(sections.shape[1:], -np.inf, dtype=sections.dtype)
-    jbest = np.zeros(sections.shape[1:], dtype=np.min_scalar_type(-k))
-    seen = np.zeros(sections.shape[1:], dtype=bool)
-    flat_best, flat_jbest, flat_seen = best.reshape(-1), jbest.reshape(-1), seen.reshape(-1)
-    strip = min(_RUN_VOXELS, best.size)
-    better = np.empty(strip, dtype=bool)
-    flags = np.empty_like(better)
-    rise = np.empty(strip, dtype=jbest.dtype)
+    k, n = values.shape
+    best = np.full(n, -np.inf, dtype=values.dtype)
+    jbest = np.zeros(n, dtype=np.min_scalar_type(-k))
+    better = np.empty(n, dtype=bool)
+    rise = np.empty(n, dtype=jbest.dtype)
     nonfinite = 0
-    for j, plane in enumerate(_planes(sections)):
-        values = plane.reshape(-1)
-        section = jbest.dtype.type(j)
-        for s in _strips(values.size):
-            v, b, jb = values[s], flat_best[s], flat_jbest[s]
-            n = v.size
-            nonfinite += n - np.count_nonzero(np.isfinite(v, out=flags[:n]))
-            # strict: a tie keeps the lower section
-            np.greater(v, b, out=better[:n])
-            # on a tie of zeros of opposite sign np.maximum returns its
-            # second operand: the earlier section's bits stay, as its section does
-            np.maximum(v, b, out=b)
-            # the section where the max rose, else 0: sections only grow,
-            # so the running max of that is the section of the last rise
-            np.maximum(jb, np.multiply(better[:n], section, out=rise[:n]), out=jb)
-            flat_seen[s] |= np.not_equal(v, SENTINEL, out=flags[:n])
-    if nonfinite:
-        raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
-    _resolve_at_or_below_sentinel(sections, best, jbest, seen)
-    return best, jbest
+    for j, plane in enumerate(values):
+        nonfinite += n - np.count_nonzero(np.isfinite(plane, out=better))
+        # strict: a tie keeps the lower section
+        np.greater(plane, best, out=better)
+        # on a tie of zeros of opposite sign np.maximum returns its
+        # second operand: the earlier section's bits stay, as its section does
+        np.maximum(plane, best, out=best)
+        # the section where the max rose, else 0: sections only grow,
+        # so the running max of that is the section of the last rise
+        np.maximum(jbest, np.multiply(better, jbest.dtype.type(j), out=rise), out=jbest)
+    low = np.flatnonzero(best <= SENTINEL)
+    if low.size:
+        ranked = values[:, low]
+        np.copyto(ranked, -np.inf, where=ranked == SENTINEL)
+        j = ranked.argmax(axis=0)
+        best[low] = ranked[j, np.arange(low.size)]
+        jbest[low] = j
+    return best, jbest, nonfinite
 
 
-def _resolve_at_or_below_sentinel(sections, best, jbest, seen) -> None:
-    """Give the pixels whose running max is at or below SENTINEL the first pass's result.
+def _runner_up(values, jbest: np.ndarray, window: int) -> np.ndarray:
+    """Each pixel's largest value more than window sections from jbest, or 0 when none is larger.
 
-    A pixel with no non-sentinel value gets -inf and section 0. Any other
-    has only values below SENTINEL besides its sentinels: it gets the
-    largest of those and its first section, from its row of every section,
-    read again. Both are rare; they are found a strip at a time.
+    A sentinel never is, and a negative runner-up gives a contrast of at
+    least 1 as 0 does. Section j counts for the pixels whose jbest - j +
+    window, taken as unsigned, exceeds 2 * window.
     """
-    w = best.shape[1]
-    flat_best, flat_jbest, flat_seen = best.reshape(-1), jbest.reshape(-1), seen.reshape(-1)
-    for s in _strips(flat_best.size):
-        low = flat_best[s] <= SENTINEL
-        if not low.any():
-            continue
-        none = low & ~flat_seen[s]
-        flat_best[s][none] = -np.inf
-        flat_jbest[s][none] = 0
-        pixels = s.start + np.flatnonzero(low & flat_seen[s])
-        if not pixels.size:
-            continue
-        # row by row, split where the row changes (np.unique imports numpy.ma)
-        for row in np.split(pixels, np.flatnonzero(np.diff(pixels // w)) + 1):
-            y, x = row[0] // w, row % w
-            values = sections[:, y:y + 1][:, 0, x]
-            j = np.where(values != SENTINEL, values, -np.inf).argmax(axis=0)
-            best[y, x] = values[j, np.arange(x.size)]
-            jbest[y, x] = j
+    k, n = values.shape
+    # no pixel has a section more than k - 1 away
+    window = min(window, k - 1)
+    runner = np.zeros(n, dtype=values.dtype)
+    jbest = jbest.astype(np.int32)
+    offset = np.empty_like(jbest)
+    unsigned = offset.view(np.uint32)
+    outside = np.empty(n, dtype=bool)
+    for j, plane in enumerate(values):
+        np.subtract(jbest, j - window, out=offset)
+        np.greater(unsigned, 2 * window, out=outside)
+        np.maximum(runner, plane, out=runner, where=outside)
+    return runner
 
 
-def _second_pass(sections, jbest: np.ndarray, window: int | None, refine: bool):
-    """Each pixel's runner-up and neighbours, as planes in the stored dtype, or None.
-
-    The runner-up (when window is not None) is the largest value more than
-    window sections from jbest, or 0 when none is larger: a sentinel never
-    is, and a negative runner-up gives a contrast of at least 1 as 0 does.
-    The neighbours (when refine) are the values in the sections before and
-    after jbest, 0 where there is none. The pixels are grouped by jbest
-    once; section j then gives its values to the pixels whose best section
-    is j + 1 and j - 1, and to those outside the window, a set that gains
-    one group and loses another per section.
-    """
-    k = sections.shape[0]
-    flat = jbest.reshape(-1)
-    # a stable sort of 8- or 16-bit keys is a radix sort
-    order = np.argsort(flat, kind="stable")
-    # where each section's run of sorted keys starts, found in the keys' own type
-    starts = np.append(np.searchsorted(flat[order], np.arange(k, dtype=flat.dtype)), flat.size)
-    group = [order[starts[j]:starts[j + 1]] for j in range(k)]
-    runner = outside = rm = rp = None
-    if window is not None:
-        # no pixel has a section more than k - 1 away; jbest's type holds k - 1
-        window = min(window, k - 1)
-        runner = np.zeros(flat.size, dtype=sections.dtype)
-        outside = flat > window
-    if refine:
-        rm = np.zeros(flat.size, dtype=sections.dtype)
-        rp = np.zeros_like(rm)
-    for j, plane in enumerate(_planes(sections)):
-        values = plane.reshape(-1)
-        if runner is not None:
-            # outside: best section below j - window or above j + window
-            if 0 < j and j + window < k:
-                outside[group[j + window]] = False
-            if j > window:
-                outside[group[j - window - 1]] = True
-            np.maximum(runner, values, out=runner, where=outside)
-        if refine:
-            if j + 1 < k:
-                rm[group[j + 1]] = values[group[j + 1]]
-            if j > 0:
-                rp[group[j - 1]] = values[group[j - 1]]
-    return tuple(None if a is None else a.reshape(jbest.shape) for a in (runner, rm, rp))
-
-
-def _kept(best: np.ndarray, runner, min_confidence) -> np.ndarray:
-    """Which pixels' depths are valid by extract_depth_map's rule, in float64 blocks of rows."""
-    keep = np.empty(best.shape, dtype=bool)
-    for block in _row_blocks(best.shape):
-        peak = best[block].astype(np.float64)
-        if min_confidence is not None:
-            np.greater_equal(peak, min_confidence, out=keep[block])
-            continue
-        positive = peak > 0
-        share = np.subtract(peak, runner[block])
-        np.divide(share, peak, out=share, where=positive)
-        np.logical_and(positive, share >= CONTRAST_TAU, out=keep[block])
-    return keep
-
-
-def _row_blocks(shape):
-    """Blocks of whole rows of a plane of about _RUN_VOXELS pixels."""
-    rows = max(1, _RUN_VOXELS // max(1, shape[1]))
-    for r0 in range(0, shape[0], rows):
-        yield slice(r0, r0 + rows)
-
-
-def _parabolic_offset(rm, rp, peak, jbest, k: int) -> np.ndarray:
+def _parabolic_offset(values, jbest: np.ndarray, peak: np.ndarray) -> np.ndarray:
     """The 3-point parabolic peak offset of pixels, in sections, within +-0.5.
 
-    rm and rp are the values in the sections before and after jbest, peak
-    the value at jbest in float64 (wherever jbest is interior, the best
-    section's value); pixels that are not interior concave peaks with valid
-    neighbours get 0.
+    The fit takes the values in the sections before and after jbest and
+    peak, the value at jbest in float64; pixels that are not interior
+    concave peaks with non-sentinel neighbours get 0.
     """
+    k, n = values.shape
+    cols = np.arange(n)
+    # the neighbours, clamped to the volume; a pixel at either end gets 0 below
+    rm = values[np.maximum(jbest, 1) - 1, cols]
+    rp = values[np.minimum(jbest, k - 2) + 1, cols]
     interior = (jbest > 0) & (jbest < k - 1) & (rm != SENTINEL) & (rp != SENTINEL)
     # widen before any arithmetic: float32 planes would keep it float32
     rm, rp = rm.astype(np.float64), rp.astype(np.float64)
@@ -385,6 +289,37 @@ def _parabolic_offset(rm, rp, peak, jbest, k: int) -> np.ndarray:
     delta /= safe
     np.copyto(delta, 0.0, where=~(interior & concave))
     return np.clip(delta, -0.5, 0.5, out=delta)
+
+
+def _window_depth(values, grid: ZGrid, min_confidence, refine: bool, window: int,
+                  depth: np.ndarray, confidence: np.ndarray) -> int:
+    """Write a (K, pixels) window's depths and peaks to depth and confidence, as extract_depth_map.
+
+    Returns the window's count of non-finite values; when it has one,
+    nothing is written.
+    """
+    best, jbest, nonfinite = _first_pass(values)
+    if nonfinite:
+        return nonfinite
+    peak = best.astype(np.float64)
+    if min_confidence is not None:
+        keep = peak >= min_confidence
+    else:
+        positive = peak > 0
+        share = np.subtract(peak, _runner_up(values, jbest, window))
+        np.divide(share, peak, out=share, where=positive)
+        keep = positive & (share >= CONTRAST_TAU)
+    # z0 + depth_sections * z_step where kept, NaN elsewhere
+    np.copyto(depth, jbest)
+    if refine:
+        depth += _parabolic_offset(values, jbest, peak)
+    depth *= grid.z_step
+    depth += grid.z0
+    np.copyto(depth, np.nan, where=~keep)
+    # the peak, 0 where every section is a sentinel
+    np.copyto(confidence, peak)
+    np.copyto(confidence, 0.0, where=peak == -np.inf)
+    return 0
 
 
 def contrast_window(linewidth_px: float, shear_px_per_section: float) -> int:
@@ -416,7 +351,8 @@ def extract_depth_map(
     peaks with valid neighbors are sharpened by a 3-point parabolic fit
     across adjacent sections. A NaN or an infinity in the volume raises
     ValueError naming the count, as do a min_confidence that is not finite
-    and a negative window.
+    and a negative window; a volume with no pixels raises
+    DegenerateInputError.
     """
     if min_confidence is not None and not math.isfinite(min_confidence):
         raise ValueError(f"min_confidence must be finite, got {min_confidence}")
@@ -424,23 +360,19 @@ def extract_depth_map(
         raise ValueError(f"window must be >= 0, got {window}")
     data = volume.sections
     grid = volume.grid
-    k = data.shape[0]
-    best, jbest = _first_pass(data)
-    contrast = min_confidence is None
-    runner, rm, rp = (_second_pass(data, jbest, window if contrast else None, refine)
-                      if contrast or refine else (None, None, None))
-    keep = _kept(best, runner, min_confidence)
-    del runner
-    # z0 + depth_sections * z_step where kept, NaN elsewhere
-    depth = jbest.astype(np.float64)
-    for block in _row_blocks(depth.shape) if refine else ():
-        depth[block] += _parabolic_offset(rm[block], rp[block], best[block].astype(np.float64),
-                                          jbest[block], k)
-    del rm, rp, jbest
-    depth *= grid.z_step
-    depth += grid.z0
-    np.copyto(depth, np.nan, where=~keep)
-    # the peak, 0 where every section is a sentinel
-    confidence = best.astype(np.float64)
-    np.copyto(confidence, 0.0, where=confidence == -np.inf)
-    return DepthMap(depth=depth, confidence=confidence, grid=grid)
+    k, h, w = data.shape
+    if h * w == 0:
+        raise DegenerateInputError(f"volume has no pixels: its sections are {h}x{w}")
+    depth = np.empty(h * w)
+    confidence = np.empty(h * w)
+    rows = max(1, _WINDOW_VOXELS // (k * w))
+    nonfinite = 0
+    for r0 in range(0, h, rows):
+        # the window, a view of an array or a new array read from a file, is
+        # passed and not kept: it is freed before the next one is read
+        out = slice(r0 * w, min(r0 + rows, h) * w)
+        nonfinite += _window_depth(data[:, r0:r0 + rows].reshape(k, -1), grid, min_confidence,
+                                   refine, window, depth[out], confidence[out])
+    if nonfinite:
+        raise ValueError(f"volume has {nonfinite} non-finite voxels (NaN or Inf)")
+    return DepthMap(depth=depth.reshape(h, w), confidence=confidence.reshape(h, w), grid=grid)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from aspi import (
+    SENTINEL,
     GeometryConfig,
     GeometryMasks,
     ModelMasks,
@@ -22,9 +23,9 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
-from aspi import StackWriter, bench, cli, errors, forward_sim, reconstructor
+from aspi import StackWriter, bench, cli, errors, forward_sim, reconstructor, volume_analysis
 from aspi.cli import _rig_from_metadata, build_parser
-from aspi.stack_io import sidecar_path
+from aspi.stack_io import StackReader, sidecar_path
 from conftest import geometry_with_shear, modules_after, python
 
 
@@ -807,6 +808,57 @@ class TestRejectedInputs:
                      "--out", str(files["out"]))
         assert_one_error_line(result, f"{files[wrong]} {needle}", files["out"])
 
+    @pytest.mark.parametrize("command,first,second", [
+        ("depthmap", "--out", "--confidence-out"),
+        ("depthmap", "--out", "--pgm"),
+        ("depthmap", "--confidence-out", "--pgm"),
+        ("depthmap", "--input", "--out"),
+        ("depthmap", "--input", "--confidence-out"),
+        ("reconstruct", "--input", "--out"),
+    ])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "linked", "sidecar"])
+    def test_one_file_named_twice(self, tmp_path, capsys, command, first, second, spelling):
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        inputs = {"reconstruct": acq, "depthmap": vol}[command]
+        target = inputs if first == "--input" else tmp_path / "out.aspi"
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        if spelling == "dotted":
+            (tmp_path / "sub").mkdir()
+            other = tmp_path / "sub" / ".." / target.name
+        elif spelling == "linked":
+            if not target.exists():
+                target.write_bytes(b"")
+                before[target] = b""
+            other = tmp_path / "link.aspi"
+            os.link(target, other)
+            before[other] = before[target]
+        elif spelling == "sidecar":  # the sidecar a stack named first writes or reads
+            other = sidecar_path(target)
+        else:
+            other = target
+        files = {"--input": inputs, "--out": tmp_path / "d.aspi", first: target, second: other}
+        argv = [str(arg) for pair in files.items() for arg in pair]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        named = other if spelling == "sidecar" else target
+        assert err.startswith(f"error: {first} and {second} name the same file: {named}, {other}")
+        assert len(err.strip().splitlines()) == 1
+        # nothing was written or replaced
+        assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(4, 0, 64), (4, 8, 0), (4, 0, 0)])
+    def test_depthmap_volume_with_no_pixels(self, tmp_path, capsys, shape):
+        acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        write_stack(np.zeros(shape), read_stack(vol)[1], vol)
+        result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
+        assert_one_error_line(result, f"volume has no pixels: its sections are {shape[1]}x"
+                              f"{shape[2]}", dep)
+
     def test_depthmap_plane_count_not_the_sections(self, tmp_path, capsys):
         acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
         small_acquisition(capsys, acq)
@@ -1113,3 +1165,31 @@ def test_depthmap_memory_does_not_grow_with_the_sections(tmp_path, capsys, confi
                                                str(tmp_path / "d.aspi"), "--refine", *confidence])
     plane = 512 * 32 * 4
     assert peaks[96] - peaks[24] < 72 * plane / 8, peaks
+
+
+@pytest.mark.parametrize("window", [None, 4 * 64])
+@pytest.mark.parametrize("rule", [[], ["--min-confidence", "-2"]])
+def test_depthmap_reads_the_payload_once(tmp_path, capsys, monkeypatch, window, rule):
+    acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+    small_acquisition(capsys, acq)
+    assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+    planes, meta = read_stack(vol)
+    # pixels with no value but sentinels, and with values only below them,
+    # which are resolved from the window
+    planes[:, 3:5, 5:9] = SENTINEL
+    planes[1::2, 4, 5:9] = -1.5
+    write_stack(planes, meta, vol)
+    if window is not None:  # one row per window
+        monkeypatch.setattr(volume_analysis, "_WINDOW_VOXELS", window)
+    read = []
+    read_into = StackReader._read_into
+
+    def counted(self, buffer, offset):
+        read.append(buffer.nbytes)
+        read_into(self, buffer, offset)
+
+    monkeypatch.setattr(StackReader, "_read_into", counted)
+    code, *_ = run(capsys, "depthmap", "--input", str(vol), "--out", str(tmp_path / "d.aspi"),
+                   "--refine", *rule)
+    assert code == 0
+    assert sum(read) == planes.nbytes == 4 * 8 * 64 * 4

@@ -494,19 +494,19 @@ class TestContrastRule:
 
 def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path):
     # the best value of over half the pixels in one section: one neighbour
-    # gather then takes the values of most of the plane at once
+    # gather then takes the values of most of a window at once
     rng = np.random.default_rng(8)
     data = rng.random((12, 384, 512), dtype=np.float32)
     data[6, :200] += 2.0
     data[:, :, :8] = SENTINEL
     path = tmp_path / "vol.aspi"
     write_stack(data, {"kind": "volume"}, path)
-    pixels = 384 * 512
-    # per pixel, in the second pass: the float32 peak (4) and runner-up (4),
-    # the sort order (8), the best section (1) and the out-of-window flags
-    # (1), the two float32 neighbour planes (8), two float32 planes read (8)
-    # and one gathered (4)
-    bound = (4 + 4 + 8 + 1 + 1 + 8 + 8 + 4) * pixels
+    pixels, window = 384 * 512, max(1, volume_analysis._WINDOW_VOXELS // (12 * 512)) * 512
+    # per pixel, the float64 depth and confidence (16); per pixel of one
+    # window, its 12 float32 values (48) and at most 80 bytes of
+    # temporaries, as many as ten float64 planes (the peak, the contrast and
+    # the neighbours in float64, the int32 offsets, the flags)
+    bound = 16 * pixels + (12 * 4 + 80) * window
     with StackReader(path) as reader:
         volume = VolumeStack(sections=reader, grid=ZGrid(0.0, 1.0, 12), coverage_floor_used=1e-3)
         tracemalloc.start()
@@ -516,7 +516,7 @@ def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path):
         finally:
             tracemalloc.stop()
     assert np.count_nonzero(np.isfinite(dm.depth)) > pixels / 2
-    assert peak <= bound
+    assert peak <= bound < data.nbytes
 
 
 def below_sentinel_volume(seed):
@@ -531,8 +531,25 @@ def below_sentinel_volume(seed):
     return data
 
 
-class TestFirstPassStrips:
-    """The first pass, a running max over strips of each plane, gives the oracle's bits."""
+def window_edge_volume(volume):
+    """The 9 x 13 x 11 volume with ties, signed zeros and sentinel-only pixels in rows 4-6, 9-10.
+
+    Those rows lie across the edges of windows of 1, 2 and 5 rows.
+    """
+    data = volume.copy()
+    plus = [-0.5, 0.0, -0.0, SENTINEL, -0.0, -0.25, 0.0, SENTINEL, -0.75]
+    minus = [-0.5, -0.0, 0.0, SENTINEL, 0.0, -0.25, -0.0, SENTINEL, -0.75]
+    for row, zeros in zip((4, 5, 6), (plus, minus, plus)):
+        data[:, row, 9] = zeros           # a peak of +0.0 or -0.0, tied
+    data[:, 4:7, 10] = 0.5                # flat: every section ties
+    data[:, 9:11, 5] = SENTINEL           # no valid section
+    data[:, 9:11, 7] = 0.25
+    data[[1, 6], 9:11, 7] = 2.0           # an exact tie at the peak
+    return data
+
+
+class TestFirstPassWindows:
+    """The first pass, a running max over the planes of each window, gives the oracle's bits."""
 
     def check(self, data, **kw):
         volume = stored_volume(data, dtype=data.dtype)
@@ -551,15 +568,16 @@ class TestFirstPassStrips:
         data = np.array([-0.5, first, -first, SENTINEL, -first, -0.25], dtype=dtype)
         dm = self.check(data.reshape(-1, 1, 1), min_confidence=min_confidence)
         assert np.signbit(dm.confidence[0, 0]) == np.signbit(first)
-        best, jbest = volume_analysis._first_pass(data.reshape(-1, 1, 1))
-        assert jbest[0, 0] == 1 and best.tobytes() == data[1:2].tobytes()
+        best, jbest, nonfinite = volume_analysis._first_pass(data.reshape(-1, 1))
+        assert jbest[0] == 1 and best.tobytes() == data[1:2].tobytes() and nonfinite == 0
 
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("min_confidence", [None, -2.0])
     def test_values_below_the_sentinel_are_resolved_exactly(self, min_confidence, refine):
         data = below_sentinel_volume(4)
         dm = self.check(data, min_confidence=min_confidence, refine=refine)
-        best, jbest = volume_analysis._first_pass(data)
+        best, jbest, _ = volume_analysis._first_pass(data.reshape(data.shape[0], -1))
+        best, jbest = best.reshape(data.shape[1:]), jbest.reshape(data.shape[1:])
         # next to sentinels: the largest, the first of a tie
         assert best[5, 6] == -1.25 and jbest[5, 6] == 4
         # no sentinel at all
@@ -572,34 +590,37 @@ class TestFirstPassStrips:
 
     @pytest.mark.parametrize("values", [[np.nan] * 6, [np.inf] * 6, [-np.inf] * 6,
                                         [np.nan, np.inf, -np.inf, -np.inf, np.inf, np.nan]])
-    def test_nonfinite_voxels_counted_across_strip_edges(self, values):
+    def test_nonfinite_voxels_counted_across_window_edges(self, values):
         data = awkward_volume(0)  # 13 x 11 = 143 pixels a section
         planes = data.reshape(data.shape[0], -1)
-        # on each side of two edges of 7-pixel strips, and the last pixel
+        # in windows of one row: the first, the second and the last
         planes[2, [6, 7, 13, 14, 142]] = values[:5]
         planes[8, 0] = values[5]
-        with mock.patch.object(volume_analysis, "_RUN_VOXELS", 7):
+        with mock.patch.object(volume_analysis, "_WINDOW_VOXELS", 1):
             with pytest.raises(ValueError, match="volume has 6 non-finite voxels"):
                 extract_depth_map(stored_volume(data))
 
     @pytest.mark.parametrize("min_confidence", [None, -2.0])
-    @pytest.mark.parametrize("run", [1, 7, 100, 1 << 16])
-    def test_every_strip_length_gives_the_same_bytes(self, tmp_path, run, min_confidence):
-        # 143 pixels a section: strips of one pixel, of 7 and of 100 (neither
-        # divides it), and one strip of every section at once
-        data = below_sentinel_volume(5)
+    @pytest.mark.parametrize("rows", [1, 2, 5, 13])
+    def test_every_window_height_gives_the_same_bytes(self, tmp_path, rows, min_confidence):
+        # windows of 13 x 11 sections: of one row, of two and of five (neither
+        # divides 13), and one window of every row; edges cut through ties,
+        # signed zeros, sentinel-only pixels and values below the sentinel
+        data = window_edge_volume(below_sentinel_volume(5))
+        k, _, w = data.shape
         path = tmp_path / "vol.aspi"
         write_stack(data, {"kind": "volume"}, path)
         array = stored_volume(data)
         depth, confidence = reference_depth_map(array, min_confidence, refine=True)
-        with mock.patch.object(volume_analysis, "_RUN_VOXELS", run), StackReader(path) as reader:
+        with mock.patch.object(volume_analysis, "_WINDOW_VOXELS", rows * k * w), \
+                StackReader(path) as reader:
             for sections in (array.sections, reader):
                 volume = VolumeStack(sections=sections, grid=array.grid, coverage_floor_used=1e-3)
                 dm = extract_depth_map(volume, min_confidence=min_confidence, refine=True)
                 assert_same_bits(dm.depth, depth)
                 assert_same_bits(dm.confidence, confidence)
 
-    def test_holds_its_planes_and_strips_only(self, tmp_path):
+    def test_holds_its_outputs_and_one_window_only(self, tmp_path):
         # all-sentinel columns and a row below the sentinel take the exact path
         rng = np.random.default_rng(9)
         data = rng.random((12, 384, 512), dtype=np.float32)
@@ -608,20 +629,22 @@ class TestFirstPassStrips:
         data[::2, 100, 200:210] = SENTINEL
         path = tmp_path / "vol.aspi"
         write_stack(data, {"kind": "volume"}, path)
-        pixels, strip = 384 * 512, 4096
-        # per pixel: the float32 best (4), the best section (1) and the flag
-        # of a non-sentinel value (1); two float32 planes read, the one in
-        # use and the next (8); then a few flag and section strips and one
-        # row of every section, read again
-        bound = (4 + 1 + 1 + 8) * pixels + 8 * strip
-        with mock.patch.object(volume_analysis, "_RUN_VOXELS", strip), StackReader(path) as reader:
+        pixels, window = 384 * 512, 4096
+        # per pixel: the float64 depth and confidence (16); one float32
+        # window of 8 rows of every section, and per pixel of it at most 80
+        # bytes of temporaries
+        bound = 16 * pixels + 12 * window * 4 + 80 * window
+        with mock.patch.object(volume_analysis, "_WINDOW_VOXELS", 12 * window), \
+                StackReader(path) as reader:
+            volume = VolumeStack(sections=reader, grid=ZGrid(0.0, 1.0, 12),
+                                 coverage_floor_used=1e-3)
             tracemalloc.start()
             try:
-                best, jbest = volume_analysis._first_pass(reader)
+                dm = extract_depth_map(volume, min_confidence=-2.0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert best[0, 0] == -np.inf and best[100, 200] < SENTINEL
+        assert dm.confidence[0, 0] == 0.0 and dm.confidence[100, 200] < SENTINEL
         assert peak <= bound
 
 
@@ -725,17 +748,17 @@ def test_axial_psf_equals_its_double_loop_oracle_bit_for_bit():
 class TestVolumeFromAFile:
     """A StackReader of a volume gives the depth map of the volume as stored, bit for bit."""
 
-    @pytest.mark.parametrize("sections_per_run", [1, 2, 4, 9])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 13])
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("min_confidence", [None, 0.9])
-    def test_equals_the_array_and_the_oracle(self, tmp_path, sections_per_run, refine,
-                                             min_confidence):
-        data = awkward_volume(1)
+    def test_equals_the_array_and_the_oracle(self, tmp_path, rows, refine, min_confidence):
+        data = window_edge_volume(awkward_volume(1))
+        k, _, w = data.shape
         path = tmp_path / "vol.aspi"
         write_stack(data, {"kind": "volume"}, path)
         array = stored_volume(data)
-        run = sections_per_run * data.shape[1] * data.shape[2]
-        with mock.patch.object(volume_analysis, "_RUN_VOXELS", run), StackReader(path) as reader:
+        with mock.patch.object(volume_analysis, "_WINDOW_VOXELS", rows * k * w), \
+                StackReader(path) as reader:
             volume = VolumeStack(sections=reader, grid=array.grid, coverage_floor_used=1e-3)
             dm = extract_depth_map(volume, min_confidence=min_confidence, refine=refine)
         depth, confidence = reference_depth_map(array, min_confidence, refine)
