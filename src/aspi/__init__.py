@@ -19,19 +19,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("AspiError", "CoverageError", "DegenerateInputError", "EmptyMaskError",
                "FwhmRangeError", "StackFormatError"),
-    "imaging_model": ("PatternSpec", "GeometryConfig", "ZGrid",
-                      "validate_frame", "sample_row", "shift_image",
-                      "make_slit_pattern", "axial_range", "is_axially_ambiguous",
-                      "synthesize_mask", "threshold_mask", "camera_shape",
-                      "base_camera_pattern", "GeometryMasks"),
+    "rig": ("PatternSpec", "GeometryConfig", "ZGrid", "axial_range", "is_axially_ambiguous",
+            "camera_shape"),
+    "imaging_model": ("validate_frame", "sample_row", "shift_image", "make_slit_pattern",
+                      "synthesize_mask", "threshold_mask", "base_camera_pattern",
+                      "GeometryMasks"),
     "calibration": ("MaskModel", "estimate_translation", "fit_mask_model", "predict_mask"),
     "forward_sim": ("NoiseSpec", "Scene", "render_frame", "render_frames", "acquire_stack",
                     "make_tilted_plane_scene", "tilted_plane_sections"),
-    "reconstructor": ("SENTINEL", "VolumeStack", "ModelMasks", "default_floor",
-                      "reconstruct_section", "reconstruct_volume", "VolumeStream"),
+    "reconstructor": ("ModelMasks", "default_floor", "reconstruct_section",
+                      "reconstruct_volume", "VolumeStream"),
     "volume_analysis": ("AxialCurve", "DepthMap", "axial_psf", "fwhm",
                         "predicted_fwhm_sections", "contrast_window", "extract_depth_map"),
-    "stack_io": ("read_stack", "write_stack", "StackReader", "StackWriter", "write_pgm"),
+    "stack_io": ("read_stack", "write_stack", "StackReader", "StackWriter", "write_pgm",
+                 "SENTINEL", "VolumeStack"),
     "bench": ("BenchReport", "bench_reconstruction"),
     "cli": ("run_cli",),
 }

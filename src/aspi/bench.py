@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_threads
-from .imaging_model import GeometryConfig, PatternSpec, ZGrid
 from .reconstructor import GeometryMasks, VolumeStream
+from .rig import GeometryConfig, PatternSpec, ZGrid
 
 __all__ = ["BenchReport", "bench_reconstruction"]
 

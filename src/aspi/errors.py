@@ -7,11 +7,10 @@ and the reconstructor computes its row chunks with it. Its workers are
 plain threading.Threads fed through a queue.SimpleQueue, so no command
 loads concurrent.futures (and the logging and traceback modules it
 imports). A thread per call would cost a GIL hand-off in every start.
+threading and queue are imported only when run_ahead starts workers.
 """
 
 from collections import deque
-from queue import SimpleQueue
-from threading import Thread
 
 
 class AspiError(ValueError):
@@ -60,11 +59,14 @@ def run_ahead(work, items, outs, threads: int):
     if threads < 2:
         yield from map(work, items, outs)
         return
+    import threading
+    from queue import SimpleQueue
+
     calls, workers, ahead = SimpleQueue(), [], deque()
     try:
         for item, out in zip(items, outs):
             if len(workers) < threads:
-                worker = Thread(target=_serve, args=(work, calls))
+                worker = threading.Thread(target=_serve, args=(work, calls))
                 worker.start()
                 workers.append(worker)
             done = SimpleQueue()

@@ -41,15 +41,8 @@ from itertools import cycle
 import numpy as np
 
 from .errors import check_threads, run_ahead
-from .imaging_model import (
-    GeometryConfig,
-    GeometryMasks,
-    PatternSpec,
-    ZGrid,
-    camera_shape,
-    mask_coverage,
-    validate_frame,
-)
+from .imaging_model import GeometryMasks, mask_coverage, validate_frame
+from .rig import GeometryConfig, PatternSpec, ZGrid, camera_shape
 
 __all__ = [
     "NoiseSpec",

@@ -67,14 +67,14 @@ another shape than the bank's are each a ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import check_threads, run_ahead
-from .imaging_model import GeometryMasks, TranslationMasks, ZGrid, mask_coverage
-from .stack_io import StackReader
+from .imaging_model import GeometryMasks, TranslationMasks, mask_coverage
+from .rig import ZGrid
+from .stack_io import SENTINEL, StackReader, VolumeStack
 
 if TYPE_CHECKING:  # only the commands that fit or read a mask model load calibration
     from .calibration import MaskModel
@@ -89,8 +89,6 @@ __all__ = [
     "reconstruct_volume",
     "VolumeStream",
 ]
-
-SENTINEL = -1.0
 
 # Pixels per row chunk of the reference kernel (128 rows at 512 wide): small
 # enough for a chunk's masks to stay near the cache, large enough that each
@@ -109,25 +107,6 @@ _GEMM_COLS = 64
 def default_floor(base_mask, n: int) -> float:
     """Denominator floor: 1e-3 of the base mask peak times the shift count."""
     return 1e-3 * float(np.max(base_mask)) * n
-
-
-@dataclass(frozen=True)
-class VolumeStack:
-    """Reconstructed confocal sections bound to their depth grid."""
-
-    # (K, H, W) float64 as reconstructed, float32 as read from a stack file,
-    # or a StackReader of one, which indexes like that array (extract_depth_map
-    # takes any); SENTINEL where coverage failed
-    sections: np.ndarray | StackReader
-    grid: ZGrid
-    coverage_floor_used: float
-    masks_source: str = ""
-
-    def __post_init__(self):
-        if len(self.sections.shape) != 3 or self.sections.shape[0] != self.grid.count:
-            raise ValueError(
-                f"sections shape {self.sections.shape} inconsistent with grid count {self.grid.count}"
-            )
 
 
 class ModelMasks(TranslationMasks):

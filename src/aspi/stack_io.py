@@ -33,6 +33,11 @@ every frame at a time, `aspi depthmap` one window of rows of every plane
 at a time, each voxel once, read_stack reader[:]. A FIFO is read header
 first, then its declared payload into one (K, H, W) array that serves
 every window.
+
+A volume file holds reconstructed sections, SENTINEL where a voxel's
+coverage fell below the floor. VolumeStack binds such sections, an array
+or a StackReader of the file, to their depth grid; both live here, so the
+depth map needs none of the reconstructor's code.
 """
 
 from __future__ import annotations
@@ -41,11 +46,16 @@ import math
 import os
 import stat
 import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import StackFormatError
+
+if TYPE_CHECKING:
+    from .rig import ZGrid
 
 __all__ = [
     "MAGIC",
@@ -56,6 +66,8 @@ __all__ = [
     "read_stack",
     "sidecar_path",
     "write_pgm",
+    "SENTINEL",
+    "VolumeStack",
 ]
 
 MAGIC = b"ASPI"
@@ -87,8 +99,13 @@ def _read_sidecar(path) -> dict:
     p = sidecar_path(path)
     if not p.exists():
         return {}
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StackFormatError(f"sidecar {p} is not UTF-8 text: byte {exc.start} is "
+                               f"{exc.object[exc.start]:#04x}") from None
     meta = {}
-    for line in p.read_text().splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -165,7 +182,7 @@ class StackWriter:
                              "were never written; not committed")
         fd, self._fd = self._fd, None
         os.close(fd)
-        self._tmp_meta.write_text(self._text)
+        self._tmp_meta.write_text(self._text, encoding="utf-8")
         self._meta.unlink(missing_ok=True)
         os.replace(self._tmp, self.path)
         os.replace(self._tmp_meta, self._meta)
@@ -328,6 +345,28 @@ def read_stack(path) -> tuple[np.ndarray, dict]:
     """
     with StackReader(path) as reader:
         return reader[:], reader.metadata
+
+
+SENTINEL = -1.0
+
+
+@dataclass(frozen=True)
+class VolumeStack:
+    """Reconstructed confocal sections bound to their depth grid."""
+
+    # (K, H, W) float64 as reconstructed, float32 as read from a stack file,
+    # or a StackReader of one, which indexes like that array (extract_depth_map
+    # takes any); SENTINEL where coverage failed
+    sections: np.ndarray | StackReader
+    grid: ZGrid
+    coverage_floor_used: float
+    masks_source: str = ""
+
+    def __post_init__(self):
+        if len(self.sections.shape) != 3 or self.sections.shape[0] != self.grid.count:
+            raise ValueError(
+                f"sections shape {self.sections.shape} inconsistent with grid count {self.grid.count}"
+            )
 
 
 def _span(index, size: int) -> tuple[int, int]:

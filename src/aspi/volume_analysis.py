@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DegenerateInputError, FwhmRangeError
-from .imaging_model import GeometryConfig, PatternSpec, ZGrid, mask_coverage, sample_row
-from .reconstructor import SENTINEL, VolumeStack, default_floor
+from .rig import GeometryConfig, PatternSpec, ZGrid
+from .stack_io import SENTINEL, VolumeStack
 
 __all__ = [
     "AxialCurve",
@@ -132,6 +132,10 @@ def axial_psf(
     illuminated above the coverage floor at every section. The curve is
     normalized to peak 1.
     """
+    # the mask code loads only with the PSF: `aspi depthmap` runs without it
+    from .imaging_model import mask_coverage, sample_row
+    from .reconstructor import default_floor
+
     o = np.asarray(base_pattern, dtype=np.float64)
     m = np.asarray(base_mask, dtype=np.float64)
     if o.ndim != 2 or m.ndim != 2:

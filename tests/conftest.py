@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 import aspi
-from aspi import GeometryConfig, errors
+from aspi import GeometryConfig
 
 # Example run times vary with host load; a slow example is not a failure.
 settings.register_profile("aspi", deadline=None)
@@ -85,11 +85,11 @@ def started_threads(monkeypatch):
     """
     started = []
 
-    class RecordingThread(errors.Thread):
+    class RecordingThread(threading.Thread):
         def start(self):
             self.starter = threading.get_ident()
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(errors, "Thread", RecordingThread)
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
     return started

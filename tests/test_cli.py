@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import os
 import subprocess
@@ -23,8 +24,10 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
-from aspi import StackWriter, bench, cli, errors, forward_sim, reconstructor, volume_analysis
-from aspi.cli import _rig_from_metadata, build_parser
+from aspi import StackWriter, bench, forward_sim, reconstructor, volume_analysis
+from aspi.cli import build_parser
+from aspi.commands import reconstruct as reconstruct_command
+from aspi.commands import rig_from_metadata
 from aspi.stack_io import StackReader, sidecar_path
 from conftest import geometry_with_shear, modules_after, python
 
@@ -113,7 +116,7 @@ class TestPipeline:
                               magnification=1.5, shift_sign=-1)
         grid = ZGrid(z0=-2.5, z_step=0.5, count=7)
         planes, meta = read_stack(acq)
-        assert _rig_from_metadata(meta) == (spec, geom, grid)
+        assert rig_from_metadata(meta) == (spec, geom, grid)
         assert planes.shape == (6, 9, 60)
 
 
@@ -377,22 +380,62 @@ def test_module_entrypoint_smoke():
     assert "aspi" in proc.stdout
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads_after_the_entry_point():
+    """(the BLAS variables, the thread count) of a fresh process that imported
+    aspi.__main__ and then numpy; the count is None off Linux."""
+    proc = python("-c", "import json, os, aspi.__main__, numpy\n"
+                        f"names = {BLAS_THREADS!r}\n"
+                        "tasks = '/proc/self/task'\n"
+                        "print(json.dumps([{n: os.environ.get(n) for n in names},\n"
+                        "                  len(os.listdir(tasks)) if os.path.isdir(tasks) "
+                        "else None]))")
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def test_the_entry_point_pins_blas_to_one_thread(monkeypatch):
+    for name in BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    variables, threads = blas_threads_after_the_entry_point()
+    assert variables == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                         "MKL_NUM_THREADS": None}
+    if threads is None:
+        pytest.skip("no /proc/self/task on this platform")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("name", BLAS_THREADS)
+def test_the_entry_point_keeps_a_blas_thread_count_the_caller_set(monkeypatch, name):
+    for other in BLAS_THREADS:
+        monkeypatch.delenv(other, raising=False)
+    monkeypatch.setenv(name, "2")
+    variables, _ = blas_threads_after_the_entry_point()
+    assert variables == {other: "2" if other == name else None for other in BLAS_THREADS}
+
+
 # no command uses these: np.unique imports numpy.ma, and a ThreadPoolExecutor
 # concurrent.futures with logging
 NEVER_LOADED = {"numpy.ma", "concurrent.futures", "logging"}
 
 
 @pytest.mark.parametrize("command,threads,runs,skips", [
-    ("simulate", None, {"aspi.forward_sim"},
-     {"aspi.reconstructor", "aspi.volume_analysis", "aspi.calibration", "aspi.bench"}),
-    ("reconstruct", "1", {"aspi.reconstructor"},
-     {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim"}),
+    ("simulate", None, {"aspi.forward_sim", "aspi.commands.simulate"},
+     {"aspi.reconstructor", "aspi.volume_analysis", "aspi.calibration", "aspi.bench",
+      "aspi.commands.reconstruct"}),
+    ("reconstruct", "1", {"aspi.reconstructor", "aspi.commands.reconstruct"},
+     {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim", "aspi.commands.simulate"}),
     ("reconstruct", "2", {"aspi.reconstructor"},
      {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim"}),
-    ("bench", "2", {"aspi.bench", "aspi.reconstructor"},
-     {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim"}),
-    ("depthmap", None, {"aspi.volume_analysis"},
-     {"aspi.forward_sim", "aspi.bench", "aspi.calibration"}),
+    ("reconstruct --model", "1", {"aspi.reconstructor", "aspi.calibration"},
+     {"aspi.volume_analysis", "aspi.forward_sim", "aspi.bench"}),
+    ("bench", "2", {"aspi.bench", "aspi.reconstructor", "aspi.commands.bench"},
+     {"aspi.calibration", "aspi.volume_analysis", "aspi.forward_sim", "aspi.commands.reconstruct"}),
+    ("depthmap", None, {"aspi.volume_analysis", "aspi.rig", "aspi.commands.depthmap"},
+     {"aspi.forward_sim", "aspi.bench", "aspi.calibration", "aspi.imaging_model",
+      "aspi.reconstructor", "aspi.commands.reconstruct", "queue"}),
 ])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, command, threads, runs,
                                                   skips):
@@ -400,15 +443,27 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, command, thr
     acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
     small_acquisition(capsys, acq)
     assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+    model = small_model(capsys, tmp_path) if command == "reconstruct --model" else None
     argv = {
         "simulate": [*SMALL_SIMULATE, "--out", str(tmp_path / "acq2.aspi")],
         "reconstruct": ["reconstruct", "--input", str(acq), "--out", str(tmp_path / "vol2.aspi")],
+        "reconstruct --model": ["reconstruct", "--input", str(acq), "--model", str(model),
+                                "--out", str(tmp_path / "vol2.aspi")],
         "bench": ["bench", "--width", "64", "--height", "48", "--shifts", "8", "--sections", "6"],
         "depthmap": ["depthmap", "--input", str(vol), "--out", str(tmp_path / "depth.aspi")],
     }[command] + (["--threads", threads] if threads else [])
     loaded = modules_after(f"from aspi.cli import run_cli\nassert run_cli({argv!r}) == 0")
     assert runs <= loaded
     assert sorted(loaded & (skips | NEVER_LOADED)) == []
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["depthmap", "--help"],
+                                  ["reconstruct", "--help"]])
+def test_help_and_version_load_no_command_module(argv):
+    # nor numpy: only the parser runs
+    loaded = modules_after(f"from aspi.cli import run_cli\nassert run_cli({argv!r}) == 0")
+    assert sorted(name for name in loaded if name.startswith("aspi.")) == ["aspi.cli"]
+    assert "numpy" not in loaded
 
 
 def test_commands_in_a_process_exit_and_write_as_in_process(tmp_path, capsys):
@@ -459,6 +514,37 @@ def threaded_commands():
     return {name: [name] + [token for action in p._actions if action.required
                             for token in (action.option_strings[0], "x.aspi")]
             for name, p in sub.choices.items() if "--threads" in p._option_string_actions}
+
+
+def full_parser_result(capsys, argv):
+    """(exit code, stdout, stderr) of the parser with every subcommand's arguments."""
+    try:
+        build_parser().parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SUBCOMMANDS = ["simulate", "calibrate", "reconstruct", "depthmap", "psf", "bench"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--version"], [], ["nosuch"],
+                                  ["nosuch", "--out", "x"], ["--bogus"], ["-1", "depthmap"],
+                                  ["depthmap"], ["depthmap", "--bogus", "1"],
+                                  ["--", "psf", "--help"],
+                                  *([name, "--help"] for name in SUBCOMMANDS)])
+def test_the_parser_of_one_subcommand_answers_as_the_full_parser(capsys, argv):
+    # run_cli adds the arguments of the subcommand it runs only
+    expected = full_parser_result(capsys, argv)
+    assert run(capsys, *argv) == expected
+
+
+def test_build_parser_with_no_command_has_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == SUBCOMMANDS
+    assert all(len(p._actions) > 1 for p in sub.choices.values())  # more than its --help
 
 
 def test_threaded_commands():
@@ -540,7 +626,7 @@ class TestStreamedReconstruct:
         assert code == 0
         planes, frames_meta = read_stack(acq)
         whole = reconstructor.reconstruct_volume(
-            planes, GeometryMasks(*_rig_from_metadata(frames_meta)))
+            planes, GeometryMasks(*rig_from_metadata(frames_meta)))
         streamed, meta = read_stack(vol)
         assert streamed.tobytes() == whole.sections.astype("<f4").tobytes()
         summary = parse_summary(out)
@@ -601,15 +687,15 @@ class TestStreamedReconstruct:
         def no_writer(*args, **kwargs):
             raise AssertionError("the output was opened")
 
-        monkeypatch.setattr(cli, "StackWriter", no_writer)
+        monkeypatch.setattr(reconstruct_command, "StackWriter", no_writer)
         code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
         assert code == 1 and "1 non-finite frame pixels" in err
         self.assert_untouched(tmp_path, vol, before)
 
     def test_bad_metadata_commits_nothing(self, capsys, tmp_path, monkeypatch):
         acq, vol, before = self.inputs(capsys, tmp_path)
-        rig_metadata = cli._rig_metadata
-        monkeypatch.setattr(cli, "_rig_metadata",
+        rig_metadata = reconstruct_command.rig_metadata
+        monkeypatch.setattr(reconstruct_command, "rig_metadata",
                             lambda *args: {**rig_metadata(*args), "bad key": 1})
         code, out, err = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
         assert (code, out, err) == (1, "", "error: invalid metadata key 'bad key'\n")
@@ -946,7 +1032,7 @@ def test_reconstruct_with_masks_that_vary_along_y_takes_the_reference_kernel(tmp
                        "--threads", threads, "--out", str(vol))
     assert code == 0
     frames, meta = read_stack(acq)
-    masks = ModelMasks(cli._load_model(model), _rig_from_metadata(meta)[2], 16)
+    masks = ModelMasks(reconstruct_command._load_model(model), rig_from_metadata(meta)[2], 16)
     assert masks.row_bank() is None
     whole = reconstructor.reconstruct_volume(frames, masks)
     volume, _ = read_stack(vol)
@@ -965,7 +1051,7 @@ class TestBadThreadCount:
         def fail(*args, **kwargs):
             raise AssertionError("no thread may be started")
 
-        monkeypatch.setattr(errors, "Thread", fail)
+        monkeypatch.setattr(threading, "Thread", fail)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("masks", ["geometry", "y_moving_model"])
@@ -1045,6 +1131,20 @@ class TestBadSidecarValue:
         set_sidecar_value(vol, key, "4.5x")
         result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
         assert_one_error_line(result, f"{vol}.meta: sidecar value of {key!r} is not", dep)
+
+
+class TestBinarySidecar:
+    """A sidecar that is not UTF-8 text is one error line naming the .meta file."""
+
+    def test_depthmap(self, tmp_path, capsys):
+        acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+        small_acquisition(capsys, acq)
+        assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+        # a stack's bytes where its text belongs, as a stack written over a sidecar leaves
+        sidecar_path(vol).write_bytes(b"kind=volume\n" + np.float32([-1.0]).tobytes())
+        result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
+        assert_one_error_line(result, f"sidecar {vol}.meta is not UTF-8 text: byte 14 is 0x80",
+                              dep)
 
 
 class TestDepthmapAmbiguity:

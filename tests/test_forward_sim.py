@@ -22,7 +22,7 @@ from aspi import (
     synthesize_mask,
     tilted_plane_sections,
 )
-from aspi import errors, forward_sim
+from aspi import forward_sim
 from aspi.imaging_model import mask_coverage
 from conftest import geometry_with_shear, slit_coverage_constant
 
@@ -414,7 +414,7 @@ class TestThreads:
             raise AssertionError("no thread may be started and no frame rendered")
 
         # the package's one thread start, in errors.run_ahead
-        monkeypatch.setattr(errors, "Thread", fail)
+        monkeypatch.setattr(threading, "Thread", fail)
         monkeypatch.setattr(forward_sim, "_render_frame", fail)
         spec, geom, grid = rig()
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):

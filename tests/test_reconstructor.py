@@ -29,7 +29,7 @@ from aspi import (
     synthesize_mask,
     write_stack,
 )
-from aspi import errors, reconstructor
+from aspi import reconstructor
 from aspi.imaging_model import TranslationMasks, mask_coverage
 from conftest import geometry_with_shear
 
@@ -796,7 +796,7 @@ class TestThreadCount:
             raise AssertionError("no thread may be started")
 
         # the package's one thread start, in errors.run_ahead
-        monkeypatch.setattr(errors, "Thread", no_thread)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         baseline = threading.active_count()
         message = f"threads must be >= 1, got {threads}"
         with pytest.raises(ValueError, match=message):

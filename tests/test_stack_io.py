@@ -251,6 +251,14 @@ class TestSidecarValidation:
         with pytest.raises(StackFormatError, match="sidecar"):
             read_stack(path)
 
+    def test_sidecar_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "s.aspi"
+        write_stack(np.zeros((1, 1, 1)), {"k": "v"}, path)
+        sidecar_path(path).write_bytes(b"k=\xff\n")
+        with pytest.raises(StackFormatError) as info:
+            read_stack(path)
+        assert str(info.value) == f"sidecar {path}.meta is not UTF-8 text: byte 2 is 0xff"
+
 
 class TestPgmExport:
     def test_header_and_payload_size(self, tmp_path):

@@ -5,9 +5,18 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "aspi"
 README = SRC.parents[1] / "README.md"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
+
+
+def _sources():
+    """Every source file of the package, subpackages included, and its dotted module name."""
+    files = sorted(SRC.rglob("*.py"))
+    assert files, f"no sources under {SRC}"
+    return [(path, ".".join(path.relative_to(SRC).with_suffix("").parts)) for path in files]
 
 
 def _imported_roots(tree):
@@ -23,11 +32,9 @@ def test_runtime_imports_are_stdlib_numpy_or_package_relative():
     # numpy is the only runtime dependency; anything else (scipy included)
     # may appear in tests only
     allowed = set(sys.stdlib_module_names) | {"numpy"}
-    files = sorted(SRC.glob("*.py"))
-    assert files, f"no sources under {SRC}"
     offenders = [
-        f"{path.name}:{lineno} imports {root}"
-        for path in files
+        f"{module}:{lineno} imports {root}"
+        for path, module in _sources()
         for lineno, root in _imported_roots(ast.parse(path.read_text(), str(path)))
         if root not in allowed
     ]
@@ -72,15 +79,13 @@ def test_every_export_is_defined_at_module_top_level():
     # a name deleted from a module but left in its __all__ breaks
     # `from aspi.module import *` only when that import runs, and one left
     # in the package's map breaks `aspi.name` only when it is first read
-    files = sorted(SRC.glob("*.py"))
-    assert files, f"no sources under {SRC}"
     stale, defined = [], {}
-    for path in files:
+    for path, module in _sources():
         tree = ast.parse(path.read_text(), str(path))
-        defined[path.stem] = set(_top_level_names(tree))
-        if path.name != "__init__.py":
-            stale += [f"{path.name}: {name}" for name in _exports(tree)
-                      if name not in defined[path.stem]]
+        defined[module] = set(_top_level_names(tree))
+        if module != "__init__":
+            stale += [f"{module}: {name}" for name in _exports(tree)
+                      if name not in defined[module]]
     package = _package_exports()
     assert package
     stale += [f"__init__.py: {module}.{name}" for module, names in package.items()
@@ -97,17 +102,15 @@ def _loaded_names(node):
 def test_every_private_top_level_name_is_used_in_its_module():
     # a private helper or constant that its own module no longer reads
     # (say, a block size left behind when its loop went) is dead code
-    files = sorted(SRC.glob("*.py"))
-    assert files, f"no sources under {SRC}"
     unused = []
-    for path in files:
+    for path, module in _sources():
         tree = ast.parse(path.read_text(), str(path))
         for stmt in tree.body:
             for name in _top_level_names(ast.Module(body=[stmt], type_ignores=[])):
                 if not name.startswith("_") or name.startswith("__"):
                     continue
                 if not any(name in _loaded_names(other) for other in tree.body if other is not stmt):
-                    unused.append(f"{path.name}: {name}")
+                    unused.append(f"{module}: {name}")
     assert not unused, unused
 
 
@@ -121,9 +124,9 @@ def test_one_thread_pool_in_the_package():
     # Threads; a second start site (a writer thread, a pool per command) is
     # a second mechanism, and concurrent.futures is not needed
     sites, futures = [], []
-    for path in sorted(SRC.glob("*.py")):
+    for path, module in _sources():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 if name in _THREAD_STARTERS:
@@ -132,8 +135,26 @@ def test_one_thread_pool_in_the_package():
                 futures += [where for a in node.names if a.name.startswith("concurrent")]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent"):
                 futures.append(where)
-    assert len(sites) == 1 and sites[0].startswith("errors.py:"), sites
+    assert len(sites) == 1 and sites[0].startswith("errors:"), sites
     assert futures == [], futures
+
+
+def test_sources_of_subpackages_are_scanned():
+    # the checks above walk subpackages too, so code moved into one stays checked
+    assert "commands.depthmap" in {module for _, module in _sources()}
+
+
+def test_the_aspi_script_runs_the_module_that_pins_blas():
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["aspi"]
+    assert target == "aspi.__main__:main"
+    # there the pin runs before the module imports anything of the package
+    body = ast.parse((SRC / "__main__.py").read_text()).body
+    pin = next(i for i, node in enumerate(body)
+               if isinstance(node, ast.If) and "OPENBLAS_NUM_THREADS" in ast.unparse(node))
+    first = next(i for i, node in enumerate(body)
+                 if isinstance(node, ast.ImportFrom) and node.level > 0)
+    assert pin < first
 
 
 PERFBENCH = SRC.parents[1] / "perfbench" / "run.py"
