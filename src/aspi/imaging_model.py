@@ -286,19 +286,22 @@ class TranslationMasks:
         dy = self._steps[1] + z_index * self._shear[1]
         return _translate_rows(self.base, dx, dy, rows or (0, self.base.shape[0]))
 
-    def row_bank(self) -> np.ndarray | None:
+    def row_bank(self, out: np.ndarray | None = None) -> np.ndarray | None:
         """(n, K, W) masks of every step and section; None unless kept as one row.
 
-        A view of new (W, n, K) storage on every call, the GEMM kernel's layout,
-        filled in blocks of whole columns, each at most one section's n * W
-        values (one column at least), with section_masks' arithmetic.
+        A view of (W, n, K) storage, the GEMM kernel's layout: `out` when
+        given (a float64 array of that shape, or a view of one, such as the
+        first n rows of a larger bank), else new storage on every call. It
+        is filled in blocks of whole columns, each at most one section's
+        n * W values (one column at least), with section_masks' arithmetic.
+        Without a row, out is left untouched.
         """
         if self._row is None:
             return None
         w, n, k = self._row.size, self.shift_count, self.grid.count
         # dx[i, z], as section_masks(z) computes it for every step i
         dx = self._steps[0][:, None] + np.arange(k) * self._shear[0]
-        store = np.empty((w, n, k), dtype=np.float64)
+        store = np.empty((w, n, k), dtype=np.float64) if out is None else out
         cols = max(1, w // k)
         for x0 in range(0, w, cols):
             positions = np.arange(x0, min(x0 + cols, w), dtype=np.float64)[:, None, None] - dx

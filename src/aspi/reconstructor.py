@@ -20,14 +20,17 @@ Two kernels compute the volume, both in float64 whatever the frame dtype:
   (n, 1, W), and reconstruct_volume uses it for banks that vary along y.
 * The GEMM kernel serves banks that are constant along y: those whose
   row_bank() returns the whole (n, K, W) bank, geometric or calibrated.
-  The bank is normalised once: each column M_iz(x) divided by its
-  coverage, the uncovered ones 0. For every column x all sections are then
-  one matrix product, (rows x n) . (n x K), plus a sentinel plane that is
-  -1.0 where the column is uncovered and 0 elsewhere, computed in row
-  bands of _GEMM_ROWS rows by batched matmuls over tiles of _GEMM_COLS
-  columns. Its summation order is the BLAS one and it divides before it
-  sums, so it agrees with the reference kernel to within (n+1)*eps of
-  sum_i |O_i| * M_iz / sum_i M_iz per voxel rather than bit for bit.
+  The bank is normalised once, in (W, n + 1, K) storage: each column
+  M_iz(x) divided by its coverage, the uncovered ones 0, and as its last
+  row n a sentinel plane that is -1.0 where the column is uncovered and
+  +0.0 elsewhere. Each tile's frame rows carry a last column of ones, so
+  for every column x all sections are one matrix product,
+  (rows x (n + 1)) . ((n + 1) x K), which is the finished voxel; it is
+  computed in row bands of _GEMM_ROWS rows by batched matmuls over tiles
+  of _GEMM_COLS columns. Its summation order is the BLAS one and it
+  divides before it sums, so it agrees with the reference kernel to within
+  (n+1)*eps of sum_i |O_i| * M_iz / sum_i M_iz per voxel rather than bit
+  for bit.
   Coverage (mask_coverage) and the floor rule (_floor_rule) are shared, so
   coverage and sentinels are identical.
 
@@ -38,26 +41,31 @@ section, top to bottom, each chunk whole on one worker thread
 (errors.run_ahead) while the caller uses the one before, so no sum is ever
 split between threads and each kernel's output is bit-identical for any
 thread count. A GEMM chunk is one fixed _GEMM_ROWS (16-row) band, computed
-in tiles of _GEMM_COLS (64) columns; the reference kernel's chunks hold up
-to _BAND_PIXELS pixels of a section and are computed section by section,
-each from only the chunk's rows of that section's masks.
-Each chunk needs only its own rows of the frames, frames[:, r0:r1]: a view
-of an array, or a read of a StackReader, which indexes like the array it
-stores, so the stream holds no read buffer; the rows are read on the
-calling thread as the chunk is handed to a worker. The kernels store their
-float64 voxels straight into the chunk: float32 chunks from a ring of one
-per worker, which rounds each voxel once, so a float32 chunk holds the
-bytes of the float64 one cast to float32, and a chunk is valid until the
-caller asks for the next one. `aspi reconstruct` writes them to the stack
-file and `aspi bench` checksums them; reconstruct_volume has them computed
-straight into the rows of its float64 (K, H, W) array. So besides the
-frames (none when they are read from a file) these hold, per worker thread,
-one float32 chunk of every section and the chunk's rows of the frames
-(float32 as read, float64 for the reference kernel), never the volume; the
-GEMM kernel also holds the (n, K, W) bank, divided by its coverage, one
-(K, W) sentinel plane and, per worker, one tile's frame rows and products
-in float64, the reference kernel per worker the float64 masks of one
-section's chunk rows. The number of SENTINEL voxels,
+in tiles of _GEMM_COLS (64) columns through buffers made once per chunk
+and reused by each tile: its frame rows are cast into one with one
+strided copy, the product goes to another, and a float32 chunk takes the
+product cast in its own layout, then transposed. The reference kernel's
+chunks hold up to _BAND_PIXELS pixels of a section and are computed
+section by section, each from only the chunk's rows of that section's
+masks. Each chunk needs only its own rows of the frames, frames[:, r0:r1]:
+a read of a StackReader, which indexes like the array it stores, or of an
+array, a contiguous copy for the GEMM kernel (the layout a StackReader
+reads) and a view for the reference kernel, so the stream holds no read
+buffer; the rows are read on the calling thread as the chunk is handed to
+a worker. The kernels store their float64 voxels straight into the chunk:
+float32 chunks from a ring of one per worker, which rounds each voxel
+once, so a float32 chunk holds the bytes of the float64 one cast to
+float32, and a chunk is valid until the caller asks for the next one.
+`aspi reconstruct` writes them to the stack file and `aspi bench`
+checksums them; reconstruct_volume has them computed straight into the
+rows of its float64 (K, H, W) array. So besides the frames (none when they
+are read from a file) these hold, per worker thread, one float32 chunk of
+every section and the chunk's rows of the frames (float32 as read, float64
+for the reference kernel), never the volume; the GEMM kernel also holds
+the (W, n + 1, K) bank, divided by its coverage, with its sentinel row
+and, per worker, one tile's frame rows and products in float64 and the
+products' float32 cast, the reference kernel per worker the float64 masks
+of one section's chunk rows. The number of SENTINEL voxels,
 VolumeStream.sentinels, comes from the coverage, not from the voxels: a
 covered voxel whose quotient happens to be exactly -1.0 is not counted. A
 thread count below 1, a floor that is not finite and > 0, and frames of
@@ -101,6 +109,8 @@ _GEMM_ROWS = 16
 
 # Columns per tile of a GEMM band, one batched matmul each: every column is
 # its own product, so this bounds a worker's memory without changing any bit.
+# 64 measured as fast as any of 32 to 128 at K = 48 and K = 100, and wider
+# tiles raise the peak RSS (BENCH_gemm_sentinel.json).
 _GEMM_COLS = 64
 
 
@@ -193,9 +203,10 @@ class VolumeStream:
     floor, frame shape, NaN or Inf pixels), so a caller can reject bad input
     before it opens an output; frames read from a StackReader are checked in
     one pass over the file, frame by frame. It also prepares the kernel once:
-    for the GEMM kernel, the bank divided by its coverage and the sentinel
-    plane. `blocks` computes the volume chunk by chunk, up to `threads`
-    chunks at once, each on one worker. `shape` is the volume's (K, H, W).
+    for the GEMM kernel, the bank divided by its coverage with the sentinel
+    plane as its last row. `blocks` computes the volume chunk by chunk, up
+    to `threads` chunks at once, each on one worker. `shape` is the
+    volume's (K, H, W).
 
     `sentinels` is the number of SENTINEL voxels in the volume, counted from
     the coverage: for the GEMM kernel H times the uncovered (section, column)
@@ -206,8 +217,9 @@ class VolumeStream:
 
     `products` is the number of multiplies O_i * M_iz the kernel has made,
     counted from the shapes of its calls as blocks() computes them: n per
-    voxel, K * H * W * n once the stream is exhausted. Unlike a time, it
-    does not drift with the host.
+    voxel, K * H * W * n once the stream is exhausted (the GEMM kernel's
+    column of ones, which adds the sentinel row, makes none). Unlike a
+    time, it does not drift with the host.
     """
 
     def __init__(self, frames, masks: TranslationMasks, floor: float | None = None,
@@ -230,25 +242,32 @@ class VolumeStream:
         self._threads = threads
         self.sentinels = 0
         self.products = 0
-        # the GEMM kernel's sentinel plane; None selects the reference kernel
-        self._sentinel = None
-        bank = masks.row_bank()
+        # the GEMM kernel's bank, in (W, n + 1, K) storage: rows 0..n-1 the
+        # masks, row n the sentinel plane, which each tile's column of ones
+        # adds to the product. np.empty only reserves the pages; a bank that
+        # varies along y (no row bank: the reference kernel) never touches them
+        n, k, w = masks.shift_count, masks.grid.count, frames.shape[2]
+        self._bank = np.empty((w, n + 1, k))
+        bank = masks.row_bank(self._bank[:, :n])
         if bank is None:
             # one exact float64 upcast per chunk, not one in each of the K * n multiplies
-            self._rows, self._dtype = self._section_rows(), np.float64
+            self._bank = None
+            self._rows = self._section_rows()
+            self._read = lambda band: np.asarray(band, dtype=np.float64)
             return
         # each bank column divided by its coverage and the uncovered ones 0
-        # (a copy, not a multiply), in place in the bank's new (W, n, K)
-        # storage, so that a tile's product plus the sentinel plane is the
-        # finished voxel: +0.0 where covered, -1.0 exactly where not
-        self._masks_x = masks_x = bank.transpose(2, 0, 1)
+        # (a copy, not a multiply), in place, so that a tile's product is the
+        # finished voxel: the sentinel row adds +0.0 where covered and -1.0
+        # exactly where not
+        masks_x, sentinel = self._bank[:, :n], self._bank[:, n]
         den, uncovered = _floor_rule(mask_coverage(masks_x.transpose(1, 0, 2)), self.floor)
         masks_x /= den[:, None, :]
         np.copyto(masks_x, 0.0, where=uncovered[:, None, :])
-        self._sentinel = np.where(uncovered, SENTINEL, 0.0).T.copy()[:, None, :]  # (K, 1, W)
+        sentinel[...] = 0.0
+        np.copyto(sentinel, SENTINEL, where=uncovered)
         self.sentinels = self.shape[1] * int(np.count_nonzero(uncovered))
-        # tiles cast their own columns of the chunk's frames
-        self._rows, self._dtype = _GEMM_ROWS, None
+        # tiles read their columns of a contiguous band of the frames
+        self._rows, self._read = _GEMM_ROWS, np.ascontiguousarray
 
     def blocks(self, out=None):
         """Yield (r0, chunk): (K, rows, W) row chunks of every section, from row r0.
@@ -276,9 +295,8 @@ class VolumeStream:
                     for i, (r0, r1) in enumerate(spans))
         else:
             outs = (out[:, r0:r1] for r0, r1 in spans)
-        reads = (((r0, r1), np.asarray(self._frames[:, r0:r1], dtype=self._dtype))
-                 for r0, r1 in spans)
-        if self._sentinel is None:
+        reads = (((r0, r1), self._read(self._frames[:, r0:r1])) for r0, r1 in spans)
+        if self._bank is None:
             self.sentinels = 0
         self.products = 0
         for r0, chunk, uncovered, products in run_ahead(self._chunk, reads, outs, threads):
@@ -291,7 +309,7 @@ class VolumeStream:
         # the reference kernel found, 0 for the GEMM kernel, products made)
         (r0, r1), frames = read
         products = 0
-        if self._sentinel is None:
+        if self._bank is None:
             # section by section, each from only the chunk's rows of its masks
             uncovered = 0
             for z in range(self.shape[0]):
@@ -300,16 +318,26 @@ class VolumeStream:
                 uncovered += int(np.count_nonzero(_floor_rule(coverage, self.floor)[1]))
                 products += frames.size
             return r0, chunk, uncovered, products
-        # one batched matmul per _GEMM_COLS columns
-        n, w = frames.shape[0], frames.shape[2]
-        for x0 in range(0, w, _GEMM_COLS):
-            x1 = min(x0 + _GEMM_COLS, w)
-            obs = np.empty((x1 - x0, r1 - r0, n), dtype=np.float64)
-            # cast first: a contiguous float64 band transposes twice as fast
-            obs[...] = frames[:, :, x0:x1].astype(np.float64).transpose(2, 1, 0)
-            np.add(np.matmul(obs, self._masks_x[x0:x1]).transpose(2, 1, 0),
-                   self._sentinel[:, :, x0:x1], out=chunk[:, :, x0:x1])
-            products += obs.size * self._masks_x.shape[2]
+        # one batched matmul per _GEMM_COLS columns, through buffers made once
+        # per chunk: the tile's frame rows with a last column of ones, the
+        # products, and their float32 cast when the chunk is float32
+        (n, rows, w), k = frames.shape, self.shape[0]
+        cols = min(_GEMM_COLS, w)
+        obs = np.empty((cols, rows, n + 1))
+        obs[..., n] = 1.0
+        prod = np.empty((cols, rows, k))
+        cast = prod if chunk.dtype == prod.dtype else np.empty(prod.shape, chunk.dtype)
+        for x0 in range(0, w, cols):
+            x1 = min(x0 + cols, w)
+            c = x1 - x0
+            # one strided cast-copy in; the product cast in its own layout,
+            # then one transpose out
+            np.copyto(obs[:c, :, :n], frames[:, :, x0:x1].transpose(2, 1, 0))
+            np.matmul(obs[:c], self._bank[x0:x1], out=prod[:c])
+            if cast is not prod:
+                np.copyto(cast[:c], prod[:c])
+            chunk[:, :, x0:x1] = cast[:c].transpose(2, 1, 0)
+            products += c * rows * n * k
         return r0, chunk, 0, products
 
     def _section_rows(self) -> int:

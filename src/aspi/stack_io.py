@@ -19,10 +19,11 @@ provenance travels in a sidecar text file at <path>.meta with one
 
 StackWriter writes a stack block by block: each plane's rows of a block go
 to their place in the file as they come, so a writer holds the float32 copy
-of one plane's rows, never the stack; `aspi reconstruct` streams its volume
-this way, `aspi simulate` its frames, and write_stack a whole array. Either
-commits the file and its sidecar only when the whole payload was written
-exactly once.
+of one plane's rows (none when they are contiguous little-endian float32
+already, as `aspi reconstruct`'s chunks are), never the stack; `aspi
+reconstruct` streams its volume this way, `aspi simulate` its frames, and
+write_stack a whole array. Either commits the file and its sidecar only
+when the whole payload was written exactly once.
 
 StackReader is its read-side twin: it checks the header and the payload
 length once, then indexes like the (K, H, W) array it stores, reading just
@@ -74,6 +75,7 @@ MAGIC = b"ASPI"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIB13x")
 _DTYPE_F32 = 0
+_F4 = np.dtype("<f4")  # the payload's values
 _KEY_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
 
 
@@ -142,18 +144,20 @@ class StackWriter:
         self._written = np.zeros((k, h), dtype=np.uint8)
         self._fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            self._pwrite(self._header, 0)
+            self._pwrite(self._header, len(self._header), 0)
         except BaseException:
             self.close()
             raise
 
-    def _pwrite(self, data, offset: int) -> None:
-        view = memoryview(data).cast("B")
+    def _pwrite(self, data, size: int, offset: int) -> None:
+        # data (bytes or a C-contiguous array of `size` bytes) goes to pwrite
+        # as it is; only a short write takes a byte view of the rest
         done = 0
-        while done < len(view):
-            count = os.pwrite(self._fd, view[done:], offset + done)
+        while done < size:
+            rest = data if done == 0 else memoryview(data).cast("B")[done:]
+            count = os.pwrite(self._fd, rest, offset + done)
             if count <= 0:
-                raise OSError(f"{self.path}: wrote {done} of {len(view)} bytes at offset {offset}")
+                raise OSError(f"{self.path}: wrote {done} of {size} bytes at offset {offset}")
             done += count
 
     def write(self, k0: int, r0: int, block) -> None:
@@ -168,10 +172,14 @@ class StackWriter:
         if rows.any():
             raise ValueError(f"block at section {k0}, row {r0} overlaps rows already written")
         offset = _HEADER.size + (k0 * h + r0) * w * 4
-        # one plane's float32 rows at a time, not the block's; a block with
+        # one plane's float32 rows at a time, not the block's, each as it is
+        # when it is already contiguous little-endian float32; a block with
         # no rows or no columns has no bytes (and memoryview cannot cast it)
+        f4, size = b.dtype == _F4, b.shape[1] * w * 4
         for j, plane in enumerate(b if b.size else ()):
-            self._pwrite(np.ascontiguousarray(plane, dtype="<f4"), offset + j * h * w * 4)
+            if not (f4 and plane.flags.c_contiguous):
+                plane = np.ascontiguousarray(plane, dtype=_F4)
+            self._pwrite(plane, size, offset + j * h * w * 4)
         rows += 1
 
     def commit(self) -> None:
@@ -254,7 +262,7 @@ class StackReader:
     closes the file when the block ends.
     """
 
-    dtype = np.dtype("<f4")
+    dtype = _F4
 
     def __init__(self, path):
         self.path = path

@@ -352,9 +352,12 @@ class TestLayerSumOracle:
 
 
 def traced_simulate_peak(tmp_path, sections):
+    # one thread: with two, how many frames and noise blocks the workers
+    # hold at the peak varies from run to run by more than a section's bank
     argv = ["simulate", "--scene", "tilted", "--slope", repr(sections / 256),
             "--sections", str(sections), "--proj-width", "256", "--proj-height", "128",
-            "--haze", "0.3", "--noise-sigma", "0.01", "--out", str(tmp_path / f"acq{sections}.aspi")]
+            "--haze", "0.3", "--noise-sigma", "0.01", "--threads", "1",
+            "--out", str(tmp_path / f"acq{sections}.aspi")]
     assert run_cli(argv) == 0  # first-use imports are not the command's memory
     tracemalloc.start()
     try:

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -702,6 +703,51 @@ class TestVolumeStream:
         peak, bound = self.gemm_stream_peak(tmp_path, 48, 8)
         assert peak <= bound(3), (peak - bound(3)) / 1e6
 
+    def test_gemm_constructor_holds_one_bank_and_its_coverage(self, tmp_path):
+        # the (W, n + 1, K) bank is filled in place, rows 0..n-1 by row_bank
+        # and row n with the sentinel plane: no second copy of it exists at
+        # any moment, and the stream keeps nothing else
+        n, k, w = 30, 48, 512
+        spec = PatternSpec(w, 64, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=n)
+        provider = GeometryMasks(spec, geometry_with_shear(0.2332), ZGrid(0.0, 1.0, k))
+        frames = noisy_frames(n, camera_shape(spec, provider.geom), seed=5).astype(np.float32)
+        bank = w * (n + 1) * k * 8            # the float64 masks and the sentinel row
+        coverage = k * w * (8 + 8 + 1)        # their sums, floored, and the uncovered flags
+        block = 10 * n * w * 8                # row_bank's positions, indices and weights
+        with stack_reader(tmp_path, frames) as reader:
+            tracemalloc.start()
+            try:
+                stream = reconstructor.VolumeStream(reader, provider)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert stream.shape == (k, 64, w)
+        assert peak <= bank + coverage + block, (peak - bank - coverage - block) / 1e6
+        assert current <= bank + (1 << 14), (current - bank) / 1e6
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gemm_voxels_are_minus_one_where_uncovered_and_never_minus_zero(self, threads):
+        # the sentinel row rides in the product against a column of ones:
+        # -1.0 exactly where a column is uncovered, +0.0 added where it is
+        # covered, so frames of -0.0 give +0.0 voxels; the ones column is
+        # not counted as a multiply
+        provider, frames = self.gemm_rig()
+        frames[:, :, :40] = -0.0
+        uncovered = ~(section_coverage(provider) >= default_floor(provider.base, 30))
+        uncovered = np.broadcast_to(uncovered, (12,) + frames.shape[1:])
+        stream = reconstructor.VolumeStream(frames, provider, threads=threads)
+        sections = np.empty(stream.shape)
+        chunks = [(r0, chunk.copy()) for r0, chunk in stream.blocks()]
+        assert stream.sentinels == np.count_nonzero(uncovered) > 0
+        assert stream.products == math.prod(stream.shape) * 30
+        for _ in stream.blocks(sections):
+            pass
+        volume32 = np.concatenate([chunk for _, chunk in chunks], axis=1)
+        for volume in (sections, volume32):
+            assert np.array_equal(volume == SENTINEL, uncovered)
+            assert np.all(volume[:, :, :40][~uncovered[:, :, :40]] == 0.0)
+            assert not np.signbit(volume[volume == 0.0]).any()
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rig", ["gemm_rig", "model_rig"])
     def test_a_second_pass_yields_the_same_chunks(self, rig, threads):
@@ -845,6 +891,55 @@ def test_gemm_chunks_from_a_file_equal_those_of_the_array(tmp_path, monkeypatch,
         monkeypatch.setattr(reconstructor, "_GEMM_COLS", cols)
         tiled = reconstruct_volume(frames, provider, threads=threads).sections
         assert tiled.tobytes() == whole.tobytes(), cols
+
+
+def test_gemm_kernel_reads_array_frames_as_contiguous_bands(monkeypatch):
+    # the layout a StackReader returns, so an array times the tiles `aspi
+    # reconstruct` runs; the reference kernel's float64 reads stay views
+    seen = []
+    chunk = reconstructor.VolumeStream._chunk
+
+    def recording(self, read, out):
+        seen.append(read[1])
+        return chunk(self, read, out)
+
+    monkeypatch.setattr(reconstructor.VolumeStream, "_chunk", recording)
+    provider, frames = TestVolumeStream().gemm_rig()
+    for _ in reconstructor.VolumeStream(frames, provider).blocks():
+        pass
+    assert len(seen) == 5
+    assert all(band.flags.c_contiguous and band.dtype == np.float32
+               and not np.shares_memory(band, frames) for band in seen)
+    seen.clear()
+    provider, frames = TestVolumeStream().model_rig()
+    for _ in reconstructor.VolumeStream(frames, provider).blocks():
+        pass
+    assert len(seen) == 2 and all(np.shares_memory(band, frames) for band in seen)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("rig,crcs", [
+    # 72 sections, 150 columns (two 64-column tiles and a short one), 40 rows
+    ("geometry", (0x2E5B0A36, 0xFB9CF89B)),
+    # a row-constant calibrated model: the GEMM kernel on fitted steps
+    ("model", (0x190F2F29, 0x8C5AB706)),
+])
+def test_gemm_volumes_keep_their_pinned_bytes(rig, crcs, threads):
+    # the float32 volume of reconstruct_volume, and the float32 chunks of a
+    # stream in row order, as the kernel that added a separate sentinel
+    # plane to each tile's product wrote them
+    if rig == "geometry":
+        spec, provider = TestGemmKernel().rig(sections=72)
+        frames = noisy_frames(30, provider.base.shape, seed=11).astype(np.float32)
+    else:
+        model, provider = TestModelMasks().fitted(0.0)
+        frames = noisy_frames(30, model.base_mask.shape, seed=5)
+    assert provider.row_bank() is not None
+    volume = reconstruct_volume(frames, provider, threads=threads).sections
+    crc = 0
+    for _, chunk in reconstructor.VolumeStream(frames, provider, threads=threads).blocks():
+        crc = zlib.crc32(chunk, crc)
+    assert (zlib.crc32(volume.astype("<f4")), crc) == crcs
 
 
 def test_stream_checks_the_file_frame_by_frame_then_reads_chunk_rows(tmp_path, monkeypatch):

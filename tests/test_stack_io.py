@@ -358,13 +358,36 @@ class TestStackWriter:
 
         def at_most_7_bytes(fd, data, offset):
             calls.append(offset)
-            return pwrite(fd, bytes(data[:7]), offset)
+            return pwrite(fd, bytes(memoryview(data).cast("B")[:7]), offset)
 
         monkeypatch.setattr(os, "pwrite", at_most_7_bytes)
         write_stack(planes, {}, tmp_path / "short.aspi")
         # one write per plane, each resumed until its 144 bytes are in
         assert len(calls) == -(-32 // 7) + len(planes) * -(-planes[0].size * 4 // 7)
         assert (tmp_path / "short.aspi").read_bytes() == (tmp_path / "whole.aspi").read_bytes()
+
+    def test_contiguous_float32_planes_go_to_pwrite_as_they_are(self, tmp_path, monkeypatch):
+        # planes of a C-contiguous '<f4' block, or of rows of one, reach
+        # pwrite as they are, with no copy or byte view made for them; any
+        # other block is cast plane by plane
+        pwrite = os.pwrite
+        handed = []
+
+        def record(fd, data, offset):
+            handed.append(data)
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", record)
+        volume = self.volume().astype("<f4")
+        with StackWriter(tmp_path / "s.aspi", volume.shape, {}) as out:
+            handed.clear()
+            out.write(0, 0, volume[:, :4])
+            out.write(0, 4, volume[:, 4:].astype(np.float64))
+        assert len(handed) == 2 * len(volume)
+        assert all(type(data) is np.ndarray and np.shares_memory(data, volume)
+                   for data in handed[:len(volume)])
+        assert not any(np.shares_memory(data, volume) for data in handed[len(volume):])
+        assert read_stack(tmp_path / "s.aspi")[0].tobytes() == volume.tobytes()
 
     def test_failed_write_commits_nothing(self, tmp_path, monkeypatch):
         path, before = self.previous(tmp_path)
