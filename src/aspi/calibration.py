@@ -91,8 +91,8 @@ def estimate_translation(frame_a, frame_b) -> tuple[float, float]:
     the two frames; the integer peak is refined per axis by a parabolic fit
     over its immediate neighbors. Results are wrapped into
     [-size/2, size/2) per axis, so displacements at or beyond half the frame
-    (or half the pattern period, for periodic content) alias. A NaN or Inf
-    pixel in either frame is a ValueError.
+    (or half the pattern period, for periodic content) alias. Frames with no
+    pixels, or a NaN or Inf pixel in either frame, are a ValueError.
     """
     a = np.asarray(frame_a, dtype=np.float64)
     b = np.asarray(frame_b, dtype=np.float64)
@@ -100,6 +100,8 @@ def estimate_translation(frame_a, frame_b) -> tuple[float, float]:
         raise ValueError("frames must be 2D")
     if a.shape != b.shape:
         raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise DegenerateInputError(f"reference frames have no pixels: their shape is {a.shape}")
     bad = np.count_nonzero(~np.isfinite(a)) + np.count_nonzero(~np.isfinite(b))
     if bad:
         raise ValueError(f"reference frames contain {bad} NaN or Inf pixels")

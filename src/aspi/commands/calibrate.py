@@ -18,8 +18,9 @@ def run(args) -> int:
         raise ValueError(f"calibration needs exactly 3 reference planes, got {planes.shape[0]}")
     refs = [p.astype(np.float64) for p in planes]
     if args.normalize:
-        # a NaN or Inf peak leaves its plane as it is, for the fit to reject
-        refs = [r / r.max() if 0 < r.max() < math.inf else r for r in refs]
+        # a plane with no pixels, or a NaN or Inf peak, is left as it is,
+        # for the fit to reject
+        refs = [r / r.max() if r.size and 0 < r.max() < math.inf else r for r in refs]
     model = fit_mask_model(refs[0], refs[1], refs[2], (args.anchor_x, args.anchor_z))
     meta = {
         "kind": "mask-model",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyMaskError
+from .errors import DegenerateInputError, EmptyMaskError
 
 # the rig's values live in their own small module, which `aspi depthmap`
 # loads without this one; they stay importable from here
@@ -251,13 +251,15 @@ class TranslationMasks:
     arithmetic. A row-constant base moved only along x is kept as one row,
     whose (n, 1, W) masks broadcast to exactly the full (n, H, W) ones;
     `base` is then that row broadcast to the base's shape (read-only). A base
-    with NaN or Inf pixels is a ValueError.
+    with no pixels, or with NaN or Inf pixels, is a ValueError.
     """
 
     ambiguous = None
 
     def __init__(self, base, step, shear, shift_count: int, grid: ZGrid):
         self.base = b = np.asarray(base, dtype=np.float64)
+        if b.size == 0:
+            raise DegenerateInputError(f"mask base has no pixels: its shape is {b.shape}")
         bad = b.size - int(np.count_nonzero(np.isfinite(b)))
         if bad:
             raise ValueError(f"mask base has {bad} non-finite pixels (NaN or Inf)")

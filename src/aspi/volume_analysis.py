@@ -34,13 +34,15 @@ pixel, so a window's depth map is those rows of the volume's.
 So a volume may also be a StackReader of a stack file (as `aspi depthmap`
 passes it), which indexes like the array it stores: each window is then
 read once into a new array, so each voxel is read once and the volume is
-held a window at a time. In a window, the running argmax walks the
-sections with a plain running max over every value, sentinels included,
-and no masked copy; the rare pixels whose max is at or below SENTINEL are
-resolved exactly afterwards (see _first_pass). A masked running max then
-gives each pixel's runner-up, and the sections next to its best one are
-gathered for refinement. Besides one window and its per-pixel
-temporaries, only the depth and the confidence span the volume's pixels.
+held a window at a time. Each question about a window is one reduction
+over its sections, with no loop over them: the max of every value,
+sentinels included, and the first section at it (see _first_pass; the
+rare pixels whose max is at or below SENTINEL are resolved exactly
+afterwards), then a masked max for each pixel's runner-up, and one gather
+of the sections next to its best one for refinement. Besides one window,
+one byte a voxel of it for ranks or offsets (two past 255 sections, four
+past 32767), and its per-pixel temporaries, only the depth and the
+confidence span the volume's pixels.
 """
 
 from __future__ import annotations
@@ -100,10 +102,10 @@ class DepthMap:
 CONTRAST_TAU = 0.25
 
 # Voxels in a window of whole rows of every section: this // (K * W) rows,
-# at least one: 2 MB of float32 values. The passes make a few numpy calls
-# per section of a window, so larger windows run faster; measured on 2
-# vCPUs, twice this ran 10-25% faster on 48- and 100-section volumes, and
-# half of it 15-60% slower.
+# at least one: 2 MB of float32 values. Each pass is a few reductions over
+# the whole window, so the size matters little; measured on 2 vCPUs, twice
+# this ran 0-10% faster on 48- and 100-section volumes, and half of it
+# 5-15% slower.
 _WINDOW_VOXELS = 1 << 19
 
 
@@ -204,36 +206,33 @@ def fwhm(curve: AxialCurve) -> float:
     return float(z_right - z_left)
 
 
-def _first_pass(values) -> tuple[np.ndarray, np.ndarray, int]:
+def _first_pass(values) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     """Each pixel's largest non-sentinel value and its section, and the non-finite count.
 
     values is an in-memory (K, pixels) window. The value is in its dtype,
     -inf if there is none; the section in the narrowest signed integer type
-    that holds the last one, ties to the lower.
+    that holds the last one, ties to the lower. When the window has a value
+    that is not finite, only the count is returned, with two Nones.
 
-    No operation is masked: a running max over every value, sentinels
-    included, the section of each strict rise, and a count of values that
-    are not finite. A running max above SENTINEL is the largest non-sentinel
-    value, first reached at that section, since the sentinels lie below it.
-    The rare pixels whose max is at or below SENTINEL then take the argmax
-    of their non-sentinel values: -inf and section 0 where there is none.
+    No operation is masked: the max of every value, sentinels included, and
+    the first section at it. A max above SENTINEL is the largest
+    non-sentinel value, since the sentinels lie below it. The rare pixels
+    whose max is at or below SENTINEL then take the argmax of their
+    non-sentinel values: -inf and section 0 where there is none.
     """
     k, n = values.shape
-    best = np.full(n, -np.inf, dtype=values.dtype)
-    jbest = np.zeros(n, dtype=np.min_scalar_type(-k))
-    better = np.empty(n, dtype=bool)
-    rise = np.empty(n, dtype=jbest.dtype)
-    nonfinite = 0
-    for j, plane in enumerate(values):
-        nonfinite += n - np.count_nonzero(np.isfinite(plane, out=better))
-        # strict: a tie keeps the lower section
-        np.greater(plane, best, out=better)
-        # on a tie of zeros of opposite sign np.maximum returns its
-        # second operand: the earlier section's bits stay, as its section does
-        np.maximum(plane, best, out=best)
-        # the section where the max rose, else 0: sections only grow,
-        # so the running max of that is the section of the last rise
-        np.maximum(jbest, np.multiply(better, jbest.dtype.type(j), out=rise), out=jbest)
+    nonfinite = values.size - np.count_nonzero(np.isfinite(values))
+    if nonfinite:
+        return None, None, nonfinite
+    best = values.max(axis=0)
+    # the first section at the max has the largest rank k - j of the
+    # sections at it; one byte a voxel, two past 255 sections
+    rank = np.equal(values, best, out=np.empty(values.shape, np.min_scalar_type(k)))
+    rank *= np.arange(k, 0, -1, dtype=rank.dtype)[:, None]
+    jbest = (k - rank.max(axis=0)).astype(np.min_scalar_type(-k))
+    del rank  # freed before the per-pixel planes below
+    # on a tie of +0.0 and -0.0, the earlier section's bits, as its section
+    best = values[jbest, np.arange(n)]
     low = np.flatnonzero(best <= SENTINEL)
     if low.size:
         ranked = values[:, low]
@@ -249,21 +248,18 @@ def _runner_up(values, jbest: np.ndarray, window: int) -> np.ndarray:
 
     A sentinel never is, and a negative runner-up gives a contrast of at
     least 1 as 0 does. Section j counts for the pixels whose jbest - j +
-    window, taken as unsigned, exceeds 2 * window.
+    window, taken as unsigned, exceeds 2 * window. The offsets are in
+    jbest's dtype, which holds -k, so its unsigned view holds 2(k - 1) and
+    a negative offset wraps exactly past 2 * window.
     """
-    k, n = values.shape
+    k = len(values)
     # no pixel has a section more than k - 1 away
     window = min(window, k - 1)
-    runner = np.zeros(n, dtype=values.dtype)
-    jbest = jbest.astype(np.int32)
-    offset = np.empty_like(jbest)
-    unsigned = offset.view(np.uint32)
-    outside = np.empty(n, dtype=bool)
-    for j, plane in enumerate(values):
-        np.subtract(jbest, j - window, out=offset)
-        np.greater(unsigned, 2 * window, out=outside)
-        np.maximum(runner, plane, out=runner, where=outside)
-    return runner
+    offset = np.add(jbest, np.arange(window, window - k, -1, dtype=jbest.dtype)[:, None])
+    # the flags overwrite the offsets they are read from, one byte each
+    outside = np.greater(offset.view(f"u{offset.itemsize}"), 2 * window,
+                         out=np.ndarray(offset.shape, bool, offset))
+    return values.max(axis=0, where=outside, initial=0)
 
 
 def _parabolic_offset(values, jbest: np.ndarray, peak: np.ndarray) -> np.ndarray:

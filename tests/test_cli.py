@@ -816,6 +816,31 @@ class TestRejectedInputs:
         assert_one_error_line(result, "mask base has 1 non-finite pixels (NaN or Inf)", vol)
         assert not vol.with_name("vol.aspi.meta").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(1, 0, 64), (1, 8, 0)])
+    @pytest.mark.parametrize("dy", [(0.0, 0.0), (0.3, -0.2)])
+    def test_reconstruct_model_with_no_pixels(self, tmp_path, capsys, shape, dy):
+        # unchecked, a model of no rows fails with an IndexError traceback
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        model = slit_model(tmp_path, dy=dy)
+        write_stack(np.zeros(shape), read_stack(model)[1], model)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                     "--out", str(vol))
+        assert_one_error_line(result, f"mask base has no pixels: its shape is {shape[1:]}", vol)
+        assert not vol.with_name("vol.aspi.meta").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(3, 0, 64), (3, 64, 0)])
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+    def test_calibrate_references_with_no_pixels(self, tmp_path, capsys, shape, normalize):
+        refs_path, model = tmp_path / "refs.aspi", tmp_path / "model.aspi"
+        write_stack(np.zeros(shape), {"kind": "references"}, refs_path)
+        result = run(capsys, "calibrate", "--refs", str(refs_path), "--anchor-x", "2",
+                     "--anchor-z", "4", *normalize, "--out", str(model))
+        assert_one_error_line(result, f"reference frames have no pixels: their shape is "
+                              f"{shape[1:]}", model)
+
     def test_reconstruct_planes_not_the_camera_shape(self, tmp_path, capsys):
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
         small_acquisition(capsys, acq)

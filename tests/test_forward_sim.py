@@ -351,12 +351,13 @@ class TestLayerSumOracle:
         assert_renders_the_oracle(scene, layers, spec, geom, grid)
 
 
-def traced_simulate_peak(tmp_path, sections):
-    # one thread: with two, how many frames and noise blocks the workers
-    # hold at the peak varies from run to run by more than a section's bank
+def traced_simulate_peak(tmp_path, sections, threads=1):
+    # one thread by default: with two, how many frames and noise blocks the
+    # workers hold at the peak varies from run to run by more than a
+    # section's bank
     argv = ["simulate", "--scene", "tilted", "--slope", repr(sections / 256),
             "--sections", str(sections), "--proj-width", "256", "--proj-height", "128",
-            "--haze", "0.3", "--noise-sigma", "0.01", "--threads", "1",
+            "--haze", "0.3", "--noise-sigma", "0.01", "--threads", str(threads),
             "--out", str(tmp_path / f"acq{sections}.aspi")]
     assert run_cli(argv) == 0  # first-use imports are not the command's memory
     tracemalloc.start()
@@ -375,6 +376,16 @@ def test_simulate_memory_does_not_grow_with_sections(tmp_path, capsys):
     peaks = {k: traced_simulate_peak(tmp_path, k) for k in (16, 64)}
     assert peaks[16] < 10 * frame + 4 * bank, peaks
     assert peaks[64] < peaks[16] + bank, peaks
+
+
+@pytest.mark.parametrize("sections", [16, 64])
+def test_threaded_simulate_memory_is_bounded(tmp_path, sections):
+    # the frames and noise blocks alive at the peak vary from run to run, so
+    # two threads get the absolute bound only, not the growth check above
+    frame = 128 * 256 * 8
+    bank = 30 * 256 * 8
+    peak = traced_simulate_peak(tmp_path, sections, threads=2)
+    assert peak < 10 * frame + 4 * bank, peak
 
 
 def tilted_scene(spec, geom, grid, noise):

@@ -492,23 +492,27 @@ class TestContrastRule:
         assert np.mean(np.isfinite(dm.depth)) >= 0.99
 
 
-def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path):
+@pytest.mark.parametrize("k,h,w", [(12, 384, 512), (256, 64, 256)])
+def test_depth_map_from_a_file_holds_its_per_pixel_planes(tmp_path, k, h, w):
     # the best value of over half the pixels in one section: one neighbour
-    # gather then takes the values of most of a window at once
+    # gather then takes the values of most of a window at once; 256
+    # sections need 16-bit ranks and offsets
     rng = np.random.default_rng(8)
-    data = rng.random((12, 384, 512), dtype=np.float32)
-    data[6, :200] += 2.0
+    data = rng.random((k, h, w), dtype=np.float32)
+    data[k // 2, :h // 2 + 8] += 2.0
     data[:, :, :8] = SENTINEL
     path = tmp_path / "vol.aspi"
     write_stack(data, {"kind": "volume"}, path)
-    pixels, window = 384 * 512, max(1, volume_analysis._WINDOW_VOXELS // (12 * 512)) * 512
+    pixels, window = h * w, max(1, volume_analysis._WINDOW_VOXELS // (k * w)) * w
     # per pixel, the float64 depth and confidence (16); per pixel of one
-    # window, its 12 float32 values (48) and at most 80 bytes of
-    # temporaries, as many as ten float64 planes (the peak, the contrast and
-    # the neighbours in float64, the int32 offsets, the flags)
-    bound = 16 * pixels + (12 * 4 + 80) * window
+    # window, its k float32 values, one byte a value (two past 255
+    # sections) for the ranks or offsets of the sections, and at most 80
+    # bytes of temporaries, as many as ten float64 planes (the peak, the
+    # contrast and the neighbours in float64, the flags)
+    per_value = 4 + (1 if k < 256 else 2)
+    bound = 16 * pixels + (k * per_value + 80) * window
     with StackReader(path) as reader:
-        volume = VolumeStack(sections=reader, grid=ZGrid(0.0, 1.0, 12), coverage_floor_used=1e-3)
+        volume = VolumeStack(sections=reader, grid=ZGrid(0.0, 1.0, k), coverage_floor_used=1e-3)
         tracemalloc.start()
         try:
             dm = extract_depth_map(volume, refine=True)
@@ -549,7 +553,7 @@ def window_edge_volume(volume):
 
 
 class TestFirstPassWindows:
-    """The first pass, a running max over the planes of each window, gives the oracle's bits."""
+    """The first pass, each window's max and the first section at it, gives the oracle's bits."""
 
     def check(self, data, **kw):
         volume = stored_volume(data, dtype=data.dtype)
@@ -563,8 +567,8 @@ class TestFirstPassWindows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_a_tie_of_signed_zeros_keeps_the_earlier_bits(self, first, dtype, min_confidence):
-        # np.maximum returns its second operand on a tie of +0.0 and -0.0,
-        # the running max; the peak's bits are those of the earlier section
+        # +0.0 and -0.0 tie at the max; the peak's bits are those of the
+        # earlier section
         data = np.array([-0.5, first, -first, SENTINEL, -first, -0.25], dtype=dtype)
         dm = self.check(data.reshape(-1, 1, 1), min_confidence=min_confidence)
         assert np.signbit(dm.confidence[0, 0]) == np.signbit(first)
