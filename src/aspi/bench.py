@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_threads
-from .reconstructor import GeometryMasks, VolumeStream
+from .imaging_model import GeometryMasks
+from .reconstructor import VolumeStream
 from .rig import GeometryConfig, PatternSpec, ZGrid
 
 __all__ = ["BenchReport", "bench_reconstruction"]

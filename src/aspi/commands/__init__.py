@@ -94,19 +94,27 @@ def rig_metadata(spec: PatternSpec, geom: GeometryConfig, grid: ZGrid) -> dict:
 
 
 def rig_from_metadata(meta: dict) -> tuple[PatternSpec, GeometryConfig, ZGrid]:
-    """The rig of a sidecar, or of the rig flags (stored under the same keys)."""
-    meta = meta if isinstance(meta, Sidecar) else Sidecar("rig", meta)
-    spec = PatternSpec(**{key: meta.value(key, int) for key in (
-        "proj_width", "proj_height", "period_d", "linewidth_w", "shift_step", "num_shifts_n")})
-    geom = GeometryConfig(
-        tilt_theta=meta.value("theta_rad", float),
-        z_step=meta.value("z_step", float),
-        camera_pixel_pitch=meta.value("pixel_pitch", float),
-        magnification=meta.value("magnification", float),
-        shift_sign=meta.value("shift_sign", int),
-    )
-    grid = ZGrid(z0=meta.value("z0", float), z_step=geom.z_step, count=meta.value("sections", int))
-    return spec, geom, grid
+    """The rig of a sidecar, or of the rig flags (stored under the same keys).
+
+    A value the rig rejects is a ValueError, prefixed with the sidecar's
+    path when it comes from one.
+    """
+    sidecar = meta if isinstance(meta, Sidecar) else Sidecar("rig", meta)
+    spec = {key: sidecar.value(key, int) for key in (
+        "proj_width", "proj_height", "period_d", "linewidth_w", "shift_step", "num_shifts_n")}
+    geom = {"tilt_theta": sidecar.value("theta_rad", float),
+            "z_step": sidecar.value("z_step", float),
+            "camera_pixel_pitch": sidecar.value("pixel_pitch", float),
+            "magnification": sidecar.value("magnification", float),
+            "shift_sign": sidecar.value("shift_sign", int)}
+    z0, count = sidecar.value("z0", float), sidecar.value("sections", int)
+    try:
+        spec, geom = PatternSpec(**spec), GeometryConfig(**geom)
+        return spec, geom, ZGrid(z0=z0, z_step=geom.z_step, count=count)
+    except ValueError as exc:
+        if sidecar is not meta:
+            raise
+        raise ValueError(f"{sidecar.path}: {exc}") from None
 
 
 def print_summary(**kv):

@@ -7,20 +7,19 @@ import math
 import numpy as np
 
 from ..errors import CoverageError
-from ..forward_sim import Scene, render_frame
-from ..imaging_model import GeometryMasks
-from ..rig import camera_shape
+from ..imaging_model import GeometryMasks, threshold_mask
 from ..volume_analysis import axial_psf, fwhm
 from . import print_summary, rig_from_metadata
 
 
 def run(args) -> int:
     spec, geom, grid = rig_from_metadata({**vars(args), "theta_rad": math.radians(args.theta_deg)})
-    shape = camera_shape(spec, geom)
+    masks = GeometryMasks(spec, geom, grid)
+    shape = masks.base.shape
     layer_z = args.layer_z if args.layer_z is not None else grid.count // 2
-    scene = Scene(layers=[(layer_z, np.ones(shape))])
-    pattern = render_frame(scene, 0, spec, geom, grid)
-    mask = GeometryMasks(spec, geom, grid, threshold=args.threshold).base
+    # the first frame of a unit layer at layer_z is its section's first mask
+    pattern = np.broadcast_to(masks.section_masks(layer_z)[0], shape)
+    mask = threshold_mask(masks.base) if args.threshold else masks.base
     probe_x = args.probe_x if args.probe_x is not None else (3 * shape[1]) // 4
     probe_y = args.probe_y if args.probe_y is not None else shape[0] // 2
     try:

@@ -25,16 +25,14 @@ def _load_model(path) -> MaskModel:
     reader, meta = open_stack(path, "mask-model")
     with reader:
         base = reader[0].astype(np.float64)
-    return MaskModel(
-        base_mask=base,
-        lateral_dx=meta.value("lateral_dx", float),
-        lateral_dy=meta.value("lateral_dy", float),
-        axial_dx=meta.value("axial_dx", float),
-        axial_dy=meta.value("axial_dy", float),
-        anchors=(meta.value("anchor_x", int), meta.value("anchor_z", int)),
-        lateral_residual_rms=meta.value("lateral_residual_rms", float),
-        axial_residual_rms=meta.value("axial_residual_rms", float),
-    )
+    values = {key: meta.value(key, float) for key in (
+        "lateral_dx", "lateral_dy", "axial_dx", "axial_dy", "lateral_residual_rms",
+        "axial_residual_rms")}
+    anchors = (meta.value("anchor_x", int), meta.value("anchor_z", int))
+    try:
+        return MaskModel(base_mask=base, anchors=anchors, **values)
+    except ValueError as exc:
+        raise ValueError(f"{meta.path}: {exc}") from None
 
 
 def run(args) -> int:

@@ -179,10 +179,9 @@ def render_frames(scene: Scene, spec: PatternSpec, geom: GeometryConfig, grid: Z
         flat = np.sort(section_map, axis=None)
         sections = flat[np.append(True, flat[1:] != flat[:-1])]
         bank = masks.section_masks(int(sections[0]))
-        if len(sections) > 1:
-            bank = np.broadcast_to(bank, np.broadcast_shapes(bank.shape, section_map.shape)).copy()
-            for j in sections[1:]:
-                np.copyto(bank, masks.section_masks(int(j)), where=section_map == j)
+        bank = np.broadcast_to(bank, np.broadcast_shapes(bank.shape, section_map.shape)).copy()
+        for j in sections[1:]:
+            np.copyto(bank, masks.section_masks(int(j)), where=section_map == j)
         fields.append((refl, bank))
         count += len(sections)
     haze = None

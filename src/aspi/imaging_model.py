@@ -27,32 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError, EmptyMaskError
-
-# the rig's values live in their own small module, which `aspi depthmap`
-# loads without this one; they stay importable from here
-from .rig import (
-    GeometryConfig,
-    PatternSpec,
-    ZGrid,
-    axial_range,
-    camera_period_px,
-    camera_shape,
-    is_axially_ambiguous,
-)
+from .rig import GeometryConfig, PatternSpec, ZGrid, camera_shape, is_axially_ambiguous
 
 __all__ = [
-    "PatternSpec",
-    "GeometryConfig",
-    "ZGrid",
     "validate_frame",
     "sample_row",
     "shift_image",
     "make_slit_pattern",
-    "axial_range",
     "synthesize_mask",
     "threshold_mask",
-    "is_axially_ambiguous",
-    "camera_shape",
     "base_camera_pattern",
     "mask_coverage",
     "TranslationMasks",

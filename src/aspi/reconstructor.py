@@ -66,8 +66,9 @@ the (W, n + 1, K) bank, divided by its coverage, with its sentinel row
 and, per worker, one tile's frame rows and products in float64 and the
 products' float32 cast, the reference kernel per worker the float64 masks
 of one section's chunk rows. The number of SENTINEL voxels,
-VolumeStream.sentinels, comes from the coverage, not from the voxels: a
-covered voxel whose quotient happens to be exactly -1.0 is not counted. A
+VolumeStream.sentinels, is counted chunk by chunk from the coverage, not
+from the voxels, and is complete once the stream is exhausted: a covered
+voxel whose quotient happens to be exactly -1.0 is not counted. A
 thread count below 1, a floor that is not finite and > 0, and frames of
 another shape than the bank's are each a ValueError.
 """
@@ -80,7 +81,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import check_threads, run_ahead
-from .imaging_model import GeometryMasks, TranslationMasks, mask_coverage
+from .imaging_model import TranslationMasks, mask_coverage
 from .rig import ZGrid
 from .stack_io import SENTINEL, StackReader, VolumeStack
 
@@ -88,9 +89,6 @@ if TYPE_CHECKING:  # only the commands that fit or read a mask model load calibr
     from .calibration import MaskModel
 
 __all__ = [
-    "SENTINEL",
-    "VolumeStack",
-    "GeometryMasks",
     "ModelMasks",
     "default_floor",
     "reconstruct_section",
@@ -209,17 +207,17 @@ class VolumeStream:
     volume's (K, H, W).
 
     `sentinels` is the number of SENTINEL voxels in the volume, counted from
-    the coverage: for the GEMM kernel H times the uncovered (section, column)
-    pairs, known from the constructor on; for the reference kernel the
-    uncovered pixels of every section as blocks() computes them, complete
-    once it is exhausted. A covered voxel whose quotient is exactly -1.0 is
-    not a sentinel and is not counted.
+    the coverage chunk by chunk as blocks() computes them: a GEMM chunk's
+    rows times the uncovered (section, column) pairs, a reference chunk's
+    uncovered pixels of every section. A covered voxel whose quotient is
+    exactly -1.0 is not a sentinel and is not counted.
 
     `products` is the number of multiplies O_i * M_iz the kernel has made,
     counted from the shapes of its calls as blocks() computes them: n per
-    voxel, K * H * W * n once the stream is exhausted (the GEMM kernel's
-    column of ones, which adds the sentinel row, makes none). Unlike a
-    time, it does not drift with the host.
+    voxel, K * H * W * n in all (the GEMM kernel's column of ones, which
+    adds the sentinel row, makes none). Unlike a time, it does not drift
+    with the host. Both counts start afresh with each blocks() pass and are
+    complete once it is exhausted.
     """
 
     def __init__(self, frames, masks: TranslationMasks, floor: float | None = None,
@@ -265,7 +263,7 @@ class VolumeStream:
         np.copyto(masks_x, 0.0, where=uncovered[:, None, :])
         sentinel[...] = 0.0
         np.copyto(sentinel, SENTINEL, where=uncovered)
-        self.sentinels = self.shape[1] * int(np.count_nonzero(uncovered))
+        self._uncovered = int(np.count_nonzero(uncovered))
         # tiles read their columns of a contiguous band of the frames
         self._rows, self._read = _GEMM_ROWS, np.ascontiguousarray
 
@@ -296,17 +294,15 @@ class VolumeStream:
         else:
             outs = (out[:, r0:r1] for r0, r1 in spans)
         reads = (((r0, r1), self._read(self._frames[:, r0:r1])) for r0, r1 in spans)
-        if self._bank is None:
-            self.sentinels = 0
-        self.products = 0
+        self.sentinels = self.products = 0
         for r0, chunk, uncovered, products in run_ahead(self._chunk, reads, outs, threads):
             self.sentinels += uncovered
             self.products += products
             yield r0, chunk
 
     def _chunk(self, read, chunk) -> tuple[int, np.ndarray, int, int]:
-        # one row chunk of every section; returns (r0, chunk, uncovered pixels
-        # the reference kernel found, 0 for the GEMM kernel, products made)
+        # one row chunk of every section; returns (r0, chunk, its uncovered
+        # voxels, products made)
         (r0, r1), frames = read
         products = 0
         if self._bank is None:
@@ -338,7 +334,7 @@ class VolumeStream:
                 np.copyto(cast[:c], prod[:c])
             chunk[:, :, x0:x1] = cast[:c].transpose(2, 1, 0)
             products += c * rows * n * k
-        return r0, chunk, 0, products
+        return r0, chunk, rows * self._uncovered, products
 
     def _section_rows(self) -> int:
         # whole GEMM bands of at most _BAND_PIXELS pixels, and at least

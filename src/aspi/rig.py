@@ -4,7 +4,8 @@ These are the plain values every command reads from its flags or from a
 sidecar, with the quantities derived from them alone: the camera shape,
 the unambiguous axial range and whether a grid exceeds it. The module is
 small on purpose: `aspi depthmap` loads it, and none of the mask code in
-imaging_model, which re-exports these names.
+imaging_model. Import these names from here or from `aspi`; no other module
+exports them.
 """
 
 from __future__ import annotations

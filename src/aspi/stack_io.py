@@ -268,14 +268,13 @@ class StackReader:
         self.path = path
         self._file = open(path, "rb")
         try:
+            self.shape = _check_header(self._file.read(_HEADER.size))
             st = os.fstat(self._file.fileno())
             if stat.S_ISREG(st.st_mode):
-                self.shape = _check_header(os.pread(self._file.fileno(), _HEADER.size, 0))
                 self._payload = None
                 actual = st.st_size - _HEADER.size
             else:
                 # a pipe reports no size: its header says how much to read
-                self.shape = _check_header(self._file.read(_HEADER.size))
                 try:
                     self._payload = np.empty(self.shape, dtype=self.dtype)
                 except (MemoryError, ValueError):

@@ -339,6 +339,14 @@ class TestPsfCli:
         assert rows.shape == (12, 2)
         assert rows[:, 1].max() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("layer", ["-1", "40"])
+    def test_layer_outside_the_grid(self, tmp_path, capsys, layer):
+        # the mask bank has no section there
+        curve_path = tmp_path / "curve.txt"
+        result = run(capsys, "psf", "--sections", "40", "--layer-z", layer,
+                     "--out", str(curve_path))
+        assert_one_error_line(result, f"z_index {layer} out of range [0, 40)", curve_path)
+
 
 class TestBench:
     def test_summary_line(self, capsys):
@@ -436,6 +444,8 @@ NEVER_LOADED = {"numpy.ma", "concurrent.futures", "logging"}
     ("depthmap", None, {"aspi.volume_analysis", "aspi.rig", "aspi.commands.depthmap"},
      {"aspi.forward_sim", "aspi.bench", "aspi.calibration", "aspi.imaging_model",
       "aspi.reconstructor", "aspi.commands.reconstruct", "queue"}),
+    ("psf", None, {"aspi.imaging_model", "aspi.volume_analysis", "aspi.commands.psf"},
+     {"aspi.forward_sim", "aspi.commands.simulate", "aspi.calibration", "aspi.bench", "queue"}),
 ])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, command, threads, runs,
                                                   skips):
@@ -451,6 +461,7 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, command, thr
                                 "--out", str(tmp_path / "vol2.aspi")],
         "bench": ["bench", "--width", "64", "--height", "48", "--shifts", "8", "--sections", "6"],
         "depthmap": ["depthmap", "--input", str(vol), "--out", str(tmp_path / "depth.aspi")],
+        "psf": ["psf"],
     }[command] + (["--threads", threads] if threads else [])
     loaded = modules_after(f"from aspi.cli import run_cli\nassert run_cli({argv!r}) == 0")
     assert runs <= loaded
@@ -1125,37 +1136,54 @@ def set_sidecar_value(path, key, value):
     write_stack(planes, meta, path)
 
 
+# sidecar values of the right type that the rig or the mask model rejects
+REJECTED = {("period_d", "3"): "scan span n*step = 16 exceeds one period (3)",
+            ("theta_rad", "nan"): "tilt_theta must lie in (0, pi/2), got nan",
+            ("axial_dx", "nan"): "mask model axial_dx must be finite, got nan",
+            ("sections", "0"): "count must be >= 1"}
+
+
 class TestBadSidecarValue:
-    """A malformed sidecar value is one error line naming the sidecar and the key."""
+    """A malformed sidecar value, or one the rig rejects, is one error line naming the sidecar.
+
+    The sidecar's path comes once, right after "error:".
+    """
+
+    @staticmethod
+    def message(key, value):
+        return REJECTED.get((key, value), f"sidecar value of {key!r} is not")
 
     @pytest.mark.parametrize("key,value", [("proj_width", "3x2"), ("z0", "zero"),
-                                           ("shift_sign", "1.0"), ("theta_rad", "")])
+                                           ("shift_sign", "1.0"), ("theta_rad", ""),
+                                           ("period_d", "3"), ("theta_rad", "nan")])
     def test_reconstruct_acquisition(self, tmp_path, capsys, key, value):
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
         small_acquisition(capsys, acq)
         set_sidecar_value(acq, key, value)
         result = run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))
-        assert_one_error_line(result, f"{acq}.meta: sidecar value of {key!r} is not", vol)
-        assert repr(value) in result[2]
+        assert_one_error_line(result, f"error: {acq}.meta: {self.message(key, value)}", vol)
+        assert (key, value) in REJECTED or repr(value) in result[2]
 
-    @pytest.mark.parametrize("key", ["axial_dx", "anchor_z"])
-    def test_reconstruct_model(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key,value", [("axial_dx", "1,5"), ("anchor_z", "1,5"),
+                                           ("axial_dx", "nan")])
+    def test_reconstruct_model(self, tmp_path, capsys, key, value):
         acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
         small_acquisition(capsys, acq)
         model = small_model(capsys, tmp_path)
-        set_sidecar_value(model, key, "1,5")
+        set_sidecar_value(model, key, value)
         result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
                      "--out", str(vol))
-        assert_one_error_line(result, f"{model}.meta: sidecar value of {key!r} is not", vol)
+        assert_one_error_line(result, f"error: {model}.meta: {self.message(key, value)}", vol)
 
-    @pytest.mark.parametrize("key", ["floor", "sections", "period_d"])
-    def test_depthmap_volume(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key,value", [("floor", "4.5x"), ("sections", "4.5x"),
+                                           ("period_d", "4.5x"), ("sections", "0")])
+    def test_depthmap_volume(self, tmp_path, capsys, key, value):
         acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
         small_acquisition(capsys, acq)
         assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
-        set_sidecar_value(vol, key, "4.5x")
+        set_sidecar_value(vol, key, value)
         result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
-        assert_one_error_line(result, f"{vol}.meta: sidecar value of {key!r} is not", dep)
+        assert_one_error_line(result, f"error: {vol}.meta: {self.message(key, value)}", dep)
 
 
 class TestBinarySidecar:

@@ -226,10 +226,9 @@ def test_default_floor_value():
 
 
 def test_simulator_and_reconstructor_share_one_mask_bank():
-    from aspi import forward_sim, imaging_model, reconstructor
+    from aspi import forward_sim, imaging_model
 
     assert forward_sim.GeometryMasks is imaging_model.GeometryMasks
-    assert reconstructor.GeometryMasks is imaging_model.GeometryMasks
 
 
 def noisy_frames(n, shape, seed=0):

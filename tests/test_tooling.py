@@ -41,7 +41,8 @@ def test_runtime_imports_are_stdlib_numpy_or_package_relative():
     assert not offenders, offenders
 
 
-def _top_level_names(tree):
+def _top_level_names(tree, imports: bool = True):
+    """The names a module binds at its top level; by def, class or assignment only unless imports."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
@@ -51,7 +52,7 @@ def _top_level_names(tree):
                     yield target.id
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             yield node.target.id
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.asname or alias.name.partition(".")[0]
 
@@ -78,11 +79,13 @@ def _package_exports():
 def test_every_export_is_defined_at_module_top_level():
     # a name deleted from a module but left in its __all__ breaks
     # `from aspi.module import *` only when that import runs, and one left
-    # in the package's map breaks `aspi.name` only when it is first read
+    # in the package's map breaks `aspi.name` only when it is first read.
+    # Defined means by def, class or assignment: an imported name listed
+    # again would give it a second home, and the map names each one's home
     stale, defined = [], {}
     for path, module in _sources():
         tree = ast.parse(path.read_text(), str(path))
-        defined[module] = set(_top_level_names(tree))
+        defined[module] = set(_top_level_names(tree, imports=False))
         if module != "__init__":
             stale += [f"{module}: {name}" for name in _exports(tree)
                       if name not in defined[module]]
