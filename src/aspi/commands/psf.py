@@ -19,7 +19,7 @@ def run(args) -> int:
     layer_z = args.layer_z if args.layer_z is not None else grid.count // 2
     # the first frame of a unit layer at layer_z is its section's first mask
     pattern = np.broadcast_to(masks.section_masks(layer_z)[0], shape)
-    mask = threshold_mask(masks.base) if args.threshold else masks.base
+    mask = threshold_mask(masks.base[:1]) if args.threshold else masks.base
     probe_x = args.probe_x if args.probe_x is not None else (3 * shape[1]) // 4
     probe_y = args.probe_y if args.probe_y is not None else shape[0] // 2
     try:

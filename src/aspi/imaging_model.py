@@ -7,11 +7,13 @@ confocal reconstruction) is built on the two primitives in this module:
 generating the pattern at a given lateral scan position, and translating a
 mask image by the sub-pixel amount that corresponds to a given (scan, depth)
 pair. The slits are constant along their length, so the camera sees one
-row-constant pattern: the projector's slit row, resampled once onto the
-camera plane (base_camera_pattern). TranslationMasks combines the two
-primitives into the one bank of (scan, depth) masks, each the base shifted;
-GeometryMasks, which the simulator and the reconstructor read, and
-calibrated models are that bank with rig-derived or fitted steps.
+row-constant pattern, built as one row: the projector's slit row, resampled
+once onto the camera plane and broadcast with row stride 0 (base_camera_pattern
+copies it to a frame). TranslationMasks combines the two primitives into the
+one bank of (scan, depth) masks, each the base shifted, and reads a base of
+row stride 0 as its first row; GeometryMasks, which the simulator and the
+reconstructor read, and calibrated models are that bank with rig-derived or
+fitted steps.
 
 Conventions
 -----------
@@ -130,20 +132,30 @@ def shift_image(frame, dx: float, dy: float = 0.0) -> np.ndarray:
                            np.array([dy], dtype=np.float64), (0, a.shape[0]))[0]
 
 
-def make_slit_pattern(spec: PatternSpec, shift_index: int) -> np.ndarray:
-    """Binary slit-array pattern at the given lateral scan position.
+def _slit_pattern(spec: PatternSpec, shift_index: int, shape: tuple[int, int],
+                  magnification: float) -> np.ndarray:
+    """Slit pattern at a scan position on `shape`: one row, broadcast (row stride 0, read-only).
 
-    Column c is lit iff ((c - shift_index*shift_step) mod period_d) is less
-    than linewidth_w; all rows are identical.
+    Projector column c is lit iff ((c - shift_index*shift_step) mod period_d)
+    is less than linewidth_w. Output column c samples projector column
+    c / magnification with linear weights (exact at 1); samples past the last
+    column clamp to it. The slits are constant along their length, so the
+    row is the whole pattern at any magnification.
     """
+    lit = (np.arange(spec.proj_width) - shift_index * spec.shift_step) % spec.period_d
+    row = (lit < spec.linewidth_w).astype(np.float64)
+    pos = np.arange(shape[1], dtype=np.float64) / magnification
+    i0 = np.clip(np.floor(pos).astype(np.int64), 0, row.size - 1)
+    frac = pos - i0
+    row = _interpolate(row, i0, np.clip(i0 + 1, 0, row.size - 1), 1 - frac, frac, axis=-1)
+    return np.broadcast_to(row, shape)
+
+
+def make_slit_pattern(spec: PatternSpec, shift_index: int) -> np.ndarray:
+    """Binary slit-array pattern at the given lateral scan position; all rows are identical."""
     if not (0 <= shift_index < spec.num_shifts_n):
-        raise ValueError(
-            f"shift_index {shift_index} out of range [0, {spec.num_shifts_n})"
-        )
-    cols = np.arange(spec.proj_width, dtype=np.int64)
-    on = ((cols - shift_index * spec.shift_step) % spec.period_d) < spec.linewidth_w
-    row = on.astype(np.float64)
-    return np.broadcast_to(row, (spec.proj_height, spec.proj_width)).copy()
+        raise ValueError(f"shift_index {shift_index} out of range [0, {spec.num_shifts_n})")
+    return _slit_pattern(spec, shift_index, (spec.proj_height, spec.proj_width), 1.0).copy()
 
 
 def synthesize_mask(
@@ -204,19 +216,8 @@ def threshold_mask(mask) -> np.ndarray:
 
 
 def base_camera_pattern(spec: PatternSpec, geom: GeometryConfig) -> np.ndarray:
-    """Unshifted slit row resampled once onto the camera plane, copied to every row.
-
-    Camera column c samples projector column c / magnification with linear
-    weights; samples past the last column clamp to it. The pattern is
-    constant along the slits, so the base is row-constant at any magnification.
-    """
-    row = make_slit_pattern(spec, 0)[0]
-    shape = camera_shape(spec, geom)
-    pos = np.arange(shape[1], dtype=np.float64) / geom.magnification
-    i0 = np.clip(np.floor(pos).astype(np.int64), 0, row.size - 1)
-    frac = pos - i0
-    row = _interpolate(row, i0, np.clip(i0 + 1, 0, row.size - 1), 1 - frac, frac, axis=-1)
-    return np.broadcast_to(row, shape).copy()
+    """Unshifted slit row resampled once onto the camera plane, copied to every row."""
+    return _slit_pattern(spec, 0, camera_shape(spec, geom), geom.magnification).copy()
 
 
 def mask_coverage(bank) -> np.ndarray:
@@ -231,10 +232,12 @@ class TranslationMasks:
     """Bank of masks: at scan step i and section z, the base moved by i * step + z * shear.
 
     step and shear are (dx, dy) in camera pixels, applied with shift_image's
-    arithmetic. A row-constant base moved only along x is kept as one row,
-    whose (n, 1, W) masks broadcast to exactly the full (n, H, W) ones;
-    `base` is then that row broadcast to the base's shape (read-only). A base
-    with no pixels, or with NaN or Inf pixels, is a ValueError.
+    arithmetic. A base of row stride 0 is its first row broadcast: that row is
+    checked, and taken as row-constant; any other base is compared row by
+    row. A row-constant base moved only along x is kept as one row, whose
+    (n, 1, W) masks broadcast to exactly the full (n, H, W) ones; `base` is
+    then that row broadcast to the base's shape (read-only). A base with no
+    pixels, or with NaN or Inf pixels, is a ValueError.
     """
 
     ambiguous = None
@@ -243,7 +246,8 @@ class TranslationMasks:
         self.base = b = np.asarray(base, dtype=np.float64)
         if b.size == 0:
             raise DegenerateInputError(f"mask base has no pixels: its shape is {b.shape}")
-        bad = b.size - int(np.count_nonzero(np.isfinite(b)))
+        seen = b[:1] if b.strides[0] == 0 else b  # row stride 0: every row is the first
+        bad = (seen.size - int(np.count_nonzero(np.isfinite(seen)))) * (b.size // seen.size)
         if bad:
             raise ValueError(f"mask base has {bad} non-finite pixels (NaN or Inf)")
         self.grid = grid
@@ -251,7 +255,7 @@ class TranslationMasks:
         i = np.arange(shift_count, dtype=np.float64)
         self._steps = (i * step[0], i * step[1])
         self._shear = shear
-        row_constant = np.array_equal(b, np.broadcast_to(b[:1], b.shape))
+        row_constant = seen is not b or np.array_equal(b, np.broadcast_to(b[:1], b.shape))
         self._row = b[0].copy() if step[1] == shear[1] == 0.0 and row_constant else None
         if self._row is not None:
             self.base = np.broadcast_to(self._row, b.shape)
@@ -302,16 +306,17 @@ class GeometryMasks(TranslationMasks):
 
     The camera-plane pattern moves along x by step * magnification per scan
     step and by the signed shear per section, as synthesize_mask computes.
-    Set threshold=True to reduce the base to 1-pixel slits first.
+    Its base is the slit row broadcast with row stride 0, never a frame;
+    threshold=True reduces that row to 1-pixel slits first.
     """
 
     def __init__(self, spec: PatternSpec, geom: GeometryConfig, grid: ZGrid,
-                 base=None, threshold: bool = False):
+                 threshold: bool = False):
         self.spec = spec
         self.geom = geom
-        base = base_camera_pattern(spec, geom) if base is None else base
+        base = _slit_pattern(spec, 0, camera_shape(spec, geom), geom.magnification)
         if threshold:
-            base = threshold_mask(base)
+            base = np.broadcast_to(threshold_mask(base[:1]), base.shape)
         super().__init__(base, (spec.shift_step * geom.magnification, 0.0),
                          (geom.signed_shear, 0.0), spec.num_shifts_n, grid)
         self._thresholded = threshold

@@ -14,6 +14,7 @@ from hypothesis import settings
 
 import aspi
 from aspi import GeometryConfig
+from aspi.imaging_model import TranslationMasks
 
 # Example run times vary with host load; a slow example is not a failure.
 settings.register_profile("aspi", deadline=None)
@@ -51,6 +52,12 @@ def geometry_with_shear(shear, z_step=1.0, theta_deg=25.0, magnification=1.0, sh
         magnification=magnification,
         shift_sign=shift_sign,
     )
+
+
+def geometry_bank(base, spec, geom, grid):
+    """The bank GeometryMasks builds for a rig, moving `base` in place of the slit pattern."""
+    return TranslationMasks(base, (spec.shift_step * geom.magnification, 0.0),
+                            (geom.signed_shear, 0.0), spec.num_shifts_n, grid)
 
 
 def roll_zero_fill(frame, shift):

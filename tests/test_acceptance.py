@@ -36,7 +36,7 @@ from aspi import (
     tilted_plane_sections,
     write_stack,
 )
-from conftest import geometry_with_shear
+from conftest import geometry_bank, geometry_with_shear
 
 
 def _report(num, name, detail):
@@ -92,7 +92,7 @@ def test_criterion_2_normalization_contract():
 
     floor = volume.coverage_floor_used
     # a power-of-two scale passes through the mask interpolation exactly
-    scaled = GeometryMasks(spec, geom, grid, base=0.25 * provider.base)
+    scaled = geometry_bank(0.25 * provider.base, spec, geom, grid)
     scaled_masks = reconstruct_volume(acq, scaled, floor=0.25 * floor)
     assert np.array_equal(scaled_masks.sections, volume.sections), "mask-scale invariance"
 

@@ -1274,15 +1274,21 @@ class TestDepthmapValidRule:
         assert planes.shape[1:] == (41, 96) and meta["contrast_window"] == "13"
 
 
-def traced_peak(capsys, argv):
-    assert run(capsys, *argv)[0] == 0  # first-use imports are not the command's memory
+def peak_of(call):
+    call()  # first-use imports are not the call's memory
     tracemalloc.start()
     try:
-        code, *_ = run(capsys, *argv)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        assert code == 0
+
+
+def traced_peak(capsys, argv):
+    def command():
+        assert run(capsys, *argv)[0] == 0
+
+    return peak_of(command)
 
 
 def test_reconstruct_memory_does_not_grow_with_the_frames(tmp_path, capsys):
@@ -1300,6 +1306,24 @@ def test_reconstruct_memory_does_not_grow_with_the_frames(tmp_path, capsys):
                                              str(tmp_path / "vol.aspi"), "--threads", "2"])
     frame = 512 * 32 * 4
     assert peaks[64] - peaks[16] < 48 * frame / 2, peaks
+
+
+@pytest.mark.parametrize("build", ["psf", "psf --threshold", "bank", "bank --threshold"])
+def test_mask_memory_does_not_grow_with_the_rows(capsys, build):
+    # 2048 columns: 1984 more rows are 31 MB of a float64 pattern frame; the
+    # bank, thresholded or not, and `psf` need only its one row
+    kind, *threshold = build.split()
+    peaks = {}
+    for rows in (64, 2048):
+        if kind == "psf":
+            peaks[rows] = traced_peak(capsys, ["psf", "--proj-width", "2048", "--proj-height",
+                                               str(rows), *threshold])
+        else:
+            spec = PatternSpec(2048, rows, period_d=30, linewidth_w=2, shift_step=1,
+                               num_shifts_n=30)
+            peaks[rows] = peak_of(lambda: GeometryMasks(
+                spec, geometry_with_shear(0.2332), ZGrid(0.0, 1.0, 100), threshold=bool(threshold)))
+    assert abs(peaks[2048] - peaks[64]) < 256 * 1024, peaks
 
 
 @pytest.mark.parametrize("confidence", [[], ["--min-confidence", "0.5"]])

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from aspi import (
     EmptyMaskError,
     GeometryConfig,
+    GeometryMasks,
     PatternSpec,
     ZGrid,
     axial_range,
@@ -257,6 +258,21 @@ class TestMagnify:
         assert np.array_equal(up[:, 20:23], np.ones((4, 3)))
         assert up[:, 19] == pytest.approx(np.full(4, 0.5))
         assert up[:, 23] == pytest.approx(np.full(4, 0.5))
+
+    @pytest.mark.parametrize("threshold", [False, True])
+    @pytest.mark.parametrize("shift_sign", [1, -1])
+    @pytest.mark.parametrize("magnification", [0.5, 1.0, 1.5, 2.14])
+    def test_bank_base_is_the_public_frame(self, magnification, shift_sign, threshold):
+        # the bank's one row, broadcast, against the frame functions; a
+        # frame's column mean can round apart from its row, which could move
+        # a thresholded column
+        spec = PatternSpec(80, 37, period_d=16, linewidth_w=3, shift_step=1, num_shifts_n=16)
+        geom = geometry_with_shear(0.2332, magnification=magnification, shift_sign=shift_sign)
+        frame = base_camera_pattern(spec, geom)
+        want = threshold_mask(frame) if threshold else frame
+        base = GeometryMasks(spec, geom, ZGrid(0.0, 1.0, 8), threshold=threshold).base
+        assert base.shape == want.shape and base.dtype == want.dtype
+        assert base.tobytes() == want.tobytes()
 
 
 class TestThresholdMask:

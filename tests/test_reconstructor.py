@@ -32,7 +32,7 @@ from aspi import (
 )
 from aspi import reconstructor
 from aspi.imaging_model import TranslationMasks, mask_coverage
-from conftest import geometry_with_shear
+from conftest import geometry_bank, geometry_with_shear
 
 
 def rig(d=30, w=2, n=30, width=120, height=16, shear=1.0, sections=20):
@@ -400,7 +400,7 @@ def y_varying_provider(kind):
         grid = ZGrid(z0=0.0, z_step=1.0, count=8)
         base = base_camera_pattern(spec, geom)
         falloff = np.linspace(1.0, 0.6, base.shape[0])[:, None]
-        provider = GeometryMasks(spec, geom, grid, base=falloff * base)
+        provider = geometry_bank(falloff * base, spec, geom, grid)
     assert provider.row_bank() is None
     return provider, noisy_frames(provider.shift_count, provider.base.shape, seed=9)
 
@@ -487,14 +487,37 @@ class TestNonFiniteFrames:
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_non_finite_mask_base_rejected(value):
+@pytest.mark.parametrize("layout", ["frame", "row"])
+def test_non_finite_mask_base_rejected(value, layout):
     # unchecked, it gives a NaN default floor, or with a given floor a
-    # sentinel wherever one of its masks moves the pixel
+    # sentinel wherever one of its masks moves the pixel; a base of row
+    # stride 0 is checked on its one row, whose bad pixels recur on every row
     spec, geom, grid = rig(sections=6)
     base = base_camera_pattern(spec, geom)
-    base[3, 50] = base[5, 7] = value
-    with pytest.raises(ValueError, match=re.escape("mask base has 2 non-finite pixels (NaN or Inf)")):
-        GeometryMasks(spec, geom, grid, base=base)
+    if layout == "frame":
+        base[3, 50] = base[5, 7] = value
+        count = 2
+    else:
+        row = base[0].copy()
+        row[50] = row[7] = value
+        base, count = np.broadcast_to(row, base.shape), 2 * base.shape[0]
+    message = f"mask base has {count} non-finite pixels (NaN or Inf)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        geometry_bank(base, spec, geom, grid)
+
+
+@pytest.mark.parametrize("step,shear", [((1.0, 0.5), (1.0, 0.0)), ((1.0, 0.0), (0.5, -0.25))],
+                         ids=["step_dy", "shear_dy"])
+def test_zero_stride_base_moved_along_y_keeps_the_full_bank(step, shear):
+    # a row-constant base moved along y is not row-constant once moved: zero
+    # comes in at the top or bottom edge
+    spec, geom, grid = rig(sections=6)
+    frame = base_camera_pattern(spec, geom)
+    row_base = TranslationMasks(np.broadcast_to(frame[0], frame.shape), step, shear, 8, grid)
+    frame_base = TranslationMasks(frame, step, shear, 8, grid)
+    assert row_base.row_bank() is None
+    for z in range(6):
+        assert row_base.section_masks(z).tobytes() == frame_base.section_masks(z).tobytes()
 
 
 class TestVolumeStream:
