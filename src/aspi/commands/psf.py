@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import CoverageError
-from ..imaging_model import GeometryMasks, threshold_mask
+from ..imaging_model import GeometryMasks
 from ..volume_analysis import axial_psf, fwhm
 from . import print_summary, rig_from_metadata
 
@@ -17,13 +17,13 @@ def run(args) -> int:
     masks = GeometryMasks(spec, geom, grid)
     shape = masks.base.shape
     layer_z = args.layer_z if args.layer_z is not None else grid.count // 2
-    # the first frame of a unit layer at layer_z is its section's first mask
-    pattern = np.broadcast_to(masks.section_masks(layer_z)[0], shape)
-    mask = threshold_mask(masks.base[:1]) if args.threshold else masks.base
+    # a unit layer's scan at layer_z is its section's masks
+    frames = np.broadcast_to(masks.section_masks(layer_z), (masks.shift_count,) + shape)
+    masks = GeometryMasks(spec, geom, grid, threshold=True) if args.threshold else masks
     probe_x = args.probe_x if args.probe_x is not None else (3 * shape[1]) // 4
     probe_y = args.probe_y if args.probe_y is not None else shape[0] // 2
     try:
-        curve = axial_psf(pattern, mask, spec, geom, grid, (probe_x, probe_y))
+        curve = axial_psf(frames, masks, (probe_x, probe_y))
     except CoverageError as exc:
         if not args.threshold:
             raise

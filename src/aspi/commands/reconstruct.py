@@ -24,6 +24,8 @@ def _load_model(path) -> MaskModel:
 
     reader, meta = open_stack(path, "mask-model")
     with reader:
+        if reader.shape[0] != 1:
+            raise ValueError(f"{path}: a mask model is one plane, this one has {reader.shape[0]}")
         base = reader[0].astype(np.float64)
     values = {key: meta.value(key, float) for key in (
         "lateral_dx", "lateral_dy", "axial_dx", "axial_dy", "lateral_residual_rms",

@@ -88,8 +88,8 @@ def _interpolate(a, i0, i1, w0, w1, axis: int, out=None) -> np.ndarray:
 def sample_row(row: np.ndarray, positions) -> np.ndarray:
     """Linearly interpolate a 1D signal at real-valued positions, zero outside.
 
-    Shifted masks (shift_image, TranslationMasks) and point probes of the
-    same mask all go through _interpolate, so they agree bit for bit at
+    Shifted masks (shift_image, TranslationMasks, and so the PSF's masks at
+    a probe) all go through _interpolate, so they agree bit for bit at
     integer positions and to rounding at fractional ones.
     """
     row = np.asarray(row, dtype=np.float64)
@@ -288,14 +288,28 @@ class TranslationMasks:
         if self._row is None:
             return None
         w, n, k = self._row.size, self.shift_count, self.grid.count
-        # dx[i, z], as section_masks(z) computes it for every step i
-        dx = self._steps[0][:, None] + np.arange(k) * self._shear[0]
         store = np.empty((w, n, k), dtype=np.float64) if out is None else out
         cols = max(1, w // k)
         for x0 in range(0, w, cols):
-            positions = np.arange(x0, min(x0 + cols, w), dtype=np.float64)[:, None, None] - dx
-            _interpolate(self._row, *_lerp(positions, w), axis=-1, out=store[x0:x0 + cols])
+            self._columns(x0, min(x0 + cols, w), store[x0:x0 + cols])
         return store.transpose(1, 2, 0)
+
+    def pixel_masks(self, x: int, y: int) -> np.ndarray:
+        """(n, K) masks of every step and section at pixel (x, y): section_masks', bit for bit."""
+        h, w = self.base.shape
+        if not (0 <= x < w and 0 <= y < h):
+            raise ValueError(f"pixel {(x, y)} outside the {w}x{h} mask base")
+        if self._row is not None:  # one column, not K sections of W columns
+            return self._columns(x, x + 1)[0]
+        return np.stack([self.section_masks(z, (y, y + 1))[:, 0, x]
+                         for z in range(self.grid.count)], axis=1)
+
+    def _columns(self, x0: int, x1: int, out=None) -> np.ndarray:
+        # (x1 - x0, n, K) masks of a row-kept bank at columns x0:x1, into out if
+        # given: dx[i, z] = steps[i] + z * shear, as in section_masks(z)
+        dx = self._steps[0][:, None] + np.arange(self.grid.count) * self._shear[0]
+        positions = np.arange(x0, x1, dtype=np.float64)[:, None, None] - dx
+        return _interpolate(self._row, *_lerp(positions, self._row.size), axis=-1, out=out)
 
     def describe(self) -> str:
         return "translation"

@@ -113,8 +113,9 @@ _GEMM_COLS = 64
 
 
 def default_floor(base_mask, n: int) -> float:
-    """Denominator floor: 1e-3 of the base mask peak times the shift count."""
-    return 1e-3 * float(np.max(base_mask)) * n
+    """Denominator floor: 1e-3 of the base mask peak times n, read off one row at row stride 0."""
+    m = np.asarray(base_mask)
+    return 1e-3 * float(np.max(m[:1] if m.ndim and m.strides[0] == 0 else m)) * n
 
 
 class ModelMasks(TranslationMasks):
@@ -128,13 +129,16 @@ class ModelMasks(TranslationMasks):
         return "calibrated-model"
 
 
-def _as_frames(frames):
+def _as_frames(frames, masks: TranslationMasks | None = None):
+    # an (n, H, W) array or StackReader, of the bank's (shift_count,) + base shape if given
     if not isinstance(frames, StackReader):
         frames = np.asarray(frames)
     if len(frames.shape) != 3:
         raise ValueError(f"expected (n, H, W) frames, got shape {frames.shape}")
     if frames.shape[0] == 0:
         raise ValueError("empty frame list")
+    if masks is not None and frames.shape != (bank := (masks.shift_count,) + masks.base.shape):
+        raise ValueError(f"frames of shape {frames.shape} for a mask bank of {bank}")
     return frames
 
 
@@ -226,10 +230,7 @@ class VolumeStream:
         if floor is None:
             floor = default_floor(masks.base, masks.shift_count)
         _check_floor(floor)
-        frames = _as_frames(frames)
-        expected = (masks.shift_count,) + masks.base.shape
-        if frames.shape != expected:
-            raise ValueError(f"frames of shape {frames.shape} for a mask bank of {expected}")
+        frames = _as_frames(frames, masks)
         _check_finite(frames)
         self.grid = masks.grid
         self.floor = float(floor)

@@ -113,6 +113,8 @@ def _read_sidecar(path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise StackFormatError(f"malformed sidecar line {line!r} in {p}")
+        if key in meta:
+            raise StackFormatError(f"sidecar {p} repeats key {key!r}")
         meta[key] = value
     return meta
 

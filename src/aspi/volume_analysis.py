@@ -5,11 +5,11 @@ cross-correlation between the imaged pattern and the virtual mask as the
 mask slides with depth. For a slit of width w and a shear of s pixels per
 section, that is the autocorrelation of a rectangle: a triangle whose full
 width at half maximum spans w / s sections. `axial_psf` evaluates the sum
-directly (no FFT): it samples the mask once at every (scan step, section)
-position with the reconstruction's interpolation kernel and sums over the
-scan with its coverage sum, `mask_coverage` (float64, i ascending), so the
-curve matches a reconstructed single-layer response to rounding error after
-peak normalization.
+directly (no FFT) from the scan and the mask bank a reconstruction reads,
+whose masks at the probe (`pixel_masks`) are its `section_masks` bit for
+bit, in the order of its coverage sum (`mask_coverage`): the curve is the
+reconstruction at the probe before it is normalised, equal to the
+reconstructed response only where the coverage is the same at every section.
 
 Depth maps take the per-pixel argmax of the reconstructed sections (ties to
 the lower section) with an optional 3-point parabolic refinement between
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DegenerateInputError, FwhmRangeError
-from .rig import GeometryConfig, PatternSpec, ZGrid
+from .rig import ZGrid
 from .stack_io import SENTINEL, VolumeStack
 
 __all__ = [
@@ -116,59 +116,43 @@ def predicted_fwhm_sections(linewidth_px: float, shear_px_per_section: float) ->
     return linewidth_px / shear_px_per_section
 
 
-def axial_psf(
-    base_pattern,
-    base_mask,
-    spec: PatternSpec,
-    geom: GeometryConfig,
-    grid: ZGrid,
-    probe: tuple[int, int],
-    floor: float | None = None,
-) -> AxialCurve:
-    """Axial response at a probe pixel by direct summation over the scan.
+def axial_psf(frames, masks, probe: tuple[int, int], floor: float | None = None) -> AxialCurve:
+    """Axial response at a probe pixel: its reconstruction before normalisation, peak 1.
 
-    base_pattern is the camera image of the pattern on the object
-    (the first acquired frame); base_mask is the virtual mask at section 0.
-    For each section the mask is slid by the shear and correlated with the
-    pattern over all scan steps at the probe pixel only. The probe must be
-    illuminated above the coverage floor at every section. The curve is
-    normalized to peak 1.
+    frames and masks are reconstruct_volume's: an (n, H, W) scan and the
+    TranslationMasks bank of its shape. Section z's response at probe (x, y)
+    is sum_i frames[i, y, x] * M_iz(x, y), the voxel times its coverage, so
+    it equals the reconstructed response only where the coverage is the same
+    at every section. The probe must lie in the frame and be covered at or
+    above the floor (the bank's default_floor unless given) at every
+    section; a NaN or an infinity in its frame values is a ValueError.
     """
     # the mask code loads only with the PSF: `aspi depthmap` runs without it
-    from .imaging_model import mask_coverage, sample_row
-    from .reconstructor import default_floor
+    from .imaging_model import mask_coverage
+    from .reconstructor import _as_frames, default_floor
 
-    o = np.asarray(base_pattern, dtype=np.float64)
-    m = np.asarray(base_mask, dtype=np.float64)
-    if o.ndim != 2 or m.ndim != 2:
-        raise ValueError("base_pattern and base_mask must be 2D")
+    frames = _as_frames(frames, masks)
     px, py = probe
-    if not (0 <= py < o.shape[0] and 0 <= px < o.shape[1]):
-        raise ValueError(f"probe {probe} outside frame {o.shape[::-1]}")
+    if not (0 <= py < frames.shape[1] and 0 <= px < frames.shape[2]):
+        raise ValueError(f"probe {probe} outside frame {frames.shape[:0:-1]}")
+    m = masks.pixel_masks(px, py)  # (n, K): scan step i, section z
+    o = np.asarray(frames[:, py:py + 1], dtype=np.float64)[:, 0, px]
+    if not np.isfinite(o).all():
+        raise ValueError(f"frames have non-finite values (NaN or Inf) at probe {probe}")
     if floor is None:
-        floor = default_floor(m, spec.num_shifts_n)
-
-    o_row = o[py]
-    m_row = m[py % m.shape[0]]
-    step_px = spec.shift_step * geom.magnification
-    shear = geom.signed_shear
-    scan = np.arange(spec.num_shifts_n, dtype=np.float64) * step_px
-
-    o_vals = sample_row(o_row, px - scan)
-    # (n, K): scan step i, section j
-    m_vals = sample_row(m_row, px - scan[:, None] - np.arange(grid.count) * shear)
-    den = mask_coverage(m_vals)
+        floor = default_floor(masks.base, masks.shift_count)
+    den = mask_coverage(m)
     low = np.flatnonzero(den < floor)
     if low.size:
         j = int(low[0])
         raise CoverageError(
             f"probe {probe} below coverage floor at section {j} ({den[j]:.3g} < {floor:.3g})"
         )
-    response = mask_coverage(o_vals[:, None] * m_vals)
+    response = mask_coverage(o[:, None] * m)
     peak = response.max()
     if peak <= 0:
         raise DegenerateInputError("probe response is identically zero")
-    return AxialCurve(z=grid.z_values(), response=response / peak)
+    return AxialCurve(z=masks.grid.z_values(), response=response / peak)
 
 
 def fwhm(curve: AxialCurve) -> float:

@@ -60,8 +60,7 @@ def test_criterion_1_psf_equivalence():
     volume = reconstruct_volume(acq, GeometryMasks(spec, geom, grid))
 
     probe = (200, 128)
-    curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
-                      spec, geom, grid, probe=probe)
+    curve = axial_psf(acq, GeometryMasks(spec, geom, grid), probe=probe)
     response = volume.sections[:, probe[1], probe[0]]
     assert np.all(response != SENTINEL)
     response = response / response.max()
@@ -264,8 +263,7 @@ def test_criterion_7_fwhm_parametric():
     grid = ZGrid(z0=0.0, z_step=1.0, count=40)
     layer_section = 20  # integer mask phase: 20 * 0.5 = 10 px
     acq = acquire_stack(uniform_scene(spec, geom, layer_section), spec, geom, grid)
-    curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
-                      spec, geom, grid, probe=(180, 4))
+    curve = axial_psf(acq, GeometryMasks(spec, geom, grid), probe=(180, 4))
     predicted = predicted_fwhm_sections(spec.linewidth_w, geom.shear_px_per_section)
     measured = fwhm(curve) / grid.z_step
     rel_err = abs(measured - predicted) / predicted
@@ -277,8 +275,7 @@ def test_criterion_7_fwhm_parametric():
     grid_05 = ZGrid(z0=0.0, z_step=z_step, count=100)
     layer_section = 50  # phase 50 * 0.2 = 10 px
     acq = acquire_stack(uniform_scene(spec, geom_05, layer_section), spec, geom_05, grid_05)
-    curve = axial_psf(acq[0], base_camera_pattern(spec, geom_05),
-                      spec, geom_05, grid_05, probe=(180, 4))
+    curve = axial_psf(acq, GeometryMasks(spec, geom_05, grid_05), probe=(180, 4))
     width_z = fwhm(curve)
     width_sections = width_z / z_step
     assert width_sections == pytest.approx(10.0, abs=0.2)

@@ -347,6 +347,13 @@ class TestPsfCli:
                      "--out", str(curve_path))
         assert_one_error_line(result, f"z_index {layer} out of range [0, 40)", curve_path)
 
+    @pytest.mark.parametrize("flag, value, probe", [
+        ("--probe-x", "256", "(256, 128)"), ("--probe-y", "-1", "(192, -1)")])
+    def test_probe_outside_the_frame(self, tmp_path, capsys, flag, value, probe):
+        curve_path = tmp_path / "curve.txt"
+        result = run(capsys, "psf", "--sections", "40", flag, value, "--out", str(curve_path))
+        assert_one_error_line(result, f"probe {probe} outside frame (256, 256)", curve_path)
+
 
 class TestBench:
     def test_summary_line(self, capsys):
@@ -841,6 +848,21 @@ class TestRejectedInputs:
         assert_one_error_line(result, f"mask base has no pixels: its shape is {shape[1:]}", vol)
         assert not vol.with_name("vol.aspi.meta").exists()
 
+    @pytest.mark.parametrize("planes", [0, 3])
+    def test_reconstruct_model_of_another_plane_count(self, tmp_path, capsys, planes):
+        # unchecked, plane 0 is taken and the others, a NaN one too, ignored
+        acq, vol = tmp_path / "acq.aspi", tmp_path / "vol.aspi"
+        small_acquisition(capsys, acq)
+        model = slit_model(tmp_path, dy=(0.0, 0.0))
+        base, meta = read_stack(model)
+        stack = np.concatenate([base, np.full_like(base, np.nan), base])[:planes]
+        write_stack(stack, meta, model)
+        result = run(capsys, "reconstruct", "--input", str(acq), "--model", str(model),
+                     "--out", str(vol))
+        assert_one_error_line(result, f"{model}: a mask model is one plane, this one has "
+                              f"{planes}", vol)
+        assert not vol.with_name("vol.aspi.meta").exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shape", [(3, 0, 64), (3, 64, 0)])
     @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
@@ -1198,6 +1220,18 @@ class TestBinarySidecar:
         result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
         assert_one_error_line(result, f"sidecar {vol}.meta is not UTF-8 text: byte 14 is 0x80",
                               dep)
+
+
+def test_depthmap_of_a_sidecar_that_repeats_a_key(tmp_path, capsys):
+    # unchecked, the last value is read: depths scaled by the second z_step, exit 0
+    acq, vol, dep = tmp_path / "acq.aspi", tmp_path / "vol.aspi", tmp_path / "d.aspi"
+    small_acquisition(capsys, acq)
+    assert run(capsys, "reconstruct", "--input", str(acq), "--out", str(vol))[0] == 0
+    assert read_stack(vol)[1]["z_step"] == "1.0"
+    with open(sidecar_path(vol), "a") as fh:
+        fh.write("z_step=2.0\n")
+    result = run(capsys, "depthmap", "--input", str(vol), "--out", str(dep))
+    assert_one_error_line(result, f"sidecar {vol}.meta repeats key 'z_step'", dep)
 
 
 class TestDepthmapAmbiguity:

@@ -19,6 +19,7 @@ from aspi import (
     StackReader,
     ZGrid,
     acquire_stack,
+    axial_psf,
     base_camera_pattern,
     camera_shape,
     default_floor,
@@ -46,6 +47,18 @@ def rig(d=30, w=2, n=30, width=120, height=16, shear=1.0, sections=20):
 def uniform_acquisition(spec, geom, grid, z_index=0, **scene_kw):
     scene = Scene(layers=[(z_index, np.ones(camera_shape(spec, geom)))], **scene_kw)
     return acquire_stack(scene, spec, geom, grid)
+
+
+def assert_pixel_masks_are_section_masks(provider, pixels):
+    # every step's and section's mask at each pixel, bit for bit
+    for x, y in pixels:
+        sections = [provider.section_masks(z) for z in range(provider.grid.count)]
+        want = np.stack([m[:, y % m.shape[1], x] for m in sections], axis=1)
+        got = provider.pixel_masks(x, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for x, y in ((-1, 0), (0, -1), (provider.base.shape[1], 0), (0, provider.base.shape[0])):
+        with pytest.raises(ValueError, match="outside the"):
+            provider.pixel_masks(x, y)
 
 
 class TestReconstructSection:
@@ -304,6 +317,10 @@ class TestGemmKernel:
             for i in (0, 7, 29):
                 one = synthesize_mask(row, float(i), z, provider.geom, provider.grid)
                 assert masks[i].tobytes() == one.tobytes()
+        for x in (0, 1, 77, 149):
+            want = np.ascontiguousarray(bank[:, :, x]).tobytes()
+            assert provider.pixel_masks(x, 7).tobytes() == want
+        assert_pixel_masks_are_section_masks(provider, [(0, 0), (77, 7), (149, 15)])
 
     def test_float32_frames_equal_float64_on_both_kernels(self):
         for provider in (self.rig()[1], y_varying_provider("geometry_2d")[0]):
@@ -329,6 +346,7 @@ class TestGemmKernel:
         provider, frames = y_varying_provider("geometry_2d")
         assert provider.row_bank() is None
         assert provider.section_masks(0).shape == (16, 18, 120) == frames.shape
+        assert_pixel_masks_are_section_masks(provider, [(0, 0), (61, 9), (119, 17)])
 
 
 @pytest.mark.parametrize("threshold", [False, True])
@@ -484,6 +502,9 @@ class TestNonFiniteFrames:
         for masks in (provider, ModelMasks(model, grid, spec.num_shifts_n)):
             with pytest.raises(ValueError, match="1 non-finite frame pixels"):
                 reconstruct_volume(frames, masks)
+            # unchecked, the PSF at that pixel is NaN at every section
+            with pytest.raises(ValueError, match=re.escape("(NaN or Inf) at probe (50, 3)")):
+                axial_psf(frames, masks, (50, 3))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -518,6 +539,8 @@ def test_zero_stride_base_moved_along_y_keeps_the_full_bank(step, shear):
     assert row_base.row_bank() is None
     for z in range(6):
         assert row_base.section_masks(z).tobytes() == frame_base.section_masks(z).tobytes()
+    for provider in (row_base, frame_base):
+        assert_pixel_masks_are_section_masks(provider, [(0, 0), (60, 8), (119, 15)])
 
 
 class TestVolumeStream:
@@ -834,6 +857,8 @@ class TestVolumeStream:
             message = re.escape(f"frames of shape {shape} for a mask bank of {(n, h, w)}")
             with pytest.raises(ValueError, match=message):
                 reconstructor.VolumeStream(np.ones(shape, dtype=np.float32), provider)
+            with pytest.raises(ValueError, match=message):  # the PSF's one check too
+                axial_psf(np.ones(shape, dtype=np.float32), provider, (0, 0))
 
 
 def test_coverage_equal_to_the_floor_is_covered_by_both_kernels():

@@ -251,6 +251,16 @@ class TestSidecarValidation:
         with pytest.raises(StackFormatError, match="sidecar"):
             read_stack(path)
 
+    def test_sidecar_that_repeats_a_key(self, tmp_path):
+        # unchecked, the last value is read: a second z_step rescales every depth
+        path = tmp_path / "s.aspi"
+        write_stack(np.zeros((1, 1, 1)), {"kind": "volume", "z_step": "1.0"}, path)
+        with open(sidecar_path(path), "a") as fh:
+            fh.write("z_step=2.0\n")
+        with pytest.raises(StackFormatError) as info:
+            read_stack(path)
+        assert str(info.value) == f"sidecar {path}.meta repeats key 'z_step'"
+
     def test_sidecar_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "s.aspi"
         write_stack(np.zeros((1, 1, 1)), {"k": "v"}, path)

@@ -142,6 +142,18 @@ def test_one_thread_pool_in_the_package():
     assert futures == [], futures
 
 
+def test_only_the_mask_model_reads_the_signed_shear():
+    # imaging_model turns the rig into mask positions; any other reader of
+    # the shear holds a second copy of that geometry
+    readers = sorted(
+        f"{module}:{node.lineno}"
+        for path, module in _sources()
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "signed_shear"
+        and module not in ("rig", "imaging_model"))
+    assert readers == [], readers
+
+
 def test_sources_of_subpackages_are_scanned():
     # the checks above walk subpackages too, so code moved into one stays checked
     assert "commands.depthmap" in {module for _, module in _sources()}

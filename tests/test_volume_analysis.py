@@ -22,7 +22,6 @@ from aspi import (
     ZGrid,
     acquire_stack,
     axial_psf,
-    base_camera_pattern,
     camera_shape,
     contrast_window,
     default_floor,
@@ -31,13 +30,13 @@ from aspi import (
     make_tilted_plane_scene,
     predicted_fwhm_sections,
     reconstruct_volume,
-    sample_row,
     tilted_plane_sections,
     write_stack,
 )
 from aspi import volume_analysis
+from aspi.imaging_model import TranslationMasks, mask_coverage
 from aspi.volume_analysis import CONTRAST_TAU
-from conftest import geometry_with_shear
+from conftest import geometry_bank, geometry_with_shear
 
 
 def rig(d=30, w=2, n=30, width=160, height=12, shear=1.0, sections=24):
@@ -57,8 +56,7 @@ class TestAxialPsf:
     def test_peak_at_layer_section(self):
         spec, geom, grid = rig()
         acq = layer_acquisition(spec, geom, grid, 8)
-        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
-                          spec, geom, grid, probe=(120, 6))
+        curve = axial_psf(acq, GeometryMasks(spec, geom, grid), probe=(120, 6))
         assert int(np.argmax(curve.response)) == 8
         assert curve.response.max() == 1.0
 
@@ -66,8 +64,7 @@ class TestAxialPsf:
         # slit width w against itself: triangle spanning 2w/shear sections
         spec, geom, grid = rig(d=30, w=3, shear=1.0, sections=16)
         acq = layer_acquisition(spec, geom, grid, 6)
-        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
-                          spec, geom, grid, probe=(120, 4))
+        curve = axial_psf(acq, GeometryMasks(spec, geom, grid), probe=(120, 4))
         delta = np.arange(grid.count) - 6.0
         expected = np.maximum(0.0, 1.0 - np.abs(delta) / 3.0)
         assert np.allclose(curve.response[:12], expected[:12], atol=1e-12)
@@ -79,8 +76,7 @@ class TestAxialPsf:
         acq = layer_acquisition(spec, geom, grid, 7)
         volume = reconstruct_volume(acq, GeometryMasks(spec, geom, grid))
         probe = (120, 5)
-        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
-                          spec, geom, grid, probe=probe)
+        curve = axial_psf(acq, GeometryMasks(spec, geom, grid), probe=probe)
         rec = volume.sections[:, probe[1], probe[0]]
         rec = rec / rec.max()
         assert np.max(np.abs(curve.response - rec)) < 1e-6
@@ -89,15 +85,31 @@ class TestAxialPsf:
         spec, geom, grid = rig()
         acq = layer_acquisition(spec, geom, grid, 0)
         with pytest.raises(CoverageError):
-            axial_psf(acq[0], base_camera_pattern(spec, geom),
-                      spec, geom, grid, probe=(2, 3))
+            axial_psf(acq, GeometryMasks(spec, geom, grid), probe=(2, 3))
 
     def test_probe_bounds_checked(self):
         spec, geom, grid = rig()
         acq = layer_acquisition(spec, geom, grid, 0)
         with pytest.raises(ValueError):
-            axial_psf(acq[0], base_camera_pattern(spec, geom),
-                      spec, geom, grid, probe=(500, 3))
+            axial_psf(acq, GeometryMasks(spec, geom, grid), probe=(500, 3))
+
+    @pytest.mark.parametrize("magnification, shear", [
+        (1.0, 1.0), (1.0, 0.2332), (0.7, 0.2332), (1.5, 0.2332), (2.14, 0.2332)])
+    def test_is_the_reconstructed_voxel_times_its_coverage(self, magnification, shear):
+        # at a fractional scan step with the layer at a fractional shift too, where a
+        # frame is not frame 0 moved once more
+        spec = PatternSpec(96, 6, period_d=30, linewidth_w=2, shift_step=1, num_shifts_n=30)
+        geom = geometry_with_shear(shear, magnification=magnification)
+        grid = ZGrid(z0=0.0, z_step=1.0, count=24)
+        acq = layer_acquisition(spec, geom, grid, 11)
+        masks = GeometryMasks(spec, geom, grid)
+        probe = (acq.shape[2] * 3 // 4, 3)
+        curve = axial_psf(acq, masks, probe)
+        voxel = reconstruct_volume(acq, masks).sections[:, probe[1], probe[0]]
+        coverage = [mask_coverage(masks.section_masks(z))[0, probe[0]]
+                    for z in range(grid.count)]
+        want = voxel * coverage
+        assert np.max(np.abs(curve.response - want / want.max())) < 1e-12
 
 
 class TestAxialCurve:
@@ -153,8 +165,7 @@ class TestFwhm:
         pred = predicted_fwhm_sections(2, 0.25)
         assert pred == 8.0
         acq = layer_acquisition(spec, geom, grid, 40)  # phase 40*0.25 = integer
-        curve = axial_psf(acq[0], base_camera_pattern(spec, geom),
-                          spec, geom, grid, probe=(150, 3))
+        curve = axial_psf(acq, GeometryMasks(spec, geom, grid), probe=(150, 3))
         assert fwhm(curve) == pytest.approx(pred, abs=0.2)
 
 
@@ -682,27 +693,21 @@ def test_depth_map_of_a_reconstructed_volume_within_three_quarters_of_it():
     assert peak <= 0.75 * stored.nbytes
 
 
-def axial_psf_oracle(base_pattern, base_mask, spec, geom, grid, probe, floor=None):
-    """axial_psf's own double loop before it summed with mask_coverage."""
-    o = np.asarray(base_pattern, dtype=np.float64)
-    m = np.asarray(base_mask, dtype=np.float64)
+def axial_psf_oracle(frames, masks, probe, floor=None):
+    """axial_psf as a double loop over the frames and section_masks at the probe."""
     px, py = probe
+    n = masks.shift_count
     if floor is None:
-        floor = default_floor(m, spec.num_shifts_n)
-    o_row = o[py]
-    m_row = m[py % m.shape[0]]
-    step_px = spec.shift_step * geom.magnification
-    shear = geom.signed_shear
-    scan = np.arange(spec.num_shifts_n, dtype=np.float64) * step_px
-    o_vals = sample_row(o_row, px - scan)
-    response = np.empty(grid.count, dtype=np.float64)
-    for j in range(grid.count):
-        m_vals = sample_row(m_row, px - scan - j * shear)
+        floor = default_floor(masks.base, n)
+    response = np.empty(masks.grid.count, dtype=np.float64)
+    for j in range(masks.grid.count):
+        m = masks.section_masks(j)
         den = 0.0
         acc = 0.0
-        for i in range(spec.num_shifts_n):
-            den += m_vals[i]
-            acc += o_vals[i] * m_vals[i]
+        for i in range(n):
+            mask = m[i, py % m.shape[1], px]
+            den += mask
+            acc += frames[i, py, px] * mask
         if den < floor:
             raise CoverageError(
                 f"probe {probe} below coverage floor at section {j} ({den:.3g} < {floor:.3g})"
@@ -711,11 +716,12 @@ def axial_psf_oracle(base_pattern, base_mask, spec, geom, grid, probe, floor=Non
     peak = response.max()
     if peak <= 0:
         raise DegenerateInputError("probe response is identically zero")
-    return AxialCurve(z=grid.z_values(), response=response / peak)
+    return AxialCurve(z=masks.grid.z_values(), response=response / peak)
 
 
 def test_axial_psf_equals_its_double_loop_oracle_bit_for_bit():
     rng = np.random.default_rng(77)
+    gain_rng = np.random.default_rng(78)
     raised = 0
     for case in range(160):
         d = int(rng.integers(4, 40))
@@ -727,14 +733,20 @@ def test_axial_psf_equals_its_double_loop_oracle_bit_for_bit():
                                    magnification=float(rng.choice([1.0, 0.7, 2.1236])),
                                    shift_sign=int(rng.choice([1, -1])))
         grid = ZGrid(z0=float(rng.uniform(-5, 5)), z_step=0.5, count=int(rng.integers(1, 30)))
-        pattern = rng.random((h, w))
+        # a pattern under a gain per scan step: the gains come from their own
+        # generator, so the rig, mask and probe draws do not depend on n
+        frames = rng.random((h, w)) * gain_rng.random((n, 1, 1))
         # sparse masks, so that probes near an edge fall below the floor
         mask = np.where(rng.random((h, w)) < 0.6, rng.random((h, w)), 0.0)
         if case % 2:
             mask = np.broadcast_to(mask[:1], (h, w))  # row-constant
+        masks = geometry_bank(mask, spec, geom, grid)
+        if case % 4 == 2:  # a 2-D base also moved along y
+            masks = TranslationMasks(mask, (step * geom.magnification, 0.37),
+                                     (geom.signed_shear, -0.21), n, grid)
         probe = (int(rng.integers(0, w)), int(rng.integers(0, h)))
         floor = None if case % 3 else float(rng.uniform(0.01, 0.5)) * n
-        args = (pattern, mask, spec, geom, grid, probe, floor)
+        args = (frames, masks, probe, floor)
         try:
             want = axial_psf_oracle(*args)
         except (CoverageError, DegenerateInputError) as exc:
