@@ -12,7 +12,8 @@ same file as an input or as another output, or as either's sidecar,
 before they write anything.
 
 Exit codes: 0 success, 1 runtime failure (bad data, violated invariants,
-I/O problems; a diagnostic goes to stderr), 2 usage errors (argparse).
+I/O problems, too little memory; a one-line diagnostic goes to stderr), 2
+usage errors (argparse, a negative --seed among them).
 The worker thread count of `simulate`, `reconstruct` and `bench` falls back
 to the ASPI_THREADS environment variable when --threads is not given, and
 to the number of CPUs this process may run on when neither is; either one
@@ -59,6 +60,14 @@ def _add_threads_arg(p: argparse.ArgumentParser):
                         "process may run on)")
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: an int >= 0, so a negative value is a usage error naming its option."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_rig_args(p: argparse.ArgumentParser):
     g = p.add_argument_group("pattern")
     g.add_argument("--proj-width", type=int, default=256, help="projector width, pixels")
@@ -92,7 +101,7 @@ def _simulate_args(p: argparse.ArgumentParser):
     p.add_argument("--haze", type=float, default=0.0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--poisson-scale", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=non_negative_int, default=1)
     p.add_argument("--out", required=True)
     _add_threads_arg(p)
 
@@ -144,7 +153,7 @@ def _bench_args(p: argparse.ArgumentParser):
     p.add_argument("--shifts", type=int, default=30)
     p.add_argument("--sections", type=int, default=100)
     _add_threads_arg(p)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=non_negative_int, default=1)
 
 
 # each subcommand, in the order the help lists them: its help line and
@@ -192,8 +201,8 @@ def run_cli(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return importlib.import_module(f".commands.{args.command}", __package__).run(args) or 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -275,24 +275,36 @@ class TranslationMasks:
         dy = self._steps[1] + z_index * self._shear[1]
         return _translate_rows(self.base, dx, dy, rows or (0, self.base.shape[0]))
 
-    def row_bank(self, out: np.ndarray | None = None) -> np.ndarray | None:
+    def row_bank(self) -> np.ndarray | None:
         """(n, K, W) masks of every step and section; None unless kept as one row.
 
-        A view of (W, n, K) storage, the GEMM kernel's layout: `out` when
-        given (a float64 array of that shape, or a view of one, such as the
-        first n rows of a larger bank), else new storage on every call. It
-        is filled in blocks of whole columns, each at most one section's
-        n * W values (one column at least), with section_masks' arithmetic.
-        Without a row, out is left untouched.
+        A view of new (W, n, K) float64 storage, the GEMM kernel's layout,
+        filled from column_blocks().
+        """
+        blocks = self.column_blocks()
+        if blocks is None:
+            return None
+        store = np.empty((self._row.size, self.shift_count, self.grid.count))
+        for x0, masks in blocks:
+            store[x0:x0 + len(masks)] = masks
+        return store.transpose(1, 2, 0)
+
+    def column_blocks(self):
+        """Iterator of (x0, masks) over a bank kept as one row; None for any other bank.
+
+        masks is the (c, n, K) float64 bank of columns x0:x0 + c, with
+        section_masks' arithmetic, from left to right in blocks of whole
+        columns, each at most one section's n * W values (one column at
+        least). Every block is computed into one buffer, so a block is valid
+        until the next one is asked for.
         """
         if self._row is None:
             return None
         w, n, k = self._row.size, self.shift_count, self.grid.count
-        store = np.empty((w, n, k), dtype=np.float64) if out is None else out
         cols = max(1, w // k)
-        for x0 in range(0, w, cols):
-            self._columns(x0, min(x0 + cols, w), store[x0:x0 + cols])
-        return store.transpose(1, 2, 0)
+        buffer = np.empty((cols, n, k))
+        return ((x0, self._columns(x0, min(x0 + cols, w), buffer[:min(cols, w - x0)]))
+                for x0 in range(0, w, cols))
 
     def pixel_masks(self, x: int, y: int) -> np.ndarray:
         """(n, K) masks of every step and section at pixel (x, y): section_masks', bit for bit."""

@@ -13,26 +13,36 @@ excluded from downstream statistics. (With noisy inputs the quotient itself
 can dip slightly below zero; the sentinel remains the exact value -1.0.)
 Frames with a NaN or an infinity are rejected.
 
-Two kernels compute the volume, both in float64 whatever the frame dtype:
+Two kernels compute the volume:
 
-* The reference kernel, reconstruct_section, accumulates in fixed order
-  i = 0..n-1 per pixel. It takes any bank, full (n, H, W) or row-compressed
-  (n, 1, W), and reconstruct_volume uses it for banks that vary along y.
+* The reference kernel, reconstruct_section, computes in float64 whatever
+  the frame dtype and accumulates in fixed order i = 0..n-1 per pixel. It
+  takes any bank, full (n, H, W) or row-compressed (n, 1, W), and
+  reconstruct_volume uses it for banks that vary along y. It is the oracle.
 * The GEMM kernel serves banks that are constant along y: those whose
-  row_bank() returns the whole (n, K, W) bank, geometric or calibrated.
-  The bank is normalised once, in (W, n + 1, K) storage: each column
-  M_iz(x) divided by its coverage, the uncovered ones 0, and as its last
-  row n a sentinel plane that is -1.0 where the column is uncovered and
-  +0.0 elsewhere. Each tile's frame rows carry a last column of ones, so
-  for every column x all sections are one matrix product,
-  (rows x (n + 1)) . ((n + 1) x K), which is the finished voxel; it is
-  computed in row bands of _GEMM_ROWS rows by batched matmuls over tiles
-  of _GEMM_COLS columns. Its summation order is the BLAS one and it
-  divides before it sums, so it agrees with the reference kernel to within
-  (n+1)*eps of sum_i |O_i| * M_iz / sum_i M_iz per voxel rather than bit
-  for bit.
-  Coverage (mask_coverage) and the floor rule (_floor_rule) are shared, so
-  coverage and sentinels are identical.
+  column_blocks() gives the whole bank, geometric or calibrated, block by
+  block. It computes in float32. The bank is normalised once, in float64,
+  one column block at a time, into float32 (W, n + 1, K) storage: each
+  column M_iz(x) divided by its coverage, the uncovered ones 0, each
+  rounded once to float32, and as its last row n a sentinel plane that is
+  -1.0 where the column is uncovered and +0.0 elsewhere. Each tile's frame
+  rows, rounded to float32 if they are float64, carry a last column of
+  ones, so for every column x all sections are one float32 matrix
+  product, (rows x (n + 1)) . ((n + 1) x K), which is the finished voxel;
+  it is computed in row bands of _GEMM_ROWS rows by batched matmuls over
+  tiles of _GEMM_COLS columns. The bound: with u = 2**-24, float32's unit
+  roundoff, a covered voxel is within (n + 4) * u * sum_i |O_i| * M_iz /
+  sum_i M_iz of the reference kernel's, for a dot product of n + 1 terms
+  in any summation order is within (n + 1) * u of its exact value relative
+  to the sum of its absolute terms (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., 2002, section 3.1), the rounded frames
+  and masks add u each, and the last u covers the reference's own float64
+  error and the second-order terms. The summation order is that of the
+  sgemm kernel OpenBLAS picks for the CPU, so the bytes are the same for
+  any thread count on one machine but may differ between CPUs. Coverage
+  (mask_coverage) and the floor rule (_floor_rule) are shared and computed
+  in float64, so coverage and sentinels are identical, and a sentinel is
+  exactly -1.0, never -0.0.
 
 Both kernels run behind one stream, VolumeStream, which takes the (n, H, W)
 frames and one TranslationMasks bank of that shape, whose grid names the
@@ -42,30 +52,30 @@ section, top to bottom, each chunk whole on one worker thread
 split between threads and each kernel's output is bit-identical for any
 thread count. A GEMM chunk is one fixed _GEMM_ROWS (16-row) band, computed
 in tiles of _GEMM_COLS (64) columns through buffers made once per chunk
-and reused by each tile: its frame rows are cast into one with one
-strided copy, the product goes to another, and a float32 chunk takes the
-product cast in its own layout, then transposed. The reference kernel's
-chunks hold up to _BAND_PIXELS pixels of a section and are computed
-section by section, each from only the chunk's rows of that section's
-masks. Each chunk needs only its own rows of the frames, frames[:, r0:r1]:
-a read of a StackReader, which indexes like the array it stores, or of an
-array, a contiguous copy for the GEMM kernel (the layout a StackReader
-reads) and a view for the reference kernel, so the stream holds no read
-buffer; the rows are read on the calling thread as the chunk is handed to
-a worker. The kernels store their float64 voxels straight into the chunk:
-float32 chunks from a ring of one per worker, which rounds each voxel
-once, so a float32 chunk holds the bytes of the float64 one cast to
-float32, and a chunk is valid until the caller asks for the next one.
-`aspi reconstruct` writes them to the stack file and `aspi bench`
-checksums them; reconstruct_volume has them computed straight into the
-rows of its float64 (K, H, W) array. So besides the frames (none when they
-are read from a file) these hold, per worker thread, one float32 chunk of
-every section and the chunk's rows of the frames (float32 as read, float64
-for the reference kernel), never the volume; the GEMM kernel also holds
-the (W, n + 1, K) bank, divided by its coverage, with its sentinel row
-and, per worker, one tile's frame rows and products in float64 and the
-products' float32 cast, the reference kernel per worker the float64 masks
-of one section's chunk rows. The number of SENTINEL voxels,
+and reused by each tile: its frame rows are copied into one with one
+strided copy, and the product goes to another, which is transposed into
+the chunk. The reference kernel's chunks hold up to _BAND_PIXELS pixels
+of a section and are computed section by section, each from only the
+chunk's rows of that section's masks. Each chunk needs only its own rows
+of the frames, frames[:, r0:r1]: a read of a StackReader, which indexes
+like the array it stores, or of an array, a contiguous copy for the GEMM
+kernel (the layout a StackReader reads) and a view for the reference
+kernel, so the stream holds no read buffer; the rows are read on the
+calling thread as the chunk is handed to a worker. The kernels store
+their voxels straight into the chunk: float32 chunks from a ring of one
+per worker, which hold the GEMM kernel's voxels as they are and the
+reference kernel's float64 ones rounded once, and a chunk is valid until
+the caller asks for the next one. `aspi reconstruct` writes them to the
+stack file and `aspi bench` checksums them; reconstruct_volume has them
+computed straight into the rows of its float64 (K, H, W) array, which so
+holds the GEMM kernel's float32 values exactly and the reference kernel's
+float64 ones. So besides the frames (none when they are read from a
+file) these hold, per worker thread, one float32 chunk of every section
+and the chunk's rows of the frames (float32 as read, float64 for the
+reference kernel), never the volume; the GEMM kernel also holds the
+float32 (W, n + 1, K) bank and, per worker, one tile's float32 frame rows
+and products, the reference kernel per worker the float64 masks of one
+section's chunk rows. The number of SENTINEL voxels,
 VolumeStream.sentinels, is counted chunk by chunk from the coverage, not
 from the voxels, and is complete once the stream is exhausted: a covered
 voxel whose quotient happens to be exactly -1.0 is not counted. A
@@ -205,9 +215,9 @@ class VolumeStream:
     floor, frame shape, NaN or Inf pixels), so a caller can reject bad input
     before it opens an output; frames read from a StackReader are checked in
     one pass over the file, frame by frame. It also prepares the kernel once:
-    for the GEMM kernel, the bank divided by its coverage with the sentinel
-    plane as its last row. `blocks` computes the volume chunk by chunk, up
-    to `threads` chunks at once, each on one worker. `shape` is the
+    for the GEMM kernel, the float32 bank divided by its coverage with the
+    sentinel plane as its last row. `blocks` computes the volume chunk by
+    chunk, up to `threads` chunks at once, each on one worker. `shape` is the
     volume's (K, H, W).
 
     `sentinels` is the number of SENTINEL voxels in the volume, counted from
@@ -241,30 +251,31 @@ class VolumeStream:
         self._threads = threads
         self.sentinels = 0
         self.products = 0
-        # the GEMM kernel's bank, in (W, n + 1, K) storage: rows 0..n-1 the
-        # masks, row n the sentinel plane, which each tile's column of ones
-        # adds to the product. np.empty only reserves the pages; a bank that
-        # varies along y (no row bank: the reference kernel) never touches them
-        n, k, w = masks.shift_count, masks.grid.count, frames.shape[2]
-        self._bank = np.empty((w, n + 1, k))
-        bank = masks.row_bank(self._bank[:, :n])
-        if bank is None:
+        blocks = masks.column_blocks()
+        if blocks is None:
             # one exact float64 upcast per chunk, not one in each of the K * n multiplies
             self._bank = None
             self._rows = self._section_rows()
             self._read = lambda band: np.asarray(band, dtype=np.float64)
             return
-        # each bank column divided by its coverage and the uncovered ones 0
-        # (a copy, not a multiply), in place, so that a tile's product is the
-        # finished voxel: the sentinel row adds +0.0 where covered and -1.0
-        # exactly where not
-        masks_x, sentinel = self._bank[:, :n], self._bank[:, n]
-        den, uncovered = _floor_rule(mask_coverage(masks_x.transpose(1, 0, 2)), self.floor)
-        masks_x /= den[:, None, :]
-        np.copyto(masks_x, 0.0, where=uncovered[:, None, :])
-        sentinel[...] = 0.0
-        np.copyto(sentinel, SENTINEL, where=uncovered)
-        self._uncovered = int(np.count_nonzero(uncovered))
+        # the GEMM kernel's float32 bank, in (W, n + 1, K) storage: rows
+        # 0..n-1 the masks, each column divided by its coverage and the
+        # uncovered ones 0, row n the sentinel plane, -1.0 exactly where a
+        # column is uncovered and +0.0 elsewhere, which each tile's column of
+        # ones adds to the product, so that the product is the finished voxel.
+        # Built one float64 column block at a time, each rounded once into
+        # it, so no float64 bank exists
+        n, k, w = masks.shift_count, masks.grid.count, frames.shape[2]
+        self._bank = np.empty((w, n + 1, k), dtype=np.float32)
+        self._uncovered = 0
+        for x0, block in blocks:
+            den, uncovered = _floor_rule(mask_coverage(block.transpose(1, 0, 2)), self.floor)
+            block /= den[:, None, :]
+            np.copyto(block, 0.0, where=uncovered[:, None, :])
+            columns = self._bank[x0:x0 + len(block)]
+            columns[:, :n] = block
+            columns[:, n] = np.where(uncovered, SENTINEL, 0.0)
+            self._uncovered += int(np.count_nonzero(uncovered))
         # tiles read their columns of a contiguous band of the frames
         self._rows, self._read = _GEMM_ROWS, np.ascontiguousarray
 
@@ -277,12 +288,14 @@ class VolumeStream:
         whole on one worker (errors.run_ahead), from only its rows of the
         frames, which are read on the calling thread as the chunk is
         submitted; up to `threads` chunks are computed at once, the next
-        ones while the caller uses one. Both kernels compute in float64 and
-        store each voxel into the chunk, which rounds it once. The chunks
-        are float32, in a ring of min(threads, chunk count) buffers, so a
-        chunk is valid until the caller asks for the next one; or, when out
-        is given (a (K, H, W) array), they are its rows, out[:, r0:r1]. The
-        workers are shut down when the stream ends, is closed or raises.
+        ones while the caller uses one. The GEMM kernel computes in
+        float32, the reference kernel in float64, and each stores its voxels
+        into the chunk, a float64 voxel into a float32 chunk rounded once.
+        The chunks are float32, in a ring of min(threads, chunk count)
+        buffers, so a chunk is valid until the caller asks for the next one;
+        or, when out is given (a (K, H, W) array), they are its rows,
+        out[:, r0:r1]. The workers are shut down when the stream ends, is
+        closed or raises.
         """
         k, h, w = self.shape
         rows = min(self._rows, h)
@@ -315,25 +328,22 @@ class VolumeStream:
                 uncovered += int(np.count_nonzero(_floor_rule(coverage, self.floor)[1]))
                 products += frames.size
             return r0, chunk, uncovered, products
-        # one batched matmul per _GEMM_COLS columns, through buffers made once
-        # per chunk: the tile's frame rows with a last column of ones, the
-        # products, and their float32 cast when the chunk is float32
+        # one batched float32 matmul per _GEMM_COLS columns, through buffers
+        # made once per chunk: the tile's frame rows with a last column of
+        # ones, and the products, which are the finished voxels
         (n, rows, w), k = frames.shape, self.shape[0]
         cols = min(_GEMM_COLS, w)
-        obs = np.empty((cols, rows, n + 1))
+        obs = np.empty((cols, rows, n + 1), dtype=np.float32)
         obs[..., n] = 1.0
-        prod = np.empty((cols, rows, k))
-        cast = prod if chunk.dtype == prod.dtype else np.empty(prod.shape, chunk.dtype)
+        prod = np.empty((cols, rows, k), dtype=np.float32)
         for x0 in range(0, w, cols):
             x1 = min(x0 + cols, w)
             c = x1 - x0
-            # one strided cast-copy in; the product cast in its own layout,
-            # then one transpose out
+            # one strided copy in, which rounds float64 frames to float32;
+            # one transpose out
             np.copyto(obs[:c, :, :n], frames[:, :, x0:x1].transpose(2, 1, 0))
             np.matmul(obs[:c], self._bank[x0:x1], out=prod[:c])
-            if cast is not prod:
-                np.copyto(cast[:c], prod[:c])
-            chunk[:, :, x0:x1] = cast[:c].transpose(2, 1, 0)
+            chunk[:, :, x0:x1] = prod[:c].transpose(2, 1, 0)
             products += c * rows * n * k
         return r0, chunk, rows * self._uncovered, products
 
@@ -351,9 +361,11 @@ def reconstruct_volume(frames, masks: TranslationMasks, floor: float | None = No
     """Recover every section of the bank's grid from one acquisition.
 
     frames and masks are VolumeStream's, and so are the checks. A bank
-    whose row_bank() returns an (n, K, W) bank takes the GEMM kernel; any
-    other takes reconstruct_section once per section of every row chunk.
-    Frames of any float dtype are read as float64. With threads > 1 the
+    kept as one row (column_blocks() is not None) takes the float32 GEMM
+    kernel, whose values the float64 volume holds exactly, within the
+    module's bound of the reference kernel's; any other takes
+    reconstruct_section once per section of every row chunk, which reads
+    frames of any float dtype as float64. With threads > 1 the
     row chunks are computed on workers, each whole on one, and the result
     is bit-identical to the serial one. VolumeStream computes them straight
     into the float64 volume.

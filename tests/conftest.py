@@ -1,5 +1,7 @@
 """Shared rig builders for the test suite."""
 
+import ctypes
+import functools
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import settings
 
 import aspi
-from aspi import GeometryConfig
+from aspi import SENTINEL, GeometryConfig, reconstruct_section
 from aspi.imaging_model import TranslationMasks
 
 # Example run times vary with host load; a slow example is not a failure.
@@ -58,6 +60,53 @@ def geometry_bank(base, spec, geom, grid):
     """The bank GeometryMasks builds for a rig, moving `base` in place of the slit pattern."""
     return TranslationMasks(base, (spec.shift_step * geom.magnification, 0.0),
                             (geom.signed_shear, 0.0), spec.num_shifts_n, grid)
+
+
+def reference_volume(frames, provider, floor):
+    """Every section of the bank's grid from the float64 reference kernel, the oracle."""
+    return np.stack([reconstruct_section(frames, provider.section_masks(j), floor)[0]
+                     for j in range(provider.grid.count)])
+
+
+def assert_within_gemm_bound(gemm, ref, frames, bank):
+    """GEMM sections vs reference ones: same sentinels, (n + 4) * u * sum|O_i|M_i/den apart.
+
+    u = eps32 / 2, float32's unit roundoff. A GEMM voxel is a float32 dot
+    product of n + 1 terms, within gamma_{n+1} ~ (n + 1) * u of its exact
+    value relative to the sum of the absolute terms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1), whatever
+    the summation order; its frames are rounded once to float32 (u, 0 when
+    they are float32) and its masks divided by their coverage in float64 and
+    rounded once to float32 (u + u64): (n + 3) * u to first order. The
+    reference kernel's float64 sum and divide add (n + 1) * u64, which the
+    last u covers with the second-order terms.
+    """
+    n = frames.shape[0]
+    den = np.broadcast_to(bank.sum(axis=0)[:, None, :], ref.shape)
+    magnitude = np.einsum("iyx,ijx->jyx", np.abs(frames.astype(np.float64)), bank)
+    covered = ref != SENTINEL
+    assert np.array_equal(gemm != SENTINEL, covered)
+    assert covered.mean() > 0.5
+    bound = (n + 4) * np.finfo(np.float32).eps / 2 * magnitude[covered] / den[covered]
+    assert np.all(np.abs(gemm - ref)[covered] <= bound)
+
+
+@functools.cache
+def blas_core():
+    """The core OpenBLAS picked its kernels for ("SkylakeX", "Haswell", ...), or None.
+
+    Read from the OpenBLAS that numpy wheels bundle, whose pick follows the
+    CPU or OPENBLAS_CORETYPE; None for a numpy on another BLAS. The GEMM
+    kernel sums in the order of that core's kernel, so its bytes are pinned
+    per core.
+    """
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            corename = getattr(ctypes.CDLL(str(lib)), name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def roll_zero_fill(frame, shift):

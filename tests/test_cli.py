@@ -29,7 +29,7 @@ from aspi.cli import build_parser
 from aspi.commands import reconstruct as reconstruct_command
 from aspi.commands import rig_from_metadata
 from aspi.stack_io import StackReader, sidecar_path
-from conftest import geometry_with_shear, modules_after, python
+from conftest import blas_core, geometry_with_shear, modules_after, python
 
 
 def parse_summary(line):
@@ -172,6 +172,41 @@ class TestExitCodes:
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run(capsys)[0] == 2
+
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 109. TiB for an array"),
+         "error: Unable to allocate 109. TiB for an array"),
+        (MemoryError(), "error: MemoryError"),
+    ], ids=["message", "no_message"])
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys, error, line):
+        from aspi.commands import bench as bench_command
+
+        def out_of_memory(args):
+            raise error
+
+        monkeypatch.setattr(bench_command, "run", out_of_memory)
+        code, out, err = run(capsys, "bench", "--threads", "1")
+        assert (code, out, err) == (1, "", line + "\n")
+
+    def test_bench_no_address_space_can_map_is_one_error_line(self, capsys):
+        # 30 frames of 2^24 x 2^24 float32 pixels are 30 PiB, past any x86-64
+        # address space, so the allocation fails at once
+        code, out, err = run(capsys, "bench", "--width", "16777216", "--height", "16777216",
+                             "--threads", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: Unable to allocate 30.0 PiB") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--noise-sigma", "0.01", "--out", "acq.aspi"],
+        ["simulate", "--out", "acq.aspi"],
+        ["bench"],
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == "" and not list(tmp_path.iterdir())
+        assert err.splitlines()[-1] == \
+            f"aspi {argv[0]}: error: argument --seed: must be >= 0, got -1"
 
     def test_dimension_mismatch_is_runtime_error(self, tmp_path, capsys):
         acq = tmp_path / "acq.aspi"
@@ -380,10 +415,21 @@ class TestBench:
         with pytest.raises(ValueError):
             bench_reconstruction(0, 64, 8, 10)
 
+    # per OpenBLAS core: the float32 GEMM kernel sums in the order of the
+    # sgemm kernel OpenBLAS picks for the core (conftest.blas_core)
+    CHECKSUMS = {"SkylakeX": 0xFF7167E1, "Haswell": 0x0B11E424, "Sandybridge": 0xBA16C7E8}
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_checksum_of_the_float32_volume_is_pinned(self, threads):
-        # the CRC32 of the float32 bytes `reconstruct` writes, chunk by chunk
-        assert bench_reconstruction(256, 96, 30, 24, threads=threads).checksum == 0x42c23ba3
+        # the CRC32 of the float32 bytes `reconstruct` writes, chunk by chunk:
+        # on every core the same for threads and threads + 1 (so for 1, 2 and
+        # 3), on a core with a pin the pin
+        checksums = {bench_reconstruction(256, 96, 30, 24, threads=count).checksum
+                     for count in (threads, threads + 1)}
+        assert len(checksums) == 1
+        pin = self.CHECKSUMS.get(blas_core())
+        if pin is not None:
+            assert checksums == {pin}
 
 
 def test_module_entrypoint_smoke():

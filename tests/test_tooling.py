@@ -1,11 +1,15 @@
-"""Guards on the package source, checked without importing it, and on its README."""
+"""Guards on the package source, checked without importing it, on its README, and on the
+GEMM pins of OpenBLAS cores other than the one this CPU picks."""
 
 import ast
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import blas_core, python
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "aspi"
 README = SRC.parents[1] / "README.md"
@@ -207,3 +211,33 @@ def test_readme_library_example_runs():
     assert names["volume"].sections.shape == (60, 64, 256)
     # the one layer lies at section 20
     assert np.nanmedian(names["depth"].depth) == 20.0
+
+
+TESTS = Path(__file__).resolve().parent
+# the tests that pin GEMM bytes per OpenBLAS core (conftest.blas_core)
+PIN_TESTS = [f"{TESTS / 'test_reconstructor.py'}::test_gemm_volumes_keep_their_pinned_bytes",
+             f"{TESTS / 'test_cli.py'}::TestBench::test_checksum_of_the_float32_volume_is_pinned"]
+
+
+def _runs_avx2():
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+    return platform.machine() == "x86_64" and "avx2" in flags
+
+
+@pytest.mark.skipif(not _runs_avx2(), reason="needs an x86-64 CPU with avx2 in /proc/cpuinfo")
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_gemm_pins_hold_on_other_openblas_cores(monkeypatch, core):
+    # an AVX2 CPU runs the kernels of both cores, so both pins are checked
+    # here, not only those of the core OpenBLAS picks for this CPU
+    if blas_core() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    monkeypatch.setenv("OPENBLAS_CORETYPE", core)
+    proc = python("-c", f"import sys; sys.path.insert(0, {str(TESTS)!r})\n"
+                        "from conftest import blas_core; print(blas_core())")
+    assert proc.stdout.split() == [core], proc.stderr
+    proc = python("-m", "pytest", "-q", "-p", "no:cacheprovider", *PIN_TESTS)
+    assert proc.returncode == 0, proc.stdout
+    assert "8 passed" in proc.stdout, proc.stdout

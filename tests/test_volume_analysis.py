@@ -36,7 +36,12 @@ from aspi import (
 from aspi import volume_analysis
 from aspi.imaging_model import TranslationMasks, mask_coverage
 from aspi.volume_analysis import CONTRAST_TAU
-from conftest import geometry_bank, geometry_with_shear
+from conftest import (
+    assert_within_gemm_bound,
+    geometry_bank,
+    geometry_with_shear,
+    reference_volume,
+)
 
 
 def rig(d=30, w=2, n=30, width=160, height=12, shear=1.0, sections=24):
@@ -105,10 +110,15 @@ class TestAxialPsf:
         masks = GeometryMasks(spec, geom, grid)
         probe = (acq.shape[2] * 3 // 4, 3)
         curve = axial_psf(acq, masks, probe)
-        voxel = reconstruct_volume(acq, masks).sections[:, probe[1], probe[0]]
+        # the float64 reference kernel's voxel; the float32 GEMM volume that
+        # `reconstruct` computes is within its bound of the reference one
+        floor = default_floor(masks.base, spec.num_shifts_n)
+        ref = reference_volume(acq, masks, floor)
+        assert_within_gemm_bound(reconstruct_volume(acq, masks, floor).sections, ref, acq,
+                                 masks.row_bank())
         coverage = [mask_coverage(masks.section_masks(z))[0, probe[0]]
                     for z in range(grid.count)]
-        want = voxel * coverage
+        want = ref[:, probe[1], probe[0]] * coverage
         assert np.max(np.abs(curve.response - want / want.max())) < 1e-12
 
 
